@@ -15,7 +15,7 @@ from grassflow.integrable import (kdv_fredholm_solve, nls_fredholm_solve,
                                   split_step_kdv, split_step_nls)
 
 
-def study(equation: str, dts, threads: int, fracs=(0.2, 0.5, 1.0)):
+def study(equation: str, dts, fracs=(0.2, 0.5, 1.0)):
     if equation == "kdv":
         grid = Grid1D(-5.0, 5.0, 256, kind="periodic")
         p0 = -0.5 * np.cosh(grid.nodes / 20.0)
@@ -30,9 +30,8 @@ def study(equation: str, dts, threads: int, fracs=(0.2, 0.5, 1.0)):
     def values(res):
         return np.real(res.values) if real else res.values
 
-    proj = {f: values(solve(p0, grid, f * t_final, threads=threads))
-            for f in fracs}
-    u0 = values(solve(p0, grid, 0.0, threads=threads))
+    proj = {f: values(solve(p0, grid, f * t_final)) for f in fracs}
+    u0 = values(solve(p0, grid, 0.0))
     for dt in dts:
         steps = int(round(t_final / dt))
         cps = [int(round(f * t_final / dt)) for f in fracs]
@@ -46,9 +45,8 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--equation", choices=("kdv", "nls", "both"),
                         default="both")
-    parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args()
     if args.equation in ("kdv", "both"):
-        study("kdv", (1e-4, 5e-5), args.threads)
+        study("kdv", (1e-4, 5e-5))
     if args.equation in ("nls", "both"):
-        study("nls", (1e-2, 5e-3), args.threads)
+        study("nls", (1e-2, 5e-3))

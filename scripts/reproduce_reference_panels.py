@@ -15,14 +15,14 @@ from grassflow.cli import main as cli_main
 PRESET_EQUATIONS = ("kdv", "nls", "spde", "smol-const")
 
 
-def run(out_root: pathlib.Path, seed: int, threads: int) -> int:
+def run(out_root: pathlib.Path, seed: int) -> int:
     worst = 0
     for eq in PRESET_EQUATIONS:
         out = out_root / eq
         out.mkdir(parents=True, exist_ok=True)
         print(f"== {eq} (preset paper) -> {out}")
         rc = cli_main([eq, "--preset", "paper", "--seed", str(seed),
-                       "--threads", str(threads), "--out", str(out)])
+                       "--out", str(out)])
         print(f"   exit status {rc}")
         worst = max(worst, rc)
     return worst
@@ -32,6 +32,5 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="output root directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args()
-    sys.exit(run(pathlib.Path(args.out), args.seed, args.threads))
+    sys.exit(run(pathlib.Path(args.out), args.seed))

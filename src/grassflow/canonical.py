@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DenseSystem, Grid1D, QuadratureRule, det_plain, det_reg,
-                   solve_dense, weighted_kernel)
+from .core import DenseSystem, Grid1D, QuadratureRule, solve_dense
 from .errors import (ChartBreakdown, ConfigError, IntegrationBlowup,
                      SingularSystem, TraceRangeError)
 
@@ -157,6 +156,20 @@ class AdditiveKernelTrace:
         return out
 
 
+def solve_fredholm_system(kmat, rhs, weights, x: float):
+    """Solve  rhs(z) = g(0, z) + sum_xi g(0, xi) kmat[xi, z] w(xi)  at one x
+    (``rhs`` a vector, or a matrix of columns).  Returns (g, det_track), the
+    solve and det(I + K W) = det(I + K^T W) from one LU; a singular system
+    raises ChartBreakdown at ``x`` carrying that determinant."""
+    # row i is the equation at z_i; column j weights the unknown g(0, xi_j)
+    a = np.eye(len(weights), dtype=complex) + weights[None, :] * kmat.T
+    try:
+        return solve_dense(DenseSystem(a, rhs), with_det=True)
+    except SingularSystem as exc:
+        raise ChartBreakdown(str(exc), det_value=exc.det_value,
+                             location=x) from exc
+
+
 def solve_additive_fredholm(p_trace, qhat, zgrid: Grid1D, x: float,
                             quadrature: str = "riemann-left",
                             full_kernel: bool = False):
@@ -165,30 +178,16 @@ def solve_additive_fredholm(p_trace, qhat, zgrid: Grid1D, x: float,
     ``p_trace`` is callable at shifted nodes; ``qhat`` is a callable
     (xi, z) -> value, vectorised over its arguments (for the KdV case it is
     the additive evaluation qhat(xi + z + x)).  Returns (g_row, det_track)
-    where det_track is the plain determinant det(I + Qhat_w) of the
-    assembled discrete operator.  With ``full_kernel`` the whole matrix
-    g(y, z) is solved instead of just the y = 0 row.
+    as :func:`solve_fredholm_system` does.  With ``full_kernel`` the whole
+    matrix g(y, z) is solved instead of just the y = 0 row.
     """
     rule = QuadratureRule.for_scheme(zgrid, quadrature)
     nodes, w = rule.nodes, rule.weights
     kmat = np.asarray(qhat(nodes[:, None], nodes[None, :]), dtype=complex)
-    # row i is the equation at z_i; column j weights the unknown g(0, xi_j)
-    a = np.eye(zgrid.n, dtype=complex) + w[None, :] * kmat.T
-    det_track = det_plain(weighted_kernel(kmat, w))
-    if full_kernel:
-        rhs = np.asarray(p_trace(nodes[:, None] + nodes[None, :] + x),
-                         dtype=complex)
-        try:
-            g = solve_dense(DenseSystem(a, rhs.T)).T
-        except SingularSystem as exc:
-            raise ChartBreakdown(str(exc), det_value=det_track, location=x) from exc
-        return g, det_track
-    rhs = np.asarray(p_trace(nodes + x), dtype=complex)
-    try:
-        g_row = solve_dense(DenseSystem(a, rhs))
-    except SingularSystem as exc:
-        raise ChartBreakdown(str(exc), det_value=det_track, location=x) from exc
-    return g_row, det_track
+    args = nodes[:, None] + nodes[None, :] if full_kernel else nodes
+    rhs = np.asarray(p_trace(args + x), dtype=complex)
+    g, det_track = solve_fredholm_system(kmat, rhs.T, w, x)
+    return g.T, det_track
 
 
 def fredholm_residual(p_trace, qhat, zgrid: Grid1D, x: float, g_row,

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import __version__
 from .core import Grid1D
-from .errors import (BlowupAtTime, ChartBreakdown, GrassflowError,
-                     IntegrationBlowup, ShockProximity)
+from .errors import ChartBreakdown, GrassflowError, ShockProximity
 from .graphflows import (GraphField, InitialProfile, inviscid_burgers_eval,
                          upwind_oracle)
 from .integrable import (kdv_fredholm_solve, nls_fredholm_solve,
@@ -69,6 +68,8 @@ PRESETS = {
                             dt=0.007 / 256, profile="sech-ridge"),
     ("smol-const", "paper"): dict(grid_n=1024, domain_l=40.0, t_final=2.0,
                                   dt=1e-3, profile="exp"),
+    ("smol-general", "constant-kernel"): dict(grid_n=512, domain_l=40.0,
+                                              t_final=1.0, profile="exp"),
 }
 
 DEFAULT_PROFILES = {
@@ -208,7 +209,12 @@ def _checkpoint_steps(config: RunConfig):
     return total, idx
 
 
-def run_kdv(config: RunConfig, chash: str) -> dict:
+def _run_fredholm(config: RunConfig, chash: str, solve, stepper,
+                  readout) -> dict:
+    """KdV and NLS: project at every checkpoint, then cross-validate the
+    ``readout`` of the projected field against the split-step ``stepper``.
+    The first singular x-system raises ChartBreakdown before any table is
+    written."""
     grid = Grid1D(-config.domain_l / 2, config.domain_l / 2, config.grid_n,
                   kind="periodic")
     p0 = profile_samples(config.profile, grid.nodes)
@@ -217,77 +223,52 @@ def run_kdv(config: RunConfig, chash: str) -> dict:
     results = {}
     for m in idx:
         t = m * config.dt
-        res = kdv_fredholm_solve(p0, grid, t, config.quadrature,
-                                 threads=config.threads)
+        res = solve(p0, grid, t, config.quadrature, threads=config.threads)
+        if res.breakdown_locations:
+            x, det = res.breakdown_locations[0]
+            raise ChartBreakdown(
+                f"{len(res.breakdown_locations)} singular Fredholm "
+                f"system(s) at t = {t}, the first at x = {x}",
+                det_value=det, location=x)
         results[m] = res
         poppe_rows.extend(_field_rows(grid.nodes, t, res.values,
                                       res.det_track))
         det_rows.extend((x, t, abs(d))
                         for x, d in zip(grid.nodes, res.det_track))
-    out = config.out
-    write_table(os.path.join(out, "kdv_poppe.csv"), FIELD_HEADER,
+    out, eq = config.out, config.equation
+    write_table(os.path.join(out, f"{eq}_poppe.csv"), FIELD_HEADER,
                 poppe_rows, chash)
-    write_table(os.path.join(out, "kdv_det.csv"),
+    write_table(os.path.join(out, f"{eq}_det.csv"),
                 ("x", "t", "det_abs"), det_rows, chash)
-    extra = {"sup_difference": np.nan}
+    extra = {"min_abs_det": min(float(np.min(np.abs(r.det_track)))
+                                for r in results.values()),
+             "sup_difference": np.nan}
     if config.compare_oracle:
-        u0 = np.real(results[0].values)
-        direct = split_step_kdv(u0, grid, config.dt, total, checkpoints=idx)
+        u0 = readout(results[0].values)
+        direct = stepper(u0, grid, config.dt, total, checkpoints=idx)
         sup = 0.0
         for m in idx:
             t = m * config.dt
             direct_rows.extend(_field_rows(grid.nodes, t, direct[m]))
-            gap = np.abs(np.real(results[m].values) - direct[m])
+            gap = np.abs(readout(results[m].values) - direct[m])
             diff_rows.extend((x, t, d) for x, d in zip(grid.nodes, gap))
             sup = max(sup, float(np.max(gap)))
-        write_table(os.path.join(out, "kdv_direct.csv"), FIELD_HEADER,
+        write_table(os.path.join(out, f"{eq}_direct.csv"), FIELD_HEADER,
                     direct_rows, chash)
-        write_table(os.path.join(out, "kdv_difference.csv"),
+        write_table(os.path.join(out, f"{eq}_difference.csv"),
                     ("x", "t", "difference"), diff_rows, chash)
         extra["sup_difference"] = sup
     return extra
+
+
+def run_kdv(config: RunConfig, chash: str) -> dict:
+    return _run_fredholm(config, chash, kdv_fredholm_solve, split_step_kdv,
+                         np.real)
 
 
 def run_nls(config: RunConfig, chash: str) -> dict:
-    grid = Grid1D(-config.domain_l / 2, config.domain_l / 2, config.grid_n,
-                  kind="periodic")
-    p0 = profile_samples(config.profile, grid.nodes)
-    total, idx = _checkpoint_steps(config)
-    poppe_rows, det_rows, diff_rows, direct_rows = [], [], [], []
-    results = {}
-    min_det = np.inf
-    for m in idx:
-        t = m * config.dt
-        res = nls_fredholm_solve(p0, grid, t, config.quadrature,
-                                 threads=config.threads)
-        results[m] = res
-        poppe_rows.extend(_field_rows(grid.nodes, t, res.values,
-                                      res.det_track))
-        det_rows.extend((x, t, abs(d))
-                        for x, d in zip(grid.nodes, res.det_track))
-        min_det = min(min_det, float(np.min(np.abs(res.det_track))))
-    out = config.out
-    write_table(os.path.join(out, "nls_poppe.csv"), FIELD_HEADER,
-                poppe_rows, chash)
-    write_table(os.path.join(out, "nls_det.csv"),
-                ("x", "t", "det_abs"), det_rows, chash)
-    extra = {"min_abs_det": min_det, "sup_difference": np.nan}
-    if config.compare_oracle:
-        u0 = results[0].values
-        direct = split_step_nls(u0, grid, config.dt, total, checkpoints=idx)
-        sup = 0.0
-        for m in idx:
-            t = m * config.dt
-            direct_rows.extend(_field_rows(grid.nodes, t, direct[m]))
-            gap = np.abs(results[m].values - direct[m])
-            diff_rows.extend((x, t, d) for x, d in zip(grid.nodes, gap))
-            sup = max(sup, float(np.max(gap)))
-        write_table(os.path.join(out, "nls_direct.csv"), FIELD_HEADER,
-                    direct_rows, chash)
-        write_table(os.path.join(out, "nls_difference.csv"),
-                    ("x", "t", "difference"), diff_rows, chash)
-        extra["sup_difference"] = sup
-    return extra
+    return _run_fredholm(config, chash, nls_fredholm_solve, split_step_nls,
+                         np.asarray)
 
 
 def run_smol_const(config: RunConfig, chash: str) -> dict:
@@ -477,9 +458,10 @@ def run(config: RunConfig) -> int:
     try:
         extra = RUNNERS[config.equation](config, chash)
     except (ChartBreakdown, ShockProximity) as exc:
-        loc = getattr(exc, "location", None) or getattr(exc, "point", None)
-        det = getattr(exc, "det_value", None) or getattr(exc, "jacobian_det",
-                                                         None)
+        if isinstance(exc, ChartBreakdown):
+            loc, det = exc.location, exc.det_value
+        else:
+            loc, det = exc.point, exc.jacobian_det
         print(f"breakdown: {exc} (t = {config.t_final}, location = {loc}, "
               f"determinant = {det})", file=sys.stderr)
         return 1

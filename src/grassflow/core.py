@@ -109,8 +109,18 @@ class DenseSystem:
             raise ConfigError("coefficient matrix has non-finite entries")
 
 
-def solve_dense(system: DenseSystem) -> np.ndarray:
-    """LU solve with a relative pivot floor of 1e-14 * ||A||_inf."""
+def _lu_det(lu, piv):
+    """det A from scipy's LU of A: U's diagonal, signed by the row swaps."""
+    return np.prod(np.diag(lu)) * (-1) ** np.count_nonzero(
+        piv != np.arange(len(piv)))
+
+
+def solve_dense(system: DenseSystem, with_det: bool = False):
+    """LU solve with a relative pivot floor of 1e-14 * ||A||_inf.
+
+    With ``with_det`` the result is ``(solution, det A)``, the determinant
+    taken from the same factorisation.  A SingularSystem carries it too.
+    """
     import scipy.linalg as sla
 
     a = np.asarray(system.coefficients)
@@ -120,9 +130,10 @@ def solve_dense(system: DenseSystem) -> np.ndarray:
     pivots = np.abs(np.diag(lu))
     if norm_a == 0.0 or np.min(pivots) < PIVOT_FLOOR * norm_a:
         raise SingularSystem(
-            f"pivot {np.min(pivots):.3e} below floor {PIVOT_FLOOR * norm_a:.3e}"
-        )
-    return sla.lu_solve((lu, piv), b, check_finite=False)
+            f"pivot {np.min(pivots):.3e} below floor {PIVOT_FLOOR * norm_a:.3e}",
+            det_value=_lu_det(lu, piv))
+    x = sla.lu_solve((lu, piv), b, check_finite=False)
+    return (x, _lu_det(lu, piv)) if with_det else x
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ class ConfigError(GrassflowError):
 class SingularSystem(GrassflowError):
     """Dense linear solve hit a pivot below the relative floor."""
 
+    def __init__(self, message, det_value=None):
+        super().__init__(message)
+        self.det_value = det_value
+
 
 class ChartBreakdown(GrassflowError):
     """The determinant of Q crossed the invertibility threshold:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import AdditiveKernelTrace, solve_additive_fredholm
+from .canonical import AdditiveKernelTrace, solve_fredholm_system
 from .core import Grid1D, QuadratureRule, SpectralField, dft_forward, dft_frequencies
 from .errors import ChartBreakdown, ConfigError, IntegrationBlowup, SymbolError
 
@@ -86,52 +86,59 @@ class ProjectionResult:
     t: float = 0.0
 
 
-def _project_over_x(trace, qhat_for_x, zgrid, xnodes, quadrature, t,
-                    threads=1):
-    values = np.full(len(xnodes), np.nan, dtype=complex)
-    dets = np.full(len(xnodes), np.nan, dtype=complex)
+def _project_over_x(fld, kernel, quadrature):
+    """One Fredholm solve, and one LU, per x, in order.
+
+    On a domain symmetric about 0 the argument y_i + z_j + x_m is exactly
+    node i + j + m of the doubled trace window, so x_m's Hankel matrix is
+    the strided view H[m, i, j] = trace[i + j + m], and its z = 0 column is
+    the right-hand side.  ``kernel(H[m], w)`` gives the system's kernel.  A
+    singular system leaves a NaN value and its (x, det) in
+    ``breakdown_locations``.
+    """
+    grid = fld.grid
+    if grid.lower != -grid.upper:
+        raise ConfigError("the Fredholm projection needs a domain "
+                          "symmetric about 0")
+    zgrid = half_line_grid(grid)
+    w = QuadratureRule.for_scheme(zgrid, quadrature).weights
+    trace = additive_trace(fld).values
+    stack = np.lib.stride_tricks.as_strided(
+        trace, shape=(grid.n, zgrid.n, zgrid.n),
+        strides=(trace.strides[0],) * 3, writeable=False)
+    values = np.full(grid.n, np.nan, dtype=complex)
+    dets = np.empty(grid.n, dtype=complex)
     breakdowns = []
-
-    def solve_one(i):
-        x = xnodes[i]
+    for i, x in enumerate(grid.nodes):
         try:
-            g_row, det = solve_additive_fredholm(
-                trace, qhat_for_x(x), zgrid, x, quadrature=quadrature)
+            g_row, dets[i] = solve_fredholm_system(kernel(stack[i], w),
+                                                   stack[i, :, -1], w, x)
         except ChartBreakdown as exc:
+            dets[i] = exc.det_value
             breakdowns.append((float(x), exc.det_value))
-            return
+            continue
         values[i] = g_row[-1]  # z = 0 sits at the grid's last node
-        dets[i] = det
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(solve_one, range(len(xnodes))))
-        breakdowns.sort()
-    else:
-        for i in range(len(xnodes)):
-            solve_one(i)
-    return ProjectionResult(x_nodes=np.asarray(xnodes), values=values,
-                            det_track=dets, breakdown_locations=breakdowns, t=t)
+    return ProjectionResult(x_nodes=grid.nodes, values=values, det_track=dets,
+                            breakdown_locations=breakdowns, t=fld.t)
 
 
 def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
                        quadrature: str = "riemann-left",
                        threads: int = 1) -> ProjectionResult:
-    """KdV via its additive prescription: qhat = p, one dense solve per x."""
+    """KdV via its additive prescription: qhat = p, one dense solve per x.
+    ``threads`` is accepted for compatibility and changes nothing."""
     fld = propagate_dispersive(dft_forward(p0, grid), cubic_kdv_symbol(), t)
-    trace = additive_trace(fld)
-    zgrid = half_line_grid(grid)
-
-    def qhat_for_x(x):
-        return lambda xi, z: trace(xi + z + x)
-
-    res = _project_over_x(trace, qhat_for_x, zgrid, grid.nodes, quadrature, t,
-                          threads=threads)
+    res = _project_over_x(fld, lambda h, w: h, quadrature)
     res.values = res.values.real if np.max(np.abs(res.values.imag[np.isfinite(
-        res.values.real)])) < 1e-8 else res.values
+        res.values.real)]), initial=0.0) < 1e-8 else res.values
     return res
+
+
+def nls_gram(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """M^H W M as one zgemm in scipy's BLAS."""
+    from scipy.linalg.blas import zgemm
+
+    return zgemm(1.0, m, weights[:, None] * m, trans_a=2)
 
 
 def nls_assemble_qhat(trace: AdditiveKernelTrace, zgrid: Grid1D, x: float,
@@ -144,23 +151,16 @@ def nls_assemble_qhat(trace: AdditiveKernelTrace, zgrid: Grid1D, x: float,
     rule = QuadratureRule.for_scheme(zgrid, quadrature)
     nodes, w = rule.nodes, rule.weights
     m = trace(nodes[:, None] + nodes[None, :] + x)  # m[k, j] = p(eta_k + z_j + x)
-    return np.conj(m).T @ (w[:, None] * m)
+    return nls_gram(m, w)
 
 
 def nls_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
                        quadrature: str = "riemann-left",
                        threads: int = 1) -> ProjectionResult:
-    """NLS via the quadratic prescription qhat = P^dag P."""
+    """NLS via the quadratic prescription qhat = P^dag P.
+    ``threads`` is accepted for compatibility and changes nothing."""
     fld = propagate_dispersive(dft_forward(p0, grid), schrodinger_symbol(), t)
-    trace = additive_trace(fld)
-    zgrid = half_line_grid(grid)
-
-    def qhat_for_x(x):
-        qm = nls_assemble_qhat(trace, zgrid, x, quadrature)
-        return lambda xi, z: qm
-
-    return _project_over_x(trace, qhat_for_x, zgrid, grid.nodes, quadrature, t,
-                           threads=threads)
+    return _project_over_x(fld, nls_gram, quadrature)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,12 @@ import os
 import numpy as np
 import pytest
 
+import grassflow.cli as cli
 from grassflow.cli import (RunConfig, apply_preset, config_hash, main,
                            validate)
+from grassflow.core import Grid1D
+from grassflow.errors import ChartBreakdown
+from grassflow.smoluchowski import MassDensity, constant_kernel_solve
 
 
 def base_config(**kw):
@@ -139,6 +143,45 @@ def test_kdv_run_produces_four_tables(tmp_path):
     # every output embeds the same config hash
     other, _, _ = read_table(tmp_path / "kdv_direct.csv")
     assert first == other
+
+
+def test_kdv_singular_system_exits_1_without_tables(tmp_path, monkeypatch,
+                                                   capsys):
+    # with h = 1 this profile makes the x = -2 system singular at t = 0
+    monkeypatch.setattr(cli, "profile_samples",
+                        lambda name, x: np.array([-1.0, 0.0, 0.0, 0.5]))
+    rc = main(["kdv", "--grid-n", "4", "--domain-l", "4.0", "--t-final",
+               "0.01", "--dt", "1e-3", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "location = -2.0" in err
+    det = complex(err.split("determinant = ")[1].strip().rstrip(")"))
+    assert np.isfinite(det) and abs(det) < 1e-14
+    assert not any(name.endswith((".csv", ".txt"))
+                   for name in os.listdir(tmp_path))
+
+
+def test_breakdown_report_keeps_zero_location_and_determinant(
+        tmp_path, monkeypatch, capsys):
+    def singular(config, chash):
+        raise ChartBreakdown("singular", det_value=0.0, location=0.0)
+
+    monkeypatch.setitem(cli.RUNNERS, "burgers", singular)
+    assert main(["burgers", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "location = 0.0" in err and "determinant = 0.0" in err
+
+
+def test_smol_general_constant_kernel_preset(tmp_path):
+    rc = main(["smol-general", "--preset", "constant-kernel",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    _, _, rows = read_table(tmp_path / "smol-general_poppe.csv")
+    values = np.array([float(row[2]) for row in rows])
+    grid = Grid1D(0.0, 40.0, 512, kind="closed")
+    expected = constant_kernel_solve(
+        MassDensity(grid=grid, values=np.exp(-grid.nodes)), 1.0).values
+    assert np.max(np.abs(values - expected)) <= 1e-12
 
 
 def test_spde_rerun_is_bitwise_identical(tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassflow.core import Grid1D, dft_forward
+from grassflow.canonical import solve_additive_fredholm
+from grassflow.core import (Grid1D, QuadratureRule, det_plain, dft_forward,
+                            weighted_kernel)
 from grassflow.errors import ConfigError, SymbolError
 from grassflow.integrable import (DispersionSymbol, additive_trace,
                                   cubic_kdv_symbol, half_line_grid,
@@ -102,6 +104,88 @@ def test_kdv_threads_do_not_change_output():
     parallel = kdv_fredholm_solve(p0, g, 0.3, threads=4)
     assert np.array_equal(serial.values, parallel.values)
     assert np.array_equal(serial.det_track, parallel.det_track)
+
+
+def generic_projection(fld, qhat_for_x, quadrature):
+    """Values and dets from the generic solver on interpolating callables,
+    and det(I + K W) of each x-system by an independent determinant."""
+    trace = additive_trace(fld)
+    zgrid = half_line_grid(fld.grid)
+    w = QuadratureRule.for_scheme(zgrid, quadrature).weights
+    nodes = zgrid.nodes
+    values, dets, plain = [], [], []
+    for x in fld.grid.nodes:
+        qhat = qhat_for_x(trace, zgrid, x)
+        g_row, det = solve_additive_fredholm(trace, qhat, zgrid, x,
+                                             quadrature=quadrature)
+        values.append(g_row[-1])
+        dets.append(det)
+        kmat = np.asarray(qhat(nodes[:, None], nodes[None, :]), dtype=complex)
+        plain.append(det_plain(weighted_kernel(kmat, w)))
+    return np.array(values), np.array(dets), np.array(plain)
+
+
+@pytest.mark.parametrize("quadrature", ["riemann-left", "trapezoid"])
+def test_kdv_projection_matches_generic_solver(quadrature):
+    g = periodic_grid(-5.0, 5.0, 64)
+    p0 = -0.5 * np.cosh(g.nodes / 20.0)
+    t = 0.7
+    res = kdv_fredholm_solve(p0, g, t, quadrature)
+    fld = propagate_dispersive(dft_forward(p0, g), cubic_kdv_symbol(), t)
+    values, dets, plain = generic_projection(
+        fld, lambda trace, z, x: lambda xi, zz: trace(xi + zz + x),
+        quadrature)
+    assert np.array_equal(np.real(res.values), values.real)
+    if np.iscomplexobj(res.values):
+        assert np.array_equal(res.values.imag, values.imag)
+    assert np.array_equal(res.det_track, dets)
+    assert np.max(np.abs(res.det_track - plain) / np.abs(plain)) < 1e-12
+
+
+@pytest.mark.parametrize("quadrature", ["riemann-left", "trapezoid"])
+def test_nls_projection_matches_generic_solver(quadrature):
+    g = periodic_grid(-20.0, 20.0, 64)
+    p0 = 0.5 * np.cosh(g.nodes / 40.0)
+    t = 1.5
+    res = nls_fredholm_solve(p0, g, t, quadrature)
+    fld = propagate_dispersive(dft_forward(p0, g), schrodinger_symbol(), t)
+
+    def qhat_for_x(trace, zgrid, x):
+        qm = nls_assemble_qhat(trace, zgrid, x, quadrature)
+        return lambda xi, z: qm
+
+    values, dets, plain = generic_projection(fld, qhat_for_x, quadrature)
+    assert np.max(np.abs(res.values - values)) <= 1e-13
+    for ref in (dets, plain):
+        assert np.max(np.abs(res.det_track - ref) / np.abs(ref)) < 1e-12
+
+
+def test_singular_x_system_is_reported_with_its_determinant():
+    # h = 1 and riemann-left weights (1, 1, 0): the x = -2 system has an
+    # all-zero first column; those at x = -1, 0, 1 have det 1.5, -0.25, 0.5
+    g = periodic_grid(-2.0, 2.0, 4)
+    p0 = np.array([-1.0, 0.0, 0.0, 0.5])
+    res = kdv_fredholm_solve(p0, g, 0.0)
+    assert [x for x, _ in res.breakdown_locations] == [-2.0]
+    det = res.breakdown_locations[0][1]
+    assert np.isfinite(det) and abs(det) < 1e-14
+    assert res.det_track[0] == det
+    assert np.isnan(res.values[0]) and np.all(np.isfinite(res.values[1:]))
+    assert res.det_track[1:] == pytest.approx([1.5, -0.25, 0.5])
+
+
+def test_every_x_system_singular_still_returns():
+    g = periodic_grid(-1.0, 1.0, 2)
+    res = kdv_fredholm_solve(-np.ones(2), g, 0.0)
+    assert [x for x, _ in res.breakdown_locations] == [-1.0, 0.0]
+    assert np.all(np.isnan(res.values))
+    assert np.all(np.isfinite(res.det_track))
+
+
+def test_projection_needs_symmetric_domain():
+    g = periodic_grid(-4.0, 6.0, 32)
+    with pytest.raises(ConfigError):
+        kdv_fredholm_solve(np.zeros(32), g, 0.0)
 
 
 def test_kdv_pde_residual_shrinks_with_stencil():
