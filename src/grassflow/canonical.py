@@ -161,8 +161,11 @@ def solve_fredholm_system(kmat, rhs, weights, x: float):
     (``rhs`` a vector, or a matrix of columns).  Returns (g, det_track), the
     solve and det(I + K W) = det(I + K^T W) from one LU; a singular system
     raises ChartBreakdown at ``x`` carrying that determinant."""
-    # row i is the equation at z_i; column j weights the unknown g(0, xi_j)
-    a = np.eye(len(weights), dtype=complex) + weights[None, :] * kmat.T
+    # row i is the equation at z_i; column j weights the unknown g(0, xi_j);
+    # I + K^T W is built in place, one n x n array per x
+    a = np.empty((len(weights),) * 2, dtype=complex)
+    np.multiply(weights[None, :], kmat.T, out=a)
+    a[np.diag_indices_from(a)] += 1.0
     try:
         return solve_dense(DenseSystem(a, rhs), with_det=True)
     except SingularSystem as exc:

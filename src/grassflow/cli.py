@@ -229,7 +229,7 @@ def _run_fredholm(config: RunConfig, chash: str, solve, stepper,
             raise ChartBreakdown(
                 f"{len(res.breakdown_locations)} singular Fredholm "
                 f"system(s) at t = {t}, the first at x = {x}",
-                det_value=det, location=x)
+                det_value=det, location=x, t=t)
         results[m] = res
         poppe_rows.extend(_field_rows(grid.nodes, t, res.values,
                                       res.det_track))
@@ -459,11 +459,11 @@ def run(config: RunConfig) -> int:
         extra = RUNNERS[config.equation](config, chash)
     except (ChartBreakdown, ShockProximity) as exc:
         if isinstance(exc, ChartBreakdown):
-            loc, det = exc.location, exc.det_value
+            loc, det, t = exc.location, exc.det_value, exc.t
         else:
-            loc, det = exc.point, exc.jacobian_det
-        print(f"breakdown: {exc} (t = {config.t_final}, location = {loc}, "
-              f"determinant = {det})", file=sys.stderr)
+            loc, det, t = exc.point, exc.jacobian_det, None
+        print(f"breakdown: {exc} (t = {config.t_final if t is None else t}, "
+              f"location = {loc}, determinant = {det})", file=sys.stderr)
         return 1
     except GrassflowError as exc:
         print(f"breakdown: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -19,12 +19,14 @@ class SingularSystem(GrassflowError):
 
 class ChartBreakdown(GrassflowError):
     """The determinant of Q crossed the invertibility threshold:
-    the current coordinate patch is no longer usable."""
+    the current coordinate patch is no longer usable.  ``t`` is the time
+    of the breakdown when the run has one."""
 
-    def __init__(self, message, det_value=None, location=None):
+    def __init__(self, message, det_value=None, location=None, t=None):
         super().__init__(message)
         self.det_value = det_value
         self.location = location
+        self.t = t
 
 
 class BlowupAtTime(GrassflowError):

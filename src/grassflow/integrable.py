@@ -43,10 +43,14 @@ def propagate_dispersive(fld: SpectralField, symbol: DispersionSymbol,
     at index k carries the physical harmonic e^{-2 pi i k x} and d/dx acts on
     it as multiplication by -2 pi i k.  The symbol is therefore evaluated at
     -k: the harmonic e^{+2 pi i k x} (stored at index -k) picks up the phase
-    exp(t d(2 pi i k)).
+    exp(t d(2 pi i k)).  On an even grid the Nyquist mode gets the even part
+    (d(2 pi i k_N) + d(-2 pi i k_N)) / 2, so a real field stays real.
     """
     k = dft_frequencies(fld.grid)
     d = symbol(-k)
+    if fld.grid.n % 2 == 0:
+        nyq = fld.grid.n // 2
+        d[nyq] = 0.5 * (d[nyq] + symbol(k[nyq]))
     scale = np.max(np.abs(d)) or 1.0
     if np.max(np.abs(d.real)) > 1e-12 * scale:
         raise SymbolError(f"symbol {symbol.name!r} is not skew on this grid")
@@ -125,12 +129,11 @@ def _project_over_x(fld, kernel, quadrature):
 def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
                        quadrature: str = "riemann-left",
                        threads: int = 1) -> ProjectionResult:
-    """KdV via its additive prescription: qhat = p, one dense solve per x.
-    ``threads`` is accepted for compatibility and changes nothing."""
+    """KdV via its additive prescription: qhat = p, one dense solve per x;
+    real (float64) values.  ``threads`` is accepted and changes nothing."""
     fld = propagate_dispersive(dft_forward(p0, grid), cubic_kdv_symbol(), t)
     res = _project_over_x(fld, lambda h, w: h, quadrature)
-    res.values = res.values.real if np.max(np.abs(res.values.imag[np.isfinite(
-        res.values.real)]), initial=0.0) < 1e-8 else res.values
+    res.values = res.values.real
     return res
 
 
@@ -176,31 +179,35 @@ def split_step_kdv(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
                    checkpoints=None):
     """v = exp(dt K^3) u;  u <- v + 3 dt F(F^-1(v) F^-1(K v)),  K = 2 pi i k.
 
-    Returns the final physical samples, or a dict {step: samples} when
-    ``checkpoints`` (an iterable of step indices) is given.
+    Real field on its rfft half-spectrum, K = 0 at the Nyquist mode, one irfft
+    for v and K v together.  Returns the final samples, or a dict {step:
+    samples} when ``checkpoints`` (an iterable of step indices) is given.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    k = np.fft.fftfreq(grid.n, d=grid.spacing)
-    kmat = 2j * np.pi * k
+    n = grid.n
+    kmat = 2j * np.pi * np.fft.rfftfreq(n, d=grid.spacing)
+    if n % 2 == 0:
+        kmat[-1] = 0.0
     lin = np.exp(dt * kmat ** 3)
-    uhat = np.fft.fft(np.asarray(u0, dtype=complex))
-    wanted = set(checkpoints) if checkpoints is not None else None
-    out = {}
-    if wanted is not None and 0 in wanted:
-        out[0] = np.fft.ifft(uhat).real.copy()
+    uhat = np.fft.rfft(np.asarray(u0, dtype=float))
+    spec = np.empty((2, kmat.size), dtype=complex)  # rows v and K v
+    v, kv = spec
+    phys = np.empty((2, n))
+    wanted = set(checkpoints) if checkpoints is not None else {steps}
+    out = {0: np.fft.irfft(uhat, n)} if 0 in wanted else {}
     for m in range(1, steps + 1):
-        v = lin * uhat
-        vphys = np.fft.ifft(v)
-        uhat = v + 3.0 * dt * np.fft.fft(vphys * np.fft.ifft(kmat * v))
+        np.multiply(lin, uhat, out=v)
+        np.multiply(kmat, v, out=kv)
+        np.fft.irfft(spec, n, out=phys)
+        np.fft.rfft(np.multiply(phys[0], phys[1], out=phys[0]), out=uhat)
+        uhat *= 3.0 * dt
+        uhat += v
         if m % 1024 == 0 or m == steps:
             _check_finite(uhat)
-        if wanted is not None and m in wanted:
-            out[m] = np.fft.ifft(uhat).real.copy()
-    if wanted is not None:
-        return out
-    _check_finite(uhat)
-    return np.fft.ifft(uhat).real
+        if m in wanted:
+            out[m] = np.fft.irfft(uhat, n)
+    return out if checkpoints is not None else out[steps]
 
 
 def split_step_nls(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
@@ -212,22 +219,17 @@ def split_step_nls(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
     kmat = 2j * np.pi * k
     lin = np.exp(-1j * dt * kmat ** 2)
     uhat = np.fft.fft(np.asarray(u0, dtype=complex))
-    wanted = set(checkpoints) if checkpoints is not None else None
-    out = {}
-    if wanted is not None and 0 in wanted:
-        out[0] = np.fft.ifft(uhat).copy()
+    wanted = set(checkpoints) if checkpoints is not None else {steps}
+    out = {0: np.fft.ifft(uhat)} if 0 in wanted else {}
     for m in range(1, steps + 1):
         v = lin * uhat
         vphys = np.fft.ifft(v)
         uhat = v - 2j * dt * np.fft.fft(vphys * vphys * np.conj(vphys))
         if m % 1024 == 0 or m == steps:
             _check_finite(uhat)
-        if wanted is not None and m in wanted:
-            out[m] = np.fft.ifft(uhat).copy()
-    if wanted is not None:
-        return out
-    _check_finite(uhat)
-    return np.fft.ifft(uhat)
+        if m in wanted:
+            out[m] = np.fft.ifft(uhat)
+    return out if checkpoints is not None else out[steps]
 
 
 # ---------------------------------------------------------------------------

@@ -197,11 +197,11 @@ class EllipticCoefficients:
             setattr(self, name, arr)
         if np.min(np.abs(self.b)) < 1e-12:
             raise ConfigError("b must be bounded away from zero")
+        self._nodes = self.grid.nodes
 
     def at(self, x):
         """Linear interpolation of all four coefficients at x."""
-        xs = self.grid.nodes
-        return tuple(np.interp(x, xs, arr)
+        return tuple(np.interp(x, self._nodes, arr)
                      for arr in (self.a, self.b, self.c, self.d))
 
 
@@ -224,12 +224,13 @@ def elliptic_quotient_solve(coeffs: EllipticCoefficients, q0: float,
     grid = coeffs.grid
     h = grid.spacing
     n = grid.n
+    nodes = grid.nodes
     q = np.empty(n)
     p = np.empty(n)
     q[0], p[0] = q0, p0
     state = np.array([q0, p0], dtype=float)
     for i in range(n - 1):
-        x = grid.nodes[i]
+        x = nodes[i]
 
         def rhs(xx, y):
             a, b, c, d = coeffs.at(xx)
@@ -245,8 +246,8 @@ def elliptic_quotient_solve(coeffs: EllipticCoefficients, q0: float,
     if crossings.size or np.min(np.abs(q)) < 1e-10:
         idx = int(crossings[0]) if crossings.size \
             else int(np.argmin(np.abs(q)))
-        raise ChartBreakdown(f"q vanished near x = {grid.nodes[idx]}",
-                             det_value=q[idx], location=grid.nodes[idx])
+        raise ChartBreakdown(f"q vanished near x = {nodes[idx]}",
+                             det_value=q[idx], location=nodes[idx])
     g = p / q
     gp = (g[2:] - g[:-2]) / (2 * h)
     a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d

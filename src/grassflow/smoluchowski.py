@@ -10,7 +10,6 @@ integro-differential RK4 integrator provides the cross-validation oracle.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .core import Grid1D, QuadratureRule
 from .errors import BlowupAtTime, ConfigError, DomainError, IntegrationBlowup
@@ -105,14 +104,21 @@ def _check_uniform(grid: Grid1D):
         raise ConfigError("mass grids are closed and start at 0")
 
 
+def riemann_conv(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    """Truncated left-Riemann convolution h sum_{j<i} u_j v_{i-j} of real
+    samples: the full convolution by real FFTs padded to 2n (one transform
+    when ``v is u``), less its j = i term."""
+    n = len(u)
+    fu = np.fft.rfft(u, 2 * n)
+    fv = fu if v is u else np.fft.rfft(v, 2 * n)
+    full = np.fft.irfft(fu * fv, 2 * n)[:n]
+    return h * (full - u * v[0])
+
+
 def volterra_assemble(g: np.ndarray, qhat: np.ndarray, grid: Grid1D) -> np.ndarray:
     """p = g + g * qhat with (g * qhat)(x_i) = h sum_{j<i} g_j qhat_{i-j}."""
     _check_uniform(grid)
-    h = grid.spacing
-    conv = fftconvolve(g, qhat)[:len(g)]
-    # the left-Riemann sum runs j = 0..i-1, i.e. drops the j = i term
-    conv = conv - g * qhat[0]
-    return g + h * conv
+    return g + riemann_conv(g, qhat, grid.spacing)
 
 
 def volterra_project(p: np.ndarray, qhat: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -253,8 +259,6 @@ def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity, t: float,
     dx = _derivative_matrix(grid)
     dmat = _poly_of_matrix(coeffs.d_poly, dx)
     bmat = _poly_of_matrix(coeffs.b_poly, dx)
-    a = coeffs.a if coeffs.a is not None else None
-    b0 = coeffs.b0
 
     if coeffs.include_loss:
         m0_track = integrate_m0_riccati(coeffs, g0.m0, t, grid, steps=2 * steps)
@@ -266,18 +270,14 @@ def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity, t: float,
         i = int(round(pos))
         return m0_track[min(i, len(m0_track) - 1)]
 
-    def conv(u, v):
-        c = fftconvolve(u, v)[:grid.n]
-        return h * (c - u * v[0])
-
     def rhs(state, frac):
         p, qhat = state
         dp = dmat @ p - m0_at(frac) * p
         dq = coeffs.b0_delta * p - bmat @ p
-        if a is not None:
-            dq = dq + a + conv(a, qhat)
-        if b0 is not None:
-            dq = dq + conv(b0, p)
+        if coeffs.a is not None:
+            dq = dq + coeffs.a + riemann_conv(coeffs.a, qhat, h)
+        if coeffs.b0 is not None:
+            dq = dq + riemann_conv(coeffs.b0, p, h)
         return np.array([dp, dq])
 
     state = np.array([g0.values.astype(float), np.zeros(grid.n)])
@@ -312,16 +312,12 @@ def general_smol_residual(coeffs: SmolCoefficients, g0: MassDensity, t: float,
     dx = _derivative_matrix(grid)
     res = gt - _poly_of_matrix(coeffs.d_poly, dx) @ g
 
-    def conv(u, v):
-        c = fftconvolve(u, v)[:grid.n]
-        return h * (c - u * v[0])
-
-    res = res - conv(g, _poly_of_matrix(coeffs.b_poly, dx) @ g)
+    res = res - riemann_conv(g, _poly_of_matrix(coeffs.b_poly, dx) @ g, h)
     if coeffs.a is not None:
-        res = res + conv(g, coeffs.a)
+        res = res + riemann_conv(g, coeffs.a, h)
     if coeffs.b0 is not None:
-        res = res + conv(g, conv(coeffs.b0, g))
-    res = res + coeffs.b0_delta * conv(g, g)
+        res = res + riemann_conv(g, riemann_conv(coeffs.b0, g, h), h)
+    res = res + coeffs.b0_delta * riemann_conv(g, g, h)
     if coeffs.include_loss:
         res = res + g * sols[1].m0
     # skip the one-sided boundary stencils
@@ -356,8 +352,7 @@ def direct_smol_oracle(g0: MassDensity, t: float, dt: float,
 
     def rhs(g):
         if kernel == "constant":
-            conv = fftconvolve(g, g)[:n]
-            gain = 0.5 * h * (conv - g * g[0])
+            gain = 0.5 * riemann_conv(g, g, h)
         else:
             gain = np.zeros(n)
             for i in range(1, n):
@@ -414,15 +409,12 @@ def pre_laplace_burgers_solve(q0: np.ndarray, grid: Grid1D, nu: float,
 def pre_laplace_burgers_residual(q0, grid: Grid1D, nu: float, t: float,
                                  dt: float) -> float:
     """FD defect of dg/dt = nu x^2 g + (x/2) int_0^x g(y) g(x-y) dy."""
-    h = grid.spacing
     x = grid.nodes
     gm, _ = pre_laplace_burgers_solve(q0, grid, nu, t - dt)
     g, _ = pre_laplace_burgers_solve(q0, grid, nu, t)
     gp, _ = pre_laplace_burgers_solve(q0, grid, nu, t + dt)
     gt = (gp - gm) / (2 * dt)
-    conv = fftconvolve(g, g)[:grid.n]
-    conv = h * (conv - g * g[0])
-    res = gt - nu * x ** 2 * g - 0.5 * x * conv
+    res = gt - nu * x ** 2 * g - 0.5 * x * riemann_conv(g, g, grid.spacing)
     return float(np.max(np.abs(res[1:-2])))
 
 

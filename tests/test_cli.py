@@ -2,6 +2,8 @@
 
 import filecmp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,11 +156,23 @@ def test_kdv_singular_system_exits_1_without_tables(tmp_path, monkeypatch,
                "0.01", "--dt", "1e-3", "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "location = -2.0" in err
+    # the breakdown is at the first checkpoint, not at --t-final
+    assert "(t = 0.0, location = -2.0," in err
     det = complex(err.split("determinant = ")[1].strip().rstrip(")"))
     assert np.isfinite(det) and abs(det) < 1e-14
     assert not any(name.endswith((".csv", ".txt"))
                    for name in os.listdir(tmp_path))
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # scipy.signal costs over a second to import, on every CLI call
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, grassflow.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_breakdown_report_keeps_zero_location_and_determinant(

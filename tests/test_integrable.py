@@ -50,6 +50,21 @@ def test_single_harmonic_propagates_by_phase():
     assert np.max(np.abs(out.samples - expected)) < 1e-12
 
 
+def test_nyquist_mode_takes_the_even_part_of_the_symbol():
+    g = periodic_grid(-5.0, 5.0, 64)
+    p0 = -0.5 * np.cosh(g.nodes / 20.0) + 0.1 * np.sin(3.0 * g.nodes)
+    fld = dft_forward(p0, g)
+    # odd KdV symbol: the real field stays real to rounding
+    kdv = propagate_dispersive(fld, cubic_kdv_symbol(), 0.7)
+    assert np.max(np.abs(kdv.samples.imag)) < 1e-15
+    assert kdv.modes[32] == fld.modes[32]
+    # even Schrodinger symbol: every mode, Nyquist included, as before
+    k = np.fft.fftfreq(g.n, d=g.spacing)
+    nls = propagate_dispersive(fld, schrodinger_symbol(), 0.7)
+    expected = fld.modes * np.exp(0.7 * schrodinger_symbol()(-k))
+    assert np.array_equal(nls.modes, expected)
+
+
 def test_additive_trace_is_periodic_extension():
     g = periodic_grid(-2.0, 2.0, 16)
     samples = np.sin(np.pi * g.nodes)
@@ -95,6 +110,13 @@ def test_kdv_matches_split_step_on_coarse_run():
     direct = split_step_kdv(u0, g, 1e-4, 5000)
     proj = np.real(kdv_fredholm_solve(p0, g, t).values)
     assert np.max(np.abs(proj - direct)) < 1e-2
+
+
+def test_kdv_values_are_float64_at_every_time():
+    g = periodic_grid(-5.0, 5.0, 64)
+    p0 = -0.5 * np.cosh(g.nodes / 20.0)
+    for t in (0.0, 0.3, 1.5):
+        assert kdv_fredholm_solve(p0, g, t).values.dtype == np.float64
 
 
 def test_kdv_threads_do_not_change_output():
@@ -247,6 +269,34 @@ def test_split_step_kdv_linear_limit_matches_exact_propagation():
     out = split_step_kdv(u0, g, 1e-3, 100)
     fld = propagate_dispersive(dft_forward(u0, g), cubic_kdv_symbol(), 0.1)
     assert np.max(np.abs(out - np.real(fld.samples))) < 1e-3 * eps
+
+
+def complex_split_step_kdv(u0, grid, dt, steps):
+    """The first-order KdV split step on complex FFTs, Nyquist K zeroed."""
+    kmat = 2j * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+    kmat[grid.n // 2] = 0.0
+    lin = np.exp(dt * kmat ** 3)
+    uhat = np.fft.fft(np.asarray(u0, dtype=complex))
+    out = [np.fft.ifft(uhat).real]
+    for _ in range(steps):
+        v = lin * uhat
+        uhat = v + 3.0 * dt * np.fft.fft(np.fft.ifft(v) * np.fft.ifft(kmat * v))
+        out.append(np.fft.ifft(uhat).real)
+    return out
+
+
+def test_split_step_kdv_matches_complex_fft_reference():
+    g = periodic_grid(-5.0, 5.0, 64)
+    u0 = -0.5 * np.cosh(g.nodes / 20.0) + 0.2 * np.exp(-g.nodes ** 2)
+    ref = complex_split_step_kdv(u0, g, 1e-3, 200)
+    final = split_step_kdv(u0, g, 1e-3, 200)
+    cps = split_step_kdv(u0, g, 1e-3, 200, checkpoints=[0, 7, 100, 200])
+    scale = np.max(np.abs(u0))
+    assert final.dtype == np.float64
+    assert np.max(np.abs(final - ref[-1])) < 1e-13 * scale
+    for m, samples in cps.items():
+        assert samples.dtype == np.float64
+        assert np.max(np.abs(samples - ref[m])) < 1e-13 * scale
 
 
 def test_split_step_nls_conserves_mass_approximately():

@@ -194,6 +194,23 @@ def test_elliptic_chart_breakdown():
         elliptic_quotient_solve(coeffs, 1.0, 0.0)
 
 
+def test_elliptic_solve_reads_grid_nodes_a_fixed_number_of_times(
+        monkeypatch):
+    reads = []
+    nodes = Grid1D.nodes
+    monkeypatch.setattr(Grid1D, "nodes", property(
+        lambda grid: reads.append(grid) or nodes.fget(grid)))
+    counts = []
+    for n in (64, 256, 1024):
+        g = closed_unit_grid(n)
+        zeros, ones = np.zeros(g.n), np.ones(g.n)
+        reads.clear()
+        coeffs = EllipticCoefficients(g, zeros, ones, ones, zeros)
+        elliptic_quotient_solve(coeffs, 1.0, 0.0)
+        counts.append(len(reads))
+    assert counts[0] == counts[1] == counts[2]
+
+
 def test_elliptic_coefficient_validation():
     g = closed_unit_grid(16)
     zeros, ones = np.zeros(g.n), np.ones(g.n)

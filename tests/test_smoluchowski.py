@@ -16,7 +16,7 @@ from grassflow.smoluchowski import (MassDensity, SmolCoefficients,
                                     general_smol_solve, integrate_m0_riccati,
                                     m0_constant_kernel,
                                     pre_laplace_burgers_residual,
-                                    pre_laplace_burgers_solve,
+                                    pre_laplace_burgers_solve, riemann_conv,
                                     volterra_assemble, volterra_project,
                                     volterra_residual)
 
@@ -108,6 +108,19 @@ def test_volterra_round_trip_is_exact(seed):
     back = volterra_project(p, qv, g)
     assert np.max(np.abs(back - gv)) < 1e-12 * max(1, np.max(np.abs(gv)))
     assert volterra_residual(p, qv, back, g) < 1e-12
+
+
+@pytest.mark.parametrize("n", [33, 64])
+@pytest.mark.parametrize("same", [True, False])
+def test_riemann_conv_matches_direct_left_sum(n, same):
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(n)
+    v = u if same else rng.standard_normal(n)
+    h = 0.37
+    direct = np.array([h * sum(u[j] * v[i - j] for j in range(i))
+                       for i in range(n)])
+    out = riemann_conv(u, v, h)
+    assert np.max(np.abs(out - direct)) < 1e-13 * np.max(np.abs(direct))
 
 
 def test_volterra_requires_mass_grid():
