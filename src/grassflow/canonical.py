@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseSystem, Grid1D, QuadratureRule, solve_dense
+from .core import DenseSystem, Grid1D, QuadratureRule, rk4_step, solve_dense
 from .errors import (ChartBreakdown, ConfigError, IntegrationBlowup,
                      SingularSystem, TraceRangeError)
 
@@ -43,14 +43,6 @@ class BaseState:
     t: float = 0.0
 
 
-def _rk4_step(f, y, dt):
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def integrate_base(coeffs: CanonicalCoefficients, initial: BaseState,
                    t: float, steps: int) -> BaseState:
     """Advance (Q, P) with classical fixed-step RK4."""
@@ -61,13 +53,13 @@ def integrate_base(coeffs: CanonicalCoefficients, initial: BaseState,
     n = A.shape[0]
     y = np.concatenate([np.atleast_2d(initial.Q), np.atleast_2d(initial.P)], axis=0)
 
-    def rhs(state):
+    def rhs(s, state):
         q, p = state[:n], state[n:]
         return np.concatenate([A @ q + B @ p, C @ q + D @ p], axis=0)
 
     dt = (t - initial.t) / steps
-    for _ in range(steps):
-        y = _rk4_step(rhs, y, dt)
+    for m in range(steps):
+        y = rk4_step(rhs, y, initial.t + m * dt, dt)
         if not np.all(np.isfinite(y)):
             raise IntegrationBlowup("base state became non-finite")
     return BaseState(Q=y[:n], P=y[n:], t=t)

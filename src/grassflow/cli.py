@@ -97,8 +97,10 @@ def validate(config: RunConfig) -> list:
     problems = []
     if config.equation not in EQUATIONS:
         problems.append(f"unknown equation {config.equation!r}")
-    if config.grid_n < 2:
-        problems.append("grid-n must be at least 2")
+    # the smol-general and prelaplace residuals skip 4 and 3 boundary nodes
+    least = {"smol-general": 5, "prelaplace": 4}.get(config.equation, 2)
+    if config.grid_n < least:
+        problems.append(f"grid-n must be at least {least}")
     if config.equation in SPECTRAL_EQUATIONS and \
             (config.grid_n & (config.grid_n - 1)) != 0:
         problems.append("grid-n must be a power of two (DFT restriction)")

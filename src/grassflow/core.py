@@ -1,4 +1,4 @@
-"""Grids, quadrature, dense solves, DFT contract, determinants and RNG streams.
+"""Grids, quadrature, dense solves, DFT contract, RK4 stepping and RNG streams.
 
 Everything here is deterministic and pure given its inputs; RandomStream is
 the one stateful object and is reproducible from (seed, stream_id) alone.
@@ -179,43 +179,51 @@ def _grid_phase(grid: Grid1D) -> np.ndarray:
     return np.exp(2j * np.pi * k * grid.lower)
 
 
+def _axis0(v: np.ndarray, ndim: int) -> np.ndarray:
+    """A per-mode vector shaped to broadcast along axis 0 of ndim axes."""
+    return v.reshape(v.shape + (1,) * (ndim - 1))
+
+
 def dft_forward(samples: np.ndarray, grid: Grid1D) -> SpectralField:
+    """Transform along axis 0; trailing axes are independent columns."""
     if grid.kind != "periodic":
         raise ConfigError("dft_forward needs a periodic grid")
     _require_power_of_two(grid.n)
     samples = np.asarray(samples, dtype=complex)
-    if samples.shape[-1] != grid.n:
+    if samples.shape[0] != grid.n:
         raise ConfigError("sample count does not match grid")
     # numpy ifft carries e^{+2 pi i jm/n} and a 1/n factor
-    modes = grid.n * np.fft.ifft(samples) * grid.spacing * _grid_phase(grid)
+    modes = grid.n * np.fft.ifft(samples, axis=0) * grid.spacing \
+        * _axis0(_grid_phase(grid), samples.ndim)
     return SpectralField(modes=modes, grid=grid)
 
 
 def dft_inverse(field: SpectralField) -> np.ndarray:
+    """Inverse of :func:`dft_forward`, along axis 0."""
     grid = field.grid
     modes = np.asarray(field.modes, dtype=complex)
-    return np.fft.fft(modes * np.conj(_grid_phase(grid))) / grid.length
+    phase = _axis0(np.conj(_grid_phase(grid)), modes.ndim)
+    return np.fft.fft(modes * phase, axis=0) / grid.length
 
 
 # ---------------------------------------------------------------------------
-# determinants
+# time stepping and time derivatives
 
 
-def det_plain(qhat_weighted: np.ndarray) -> complex:
-    """det(I + A) of the weight-scaled kernel matrix A."""
-    a = np.asarray(qhat_weighted)
-    return complex(np.linalg.det(np.eye(a.shape[0]) + a))
+def rk4_step(f, y, s, ds):
+    """One classical RK4 step of y' = f(s, y) from s to s + ds."""
+    k1 = f(s, y)
+    k2 = f(s + 0.5 * ds, y + 0.5 * ds * k1)
+    k3 = f(s + 0.5 * ds, y + 0.5 * ds * k2)
+    k4 = f(s + ds, y + ds * k3)
+    return y + (ds / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def det_reg(qhat_weighted: np.ndarray) -> complex:
-    """Regularised determinant det2(I + A) = det(I + A) * exp(-tr A)."""
-    a = np.asarray(qhat_weighted)
-    return det_plain(a) * complex(np.exp(-np.trace(a)))
-
-
-def weighted_kernel(entries: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Scale kernel columns by quadrature weights: A[i,j] = k(y_i,z_j) w_j."""
-    return np.asarray(entries) * np.asarray(weights)[None, :]
+def central_in_t(solve, t: float, dt: float):
+    """(solve(t), (solve(t + dt) - solve(t - dt)) / (2 dt)); the three
+    solves run in time order t - dt, t, t + dt."""
+    lo, mid, hi = (solve(s) for s in (t - dt, t, t + dt))
+    return mid, (hi - lo) / (2 * dt)
 
 
 # ---------------------------------------------------------------------------

@@ -12,23 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import central_in_t, rk4_step
 from .errors import (BlowupAtTime, ConfigError, NewtonDivergence,
                      ShockProximity)
+from .integrable import _ddx
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 JACOBIAN_FLOOR = 1e-8
 FD_STEP = 1e-6
-
-
-@dataclass
-class FlowMapSample:
-    """One particle of the characteristic flow: label, position, momentum."""
-
-    a: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    t: float
 
 
 @dataclass
@@ -179,14 +171,6 @@ def shock_time(profile: InitialProfile, sample_points) -> float:
 # generalised first-order models
 
 
-def _rk4_step(f, y, s, ds):
-    k1 = f(s, y)
-    k2 = f(s + 0.5 * ds, y + 0.5 * ds * k1)
-    k3 = f(s + 0.5 * ds, y + 0.5 * ds * k2)
-    k4 = f(s + ds, y + ds * k3)
-    return y + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def _as_coeff(c, n):
     if c is None:
         return lambda s: np.zeros((n, n))
@@ -207,7 +191,7 @@ def fundamental_matrix(coeffs, t: float, n: int, steps: int = 256) -> np.ndarray
     y = np.eye(2 * n)
     ds = t / steps
     for m in range(steps):
-        y = _rk4_step(rhs, y, m * ds, ds)
+        y = rk4_step(rhs, y, m * ds, ds)
     return y
 
 
@@ -299,12 +283,9 @@ def inviscid_residual(profile: InitialProfile, x_nodes, t: float,
                       dt: float) -> float:
     """Central-difference defect of pi_t + pi pi_x = 0 on interior nodes."""
     x = np.asarray(x_nodes, dtype=float)
-    h = x[1] - x[0]
-    fields = [inviscid_burgers_eval(x, s, profile).values
-              for s in (t - dt, t, t + dt)]
-    pt = (fields[2] - fields[0]) / (2 * dt)
-    px = (np.roll(fields[1], -1) - np.roll(fields[1], 1)) / (2 * h)
-    res = pt + fields[1] * px
+    pi, pt = central_in_t(
+        lambda s: inviscid_burgers_eval(x, s, profile).values, t, dt)
+    res = pt + pi * _ddx(pi, x[1] - x[0])
     return float(np.max(np.abs(res[1:-1])))
 
 
@@ -312,14 +293,12 @@ def generalized_residual(profile: InitialProfile, coeffs, x_nodes, t: float,
                          dt: float) -> float:
     """Defect of pi_t + pi_x (A x + B pi) - (C x + D pi) on interior nodes."""
     x = np.asarray(x_nodes, dtype=float)
-    h = x[1] - x[0]
-    fields = [generalized_flow_eval(x, s, profile, coeffs=coeffs).values
-              for s in (t - dt, t, t + dt)]
-    pt = (fields[2] - fields[0]) / (2 * dt)
-    px = (np.roll(fields[1], -1) - np.roll(fields[1], 1)) / (2 * h)
+    pi, pt = central_in_t(
+        lambda s: generalized_flow_eval(x, s, profile, coeffs=coeffs).values,
+        t, dt)
     A, B, C, D = (float(np.atleast_2d(_as_coeff(c, 1)(t))[0, 0])
                   for c in coeffs)
-    res = pt + px * (A * x + B * fields[1]) - (C * x + D * fields[1])
+    res = pt + _ddx(pi, x[1] - x[0]) * (A * x + B * pi) - (C * x + D * pi)
     return float(np.max(np.abs(res[1:-1])))
 
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import AdditiveKernelTrace, solve_fredholm_system
-from .core import Grid1D, QuadratureRule, SpectralField, dft_forward, dft_frequencies
+from .core import (Grid1D, QuadratureRule, SpectralField, central_in_t,
+                   dft_forward, dft_frequencies)
 from .errors import ChartBreakdown, ConfigError, IntegrationBlowup, SymbolError
 
 
@@ -253,20 +254,17 @@ def kdv_pde_residual(p0, grid: Grid1D, t: float, dt: float,
                      quadrature: str = "riemann-left") -> float:
     """Sup-norm defect of du/dt - 3 (du/dx)^2 = d^3u/dx^3 for the projected
     field, with three pipeline evaluations for the time derivative."""
-    u = [kdv_fredholm_solve(p0, grid, s, quadrature).values
-         for s in (t - dt, t, t + dt)]
-    ut = (u[2] - u[0]) / (2 * dt)
+    u, ut = central_in_t(
+        lambda s: kdv_fredholm_solve(p0, grid, s, quadrature).values, t, dt)
     h = grid.spacing
-    res = ut - 3.0 * _ddx(u[1], h) ** 2 - _d3dx3(u[1], h)
+    res = ut - 3.0 * _ddx(u, h) ** 2 - _d3dx3(u, h)
     return float(np.max(np.abs(res)))
 
 
 def nls_pde_residual(p0, grid: Grid1D, t: float, dt: float,
                      quadrature: str = "riemann-left") -> float:
     """Sup-norm defect of i du/dt = d^2u/dx^2 + 2 |u|^2 u."""
-    u = [nls_fredholm_solve(p0, grid, s, quadrature).values
-         for s in (t - dt, t, t + dt)]
-    ut = (u[2] - u[0]) / (2 * dt)
-    h = grid.spacing
-    res = 1j * ut - _d2dx2(u[1], h) - 2.0 * np.abs(u[1]) ** 2 * u[1]
+    u, ut = central_in_t(
+        lambda s: nls_fredholm_solve(p0, grid, s, quadrature).values, t, dt)
+    res = 1j * ut - _d2dx2(u, grid.spacing) - 2.0 * np.abs(u) ** 2 * u
     return float(np.max(np.abs(res)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid1D, QuadratureRule
+from .core import Grid1D, QuadratureRule, central_in_t, rk4_step
 from .errors import BlowupAtTime, ConfigError, DomainError, IntegrationBlowup
 
 
@@ -33,13 +33,6 @@ class MassDensity:
     @property
     def m1(self) -> float:
         return float(np.trapezoid(self.grid.nodes * self.values,
-                              dx=self.grid.spacing))
-
-    @property
-    def tail_mass(self) -> float:
-        """Quadrature mass of the last 5% of the grid (truncation diagnostic)."""
-        k = max(2, self.grid.n // 20)
-        return float(np.trapezoid(self.grid.nodes[-k:] * self.values[-k:],
                               dx=self.grid.spacing))
 
 
@@ -193,24 +186,13 @@ class SmolCoefficients:
         return max(nz) if nz else 0
 
 
-def _derivative_matrix(grid: Grid1D) -> np.ndarray:
-    """Second-order first-derivative matrix, one-sided at the endpoints."""
-    n, h = grid.n, grid.spacing
-    d = np.zeros((n, n))
-    for i in range(1, n - 1):
-        d[i, i - 1], d[i, i + 1] = -0.5 / h, 0.5 / h
-    d[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-    d[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
-    return d
-
-
-def _poly_of_matrix(poly, mat):
-    n = mat.shape[0]
-    out = poly[0] * np.eye(n)
-    power = np.eye(n)
+def _poly_ddx(poly, u: np.ndarray, h: float) -> np.ndarray:
+    """sum_k poly[k] d^k u / dx^k, each d/dx the second-order central stencil
+    with second-order one-sided ends (np.gradient, edge_order=2)."""
+    out = poly[0] * u
     for c in poly[1:]:
-        power = power @ mat
-        out = out + c * power
+        u = np.gradient(u, h, edge_order=2)
+        out = out + c * u
     return out
 
 
@@ -231,15 +213,9 @@ def integrate_m0_riccati(coeffs: SmolCoefficients, m00: float, t: float,
     dt = t / steps
     track = np.empty(steps + 1)
     track[0] = m00
-    m = m00
+    rate = lambda s, m: lin * m + quad * m * m
     for i in range(steps):
-        f = lambda y: lin * y + quad * y * y
-        k1 = f(m)
-        k2 = f(m + 0.5 * dt * k1)
-        k3 = f(m + 0.5 * dt * k2)
-        k4 = f(m + dt * k3)
-        m = m + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        track[i + 1] = m
+        track[i + 1] = rk4_step(rate, track[i], i * dt, dt)
     if not np.all(np.isfinite(track)):
         raise BlowupAtTime("m0 preprocessing Riccati blew up")
     return track
@@ -256,24 +232,16 @@ def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity, t: float,
     grid = g0.grid
     _check_uniform(grid)
     h = grid.spacing
-    dx = _derivative_matrix(grid)
-    dmat = _poly_of_matrix(coeffs.d_poly, dx)
-    bmat = _poly_of_matrix(coeffs.b_poly, dx)
+    dt = t / steps
+    # m0 at every half step, so at each RK4 stage time
+    m0_track = (integrate_m0_riccati(coeffs, g0.m0, t, grid, steps=2 * steps)
+                if coeffs.include_loss else np.zeros(2 * steps + 1))
 
-    if coeffs.include_loss:
-        m0_track = integrate_m0_riccati(coeffs, g0.m0, t, grid, steps=2 * steps)
-
-    def m0_at(frac):
-        if not coeffs.include_loss:
-            return 0.0
-        pos = frac * (len(m0_track) - 1)
-        i = int(round(pos))
-        return m0_track[min(i, len(m0_track) - 1)]
-
-    def rhs(state, frac):
+    def rhs(s, state):
         p, qhat = state
-        dp = dmat @ p - m0_at(frac) * p
-        dq = coeffs.b0_delta * p - bmat @ p
+        m0 = m0_track[round(2 * s / dt)] if dt else m0_track[0]
+        dp = _poly_ddx(coeffs.d_poly, p, h) - m0 * p
+        dq = coeffs.b0_delta * p - _poly_ddx(coeffs.b_poly, p, h)
         if coeffs.a is not None:
             dq = dq + coeffs.a + riemann_conv(coeffs.a, qhat, h)
         if coeffs.b0 is not None:
@@ -281,14 +249,8 @@ def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity, t: float,
         return np.array([dp, dq])
 
     state = np.array([g0.values.astype(float), np.zeros(grid.n)])
-    dt = t / steps
     for m in range(steps):
-        frac0 = m / steps
-        k1 = rhs(state, frac0)
-        k2 = rhs(state + 0.5 * dt * k1, frac0 + 0.5 / steps)
-        k3 = rhs(state + 0.5 * dt * k2, frac0 + 0.5 / steps)
-        k4 = rhs(state + dt * k3, frac0 + 1.0 / steps)
-        state = state + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        state = rk4_step(rhs, state, m * dt, dt)
         if not np.all(np.isfinite(state)):
             raise IntegrationBlowup("base pair became non-finite")
     p, qhat = state
@@ -303,23 +265,19 @@ def general_smol_residual(coeffs: SmolCoefficients, g0: MassDensity, t: float,
     The loss term uses the solved density's own m0 so the residual is of the
     full equation including -g m0 when include_loss is set.
     """
-    grid = g0.grid
-    h = grid.spacing
-    sols = [general_smol_solve(coeffs, g0, s, steps=steps)
-            for s in (t - dt, t, t + dt)]
-    g = sols[1].values
-    gt = (sols[2].values - sols[0].values) / (2 * dt)
-    dx = _derivative_matrix(grid)
-    res = gt - _poly_of_matrix(coeffs.d_poly, dx) @ g
-
-    res = res - riemann_conv(g, _poly_of_matrix(coeffs.b_poly, dx) @ g, h)
+    h = g0.grid.spacing
+    g, gt = central_in_t(
+        lambda s: general_smol_solve(coeffs, g0, s, steps=steps).values,
+        t, dt)
+    res = gt - _poly_ddx(coeffs.d_poly, g, h)
+    res = res - riemann_conv(g, _poly_ddx(coeffs.b_poly, g, h), h)
     if coeffs.a is not None:
         res = res + riemann_conv(g, coeffs.a, h)
     if coeffs.b0 is not None:
         res = res + riemann_conv(g, riemann_conv(coeffs.b0, g, h), h)
     res = res + coeffs.b0_delta * riemann_conv(g, g, h)
     if coeffs.include_loss:
-        res = res + g * sols[1].m0
+        res = res + g * MassDensity(g0.grid, g).m0
     # skip the one-sided boundary stencils
     return float(np.max(np.abs(res[2:-2])))
 
@@ -343,20 +301,18 @@ def direct_smol_oracle(g0: MassDensity, t: float, dt: float,
     n = grid.n
     if kernel == "exp":
         gain_only = True
-        kmat = np.zeros((n, n))
-        for i in range(n):
-            y = x[:i]
-            kmat[i, :i] = np.exp(-2.0 * alpha * y * (x[i] - y))
+        # kmat[i, j] = K(x_j, x_i - x_j) pairs g_j with g_{i-j}, j < i
+        lag = np.tril(np.subtract.outer(np.arange(n), np.arange(n)), -1)
+        dist = np.tril(np.subtract.outer(x, x))  # x_i - x_j, 0 for j > i
+        kmat = np.tril(np.exp(-2.0 * alpha * x * dist), -1)
     elif kernel != "constant":
         raise ConfigError(f"unknown kernel {kernel!r}")
 
-    def rhs(g):
+    def rhs(s, g):
         if kernel == "constant":
             gain = 0.5 * riemann_conv(g, g, h)
         else:
-            gain = np.zeros(n)
-            for i in range(1, n):
-                gain[i] = 0.5 * h * np.dot(kmat[i, :i] * g[:i], g[i - 1::-1])
+            gain = 0.5 * h * ((kmat * g[lag]) @ g)
         if gain_only:
             return gain
         m0 = np.trapezoid(g, dx=h)
@@ -367,11 +323,7 @@ def direct_smol_oracle(g0: MassDensity, t: float, dt: float,
     g = g0.values.astype(float).copy()
     times, m0s, m1s = [0.0], [np.trapezoid(g, dx=h)], [np.trapezoid(x * g, dx=h)]
     for m in range(steps):
-        k1 = rhs(g)
-        k2 = rhs(g + 0.5 * dt * k1)
-        k3 = rhs(g + 0.5 * dt * k2)
-        k4 = rhs(g + dt * k3)
-        g = g + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        g = rk4_step(rhs, g, m * dt, dt)
         if not np.all(np.isfinite(g)):
             raise IntegrationBlowup("direct oracle blew up")
         if track_moments:
@@ -410,10 +362,8 @@ def pre_laplace_burgers_residual(q0, grid: Grid1D, nu: float, t: float,
                                  dt: float) -> float:
     """FD defect of dg/dt = nu x^2 g + (x/2) int_0^x g(y) g(x-y) dy."""
     x = grid.nodes
-    gm, _ = pre_laplace_burgers_solve(q0, grid, nu, t - dt)
-    g, _ = pre_laplace_burgers_solve(q0, grid, nu, t)
-    gp, _ = pre_laplace_burgers_solve(q0, grid, nu, t + dt)
-    gt = (gp - gm) / (2 * dt)
+    g, gt = central_in_t(
+        lambda s: pre_laplace_burgers_solve(q0, grid, nu, s)[0], t, dt)
     res = gt - nu * x ** 2 * g - 0.5 * x * riemann_conv(g, g, grid.spacing)
     return float(np.max(np.abs(res[1:-2])))
 

@@ -132,6 +132,26 @@ def test_validation_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("equation, grid_n", [("smol-general", 3),
+                                              ("smol-general", 4),
+                                              ("prelaplace", 3)])
+def test_grid_too_small_for_residual_exits_2(tmp_path, capsys, equation,
+                                             grid_n):
+    args = [equation, "--grid-n", str(grid_n)]
+    assert main(args + ["--validate-only"]) == 2
+    assert "grid-n must be at least" in capsys.readouterr().out
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    assert "grid-n must be at least" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("equation, grid_n", [("smol-general", 5),
+                                              ("prelaplace", 4)])
+def test_smallest_accepted_grid_runs(tmp_path, equation, grid_n):
+    assert main([equation, "--grid-n", str(grid_n),
+                 "--out", str(tmp_path)]) == 0
+
+
 def test_kdv_run_produces_four_tables(tmp_path):
     rc = main(["kdv", "--grid-n", "32", "--domain-l", "10.0",
                "--t-final", "0.01", "--dt", "1e-3", "--checkpoints", "3",

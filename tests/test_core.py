@@ -1,13 +1,13 @@
-"""Grids, quadrature, dense solves, the DFT contract, determinants, RNG."""
+"""Grids, quadrature, dense solves, the DFT contract, RK4 stepping, RNG."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassflow.core import (Grid1D, QuadratureRule, DenseSystem, RandomStream,
-                            SpectralField, det_plain, det_reg, dft_forward,
+                            SpectralField, central_in_t, dft_forward,
                             dft_frequencies, dft_inverse, gaussian_increments,
-                            solve_dense, weighted_kernel)
+                            rk4_step, solve_dense)
 from grassflow.errors import ConfigError, SingularSystem
 
 
@@ -155,36 +155,52 @@ def test_parseval_identity(seed, n):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def test_dft_transforms_2d_samples_column_by_column():
+    rng = np.random.default_rng(5)
+    g = Grid1D(-1.5, 2.5, 16, kind="periodic")
+    f = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    modes = dft_forward(f, g).modes
+    samples = dft_inverse(SpectralField(modes=modes, grid=g))
+    for j in range(3):
+        column = dft_forward(f[:, j], g).modes
+        assert np.max(np.abs(modes[:, j] - column)) < 1e-14
+        back = dft_inverse(SpectralField(modes=column, grid=g))
+        assert np.max(np.abs(samples[:, j] - back)) < 1e-14
+    with pytest.raises(ConfigError):
+        dft_forward(f.T, g)
+
+
 # ---------------------------------------------------------------------------
-# determinants
+# time stepping and time derivatives
 
 
-def test_rank_one_determinants_match_hand_formula():
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal(5)
-    v = rng.standard_normal(5)
-    a = np.outer(u, v)
-    dot = float(v @ u)
-    assert det_plain(a) == pytest.approx(1.0 + dot)
-    assert det_reg(a) == pytest.approx((1.0 + dot) * np.exp(-dot))
+def test_rk4_step_is_the_fourth_order_taylor_step():
+    # y' = y: one step multiplies by 1 + h + h^2/2 + h^3/6 + h^4/24
+    h = 0.1
+    y = rk4_step(lambda s, y: y, np.array([2.0]), 0.0, h)
+    assert y[0] == pytest.approx(2.0 * (1 + h + h ** 2 / 2 + h ** 3 / 6
+                                        + h ** 4 / 24), rel=1e-15)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 31), st.integers(min_value=2, max_value=5))
-def test_regularised_determinant_multiplicativity(seed, n):
-    rng = np.random.default_rng(seed)
-    a = 0.3 * rng.standard_normal((n, n))
-    b = 0.3 * rng.standard_normal((n, n))
-    # (I+A)(I+B) = I + (A + B + AB)
-    lhs = det_reg(a + b + a @ b)
-    rhs = det_reg(a) * det_reg(b) * np.exp(-np.trace(a @ b))
-    assert lhs == pytest.approx(rhs, rel=1e-10)
+def test_rk4_step_is_exact_for_cubic_time_dependence():
+    # y' = f(s) is Simpson's rule on [s, s + ds], exact for cubics
+    f = lambda s, y: 1.0 + s - 3.0 * s ** 2 + 4.0 * s ** 3
+    prim = lambda s: s + s ** 2 / 2 - s ** 3 + s ** 4
+    y = rk4_step(f, 0.5, 0.2, 0.3)
+    assert y == pytest.approx(0.5 + prim(0.5) - prim(0.2), rel=1e-14)
 
 
-def test_weighted_kernel_scales_columns():
-    k = np.ones((3, 3))
-    w = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(weighted_kernel(k, w), np.tile(w, (3, 1)))
+def test_central_in_t_solves_in_time_order():
+    seen = []
+
+    def solve(s):
+        seen.append(s)
+        return np.array([s ** 2, 3.0 * s])
+
+    mid, rate = central_in_t(solve, 0.5, 0.25)
+    assert seen == [0.25, 0.5, 0.75]
+    assert np.allclose(mid, [0.25, 1.5])
+    assert np.allclose(rate, [1.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,33 @@ def test_elliptic_residual_at_least_second_order():
     assert coarse / fine > 3.5
 
 
+def test_elliptic_varying_coefficients_match_interpolating_rk4():
+    # reference: classical RK4 with the coefficients linearly interpolated
+    # at every stage point
+    g = closed_unit_grid(65)
+    x, h = g.nodes, g.spacing
+    a, b, c, d = 0.3 * x, 1.0 + x ** 2, np.sin(3.0 * x), -0.2 * np.cos(x)
+    sol = elliptic_quotient_solve(EllipticCoefficients(g, a, b, c, d),
+                                  1.0, 0.2)
+
+    def rhs(s, y):
+        aa, bb, cc, dd = (np.interp(s, x, arr) for arr in (a, b, c, d))
+        return np.array([aa * y[0] + bb * y[1], cc * y[0] + dd * y[1]])
+
+    y = np.array([1.0, 0.2])
+    ref = [y]
+    for i in range(g.n - 1):
+        k1 = rhs(x[i], y)
+        k2 = rhs(x[i] + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(x[i] + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(x[i] + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ref.append(y)
+    ref = np.array(ref)
+    assert np.max(np.abs(sol.q - ref[:, 0])) < 1e-13
+    assert np.max(np.abs(sol.p - ref[:, 1])) < 1e-13
+
+
 def test_elliptic_chart_breakdown():
     # q' = p, p' = -q from (1, 0): q = cos(x) vanishes inside [0, 2]
     g = Grid1D(0.0, 2.0, 513, kind="closed")

@@ -9,7 +9,7 @@ from grassflow.core import Grid1D
 from grassflow.errors import (BlowupAtTime, ConfigError, DomainError,
                               IntegrationBlowup)
 from grassflow.smoluchowski import (MassDensity, SmolCoefficients,
-                                    constant_kernel_scalars,
+                                    _poly_ddx, constant_kernel_scalars,
                                     constant_kernel_solve, deconvolve,
                                     direct_smol_oracle, exp_kernel_rescale,
                                     exponential_density, general_smol_residual,
@@ -163,6 +163,22 @@ def test_degree_ordering_enforced():
         SmolCoefficients(d_poly=(0.0, 1.0), b_poly=(0.0, 0.0, 1.0))
 
 
+def test_poly_ddx_matches_dense_derivative_matrix():
+    # reference: the dense three-point first-derivative matrix, one-sided
+    # second order at the ends, raised to powers
+    g = mass_grid(3.0, 41)
+    n, h = g.n, g.spacing
+    dmat = np.zeros((n, n))
+    for i in range(1, n - 1):
+        dmat[i, i - 1], dmat[i, i + 1] = -0.5 / h, 0.5 / h
+    dmat[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+    dmat[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
+    poly = (-0.5, 0.3, 0.1)
+    ref = poly[0] * np.eye(n) + poly[1] * dmat + poly[2] * dmat @ dmat
+    u = np.exp(-g.nodes) * np.cos(2.0 * g.nodes)
+    assert np.max(np.abs(_poly_ddx(poly, u, h) - ref @ u)) < 1e-12
+
+
 def test_m0_riccati_matches_closed_form():
     g = mass_grid(60.0, 128)
     coeffs = SmolCoefficients(b0_delta=-0.5, include_loss=True)
@@ -215,6 +231,28 @@ def test_exp_kernel_bridge_matches_direct_oracle():
                                    gain_only=True)
     bridged = exp_kernel_rescale(exp_out, alpha)
     assert np.max(np.abs(bridged.values - const_out.values)) < 5e-3
+
+
+def test_exp_kernel_at_zero_alpha_is_the_constant_gain_only_oracle():
+    g = mass_grid(6.0, 256)
+    g0 = MassDensity(grid=g, values=np.exp(-2.0 * g.nodes))
+    exp_out = direct_smol_oracle(g0, 0.4, 1e-3, kernel="exp", alpha=0.0)
+    const_out = direct_smol_oracle(g0, 0.4, 1e-3, kernel="constant",
+                                   gain_only=True)
+    assert np.max(np.abs(exp_out.values - const_out.values)) < 1e-13
+
+
+def test_exp_kernel_bridge_holds_to_round_off():
+    # the rescaling identity is exact on the grid, so the two oracles agree
+    # to round-off once the exp-kernel gain pairs g_j with g_{i-j}
+    alpha = 0.05
+    g = mass_grid(6.0, 256)
+    g0 = MassDensity(grid=g, values=np.exp(-2.0 * g.nodes))
+    exp_out = direct_smol_oracle(g0, 0.4, 1e-3, kernel="exp", alpha=alpha)
+    const_out = direct_smol_oracle(exp_kernel_rescale(g0, alpha), 0.4, 1e-3,
+                                   kernel="constant", gain_only=True)
+    bridged = exp_kernel_rescale(exp_out, alpha)
+    assert np.max(np.abs(bridged.values - const_out.values)) < 1e-12
 
 
 def test_rescale_round_trip_and_overflow_guard():
