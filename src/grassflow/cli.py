@@ -6,7 +6,6 @@ the configuration so a run can be reconstructed from its outputs alone.
 """
 
 import argparse
-import csv
 import hashlib
 import os
 import sys
@@ -22,11 +21,10 @@ from .graphflows import (GraphField, InitialProfile, inviscid_burgers_eval,
 from .integrable import (kdv_fredholm_solve, nls_fredholm_solve,
                          split_step_kdv, split_step_nls)
 from .quotient import (EllipticCoefficients, QuotientCoefficients,
-                       elliptic_quotient_solve, quotient_residual,
-                       quotient_solve)
+                       elliptic_quotient_solve, quotient_residual)
 from .smoluchowski import (MassDensity, SmolCoefficients, direct_smol_oracle,
                            constant_kernel_solve, exponential_density,
-                           general_smol_residual, general_smol_solve,
+                           general_smol_residual,
                            m0_constant_kernel, pre_laplace_burgers_residual,
                            pre_laplace_burgers_solve)
 from .spde import (BrownianSheetModes, SpdeParams, sech_ridge_initial,
@@ -51,7 +49,6 @@ class RunConfig:
     seed: int = 0
     quadrature: str = "riemann-left"
     out: str = "."
-    threads: int = 1
     compare_oracle: bool = True
     profile: str = ""
     nu: float = 1.0
@@ -112,8 +109,6 @@ def validate(config: RunConfig) -> list:
         problems.append("dt must be positive")
     if config.quadrature not in ("riemann-left", "trapezoid"):
         problems.append(f"unknown quadrature {config.quadrature!r}")
-    if config.threads < 1:
-        problems.append("threads must be at least 1")
     if config.seed < 0:
         problems.append("seed must be non-negative")
     if config.checkpoints < 2:
@@ -143,12 +138,12 @@ def config_hash(config: RunConfig) -> str:
 
 
 def write_table(path: str, header, rows, chash: str):
+    """One CSV: the hash line, the header, then ``rows``, a 2-D float array
+    with one row per line, each value at 17 significant digits."""
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# config_hash={chash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
 
 
 def write_metadata(config: RunConfig, chash: str, extra=None):
@@ -162,14 +157,26 @@ def write_metadata(config: RunConfig, chash: str, extra=None):
             fh.write(f"{k} = {_fmt(v)}\n")
 
 
-def _field_rows(xs, t, values, dets=None, residual=np.nan):
-    vals = np.asarray(values, dtype=complex)
-    dets = np.asarray(dets) if dets is not None \
-        else np.full(len(xs), np.nan)
-    for i, x in enumerate(xs):
-        yield (x, t, vals[i].real, vals[i].imag, np.abs(dets[i]), residual)
+def _columns(*columns):
+    """A table from equal-length columns, scalars broadcast along them."""
+    return np.column_stack(np.broadcast_arrays(*columns))
+
+
+def _plane_xy(nodes):
+    """The x (outer) and y (inner) columns of the n x n tensor grid, in the
+    row-major order of an (n, n) field."""
+    return np.repeat(nodes, len(nodes)), np.tile(nodes, len(nodes))
+
+
+def _field_table(coords, t, values, det=np.nan, residual=np.nan):
+    """Rows of a field sampled at the points of ``coords`` (x, or the x and
+    y of _plane_xy): the coords, t, value_real, value_imag, det, residual."""
+    vals = np.asarray(values, dtype=complex).ravel()
+    return _columns(*coords, t, vals.real, vals.imag, det, residual)
+
 
 FIELD_HEADER = ("x", "t", "value_real", "value_imag", "det_track", "residual")
+PLANE_HEADER = ("x", "y") + FIELD_HEADER[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +226,14 @@ def _run_fredholm(config: RunConfig, chash: str, solve, stepper,
     written."""
     grid = Grid1D(-config.domain_l / 2, config.domain_l / 2, config.grid_n,
                   kind="periodic")
-    p0 = profile_samples(config.profile, grid.nodes)
+    nodes = grid.nodes
+    p0 = profile_samples(config.profile, nodes)
     total, idx = _checkpoint_steps(config)
     poppe_rows, det_rows, diff_rows, direct_rows = [], [], [], []
     results = {}
     for m in idx:
         t = m * config.dt
-        res = solve(p0, grid, t, config.quadrature, threads=config.threads)
+        res = solve(p0, grid, t, config.quadrature)
         if res.breakdown_locations:
             x, det = res.breakdown_locations[0]
             raise ChartBreakdown(
@@ -233,15 +241,14 @@ def _run_fredholm(config: RunConfig, chash: str, solve, stepper,
                 f"system(s) at t = {t}, the first at x = {x}",
                 det_value=det, location=x, t=t)
         results[m] = res
-        poppe_rows.extend(_field_rows(grid.nodes, t, res.values,
-                                      res.det_track))
-        det_rows.extend((x, t, abs(d))
-                        for x, d in zip(grid.nodes, res.det_track))
+        det_abs = np.abs(res.det_track)
+        poppe_rows.append(_field_table((nodes,), t, res.values, det_abs))
+        det_rows.append(_columns(nodes, t, det_abs))
     out, eq = config.out, config.equation
     write_table(os.path.join(out, f"{eq}_poppe.csv"), FIELD_HEADER,
-                poppe_rows, chash)
+                np.vstack(poppe_rows), chash)
     write_table(os.path.join(out, f"{eq}_det.csv"),
-                ("x", "t", "det_abs"), det_rows, chash)
+                ("x", "t", "det_abs"), np.vstack(det_rows), chash)
     extra = {"min_abs_det": min(float(np.min(np.abs(r.det_track)))
                                 for r in results.values()),
              "sup_difference": np.nan}
@@ -251,14 +258,14 @@ def _run_fredholm(config: RunConfig, chash: str, solve, stepper,
         sup = 0.0
         for m in idx:
             t = m * config.dt
-            direct_rows.extend(_field_rows(grid.nodes, t, direct[m]))
+            direct_rows.append(_field_table((nodes,), t, direct[m]))
             gap = np.abs(readout(results[m].values) - direct[m])
-            diff_rows.extend((x, t, d) for x, d in zip(grid.nodes, gap))
+            diff_rows.append(_columns(nodes, t, gap))
             sup = max(sup, float(np.max(gap)))
         write_table(os.path.join(out, f"{eq}_direct.csv"), FIELD_HEADER,
-                    direct_rows, chash)
+                    np.vstack(direct_rows), chash)
         write_table(os.path.join(out, f"{eq}_difference.csv"),
-                    ("x", "t", "difference"), diff_rows, chash)
+                    ("x", "t", "difference"), np.vstack(diff_rows), chash)
         extra["sup_difference"] = sup
     return extra
 
@@ -275,60 +282,57 @@ def run_nls(config: RunConfig, chash: str) -> dict:
 
 def run_smol_const(config: RunConfig, chash: str) -> dict:
     grid = Grid1D(0.0, config.domain_l, config.grid_n, kind="closed")
+    nodes, t = grid.nodes, config.t_final
     if config.profile == "exp":
         g0 = exponential_density(grid, 1.0, 1.0)
     else:
         g0 = MassDensity(grid=grid,
-                         values=profile_samples(config.profile, grid.nodes))
-    gt = constant_kernel_solve(g0, config.t_final)
-    rows = list(_field_rows(grid.nodes, config.t_final, gt.values))
+                         values=profile_samples(config.profile, nodes))
+    gt = constant_kernel_solve(g0, t)
     write_table(os.path.join(config.out, "smol-const_poppe.csv"),
-                FIELD_HEADER, rows, chash)
+                FIELD_HEADER, _field_table((nodes,), t, gt.values), chash)
     extra = {"m0": gt.m0, "m1": gt.m1,
-             "m0_closed_form": m0_constant_kernel(g0.m0, config.t_final)}
+             "m0_closed_form": m0_constant_kernel(g0.m0, t)}
     if config.compare_oracle:
-        direct = direct_smol_oracle(g0, config.t_final, config.dt)
+        direct = direct_smol_oracle(g0, t, config.dt)
         gap = np.abs(gt.values - direct.values)
         write_table(os.path.join(config.out, "smol-const_direct.csv"),
-                    FIELD_HEADER,
-                    list(_field_rows(grid.nodes, config.t_final,
-                                     direct.values)), chash)
+                    FIELD_HEADER, _field_table((nodes,), t, direct.values),
+                    chash)
         write_table(os.path.join(config.out, "smol-const_difference.csv"),
-                    ("x", "t", "difference"),
-                    [(x, config.t_final, d)
-                     for x, d in zip(grid.nodes, gap)], chash)
+                    ("x", "t", "difference"), _columns(nodes, t, gap), chash)
         extra["sup_difference"] = float(np.max(gap))
     return extra
 
 
 def run_smol_general(config: RunConfig, chash: str) -> dict:
     grid = Grid1D(0.0, config.domain_l, config.grid_n, kind="closed")
-    g0 = MassDensity(grid=grid,
-                     values=profile_samples(config.profile, grid.nodes))
+    nodes = grid.nodes
+    g0 = MassDensity(grid=grid, values=profile_samples(config.profile, nodes))
     if config.preset == "constant-kernel":
         coeffs = SmolCoefficients(b0_delta=-0.5, include_loss=True)
     else:
         coeffs = SmolCoefficients(d_poly=(-1.0,))
-    gt = general_smol_solve(coeffs, g0, config.t_final)
-    residual = general_smol_residual(coeffs, g0, config.t_final,
-                                     dt=config.dt)
-    rows = list(_field_rows(grid.nodes, config.t_final, gt.values,
-                            residual=residual))
+    g, residual = general_smol_residual(coeffs, g0, config.t_final,
+                                        dt=config.dt)
+    gt = MassDensity(grid=grid, values=g, t=config.t_final)
     write_table(os.path.join(config.out, "smol-general_poppe.csv"),
-                FIELD_HEADER, rows, chash)
+                FIELD_HEADER,
+                _field_table((nodes,), config.t_final, g, residual=residual),
+                chash)
     return {"pde_residual": residual, "m0": gt.m0, "m1": gt.m1}
 
 
 def run_prelaplace(config: RunConfig, chash: str) -> dict:
     grid = Grid1D(0.0, config.domain_l, config.grid_n, kind="closed")
-    q0 = profile_samples(config.profile, grid.nodes)
-    g, g_init = pre_laplace_burgers_solve(q0, grid, config.nu,
-                                          config.t_final)
-    residual = pre_laplace_burgers_residual(q0, grid, config.nu,
-                                            config.t_final, config.dt)
-    rows = list(_field_rows(grid.nodes, config.t_final, g,
-                            residual=residual))
-    rows.extend(_field_rows(grid.nodes, 0.0, g_init, residual=residual))
+    nodes = grid.nodes
+    q0 = profile_samples(config.profile, nodes)
+    g, residual = pre_laplace_burgers_residual(q0, grid, config.nu,
+                                               config.t_final, config.dt)
+    g_init = pre_laplace_burgers_solve(q0, grid, config.nu, 0.0)
+    rows = np.vstack((
+        _field_table((nodes,), config.t_final, g, residual=residual),
+        _field_table((nodes,), 0.0, g_init, residual=residual)))
     write_table(os.path.join(config.out, "prelaplace_poppe.csv"),
                 FIELD_HEADER, rows, chash)
     return {"pde_residual": residual}
@@ -340,9 +344,8 @@ def run_burgers(config: RunConfig, chash: str) -> dict:
     profile = BURGERS_PROFILES[config.profile]
     x = np.linspace(-config.domain_l / 2, config.domain_l / 2, config.grid_n)
     fld = inviscid_burgers_eval(x, config.t_final, profile)
-    rows = list(_field_rows(x, config.t_final, fld.values))
-    write_table(os.path.join(config.out, "burgers_field.csv"),
-                FIELD_HEADER, rows, chash)
+    write_table(os.path.join(config.out, "burgers_field.csv"), FIELD_HEADER,
+                _field_table((x,), config.t_final, fld.values), chash)
     extra = {"flagged_nodes": len(fld.flagged)}
     if config.compare_oracle and config.profile in ("sin",):
         fine = 4 * config.grid_n
@@ -353,8 +356,7 @@ def run_burgers(config: RunConfig, chash: str) -> dict:
         gap = np.abs(fld.values - interp)
         write_table(os.path.join(config.out, "burgers_difference.csv"),
                     ("x", "t", "difference"),
-                    [(xx, config.t_final, d) for xx, d in zip(x, gap)],
-                    chash)
+                    _columns(x, config.t_final, gap), chash)
         extra["sup_difference"] = float(np.nanmax(gap))
     if fld.flagged:
         raise ShockProximity(
@@ -375,53 +377,39 @@ def run_spde(config: RunConfig, chash: str) -> dict:
     g0 = sech_ridge_initial(config.grid_n, 0.001, config.seed)
     direct = spde_direct_run(g0, params, sheet, steps)
     poppe = spde_poppe_run(g0, params, sheet, panels=config.panels)
-    x = 2.0 * np.pi * np.arange(config.grid_n) / config.grid_n
-    hdr = ("x", "y", "t", "value_real", "value_imag", "det_track",
-           "residual")
-
-    def rows(fld, det=np.nan, residual=np.nan):
-        samp = fld.samples
-        for i in range(config.grid_n):
-            for j in range(config.grid_n):
-                yield (x[i], x[j], fld.t, samp[i, j].real, samp[i, j].imag,
-                       det, residual)
-
-    write_table(os.path.join(config.out, "spde_direct.csv"), hdr,
-                list(rows(direct)), chash)
-    write_table(os.path.join(config.out, "spde_poppe.csv"), hdr,
-                list(rows(poppe.g, det=float(poppe.det_track[-1]),
-                          residual=poppe.solve_residual)), chash)
+    xy = _plane_xy(2.0 * np.pi * np.arange(config.grid_n) / config.grid_n)
+    write_table(os.path.join(config.out, "spde_direct.csv"), PLANE_HEADER,
+                _field_table(xy, direct.t, direct.samples), chash)
+    write_table(os.path.join(config.out, "spde_poppe.csv"), PLANE_HEADER,
+                _field_table(xy, poppe.g.t, poppe.g.samples,
+                             det=float(poppe.det_track[-1]),
+                             residual=poppe.solve_residual), chash)
     gap = np.abs(direct.samples - poppe.g.samples)
     write_table(os.path.join(config.out, "spde_difference.csv"),
                 ("x", "y", "t", "difference"),
-                [(x[i], x[j], config.t_final, gap[i, j])
-                 for i in range(config.grid_n)
-                 for j in range(config.grid_n)], chash)
+                _columns(*xy, config.t_final, gap.ravel()), chash)
     write_table(os.path.join(config.out, "spde_det.csv"),
                 ("t", "det_abs"),
-                list(zip(np.linspace(0, config.t_final, config.panels + 1),
-                         poppe.det_track)), chash)
+                _columns(np.linspace(0, config.t_final, config.panels + 1),
+                         poppe.det_track), chash)
     return {"sup_difference": float(np.max(gap)),
             "solve_residual": poppe.solve_residual}
 
 
 def run_quotient(config: RunConfig, chash: str) -> dict:
     grid = Grid1D(0.0, config.domain_l, config.grid_n, kind="periodic")
+    nodes = grid.nodes
     centre = config.domain_l / 2
     width = config.domain_l / 8
-    xx, yy = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+    xx, yy = np.meshgrid(nodes, nodes, indexing="ij")
     g0 = np.exp(-((xx - centre) ** 2 + (yy - centre) ** 2) / width ** 2)
     coeffs = QuotientCoefficients(dispersion=lambda s: -s ** 2,
                                   b=lambda y: np.ones_like(y))
-    fld = quotient_solve(g0, grid, coeffs, config.t_final)
-    residual = quotient_residual(g0, grid, coeffs, config.t_final,
-                                 dt=config.dt)
-    rows = [(grid.nodes[i], grid.nodes[j], config.t_final,
-             fld.values[i, j].real, fld.values[i, j].imag, np.nan, residual)
-            for i in range(grid.n) for j in range(grid.n)]
-    write_table(os.path.join(config.out, "quotient_field.csv"),
-                ("x", "y", "t", "value_real", "value_imag", "det_track",
-                 "residual"), rows, chash)
+    g, residual = quotient_residual(g0, grid, coeffs, config.t_final,
+                                    dt=config.dt)
+    write_table(os.path.join(config.out, "quotient_field.csv"), PLANE_HEADER,
+                _field_table(_plane_xy(nodes), config.t_final, g,
+                             residual=residual), chash)
     return {"pde_residual": residual}
 
 
@@ -434,10 +422,9 @@ def run_elliptic(config: RunConfig, chash: str) -> dict:
         coeffs = EllipticCoefficients(grid, zeros, ones, zeros, zeros)
     q0, p0 = (1.0, 0.0) if config.profile == "tanh" else (1.0, 1.0)
     sol = elliptic_quotient_solve(coeffs, q0, p0)
-    rows = [(xx, 0.0, g, 0.0, np.nan, sol.residual)
-            for xx, g in zip(grid.nodes, sol.g)]
-    write_table(os.path.join(config.out, "elliptic_field.csv"),
-                FIELD_HEADER, rows, chash)
+    write_table(os.path.join(config.out, "elliptic_field.csv"), FIELD_HEADER,
+                _field_table((grid.nodes,), 0.0, sol.g,
+                             residual=sol.residual), chash)
     return {"ode_residual": sol.residual}
 
 
@@ -508,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quadrature",
                         choices=("riemann-left", "trapezoid"), default=None)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--compare-oracle", choices=("on", "off"),
                         default=None)
     parser.add_argument("--profile", default=None)
@@ -520,9 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    config = RunConfig(equation=args.equation)
-    config.profile = DEFAULT_PROFILES[args.equation] \
-        if args.equation in DEFAULT_PROFILES else ""
+    config = RunConfig(equation=args.equation,
+                       profile=DEFAULT_PROFILES[args.equation])
     file_values = _read_config_file(args.config) if args.config else {}
     overridden = set()
     casts = {f.name: f.type for f in fields(RunConfig)}
@@ -538,9 +523,10 @@ def config_from_args(args) -> RunConfig:
             value = raw.lower() in ("on", "true", "1", "yes")
         setattr(config, name, value)
         overridden.add(name)
-    for name in ("preset", "grid_n", "domain_l", "t_final", "dt", "seed",
-                 "quadrature", "out", "threads", "profile", "nu",
-                 "checkpoints", "panels"):
+    # every field but these two has a flag of its own name and type
+    for name in casts:
+        if name in ("equation", "compare_oracle"):
+            continue
         value = getattr(args, name)
         if value is not None:
             setattr(config, name, value)

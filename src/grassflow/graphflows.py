@@ -280,18 +280,20 @@ def upwind_oracle(pi0_samples: np.ndarray, h: float, t: float,
 
 
 def inviscid_residual(profile: InitialProfile, x_nodes, t: float,
-                      dt: float) -> float:
-    """Central-difference defect of pi_t + pi pi_x = 0 on interior nodes."""
+                      dt: float):
+    """(pi at t, central-difference defect of pi_t + pi pi_x = 0 on interior
+    nodes)."""
     x = np.asarray(x_nodes, dtype=float)
     pi, pt = central_in_t(
         lambda s: inviscid_burgers_eval(x, s, profile).values, t, dt)
     res = pt + pi * _ddx(pi, x[1] - x[0])
-    return float(np.max(np.abs(res[1:-1])))
+    return pi, float(np.max(np.abs(res[1:-1])))
 
 
 def generalized_residual(profile: InitialProfile, coeffs, x_nodes, t: float,
-                         dt: float) -> float:
-    """Defect of pi_t + pi_x (A x + B pi) - (C x + D pi) on interior nodes."""
+                         dt: float):
+    """(pi at t, defect of pi_t + pi_x (A x + B pi) - (C x + D pi) on
+    interior nodes)."""
     x = np.asarray(x_nodes, dtype=float)
     pi, pt = central_in_t(
         lambda s: generalized_flow_eval(x, s, profile, coeffs=coeffs).values,
@@ -299,7 +301,7 @@ def generalized_residual(profile: InitialProfile, coeffs, x_nodes, t: float,
     A, B, C, D = (float(np.atleast_2d(_as_coeff(c, 1)(t))[0, 0])
                   for c in coeffs)
     res = pt + _ddx(pi, x[1] - x[0]) * (A * x + B * pi) - (C * x + D * pi)
-    return float(np.max(np.abs(res[1:-1])))
+    return pi, float(np.max(np.abs(res[1:-1])))
 
 
 # ---------------------------------------------------------------------------

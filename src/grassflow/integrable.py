@@ -128,10 +128,9 @@ def _project_over_x(fld, kernel, quadrature):
 
 
 def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
-                       quadrature: str = "riemann-left",
-                       threads: int = 1) -> ProjectionResult:
+                       quadrature: str = "riemann-left") -> ProjectionResult:
     """KdV via its additive prescription: qhat = p, one dense solve per x;
-    real (float64) values.  ``threads`` is accepted and changes nothing."""
+    real (float64) values."""
     fld = propagate_dispersive(dft_forward(p0, grid), cubic_kdv_symbol(), t)
     res = _project_over_x(fld, lambda h, w: h, quadrature)
     res.values = res.values.real
@@ -159,10 +158,8 @@ def nls_assemble_qhat(trace: AdditiveKernelTrace, zgrid: Grid1D, x: float,
 
 
 def nls_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
-                       quadrature: str = "riemann-left",
-                       threads: int = 1) -> ProjectionResult:
-    """NLS via the quadratic prescription qhat = P^dag P.
-    ``threads`` is accepted for compatibility and changes nothing."""
+                       quadrature: str = "riemann-left") -> ProjectionResult:
+    """NLS via the quadratic prescription qhat = P^dag P."""
     fld = propagate_dispersive(dft_forward(p0, grid), schrodinger_symbol(), t)
     return _project_over_x(fld, nls_gram, quadrature)
 
@@ -251,20 +248,21 @@ def _d2dx2(u, h):
 
 
 def kdv_pde_residual(p0, grid: Grid1D, t: float, dt: float,
-                     quadrature: str = "riemann-left") -> float:
-    """Sup-norm defect of du/dt - 3 (du/dx)^2 = d^3u/dx^3 for the projected
-    field, with three pipeline evaluations for the time derivative."""
+                     quadrature: str = "riemann-left"):
+    """(u at t, sup-norm defect of du/dt - 3 (du/dx)^2 = d^3u/dx^3) for the
+    projected field, with three pipeline evaluations for the time
+    derivative."""
     u, ut = central_in_t(
         lambda s: kdv_fredholm_solve(p0, grid, s, quadrature).values, t, dt)
     h = grid.spacing
     res = ut - 3.0 * _ddx(u, h) ** 2 - _d3dx3(u, h)
-    return float(np.max(np.abs(res)))
+    return u, float(np.max(np.abs(res)))
 
 
 def nls_pde_residual(p0, grid: Grid1D, t: float, dt: float,
-                     quadrature: str = "riemann-left") -> float:
-    """Sup-norm defect of i du/dt = d^2u/dx^2 + 2 |u|^2 u."""
+                     quadrature: str = "riemann-left"):
+    """(u at t, sup-norm defect of i du/dt = d^2u/dx^2 + 2 |u|^2 u)."""
     u, ut = central_in_t(
         lambda s: nls_fredholm_solve(p0, grid, s, quadrature).values, t, dt)
     res = 1j * ut - _d2dx2(u, grid.spacing) - 2.0 * np.abs(u) ** 2 * u
-    return float(np.max(np.abs(res)))
+    return u, float(np.max(np.abs(res)))

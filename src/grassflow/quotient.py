@@ -141,8 +141,8 @@ def quotient_odd_degree_solve(g0: np.ndarray, grid: Grid1D,
 
 
 def quotient_residual(g0, grid: Grid1D, coeffs: QuotientCoefficients,
-                      t: float, dt: float, odd_degree: bool = False) -> float:
-    """Central-difference defect of dg/dt = D_x g - g b(y) gbar.
+                      t: float, dt: float, odd_degree: bool = False):
+    """(g at t, central-difference defect of dg/dt = D_x g - g b(y) gbar).
 
     For the odd-degree variant the nonlinearity is g F(gbar gbar*) instead.
     """
@@ -157,7 +157,7 @@ def quotient_residual(g0, grid: Grid1D, coeffs: QuotientCoefficients,
     else:
         b = coeffs.b(grid.nodes) if coeffs.b is not None else np.zeros(grid.n)
         nonlin = g * (np.asarray(b) * gbar)[None, :]
-    return float(np.max(np.abs(gt - dxg + nonlin)))
+    return g, float(np.max(np.abs(gt - dxg + nonlin)))
 
 
 # ---------------------------------------------------------------------------

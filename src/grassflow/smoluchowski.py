@@ -259,8 +259,8 @@ def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity, t: float,
 
 
 def general_smol_residual(coeffs: SmolCoefficients, g0: MassDensity, t: float,
-                          dt: float, steps: int = 512) -> float:
-    """Finite-difference defect of the target equation at time t.
+                          dt: float, steps: int = 512):
+    """(g at t, finite-difference defect of the target equation at t).
 
     The loss term uses the solved density's own m0 so the residual is of the
     full equation including -g m0 when include_loss is set.
@@ -279,7 +279,7 @@ def general_smol_residual(coeffs: SmolCoefficients, g0: MassDensity, t: float,
     if coeffs.include_loss:
         res = res + g * MassDensity(g0.grid, g).m0
     # skip the one-sided boundary stencils
-    return float(np.max(np.abs(res[2:-2])))
+    return g, float(np.max(np.abs(res[2:-2])))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +344,8 @@ def pre_laplace_burgers_solve(q0: np.ndarray, grid: Grid1D, nu: float,
                               t: float):
     """Base flow q(x,t) = q0 exp(nu x^2 t), p = 2 nu x q, then deconvolve.
 
-    Returns (g, g0) where g0 is the density the Volterra relation forces at
-    t = 0 for the supplied q0.
+    At t = 0 this is the density the Volterra relation forces for the
+    supplied q0.
     """
     if nu <= 0:
         raise ConfigError("nu must be positive")
@@ -353,19 +353,18 @@ def pre_laplace_burgers_solve(q0: np.ndarray, grid: Grid1D, nu: float,
     x = grid.nodes
     qt = q0 * np.exp(nu * x ** 2 * t)
     pt = 2.0 * nu * x * qt
-    g = deconvolve(pt, qt, grid)
-    g0 = deconvolve(2.0 * nu * x * q0, q0, grid)
-    return g, g0
+    return deconvolve(pt, qt, grid)
 
 
 def pre_laplace_burgers_residual(q0, grid: Grid1D, nu: float, t: float,
-                                 dt: float) -> float:
-    """FD defect of dg/dt = nu x^2 g + (x/2) int_0^x g(y) g(x-y) dy."""
+                                 dt: float):
+    """(g at t, FD defect of
+    dg/dt = nu x^2 g + (x/2) int_0^x g(y) g(x-y) dy)."""
     x = grid.nodes
     g, gt = central_in_t(
-        lambda s: pre_laplace_burgers_solve(q0, grid, nu, s)[0], t, dt)
+        lambda s: pre_laplace_burgers_solve(q0, grid, nu, s), t, dt)
     res = gt - nu * x ** 2 * g - 0.5 * x * riemann_conv(g, g, grid.spacing)
-    return float(np.max(np.abs(res[1:-2])))
+    return g, float(np.max(np.abs(res[1:-2])))
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,9 @@ class BrownianSheetModes:
     t_final: float
     resolution: int
     increments: np.ndarray = field(repr=False, default=None)
+    # built once by at_time() from cumulative(); read-only, rows are views
+    _cumulative: np.ndarray = field(init=False, repr=False, compare=False,
+                                    default=None)
 
     @staticmethod
     def generate(seed: int, n_modes: int, t_final: float,
@@ -137,7 +140,10 @@ class BrownianSheetModes:
         idx = int(round(pos))
         if abs(pos - idx) > 1e-9:
             raise ConfigError("requested time is not a slice boundary")
-        return self.cumulative()[idx]
+        if self._cumulative is None:
+            self._cumulative = self.cumulative()
+            self._cumulative.flags.writeable = False
+        return self._cumulative[idx]
 
 
 # ---------------------------------------------------------------------------

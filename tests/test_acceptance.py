@@ -47,10 +47,9 @@ def test_criterion_1_kdv_cross_validation():
     p0 = -0.5 * np.cosh(grid.nodes / 20.0)
     t_final = 15.0
     fracs = (0.2, 0.5, 1.0)
-    proj = {f: np.real(kdv_fredholm_solve(p0, grid, f * t_final,
-                                          threads=4).values)
+    proj = {f: np.real(kdv_fredholm_solve(p0, grid, f * t_final).values)
             for f in fracs}
-    u0 = np.real(kdv_fredholm_solve(p0, grid, 0.0, threads=4).values)
+    u0 = np.real(kdv_fredholm_solve(p0, grid, 0.0).values)
     sups = []
     for dt in (1e-4, 5e-5):
         steps = int(round(t_final / dt))
@@ -76,10 +75,10 @@ def test_criterion_2_nls_cross_validation():
     proj = {}
     min_det = np.inf
     for f in fracs:
-        res = nls_fredholm_solve(p0, grid, f * t_final, threads=4)
+        res = nls_fredholm_solve(p0, grid, f * t_final)
         proj[f] = res.values
         min_det = min(min_det, float(np.min(np.abs(res.det_track))))
-    u0 = nls_fredholm_solve(p0, grid, 0.0, threads=4).values
+    u0 = nls_fredholm_solve(p0, grid, 0.0).values
     sups = []
     for dt in (1e-2, 5e-3):
         steps = int(round(t_final / dt))
@@ -245,7 +244,7 @@ def test_criterion_8_quotient_elliptic():
                                   b=lambda y: np.ones_like(y))
     # the explicit solution is spatially exact, so the residual's only
     # discretisation knob is the time-stencil width
-    r = [quotient_residual(g0, grid, coeffs, 0.4, dt)
+    r = [quotient_residual(g0, grid, coeffs, 0.4, dt)[1]
          for dt in (4e-2, 2e-2, 1e-2)]
     ratio_ok = r[0] / r[1] >= 2.0 and r[1] / r[2] >= 2.0
     odd = QuotientCoefficients(dispersion=lambda s: -s ** 2,
@@ -279,7 +278,7 @@ def test_criterion_9_determinism(tmp_path):
         a, b = tmp_path / f"{eq}_a", tmp_path / f"{eq}_b"
         for out in (a, b):
             rc = main([eq, "--preset", "paper", "--seed", "0",
-                       "--threads", "4", "--out", str(out)])
+                       "--out", str(out)])
             assert rc == 0, f"{eq} preset run failed"
         for name in sorted(os.listdir(a)):
             if not name.endswith(".csv"):

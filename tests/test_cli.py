@@ -1,5 +1,6 @@
 """Command-line front end: validation, presets, outputs, reproducibility."""
 
+import csv
 import filecmp
 import os
 import subprocess
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 import grassflow.cli as cli
+from grassflow import quotient, smoluchowski
 from grassflow.cli import (RunConfig, apply_preset, config_hash, main,
-                           validate)
+                           validate, write_table)
 from grassflow.core import Grid1D
 from grassflow.errors import ChartBreakdown
 from grassflow.smoluchowski import MassDensity, constant_kernel_solve
@@ -106,6 +108,99 @@ def read_table(path):
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     return first.strip(), header, rows
+
+
+def write_table_row_wise(path, header, rows, chash):
+    """The row-wise writer that write_table replaced, kept as reference."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# config_hash={chash}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(float(v), ".17g") for v in row])
+
+
+def test_write_table_matches_row_wise_writer(tmp_path):
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300,
+                1.0 / 3.0, -2.5, 1e16, 123456789.123456789]
+    rng = np.random.default_rng(0)
+    rows = np.vstack([np.reshape(specials, (-1, 3)),
+                      rng.standard_normal((50, 3)) * 10.0 ** rng.integers(
+                          -300, 300, (50, 3))])
+    header = ("x", "t", "value")
+    write_table(tmp_path / "a.csv", header, rows, "abc")
+    write_table_row_wise(tmp_path / "b.csv", header, rows, "abc")
+    assert (tmp_path / "a.csv").read_bytes() == \
+        (tmp_path / "b.csv").read_bytes()
+
+
+def test_plane_tables_are_x_outer_y_inner(tmp_path):
+    n = 8
+    assert main(["spde", "--grid-n", str(n), "--t-final", "0.004",
+                 "--dt", "2e-4", "--panels", "16",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["quotient", "--grid-n", str(n), "--out", str(tmp_path)]) == 0
+    spde_nodes = 2.0 * np.pi * np.arange(n) / n
+    quotient_nodes = Grid1D(0.0, 10.0, n, kind="periodic").nodes
+    for name, nodes in (("spde_direct.csv", spde_nodes),
+                        ("spde_poppe.csv", spde_nodes),
+                        ("spde_difference.csv", spde_nodes),
+                        ("quotient_field.csv", quotient_nodes)):
+        _, header, rows = read_table(tmp_path / name)
+        assert header[:2] == ["x", "y"]
+        assert len(rows) == n * n
+        xy = np.array([[float(r[0]), float(r[1])] for r in rows])
+        assert np.array_equal(xy[:, 0], np.repeat(nodes, n)), name
+        assert np.array_equal(xy[:, 1], np.tile(nodes, n)), name
+
+
+def test_quotient_run_reads_nodes_independent_of_grid_size(tmp_path,
+                                                           monkeypatch):
+    nodes = Grid1D.nodes
+    reads = []
+
+    def counted(self):
+        reads.append(self.n)
+        return nodes.fget(self)
+
+    monkeypatch.setattr(Grid1D, "nodes", property(counted))
+    counts = []
+    for n in (16, 64):
+        reads.clear()
+        assert main(["quotient", "--grid-n", str(n),
+                     "--out", str(tmp_path / str(n))]) == 0
+        counts.append(len(reads))
+    assert counts[0] == counts[1]
+
+
+def count_calls(monkeypatch, module, name):
+    """Calls of module.name, through every reference grassflow holds."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for owner in (module, cli):
+        if getattr(owner, name, None) is original:
+            monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, module, name, expected", [
+    (["prelaplace", "--grid-n", "32"], smoluchowski, "deconvolve", 4),
+    (["smol-general", "--grid-n", "32"], smoluchowski, "general_smol_solve",
+     3),
+    (["quotient", "--grid-n", "16"], quotient, "quotient_solve", 3),
+], ids=["prelaplace", "smol-general", "quotient"])
+def test_job_solves_each_time_once(tmp_path, monkeypatch, argv, module,
+                                   name, expected):
+    # t - dt, t and t + dt for the residual, whose middle solve is written;
+    # prelaplace adds its t = 0 row
+    calls = count_calls(monkeypatch, module, name)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == expected
 
 
 def test_burgers_linear_closed_form(tmp_path):

@@ -109,8 +109,8 @@ def test_shock_flagging_window():
 def test_inviscid_residual_second_order_in_stencil():
     prof = InitialProfile(evaluator=lambda a: 0.2 * np.sin(np.atleast_1d(a)))
     x = np.linspace(-np.pi, np.pi, 129)
-    coarse = inviscid_residual(prof, x, 0.5, 4e-2)
-    fine = inviscid_residual(prof, x, 0.5, 2e-2)
+    _, coarse = inviscid_residual(prof, x, 0.5, 4e-2)
+    _, fine = inviscid_residual(prof, x, 0.5, 2e-2)
     # central time stencil: O(dt^2) once the spatial term is resolved
     assert fine < coarse
 
@@ -161,8 +161,8 @@ def test_generalized_residual_decreases_with_stencil():
     prof = InitialProfile(evaluator=lambda a: 0.2 * np.sin(np.atleast_1d(a)))
     coeffs = (None, np.array([[1.0]]), None, np.array([[-0.5]]))
     x = np.linspace(-np.pi, np.pi, 65)
-    coarse = generalized_residual(prof, coeffs, x, 0.4, 4e-2)
-    fine = generalized_residual(prof, coeffs, x, 0.4, 2e-2)
+    _, coarse = generalized_residual(prof, coeffs, x, 0.4, 4e-2)
+    _, fine = generalized_residual(prof, coeffs, x, 0.4, 2e-2)
     assert fine < coarse
 
 

@@ -118,15 +118,6 @@ def test_kdv_values_are_float64_at_every_time():
         assert kdv_fredholm_solve(p0, g, t).values.dtype == np.float64
 
 
-def test_kdv_threads_do_not_change_output():
-    g = periodic_grid(-5.0, 5.0, 32)
-    p0 = -0.5 * np.cosh(g.nodes / 20.0)
-    serial = kdv_fredholm_solve(p0, g, 0.3)
-    parallel = kdv_fredholm_solve(p0, g, 0.3, threads=4)
-    assert np.array_equal(serial.values, parallel.values)
-    assert np.array_equal(serial.det_track, parallel.det_track)
-
-
 def generic_projection(fld, qhat_for_x, quadrature):
     """Values and dets from the generic solver on interpolating callables,
     and det(I + K W) of each x-system by an independent determinant."""
@@ -212,8 +203,8 @@ def test_projection_needs_symmetric_domain():
 def test_kdv_pde_residual_shrinks_with_stencil():
     g = periodic_grid(-5.0, 5.0, 64)
     p0 = -0.05 * np.cosh(g.nodes / 20.0)
-    coarse = kdv_pde_residual(p0, g, 0.2, 2e-3)
-    fine = kdv_pde_residual(p0, g, 0.2, 1e-3)
+    _, coarse = kdv_pde_residual(p0, g, 0.2, 2e-3)
+    _, fine = kdv_pde_residual(p0, g, 0.2, 1e-3)
     assert fine <= coarse
 
 
@@ -252,7 +243,7 @@ def test_nls_matches_split_step_on_coarse_run():
 def test_nls_pde_residual_moderate():
     g = periodic_grid(-20.0, 20.0, 64)
     p0 = 0.05 * np.cosh(g.nodes / 40.0)
-    assert nls_pde_residual(p0, g, 0.5, 1e-3) < 1e-2
+    assert nls_pde_residual(p0, g, 0.5, 1e-3)[1] < 1e-2
 
 
 # ---------------------------------------------------------------------------

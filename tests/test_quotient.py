@@ -102,7 +102,7 @@ def test_residual_second_order_in_stencil_dt():
     g = periodic_grid(4.0, 32)
     g0 = gaussian_sheet(g)
     coeffs = heat_coeffs(b=lambda y: np.ones_like(y))
-    r = [quotient_residual(g0, g, coeffs, 0.4, dt)
+    r = [quotient_residual(g0, g, coeffs, 0.4, dt)[1]
          for dt in (4e-2, 2e-2, 1e-2)]
     assert r[1] < r[0] and r[2] < r[1]
     assert r[0] / r[1] > 2.0 and r[1] / r[2] > 2.0
@@ -133,8 +133,8 @@ def test_odd_degree_residual_decreases():
     g = periodic_grid(4.0, 32)
     g0 = gaussian_sheet(g)
     coeffs = heat_coeffs(f=(0.4, 0.2))
-    coarse = quotient_residual(g0, g, coeffs, 0.4, 4e-2, odd_degree=True)
-    fine = quotient_residual(g0, g, coeffs, 0.4, 2e-2, odd_degree=True)
+    _, coarse = quotient_residual(g0, g, coeffs, 0.4, 4e-2, odd_degree=True)
+    _, fine = quotient_residual(g0, g, coeffs, 0.4, 2e-2, odd_degree=True)
     assert fine < coarse
 
 

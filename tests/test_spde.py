@@ -83,6 +83,22 @@ def test_sheet_time_lookup():
         sheet.at_time(0.3)
 
 
+def test_sheet_builds_its_cumulative_once(monkeypatch):
+    sheet = BrownianSheetModes.generate(3, 4, 2.0, 8)
+    full = sheet.cumulative()
+    original = BrownianSheetModes.cumulative
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(BrownianSheetModes, "cumulative", counted)
+    rows = [sheet.at_time(s) for s in np.linspace(0.0, 2.0, 9)]
+    assert len(calls) == 1
+    assert np.array_equal(np.array(rows), full)
+
+
 def test_k0_policy_zeroes_the_mean_mode():
     params = SpdeParams(gamma=10.0)
     k = mode_numbers(8)
