@@ -16,8 +16,7 @@ import numpy as np
 from . import __version__
 from .core import Grid1D
 from .errors import ChartBreakdown, GrassflowError, ShockProximity
-from .graphflows import (GraphField, InitialProfile, inviscid_burgers_eval,
-                         upwind_oracle)
+from .graphflows import InitialProfile, inviscid_burgers_eval, upwind_oracle
 from .integrable import (kdv_fredholm_solve, nls_fredholm_solve,
                          split_step_kdv, split_step_nls)
 from .quotient import (EllipticCoefficients, QuotientCoefficients,
@@ -196,14 +195,11 @@ def profile_samples(name: str, x: np.ndarray) -> np.ndarray:
 
 
 BURGERS_PROFILES = {
-    "linear": InitialProfile(lambda a: a, lambda a: np.eye(1)),
-    "const": InitialProfile(lambda a: np.ones_like(np.atleast_1d(a)),
-                            lambda a: np.zeros((1, 1))),
-    "sin": InitialProfile(lambda a: np.sin(a),
-                          lambda a: np.atleast_2d(np.cos(a))),
+    "linear": InitialProfile(lambda a: a, np.ones_like),
+    "const": InitialProfile(np.ones_like, np.zeros_like),
+    "sin": InitialProfile(np.sin, np.cos),
     "neg-tanh": InitialProfile(lambda a: -np.tanh(a),
-                               lambda a: np.atleast_2d(
-                                   -1.0 / np.cosh(a) ** 2)),
+                               lambda a: -1.0 / np.cosh(a) ** 2),
 }
 
 

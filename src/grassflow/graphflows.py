@@ -1,10 +1,10 @@
 """Nonlinear graph flows.
 
 Inviscid Burgers and its generalisations are solved by inverting the
-characteristic map q(a, t) = a + t * pi0(a) (Newton, with a bisection
-fallback in one dimension) and reading the momentum off the initial
-profile.  The module also carries the linear Riccati subflow, the
-alternate coordinate patch of the graph manifold, a first-order upwind
+characteristic map q(a, t) = a + t * pi0(a) (one Newton over every node
+at once, with a per-node bisection fallback) and reading the momentum off
+the initial profile.  The module also carries the linear Riccati subflow,
+the alternate coordinate patch of the graph manifold, a first-order upwind
 oracle, and the decaying-Burgers bridge used by the coagulation solvers.
 """
 
@@ -25,10 +25,11 @@ FD_STEP = 1e-6
 
 @dataclass
 class InitialProfile:
-    """Initial momentum profile a -> pi0(a) with an optional analytic Jacobian.
+    """Initial momentum profile a -> pi0(a) with an optional derivative.
 
-    Without one, the gradient falls back to central finite differences with
-    step 1e-6 scaled by the argument magnitude.
+    ``jacobian`` is the elementwise derivative pi0'(a), of the shape of a.
+    Without one, the derivative falls back to central finite differences
+    with step 1e-6 scaled by the argument magnitude.
     """
 
     evaluator: callable
@@ -39,71 +40,76 @@ class InitialProfile:
 
     def grad(self, a):
         if self.jacobian is not None:
-            return np.atleast_2d(np.asarray(self.jacobian(a), dtype=float))
-        return _fd_jacobian(self, a)
-
-
-def _fd_jacobian(func, a):
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    n = a.size
-    jac = np.empty((n, n))
-    for j in range(n):
-        step = FD_STEP * max(1.0, abs(a[j]))
-        ap, am = a.copy(), a.copy()
-        ap[j] += step
-        am[j] -= step
-        jac[:, j] = (np.atleast_1d(func(ap)) - np.atleast_1d(func(am))) / (2 * step)
-    return jac
+            return np.asarray(self.jacobian(a), dtype=float)
+        step = FD_STEP * np.maximum(1.0, np.abs(a))
+        return (self(a + step) - self(a - step)) / (2 * step)
 
 
 def _modified_profile(profile: InitialProfile, modifier):
-    """pi-tilde = f(|pi0|^2) pi0; its Jacobian is finite-differenced."""
+    """pi-tilde = f(pi0^2) pi0; its derivative is finite-differenced."""
     if modifier is None:
         return profile
 
     def tilde(a):
-        p = np.atleast_1d(profile(a))
-        return modifier(float(np.dot(p, p))) * p
+        p = profile(a)
+        return modifier(p * p) * p
 
     return InitialProfile(evaluator=tilde)
+
+
+def _solve_characteristic(x, alpha, beta, pi: InitialProfile):
+    """Labels a with alpha a + beta pi(a) = x, Newton at every node at once.
+
+    Each node starts at a = x and, at each step, first meets the shock test
+    J = alpha + beta pi'(a) <= 1e-8 (which covers the accepted point as
+    well as the path), then the convergence test |f| <= 1e-12, then the
+    update a <- a - f / J.  Nodes unconverged after 50 steps are bisected
+    one by one.  Returns the labels, the shock mask and the flagged list
+    [(i, x_i, J_i)]; a flagged label is where the shock test fired.
+    """
+    a = x.copy()
+    shock = np.zeros(x.shape, dtype=bool)
+    jac_at = np.empty(x.shape)
+    active = np.arange(x.size)
+    for _ in range(NEWTON_MAX_ITER):
+        if not active.size:
+            break
+        la = a[active]
+        f = alpha * la + beta * pi(la) - x[active]
+        jac = alpha + beta * pi.grad(la)
+        hit = jac <= JACOBIAN_FLOOR
+        shock[active[hit]] = True
+        jac_at[active[hit]] = jac[hit]
+        step = ~hit & ~(np.abs(f) <= NEWTON_TOL)
+        a[active[step]] = la[step] - f[step] / jac[step]
+        active = active[step]
+    for i in active:
+        a[i] = _bisect_scalar(
+            lambda s, xi=x[i]: alpha * s + beta * pi(s) - xi, x[i], beta)
+    flagged = [(int(i), float(x[i]), float(jac_at[i]))
+               for i in np.flatnonzero(shock)]
+    return a, shock, flagged
 
 
 def invert_characteristic(x, t: float, profile: InitialProfile,
                           modifier=None):
     """Solve a + t * pi-tilde(a) = x for the characteristic label a.
 
-    Newton iteration to a sup-norm residual of 1e-12 within 50 steps; the
-    scalar case retries with bisection over an expanded bracket before
-    giving up.  A Jacobian determinant at or below 1e-8 along the path
-    raises ShockProximity.
+    Newton iteration to a residual of 1e-12 within 50 steps, then
+    bisection over an expanded bracket before giving up.  A Jacobian at or
+    below 1e-8 along the path raises ShockProximity.
     """
-    tilde = _modified_profile(profile, modifier)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = x.size
-
-    def residual(a):
-        return a + t * np.atleast_1d(tilde(a)) - x
-
-    a = x.copy()
-    for _ in range(NEWTON_MAX_ITER):
-        f = residual(a)
-        jac = np.eye(n) + t * tilde.grad(a)
-        det = float(np.linalg.det(jac))
-        # the shock test covers the accepted point as well as the path
-        if det <= JACOBIAN_FLOOR:
-            raise ShockProximity(
-                f"Jacobian determinant {det:.3e} at label {a}",
-                jacobian_det=det, point=a.copy())
-        if np.max(np.abs(f)) <= NEWTON_TOL:
-            return a if n > 1 else float(a[0])
-        a = a - np.linalg.solve(jac, f)
-    if n == 1:
-        return _bisect_scalar(residual, float(x[0]), t)
-    raise NewtonDivergence(f"no convergence inverting x = {x}")
+    a, _, flagged = _solve_characteristic(np.full(1, x, dtype=float), 1.0, t,
+                                          _modified_profile(profile, modifier))
+    if flagged:
+        det = flagged[0][2]
+        raise ShockProximity(f"Jacobian determinant {det:.3e} at label {a}",
+                             jacobian_det=det, point=a)
+    return float(a[0])
 
 
-def _bisect_scalar(residual, x, t):
-    span = max(1.0, abs(t), abs(x))
+def _bisect_scalar(residual, x, beta):
+    span = max(1.0, abs(beta), abs(x))
     lo, hi = x - span, x + span
     flo = float(residual(np.array([lo]))[0])
     fhi = float(residual(np.array([hi]))[0])
@@ -140,31 +146,23 @@ class GraphField:
 
 def inviscid_burgers_eval(x_nodes, t: float, profile: InitialProfile,
                           modifier=None) -> GraphField:
-    """pi(x, t) = pi0((id + t pi-tilde)^{-1}(x)) node by node.
+    """pi(x, t) = pi0((id + t pi-tilde)^{-1}(x)) at every node at once.
 
-    Nodes where the inversion hits ShockProximity are flagged and left NaN
+    Nodes where the inversion meets the shock test are flagged and left NaN
     rather than aborting the whole field.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
-    values = np.full(x_nodes.shape, np.nan)
-    flagged = []
-    for i, x in enumerate(x_nodes):
-        try:
-            a = invert_characteristic(x, t, profile, modifier=modifier)
-        except ShockProximity as exc:
-            flagged.append((i, float(x), exc.jacobian_det))
-            continue
-        values[i] = float(np.atleast_1d(profile(np.atleast_1d(a)))[0])
+    a, shock, flagged = _solve_characteristic(
+        x_nodes, 1.0, t, _modified_profile(profile, modifier))
+    values = np.where(shock, np.nan, profile(a))
     return GraphField(x_nodes=x_nodes, values=values, flagged=flagged, t=t)
 
 
 def shock_time(profile: InitialProfile, sample_points) -> float:
     """1 / max(-pi0') over the sampled labels; inf for non-compressive data."""
-    worst = 0.0
-    for a in np.asarray(sample_points, dtype=float):
-        slope = float(profile.grad(np.atleast_1d(a))[0, 0])
-        worst = max(worst, -slope)
-    return np.inf if worst <= 0 else 1.0 / worst
+    worst = np.max(-profile.grad(np.asarray(sample_points, dtype=float)),
+                   initial=0.0)
+    return np.inf if worst <= 0 else 1.0 / float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -200,43 +198,18 @@ def generalized_flow_eval(x_nodes, t: float, profile: InitialProfile,
                           steps: int = 256) -> GraphField:
     """Graph flow under q' = Aq + Bp, p' = Cq + Dp (or the f(|p|^2) model).
 
-    The linear base pair is reduced to its fundamental matrix, so
-    q(a, t) and p(a, t) are affine in (a, pi0(a)) and the inversion is a
-    Newton solve with Jacobian Phi_qq + Phi_qp grad pi0.
+    The linear base pair is reduced to its scalar fundamental matrix, so
+    q(a, t) = Phi_qq a + Phi_qp pi0(a) and p(a, t) = Phi_pq a + Phi_pp pi0(a),
+    and the inversion is the inviscid one with Jacobian
+    Phi_qq + Phi_qp pi0'(a), under the same shock rule.
     """
     if coeffs is None:
         return inviscid_burgers_eval(x_nodes, t, profile, modifier=modifier)
     x_nodes = np.asarray(x_nodes, dtype=float)
-    n = 1
-    phi = fundamental_matrix(coeffs, t, n, steps=steps)
-    qq, qp = phi[:n, :n], phi[:n, n:]
-    pq, pp = phi[n:, :n], phi[n:, n:]
-    values = np.full(x_nodes.shape, np.nan)
-    flagged = []
-    for i, x in enumerate(x_nodes):
-        try:
-            a = _invert_affine(x, profile, qq, qp)
-        except ShockProximity as exc:
-            flagged.append((i, float(x), exc.jacobian_det))
-            continue
-        p0 = np.atleast_1d(profile(a))
-        values[i] = float((pq @ a + pp @ p0)[0])
+    (qq, qp), (pq, pp) = fundamental_matrix(coeffs, t, 1, steps=steps)
+    a, shock, flagged = _solve_characteristic(x_nodes, qq, qp, profile)
+    values = np.where(shock, np.nan, pq * a + pp * profile(a))
     return GraphField(x_nodes=x_nodes, values=values, flagged=flagged, t=t)
-
-
-def _invert_affine(x, profile, qq, qp):
-    a = np.atleast_1d(np.asarray(x, dtype=float))
-    for _ in range(NEWTON_MAX_ITER):
-        f = qq @ a + qp @ np.atleast_1d(profile(a)) - x
-        if np.max(np.abs(f)) <= NEWTON_TOL:
-            return a
-        jac = qq + qp @ profile.grad(a)
-        det = float(np.linalg.det(jac))
-        if abs(det) <= JACOBIAN_FLOOR:
-            raise ShockProximity(f"Jacobian determinant {det:.3e}",
-                                 jacobian_det=det, point=a.copy())
-        a = a - np.linalg.solve(jac, f)
-    raise NewtonDivergence(f"no convergence inverting x = {x}")
 
 
 # ---------------------------------------------------------------------------

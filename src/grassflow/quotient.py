@@ -119,25 +119,23 @@ def quotient_odd_degree_solve(g0: np.ndarray, grid: Grid1D,
         raise ConfigError("quotient solver works on a periodic grid")
     d = coeffs.symbol(dft_frequencies(grid))
     p0_hat = dft_forward(g0, grid).modes
-
-    def p_at(s):
-        return dft_inverse(SpectralField(np.exp(d * s)[:, None] * p0_hat, grid))
+    # pbar(s)_j = sum_k B[j, k] e^{d_k s} p0_hat[k, j] with B the
+    # inverse-DFT matrix: one O(n^2) product per quadrature time
+    weights = dft_inverse(SpectralField(np.eye(grid.n), grid)) * p0_hat.T
 
     # accumulate the purely imaginary exponent of q per y-node
     exponent = np.zeros(grid.n, dtype=complex)
     ds = t / steps
-    prev = None
     for m in range(steps + 1):
-        p = p_at(m * ds)
-        pbar = np.diag(p)
+        pbar = weights @ np.exp(d * (m * ds))
         rate = coeffs.f_value(np.abs(pbar) ** 2)
         w = 0.5 * ds if m in (0, steps) else ds
         exponent += w * rate
-        prev = p
     if np.max(np.abs(exponent.real)) > 1e-6:
         raise IntegrationBlowup("unit-modulus weight drifted off the circle")
     q = np.exp(exponent)
-    return QuotientField(grid=grid, values=prev / q[None, :], q=q, t=t)
+    p = dft_inverse(SpectralField(np.exp(d * t)[:, None] * p0_hat, grid))
+    return QuotientField(grid=grid, values=p / q[None, :], q=q, t=t)
 
 
 def quotient_residual(g0, grid: Grid1D, coeffs: QuotientCoefficients,

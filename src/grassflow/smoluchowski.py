@@ -114,16 +114,19 @@ def volterra_assemble(g: np.ndarray, qhat: np.ndarray, grid: Grid1D) -> np.ndarr
     return g + riemann_conv(g, qhat, grid.spacing)
 
 
+def _forward_substitute(b, c, s, c0):
+    """Solve the lower-triangular Toeplitz system
+    c0 g_i + s sum_{j<i} g_j c_{i-j} = b_i by forward substitution."""
+    g = np.zeros(len(b), dtype=np.result_type(b, c, float))
+    for i in range(len(b)):
+        g[i] = (b[i] - s * np.dot(g[:i], c[i:0:-1])) / c0
+    return g
+
+
 def volterra_project(p: np.ndarray, qhat: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Invert p = g + g * qhat by forward substitution (unit lower triangle)."""
     _check_uniform(grid)
-    h = grid.spacing
-    n = len(p)
-    g = np.zeros(n, dtype=np.result_type(p, qhat, float))
-    g[0] = p[0]
-    for i in range(1, n):
-        g[i] = p[i] - h * np.dot(g[:i], qhat[i:0:-1])
-    return g
+    return _forward_substitute(p, qhat, grid.spacing, 1.0)
 
 
 def volterra_residual(p, qhat, g, grid: Grid1D) -> float:
@@ -138,16 +141,10 @@ def deconvolve(p: np.ndarray, q: np.ndarray, grid: Grid1D) -> np.ndarray:
     of g are determined; the last node is linearly extrapolated.
     """
     _check_uniform(grid)
-    h = grid.spacing
-    n = len(p)
     if q[1] == 0:
         raise ConfigError("deconvolution needs q nonzero at the first node")
-    g = np.zeros(n, dtype=np.result_type(p, q, float))
-    for i in range(1, n):
-        acc = np.dot(g[:i - 1], q[i:1:-1]) if i > 1 else 0.0
-        g[i - 1] = (p[i] / h - acc) / q[1]
-    g[n - 1] = 2 * g[n - 2] - g[n - 3]
-    return g
+    g = _forward_substitute(p[1:] / grid.spacing, q[1:], 1, q[1])
+    return np.append(g, 2 * g[-1] - g[-2])
 
 
 # ---------------------------------------------------------------------------

@@ -145,13 +145,12 @@ def test_criterion_4_smoluchowski_constant_kernel():
 
 def test_criterion_5_inviscid_burgers():
     # exact rational solution for linear data
-    lin = InitialProfile(lambda a: np.atleast_1d(a), lambda a: np.eye(1))
+    lin = InitialProfile(lambda a: np.atleast_1d(a), np.ones_like)
     x = np.linspace(-2.0, 2.0, 41)
     err_linear = float(np.max(np.abs(
         inviscid_burgers_eval(x, 1.0, lin).values - x / 2.0)))
     # sine data against a fine upwind oracle, pre-shock
-    sin_prof = InitialProfile(lambda a: np.sin(np.atleast_1d(a)),
-                              lambda a: np.atleast_2d(np.cos(a)))
+    sin_prof = InitialProfile(lambda a: np.sin(np.atleast_1d(a)), np.cos)
     n = 2048
     xs = np.linspace(-np.pi, np.pi, n, endpoint=False)
     h = xs[1] - xs[0]
@@ -160,8 +159,7 @@ def test_criterion_5_inviscid_burgers():
     err_sin = float(np.max(np.abs(oracle - exact)))
     # shock flag appears strictly after t = 0.9 and by t = 1.0
     tanh_prof = InitialProfile(lambda a: -np.tanh(np.atleast_1d(a)),
-                               lambda a: np.atleast_2d(
-                                   -1.0 / np.cosh(a) ** 2))
+                               lambda a: -1.0 / np.cosh(a) ** 2)
     probe = np.linspace(-0.5, 0.5, 21)
     flagged_before = inviscid_burgers_eval(probe, 0.9, tanh_prof).flagged
     flagged_at = inviscid_burgers_eval(probe, 1.0, tanh_prof).flagged

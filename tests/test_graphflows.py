@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grassflow import graphflows
 from grassflow.errors import BlowupAtTime, ShockProximity
-from grassflow.graphflows import (InitialProfile, chart_swap_eval,
+from grassflow.graphflows import (FD_STEP, JACOBIAN_FLOOR, NEWTON_MAX_ITER,
+                                  NEWTON_TOL, InitialProfile, _bisect_scalar,
+                                  chart_swap_eval,
                                   decaying_burgers_eval, fundamental_matrix,
                                   generalized_flow_eval, generalized_residual,
                                   invert_characteristic,
@@ -34,9 +37,8 @@ def test_newton_and_bisection_agree():
     prof = InitialProfile(evaluator=lambda a: np.tanh(np.atleast_1d(a)))
     x, t = 0.7, 0.5
     a_newton = invert_characteristic(x, t, prof)
-    # force the bisection path by resolving the same scalar root directly
-    from grassflow.graphflows import _bisect_scalar
 
+    # force the bisection path by resolving the same scalar root directly
     def residual(a):
         return a + t * np.tanh(a) - x
 
@@ -125,6 +127,98 @@ def test_cubic_modifier_matches_scalar_formula():
     assert field_a + t * (1.0 + p ** 2) * p == pytest.approx(x0, abs=1e-10)
 
 
+def _per_node_newton(x_nodes, t, profile, modifier=None):
+    """The per-node scalar Newton the vectorised solve replaced, kept as the
+    reference: one node at a time, a 1x1 np.linalg.det / solve per step.
+    Returns (values, flagged) as GraphField carries them."""
+
+    def pi(a):
+        p = profile(a)
+        return p if modifier is None else modifier(float(np.dot(p, p))) * p
+
+    def dpi(a):
+        if modifier is None and profile.jacobian is not None:
+            return np.atleast_2d(profile.jacobian(a))
+        step = FD_STEP * max(1.0, abs(a[0]))
+        return np.atleast_2d((pi(a + step) - pi(a - step)) / (2 * step))
+
+    values = np.full(len(x_nodes), np.nan)
+    flagged = []
+    for i, x in enumerate(x_nodes):
+        a = np.array([x])
+        for _ in range(NEWTON_MAX_ITER):
+            f = a + t * pi(a) - x
+            jac = np.eye(1) + t * dpi(a)
+            det = float(np.linalg.det(jac))
+            if det <= JACOBIAN_FLOOR:
+                flagged.append((i, float(x), det))
+                break
+            if np.max(np.abs(f)) <= NEWTON_TOL:
+                values[i] = profile(a)[0]
+                break
+            a = a - np.linalg.solve(jac, f)
+        else:
+            a = _bisect_scalar(lambda s: s + t * pi(s) - x, x, t)
+            values[i] = profile(np.array([a]))[0]
+    return values, flagged
+
+
+def _cubic(a):
+    return 0.3 * a ** 3 / (1.0 + a ** 2)
+
+
+NEG_TANH = InitialProfile(lambda a: -np.tanh(a),
+                          lambda a: -1.0 / np.cosh(a) ** 2)
+PROBE = np.linspace(-0.5, 0.5, 21)
+
+
+@pytest.mark.parametrize("x, t, profile, modifier", [
+    (np.linspace(-np.pi, np.pi, 4096), 0.5, InitialProfile(np.sin, np.cos),
+     None),
+    (np.linspace(-2.0, 2.0, 257), 0.8, InitialProfile(_cubic), None),
+    (np.linspace(-2.0, 2.0, 257), 0.7, InitialProfile(lambda a: 0.4 * a),
+     lambda s: 1.0 + s),
+    (PROBE, 0.9, NEG_TANH, None),
+    (PROBE, 1.0, NEG_TANH, None),
+    (PROBE, 1.1, NEG_TANH, None),
+], ids=["sin-4096", "cubic-fd", "modifier", "neg-tanh-0.9", "neg-tanh-1.0",
+        "neg-tanh-1.1"])
+def test_vectorised_solve_matches_per_node_newton(x, t, profile, modifier):
+    field = inviscid_burgers_eval(x, t, profile, modifier=modifier)
+    values, flagged = _per_node_newton(x, t, profile, modifier=modifier)
+    assert np.array_equal(field.values, values, equal_nan=True)
+    assert [f[:2] for f in field.flagged] == [f[:2] for f in flagged]
+    # the solve reports the 1x1 Jacobian itself; numpy's det returns it as
+    # sign * exp(log|J|), a few ulp per unit of |log|J|| away
+    assert np.allclose([f[2] for f in field.flagged],
+                       [f[2] for f in flagged], rtol=1e-13, atol=0.0)
+
+
+def test_bisection_fallback_matches_newton(monkeypatch):
+    prof = InitialProfile(lambda a: 0.5 * np.sin(a))
+    x = np.linspace(-np.pi, np.pi, 65)
+    newton = inviscid_burgers_eval(x, 0.8, prof).values
+    # after one Newton step every node not started on its root is bisected
+    monkeypatch.setattr(graphflows, "NEWTON_MAX_ITER", 1)
+    bisected = inviscid_burgers_eval(x, 0.8, prof).values
+    assert np.max(np.abs(bisected - newton)) < 1e-10
+
+
+def test_evaluator_calls_do_not_grow_with_nodes():
+    counts = []
+    for n in (64, 4096):
+        calls = []
+
+        def sin(a):
+            calls.append(a.size)
+            return np.sin(a)
+
+        inviscid_burgers_eval(np.linspace(-np.pi, np.pi, n), 0.5,
+                              InitialProfile(sin, np.cos))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 # ---------------------------------------------------------------------------
 # generalised flows
 
@@ -142,6 +236,18 @@ def test_generalized_flow_reduces_to_inviscid_burgers():
     coeffs = (None, np.array([[1.0]]), None, None)
     gen = generalized_flow_eval(x, 0.6, prof, coeffs=coeffs)
     assert np.max(np.abs(plain.values - gen.values)) < 1e-9
+
+
+@pytest.mark.parametrize("t", [0.9, 1.0, 1.1])
+def test_generalized_flow_applies_inviscid_shock_rule(t):
+    # A = C = D = 0, B = 1 is inviscid Burgers, shocks included
+    plain = inviscid_burgers_eval(PROBE, t, NEG_TANH)
+    gen = generalized_flow_eval(PROBE, t, NEG_TANH,
+                                coeffs=(None, np.array([[1.0]]), None, None))
+    assert [i for i, _, _ in gen.flagged] == [i for i, _, _ in plain.flagged]
+    assert np.array_equal(np.isnan(gen.values), np.isnan(plain.values))
+    ok = ~np.isnan(plain.values)
+    assert np.max(np.abs(gen.values[ok] - plain.values[ok])) < 1e-9
 
 
 def test_generalized_flow_with_decay_matches_closed_form():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassflow.core import Grid1D
+from grassflow.core import (Grid1D, SpectralField, dft_forward,
+                            dft_frequencies, dft_inverse)
 from grassflow.errors import (BlowupAtTime, ChartBreakdown, ConfigError,
                               SymbolError)
 from grassflow.quotient import (EllipticCoefficients, QuotientCoefficients,
@@ -127,6 +128,28 @@ def test_odd_degree_empty_f_falls_back_to_linear():
     a = quotient_odd_degree_solve(g0, g, coeffs, 0.3)
     b = quotient_solve(g0, g, coeffs, 0.3)
     assert np.max(np.abs(a.values - b.values)) < 1e-12
+
+
+def test_odd_degree_diagonal_matches_full_inverse_per_time():
+    # the former solve: the whole field inverse-transformed at every
+    # quadrature time, its diagonal read off
+    g = periodic_grid(4.0, 64)
+    g0 = gaussian_sheet(g) * np.exp(1j * np.add.outer(g.nodes, 0.5 * g.nodes))
+    coeffs = heat_coeffs(f=(0.5, -0.3, 0.1))
+    t, steps = 0.6, 64
+    d = coeffs.symbol(dft_frequencies(g))
+    p0_hat = dft_forward(g0, g).modes
+    exponent = np.zeros(g.n, dtype=complex)
+    for m in range(steps + 1):
+        p = dft_inverse(SpectralField(np.exp(d * (m * t / steps))[:, None]
+                                      * p0_hat, g))
+        w = 0.5 * t / steps if m in (0, steps) else t / steps
+        exponent += w * coeffs.f_value(np.abs(np.diag(p)) ** 2)
+    q = np.exp(exponent)
+    out = quotient_odd_degree_solve(g0, g, coeffs, t, steps=steps)
+    assert np.max(np.abs(out.q - q)) <= 1e-12 * np.max(np.abs(q))
+    ref = p / q[None, :]
+    assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_odd_degree_residual_decreases():

@@ -145,6 +145,25 @@ def test_deconvolve_recovers_known_factor():
         deconvolve(p, np.zeros(65), g)
 
 
+def test_triangular_solves_match_their_former_loops():
+    # the two loops the shared forward substitution replaced, verbatim
+    rng = np.random.default_rng(5)
+    g = mass_grid(3.0, 129)
+    h = g.spacing
+    p, qv = rng.standard_normal(129), 1.0 + rng.random(129)
+    ref = np.zeros(129)
+    ref[0] = p[0]
+    for i in range(1, 129):
+        ref[i] = p[i] - h * np.dot(ref[:i], qv[i:0:-1])
+    assert np.array_equal(volterra_project(p, qv, g), ref)
+    ref = np.zeros(129)
+    for i in range(1, 129):
+        acc = np.dot(ref[:i - 1], qv[i:1:-1]) if i > 1 else 0.0
+        ref[i - 1] = (p[i] / h - acc) / qv[1]
+    ref[128] = 2 * ref[127] - ref[126]
+    assert np.array_equal(deconvolve(p, qv, g), ref)
+
+
 # ---------------------------------------------------------------------------
 # general mass-space solver
 
