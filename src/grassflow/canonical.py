@@ -43,25 +43,32 @@ class BaseState:
     t: float = 0.0
 
 
+def linear_flow(generator, y0, s0: float, ds: float, steps: int) -> np.ndarray:
+    """RK4 trajectory, shape (steps + 1, *y0.shape), of the linear flow
+    y' = generator(s) y from y0 at s0 in steps of ds; a non-finite
+    trajectory raises IntegrationBlowup."""
+    if steps < 1:
+        raise ConfigError("steps must be >= 1")
+    ys = [np.asarray(y0)]
+    rhs = lambda s, y: generator(s) @ y
+    for m in range(steps):
+        ys.append(rk4_step(rhs, ys[-1], s0 + m * ds, ds))
+    ys = np.stack(ys)
+    if not np.all(np.isfinite(ys)):
+        raise IntegrationBlowup("linear flow became non-finite")
+    return ys
+
+
 def integrate_base(coeffs: CanonicalCoefficients, initial: BaseState,
                    t: float, steps: int) -> BaseState:
     """Advance (Q, P) with classical fixed-step RK4."""
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    A, B = np.asarray(coeffs.A), np.asarray(coeffs.B)
-    C, D = np.asarray(coeffs.C), np.asarray(coeffs.D)
-    n = A.shape[0]
-    y = np.concatenate([np.atleast_2d(initial.Q), np.atleast_2d(initial.P)], axis=0)
-
-    def rhs(s, state):
-        q, p = state[:n], state[n:]
-        return np.concatenate([A @ q + B @ p, C @ q + D @ p], axis=0)
-
-    dt = (t - initial.t) / steps
-    for m in range(steps):
-        y = rk4_step(rhs, y, initial.t + m * dt, dt)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationBlowup("base state became non-finite")
+    block = np.block([[coeffs.A, coeffs.B], [coeffs.C, coeffs.D]])
+    n = block.shape[0] // 2
+    y0 = np.vstack((initial.Q, initial.P))
+    y = linear_flow(lambda s: block, y0, initial.t, (t - initial.t) / steps,
+                    steps)[-1]
     return BaseState(Q=y[:n], P=y[n:], t=t)
 
 
@@ -79,34 +86,39 @@ def integrate_base_exact(coeffs: CanonicalCoefficients, initial: BaseState,
     return BaseState(Q=y[:n], P=y[n:], t=t)
 
 
-def riccati_project(state: BaseState) -> np.ndarray:
-    """G = P Q^{-1}; raises ChartBreakdown when |det Q| crosses the floor."""
-    q = np.atleast_2d(state.Q)
-    p = np.atleast_2d(state.P)
-    detq = np.linalg.det(q)
-    if abs(detq) < CHART_DET_THRESHOLD:
-        raise ChartBreakdown(
-            f"|det Q| = {abs(detq):.3e} below {CHART_DET_THRESHOLD}",
-            det_value=detq, location=state.t)
+def graph_solve(q, p, floor: float, error, location=None, t=None):
+    """G = P Q^{-1} from one LU of Q^T.  A pivot below the solve's floor,
+    or |det Q| below ``floor``, raises ``error`` carrying det Q, location
+    and t."""
     # solve G Q = P as Q^T G^T = P^T
-    gt = solve_dense(DenseSystem(q.T, p.T))
+    try:
+        gt, det = solve_dense(DenseSystem(q.T, p.T), with_det=True)
+    except SingularSystem as exc:
+        raise error(str(exc), det_value=exc.det_value, location=location,
+                    t=t) from exc
+    if abs(det) < floor:
+        raise error(f"|det Q| = {abs(det):.3e} below {floor}",
+                    det_value=det, location=location, t=t)
     return gt.T
 
 
+def riccati_project(state: BaseState) -> np.ndarray:
+    """G = P Q^{-1}; raises ChartBreakdown when Q leaves the chart."""
+    return graph_solve(np.atleast_2d(state.Q), np.atleast_2d(state.P),
+                       CHART_DET_THRESHOLD, ChartBreakdown, location=state.t)
+
+
 def riccati_residual(coeffs: CanonicalCoefficients, g_samples, dt: float) -> float:
-    """Sup-norm defect of Gdot = C + D G - G (A + B G), central differences."""
-    gs = [np.atleast_2d(g) for g in g_samples]
-    if len(gs) < 3:
+    """Sup-norm defect of Gdot = C + D G - G (A + B G), central differences
+    over the stacked equispaced samples.  The blocks are (n, n), or
+    (m - 2, n, n) when read at each of the m - 2 interior samples."""
+    g = np.asarray(g_samples)
+    if len(g) < 3:
         raise ConfigError("need at least 3 equispaced G samples")
-    A, B = np.asarray(coeffs.A), np.asarray(coeffs.B)
-    C, D = np.asarray(coeffs.C), np.asarray(coeffs.D)
-    worst = 0.0
-    for k in range(1, len(gs) - 1):
-        gdot = (gs[k + 1] - gs[k - 1]) / (2.0 * dt)
-        g = gs[k]
-        defect = gdot - C - D @ g + g @ (A + B @ g)
-        worst = max(worst, float(np.max(np.abs(defect))))
-    return worst
+    gi = g[1:-1]
+    defect = (g[2:] - g[:-2]) / (2.0 * dt) - coeffs.C - coeffs.D @ gi \
+        + gi @ (coeffs.A + coeffs.B @ gi)
+    return float(np.max(np.abs(defect)))
 
 
 # ---------------------------------------------------------------------------

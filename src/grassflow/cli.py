@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .core import Grid1D
-from .errors import ChartBreakdown, GrassflowError, ShockProximity
+from .errors import Breakdown, ChartBreakdown, GrassflowError, ShockProximity
 from .graphflows import InitialProfile, inviscid_burgers_eval, upwind_oracle
 from .integrable import (kdv_fredholm_solve, nls_fredholm_solve,
                          split_step_kdv, split_step_nls)
@@ -54,6 +54,10 @@ class RunConfig:
     checkpoints: int = 11
     panels: int = 256
 
+    def __post_init__(self):
+        if not self.profile and self.equation in PROFILES:
+            self.profile = PROFILES[self.equation][0]
+
 
 PRESETS = {
     ("kdv", "paper"): dict(grid_n=256, domain_l=10.0, dt=1e-4, t_final=15.0,
@@ -67,13 +71,6 @@ PRESETS = {
     ("smol-general", "constant-kernel"): dict(grid_n=512, domain_l=40.0,
                                               t_final=1.0, profile="exp"),
 }
-
-DEFAULT_PROFILES = {
-    "kdv": "kdv-paper", "nls": "nls-paper", "smol-const": "exp",
-    "smol-general": "exp", "prelaplace": "exp", "burgers": "linear",
-    "spde": "sech-ridge", "quotient": "gaussian", "elliptic": "reciprocal",
-}
-
 
 def apply_preset(config: RunConfig, overridden=()) -> RunConfig:
     if not config.preset:
@@ -97,6 +94,10 @@ def validate(config: RunConfig) -> list:
     least = {"smol-general": 5, "prelaplace": 4}.get(config.equation, 2)
     if config.grid_n < least:
         problems.append(f"grid-n must be at least {least}")
+    accepted = PROFILES.get(config.equation)
+    if accepted and config.profile not in accepted:
+        problems.append(f"unknown profile {config.profile!r} for "
+                        f"{config.equation}; one of {', '.join(accepted)}")
     if config.equation in SPECTRAL_EQUATIONS and \
             (config.grid_n & (config.grid_n - 1)) != 0:
         problems.append("grid-n must be a power of two (DFT restriction)")
@@ -182,16 +183,16 @@ PLANE_HEADER = ("x", "y") + FIELD_HEADER[1:]
 # initial profiles
 
 
+SAMPLED_PROFILES = {
+    "kdv-paper": lambda x: -0.5 * np.cosh(x / 20.0),
+    "nls-paper": lambda x: 0.5 * np.cosh(x / 40.0),
+    "gaussian": lambda x: np.exp(-x ** 2),
+    "exp": lambda x: np.exp(-x),
+}
+
+
 def profile_samples(name: str, x: np.ndarray) -> np.ndarray:
-    table = {
-        "kdv-paper": lambda: -0.5 * np.cosh(x / 20.0),
-        "nls-paper": lambda: 0.5 * np.cosh(x / 40.0),
-        "gaussian": lambda: np.exp(-x ** 2),
-        "exp": lambda: np.exp(-x),
-    }
-    if name not in table:
-        raise SystemExit(f"unknown initial profile {name!r}")
-    return table[name]()
+    return SAMPLED_PROFILES[name](x)
 
 
 BURGERS_PROFILES = {
@@ -200,6 +201,18 @@ BURGERS_PROFILES = {
     "sin": InitialProfile(np.sin, np.cos),
     "neg-tanh": InitialProfile(lambda a: -np.tanh(a),
                                lambda a: -1.0 / np.cosh(a) ** 2),
+}
+
+
+# the profiles each equation accepts, its default first
+PROFILES = {
+    "kdv": ("kdv-paper", "nls-paper", "gaussian", "exp"),
+    "nls": ("nls-paper", "kdv-paper", "gaussian", "exp"),
+    "smol-const": ("exp", "kdv-paper", "nls-paper", "gaussian"),
+    "smol-general": ("exp", "kdv-paper", "nls-paper", "gaussian"),
+    "prelaplace": ("exp", "kdv-paper", "nls-paper", "gaussian"),
+    "burgers": tuple(BURGERS_PROFILES), "spde": ("sech-ridge",),
+    "quotient": ("gaussian",), "elliptic": ("reciprocal", "tanh"),
 }
 
 
@@ -335,8 +348,6 @@ def run_prelaplace(config: RunConfig, chash: str) -> dict:
 
 
 def run_burgers(config: RunConfig, chash: str) -> dict:
-    if config.profile not in BURGERS_PROFILES:
-        raise SystemExit(f"unknown burgers profile {config.profile!r}")
     profile = BURGERS_PROFILES[config.profile]
     x = np.linspace(-config.domain_l / 2, config.domain_l / 2, config.grid_n)
     fld = inviscid_burgers_eval(x, config.t_final, profile)
@@ -358,7 +369,7 @@ def run_burgers(config: RunConfig, chash: str) -> dict:
         raise ShockProximity(
             f"{len(fld.flagged)} nodes flagged near a shock at "
             f"t = {config.t_final}; first at x = {fld.flagged[0][1]}",
-            jacobian_det=fld.flagged[0][2], point=fld.flagged[0][1])
+            det_value=fld.flagged[0][2], location=fld.flagged[0][1])
     return extra
 
 
@@ -442,13 +453,10 @@ def run(config: RunConfig) -> int:
     chash = config_hash(config)
     try:
         extra = RUNNERS[config.equation](config, chash)
-    except (ChartBreakdown, ShockProximity) as exc:
-        if isinstance(exc, ChartBreakdown):
-            loc, det, t = exc.location, exc.det_value, exc.t
-        else:
-            loc, det, t = exc.point, exc.jacobian_det, None
-        print(f"breakdown: {exc} (t = {config.t_final if t is None else t}, "
-              f"location = {loc}, determinant = {det})", file=sys.stderr)
+    except Breakdown as exc:
+        t = config.t_final if exc.t is None else exc.t
+        print(f"breakdown: {exc} (t = {t}, location = {exc.location}, "
+              f"determinant = {exc.det_value})", file=sys.stderr)
         return 1
     except GrassflowError as exc:
         print(f"breakdown: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -461,16 +469,17 @@ def run(config: RunConfig) -> int:
 # argument handling
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _config_file_argv(path: str) -> list:
+    """The ``key = value`` lines of a config file as ``--key value`` flags."""
+    argv = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+            argv += ["--" + key.strip().replace("_", "-"), value.strip()]
+    return argv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,25 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    config = RunConfig(equation=args.equation,
-                       profile=DEFAULT_PROFILES[args.equation])
-    file_values = _read_config_file(args.config) if args.config else {}
+    config = RunConfig(equation=args.equation)
     overridden = set()
-    casts = {f.name: f.type for f in fields(RunConfig)}
-    for name, raw in file_values.items():
-        if name not in casts:
-            raise SystemExit(f"unknown config key {name!r}")
-        value = raw
-        if casts[name] is int:
-            value = int(raw)
-        elif casts[name] is float:
-            value = float(raw)
-        elif casts[name] is bool:
-            value = raw.lower() in ("on", "true", "1", "yes")
-        setattr(config, name, value)
-        overridden.add(name)
     # every field but these two has a flag of its own name and type
-    for name in casts:
+    for name in (f.name for f in fields(RunConfig)):
         if name in ("equation", "compare_oracle"):
             continue
         value = getattr(args, name)
@@ -535,7 +529,13 @@ def config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # the file's values parse first; parsing the flags into that
+        # namespace keeps each value no flag sets again
+        args = parser.parse_args(argv, namespace=parser.parse_args(
+            [args.equation] + _config_file_argv(args.config)))
     config = config_from_args(args)
     if args.validate_only:
         problems = validate(config)

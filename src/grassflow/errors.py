@@ -9,18 +9,10 @@ class ConfigError(GrassflowError):
     """A precondition on the configuration or call arguments is violated."""
 
 
-class SingularSystem(GrassflowError):
-    """Dense linear solve hit a pivot below the relative floor."""
-
-    def __init__(self, message, det_value=None):
-        super().__init__(message)
-        self.det_value = det_value
-
-
-class ChartBreakdown(GrassflowError):
-    """The determinant of Q crossed the invertibility threshold:
-    the current coordinate patch is no longer usable.  ``t`` is the time
-    of the breakdown when the run has one."""
+class Breakdown(GrassflowError):
+    """A projection lost invertibility.  ``det_value`` is the determinant
+    (or scalar weight, or Jacobian) that vanished, ``location`` the point
+    where it did and ``t`` the time, each None when the raiser has none."""
 
     def __init__(self, message, det_value=None, location=None, t=None):
         super().__init__(message)
@@ -29,7 +21,16 @@ class ChartBreakdown(GrassflowError):
         self.t = t
 
 
-class BlowupAtTime(GrassflowError):
+class SingularSystem(Breakdown):
+    """Dense linear solve hit a pivot below the relative floor."""
+
+
+class ChartBreakdown(Breakdown):
+    """The determinant of Q crossed the invertibility threshold:
+    the current coordinate patch is no longer usable."""
+
+
+class BlowupAtTime(Breakdown):
     """Finite-time breakdown: q (or I + t*pi) lost invertibility."""
 
 
@@ -50,13 +51,8 @@ class TraceRangeError(GrassflowError):
     zero-extension disabled."""
 
 
-class ShockProximity(GrassflowError):
+class ShockProximity(Breakdown):
     """Characteristic inversion approached a vanishing Jacobian."""
-
-    def __init__(self, message, jacobian_det=None, point=None):
-        super().__init__(message)
-        self.jacobian_det = jacobian_det
-        self.point = point
 
 
 class NewtonDivergence(GrassflowError):

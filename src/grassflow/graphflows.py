@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import central_in_t, rk4_step
+from .canonical import graph_solve, linear_flow
+from .core import central_in_t
 from .errors import (BlowupAtTime, ConfigError, NewtonDivergence,
                      ShockProximity)
 from .integrable import _ddx
@@ -101,11 +102,13 @@ def invert_characteristic(x, t: float, profile: InitialProfile,
     """
     a, _, flagged = _solve_characteristic(np.full(1, x, dtype=float), 1.0, t,
                                           _modified_profile(profile, modifier))
+    label = float(a[0])
     if flagged:
         det = flagged[0][2]
-        raise ShockProximity(f"Jacobian determinant {det:.3e} at label {a}",
-                             jacobian_det=det, point=a)
-    return float(a[0])
+        raise ShockProximity(
+            f"Jacobian determinant {det:.3e} at label {label}",
+            det_value=det, location=label, t=t)
+    return label
 
 
 def _bisect_scalar(residual, x, beta):
@@ -181,16 +184,8 @@ def _as_coeff(c, n):
 def fundamental_matrix(coeffs, t: float, n: int, steps: int = 256) -> np.ndarray:
     """Phi(t) of d/ds [q; p] = [[A, B], [C, D]] [q; p], classical RK4."""
     A, B, C, D = (_as_coeff(c, n) for c in coeffs)
-
-    def rhs(s, y):
-        block = np.block([[A(s), B(s)], [C(s), D(s)]])
-        return block @ y
-
-    y = np.eye(2 * n)
-    ds = t / steps
-    for m in range(steps):
-        y = rk4_step(rhs, y, m * ds, ds)
-    return y
+    return linear_flow(lambda s: np.block([[A(s), B(s)], [C(s), D(s)]]),
+                       np.eye(2 * n), 0.0, t / steps, steps)[-1]
 
 
 def generalized_flow_eval(x_nodes, t: float, profile: InitialProfile,
@@ -205,6 +200,8 @@ def generalized_flow_eval(x_nodes, t: float, profile: InitialProfile,
     """
     if coeffs is None:
         return inviscid_burgers_eval(x_nodes, t, profile, modifier=modifier)
+    if modifier is not None:
+        raise ConfigError("modifier applies only without coeffs")
     x_nodes = np.asarray(x_nodes, dtype=float)
     (qq, qp), (pq, pp) = fundamental_matrix(coeffs, t, 1, steps=steps)
     a, shock, flagged = _solve_characteristic(x_nodes, qq, qp, profile)
@@ -219,12 +216,9 @@ def generalized_flow_eval(x_nodes, t: float, profile: InitialProfile,
 def riccati_subflow(pi0: np.ndarray, t: float) -> np.ndarray:
     """pi(t) = pi0 (I + t pi0)^{-1}, the matrix solution of pi' = -pi^2."""
     pi0 = np.atleast_2d(np.asarray(pi0, dtype=float))
-    n = pi0.shape[0]
-    m = np.eye(n) + t * pi0
-    if abs(np.linalg.det(m)) < 1e-12:
-        raise BlowupAtTime(f"I + t pi0 singular at t = {t}")
-    # pi = pi0 m^{-1}  <=>  m^T pi^T = pi0^T
-    return np.linalg.solve(m.T, pi0.T).T
+    # the graph of the base pair Q = I + t pi0, P = pi0
+    return graph_solve(np.eye(pi0.shape[0]) + t * pi0, pi0, 1e-12,
+                       BlowupAtTime, t=t)
 
 
 def chart_swap_eval(y_nodes, t: float, inverse_profile) -> np.ndarray:

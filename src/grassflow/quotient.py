@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .canonical import CanonicalCoefficients, linear_flow, riccati_residual
 from .core import (Grid1D, SpectralField, central_in_t, dft_forward,
-                   dft_frequencies, dft_inverse, rk4_step)
+                   dft_frequencies, dft_inverse)
 from .errors import (BlowupAtTime, ChartBreakdown, ConfigError,
                      IntegrationBlowup, SymbolError)
 
@@ -98,8 +99,10 @@ def quotient_solve(g0: np.ndarray, grid: Grid1D,
         integral = np.diag(dft_inverse(
             SpectralField(growth[:, None] * p0_hat, grid)))
         q = 1.0 + np.asarray(coeffs.b(grid.nodes), dtype=complex) * integral
-    if np.min(np.abs(q)) < 1e-10:
-        raise BlowupAtTime(f"quotient weight q vanished at t = {t}")
+    j = int(np.argmin(np.abs(q)))
+    if abs(q[j]) < 1e-10:
+        raise BlowupAtTime(f"quotient weight q vanished at t = {t}",
+                           det_value=abs(q[j]), location=grid.nodes[j], t=t)
     return QuotientField(grid=grid, values=p / q[None, :], q=q, t=t)
 
 
@@ -202,25 +205,16 @@ def elliptic_quotient_solve(coeffs: EllipticCoefficients, q0: float,
     """
     grid = coeffs.grid
     h = grid.spacing
-    n = grid.n
     nodes = grid.nodes
-    # (a, b, c, d) at x_0 + k h / 2, row k; a list of floats reads faster
-    half = np.empty((2 * n - 1, 4))
-    half[::2] = np.column_stack((coeffs.a, coeffs.b, coeffs.c, coeffs.d))
+    abcd = (coeffs.a, coeffs.b, coeffs.c, coeffs.d)
+    # [[a, b], [c, d]] at x_0 + k h / 2, block k
+    half = np.empty((2 * grid.n - 1, 4))
+    half[::2] = np.column_stack(abcd)
     half[1::2] = 0.5 * (half[:-2:2] + half[2::2])
-    abcd = half.tolist()
-
-    def rhs(x, y):
-        a, b, c, d = abcd[round(2 * (x - grid.lower) / h)]
-        return np.array([a * y[0] + b * y[1], c * y[0] + d * y[1]])
-
-    q = np.empty(n)
-    p = np.empty(n)
-    q[0], p[0] = q0, p0
-    state = np.array([q0, p0], dtype=float)
-    for i in range(n - 1):
-        state = rk4_step(rhs, state, nodes[i], h)
-        q[i + 1], p[i + 1] = state
+    blocks = half.reshape(-1, 2, 2)
+    q, p = linear_flow(lambda x: blocks[round(2 * (x - grid.lower) / h)],
+                       np.array([q0, p0], dtype=float), grid.lower, h,
+                       grid.n - 1).T
     crossings = np.nonzero(q[:-1] * q[1:] <= 0)[0]
     if crossings.size or np.min(np.abs(q)) < 1e-10:
         idx = int(crossings[0]) if crossings.size \
@@ -228,10 +222,6 @@ def elliptic_quotient_solve(coeffs: EllipticCoefficients, q0: float,
         raise ChartBreakdown(f"q vanished near x = {nodes[idx]}",
                              det_value=q[idx], location=nodes[idx])
     g = p / q
-    gp = (g[2:] - g[:-2]) / (2 * h)
-    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    inner = slice(1, -1)
-    defect = gp - (c[inner] + d[inner] * g[inner] - g[inner] * a[inner]
-                   - g[inner] * b[inner] * g[inner])
-    residual = float(np.max(np.abs(defect)))
+    residual = riccati_residual(CanonicalCoefficients(
+        *(v[1:-1, None, None] for v in abcd)), g[:, None, None], h)
     return EllipticSolution(grid=grid, g=g, q=q, p=p, residual=residual)

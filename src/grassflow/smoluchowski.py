@@ -59,7 +59,8 @@ def constant_kernel_scalars(mu: float, t: float):
     """(c, lam) with p(t) = c g0 and qhat(t) = lam g0 in mass space."""
     denom = 1.0 + 0.5 * t * mu
     if denom <= 0:
-        raise BlowupAtTime("base flow denominator crossed zero")
+        raise BlowupAtTime("base flow denominator crossed zero",
+                           det_value=denom, t=t)
     return 1.0 / denom ** 2, -0.5 * t / denom
 
 

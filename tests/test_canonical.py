@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from grassflow.canonical import (AdditiveKernelTrace, BaseState,
                                  CanonicalCoefficients, compose, delta_kernel,
                                  fredholm_residual, integrate_base,
-                                 integrate_base_exact, product_rule_check,
-                                 riccati_project, riccati_residual,
-                                 solve_additive_fredholm)
+                                 integrate_base_exact, linear_flow,
+                                 product_rule_check, riccati_project,
+                                 riccati_residual, solve_additive_fredholm)
 from grassflow.core import Grid1D, QuadratureRule
-from grassflow.errors import ChartBreakdown, ConfigError, TraceRangeError
+from grassflow.errors import (ChartBreakdown, ConfigError, IntegrationBlowup,
+                              TraceRangeError)
+from grassflow.graphflows import riccati_subflow
 
 
 def random_coeffs(rng, n):
@@ -47,6 +50,20 @@ def test_scalar_base_flow_closed_form():
     assert out.P[0, 0] == pytest.approx(2.0)
 
 
+def test_linear_flow_returns_the_whole_trajectory():
+    # y' = [[0, 1], [-1, 0]] y from (1, 0): y(s) = (cos s, -sin s)
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    ys = linear_flow(lambda s: rot, np.array([1.0, 0.0]), 0.5, 0.01, 100)
+    assert ys.shape == (101, 2)
+    s = 0.01 * np.arange(101)
+    assert np.max(np.abs(ys - np.column_stack((np.cos(s), -np.sin(s))))) < 1e-9
+    with pytest.raises(ConfigError):
+        linear_flow(lambda s: rot, np.array([1.0, 0.0]), 0.0, 0.01, 0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IntegrationBlowup):
+        linear_flow(lambda s: 1e3 * np.eye(2), np.ones(2), 0.0, 1.0, 200)
+
+
 def test_riccati_projection_and_breakdown():
     state = BaseState(Q=np.array([[2.0, 0.0], [0.0, 4.0]]),
                       P=np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -54,6 +71,36 @@ def test_riccati_projection_and_breakdown():
     assert np.allclose(g, np.diag([0.5, 0.25]))
     with pytest.raises(ChartBreakdown):
         riccati_project(BaseState(Q=np.zeros((2, 2)), P=np.eye(2)))
+
+
+def test_riccati_project_turns_pivot_floor_into_chart_breakdown():
+    # |det Q| = 1e10 passes the chart threshold, the 1e-10 pivot does not
+    state = BaseState(Q=np.diag([1e20, 1e-10]), P=np.eye(2), t=0.25)
+    with pytest.raises(ChartBreakdown) as exc:
+        riccati_project(state)
+    assert exc.value.location == 0.25
+    assert exc.value.det_value == pytest.approx(1e10)
+    assert "pivot" in str(exc.value)
+
+
+@pytest.mark.parametrize("project", [
+    lambda: riccati_project(BaseState(Q=np.array([[2.0, 1.0], [0.5, 3.0]]),
+                                      P=np.eye(2))),
+    lambda: riccati_subflow(np.array([[0.2, 0.1], [0.3, -0.4]]), 0.5),
+], ids=["riccati_project", "riccati_subflow"])
+def test_riccati_projection_factorises_once(monkeypatch, project):
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        lambda *a, **k: calls.append(1) or lu_factor(*a, **k))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("second factorisation")
+
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    project()
+    assert len(calls) == 1
 
 
 def test_riccati_residual_small_on_true_flow():

@@ -97,6 +97,32 @@ def test_unknown_config_key_rejected(tmp_path):
         main(["burgers", "--config", str(cfg)])
 
 
+def test_bad_config_value_exits_2_like_a_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid-n = abc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["burgers", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --grid-n: invalid int value: 'abc'" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("equation", ["elliptic", "quotient", "kdv"])
+def test_unknown_profile_exits_2(tmp_path, capsys, equation):
+    args = [equation, "--profile", "nonsense"]
+    assert main(args + ["--validate-only"]) == 2
+    assert "unknown profile 'nonsense'" in capsys.readouterr().out
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_every_equation_defaults_to_an_accepted_profile():
+    for equation, accepted in cli.PROFILES.items():
+        config = RunConfig(equation=equation)
+        assert config.profile == accepted[0]
+        assert validate(config) == []
+
+
 # ---------------------------------------------------------------------------
 # runs and outputs
 
@@ -299,6 +325,20 @@ def test_breakdown_report_keeps_zero_location_and_determinant(
     assert main(["burgers", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "location = 0.0" in err and "determinant = 0.0" in err
+
+
+def test_blowup_report_carries_time_and_determinant(tmp_path, capsys):
+    # negative-mass data drives the base denominator 1 + t m0 / 2 negative
+    rc = main(["smol-const", "--profile", "kdv-paper", "--grid-n", "64",
+               "--t-final", "0.5", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "breakdown: base flow denominator crossed zero (t = 0.5, " \
+        "location = None, determinant = " in err
+    det = float(err.split("determinant = ")[1].strip().rstrip(")"))
+    assert det <= 0
+    assert not any(name.endswith((".csv", ".txt"))
+                   for name in os.listdir(tmp_path))
 
 
 def test_smol_general_constant_kernel_preset(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassflow import graphflows
-from grassflow.errors import BlowupAtTime, ShockProximity
+from grassflow.errors import BlowupAtTime, ConfigError, ShockProximity
 from grassflow.graphflows import (FD_STEP, JACOBIAN_FLOOR, NEWTON_MAX_ITER,
                                   NEWTON_TOL, InitialProfile, _bisect_scalar,
                                   chart_swap_eval,
@@ -49,8 +49,10 @@ def test_newton_and_bisection_agree():
 def test_shock_raises_at_steepening_profile():
     prof = InitialProfile(evaluator=lambda a: -np.tanh(np.atleast_1d(a)))
     # shock time is 1 for pi0 = -tanh; at t = 1 the origin is singular
-    with pytest.raises(ShockProximity):
+    with pytest.raises(ShockProximity) as exc:
         invert_characteristic(0.0, 1.0, prof)
+    assert type(exc.value.location) is float and exc.value.t == 1.0
+    assert exc.value.det_value <= JACOBIAN_FLOOR
 
 
 def test_shock_time_formula():
@@ -248,6 +250,14 @@ def test_generalized_flow_applies_inviscid_shock_rule(t):
     assert np.array_equal(np.isnan(gen.values), np.isnan(plain.values))
     ok = ~np.isnan(plain.values)
     assert np.max(np.abs(gen.values[ok] - plain.values[ok])) < 1e-9
+
+
+def test_generalized_flow_rejects_modifier_with_coeffs():
+    # the modifier belongs to the inviscid model only
+    with pytest.raises(ConfigError):
+        generalized_flow_eval(PROBE, 0.5, NEG_TANH,
+                              coeffs=(None, np.array([[1.0]]), None, None),
+                              modifier=lambda u: 1.0 + u)
 
 
 def test_generalized_flow_with_decay_matches_closed_form():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from grassflow.core import (Grid1D, SpectralField, dft_forward,
                             dft_frequencies, dft_inverse)
 from grassflow.errors import (BlowupAtTime, ChartBreakdown, ConfigError,
-                              SymbolError)
+                              IntegrationBlowup, SymbolError)
 from grassflow.quotient import (EllipticCoefficients, QuotientCoefficients,
                                 elliptic_quotient_solve,
                                 quotient_odd_degree_solve, quotient_residual,
@@ -90,8 +90,12 @@ def test_blowup_when_weight_vanishes():
     integral = probe.q - 1.0
     peak = integral[np.argmax(np.abs(integral))]
     coeffs = heat_coeffs(b=lambda y: np.full_like(y, -1.0 / peak.real))
-    with pytest.raises(BlowupAtTime):
+    with pytest.raises(BlowupAtTime) as exc:
         quotient_solve(g0, g, coeffs, t)
+    # the record names the time, the y node and min |q|
+    assert exc.value.t == t
+    assert exc.value.location == g.nodes[np.argmax(np.abs(integral))]
+    assert exc.value.det_value < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +246,16 @@ def test_elliptic_chart_breakdown():
     coeffs = EllipticCoefficients(g, zeros, ones, -ones, zeros)
     with pytest.raises(ChartBreakdown):
         elliptic_quotient_solve(coeffs, 1.0, 0.0)
+
+
+def test_elliptic_non_finite_run_raises():
+    # q' = 1000 q + p overflows long before x = 10
+    g = Grid1D(0.0, 10.0, 65, kind="closed")
+    zeros, ones = np.zeros(g.n), np.ones(g.n)
+    coeffs = EllipticCoefficients(g, 1000.0 * ones, ones, zeros, zeros)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IntegrationBlowup):
+        elliptic_quotient_solve(coeffs, 1.0, 1.0)
 
 
 def test_elliptic_solve_reads_grid_nodes_a_fixed_number_of_times(

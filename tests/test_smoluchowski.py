@@ -42,8 +42,9 @@ def test_scalar_base_flow_values():
     c, lam = constant_kernel_scalars(1.0, 2.0)
     assert c == pytest.approx(0.25)
     assert lam == pytest.approx(-0.5)
-    with pytest.raises(BlowupAtTime):
+    with pytest.raises(BlowupAtTime) as exc:
         constant_kernel_scalars(1.0, -2.0)
+    assert (exc.value.t, exc.value.det_value) == (-2.0, 0.0)
 
 
 def test_exponential_data_inverts_exactly():
