@@ -131,7 +131,8 @@ class AdditiveKernelTrace:
 
     The action is (R psi)(y; x) = int r(y + z + x) psi(z) dz over the
     truncated half-line.  Arguments outside the sampled interval evaluate
-    to zero unless ``zero_extension`` is disabled.
+    to zero unless ``zero_extension`` is disabled.  Evaluations take the
+    samples' dtype, float at least.
     """
 
     grid: Grid1D
@@ -144,11 +145,11 @@ class AdditiveKernelTrace:
         idx = (pts - self.grid.lower) / h
         near = np.rint(idx)
         on_node = np.abs(idx - near) < 1e-9
-        out = np.zeros(pts.shape, dtype=complex)
+        vals = np.asarray(self.values)
+        out = np.zeros(pts.shape, dtype=np.result_type(vals, float))
         inside = (near >= 0) & (near <= self.grid.n - 1)
         if not self.zero_extension and not np.all(inside):
             raise TraceRangeError("trace queried outside sampled interval")
-        vals = np.asarray(self.values)
         # node hits dominate; off-node interior points interpolate linearly
         take = inside & on_node
         out[take] = vals[near[take].astype(int)]
@@ -166,8 +167,8 @@ def solve_fredholm_system(kmat, rhs, weights, x: float):
     solve and det(I + K W) = det(I + K^T W) from one LU; a singular system
     raises ChartBreakdown at ``x`` carrying that determinant."""
     # row i is the equation at z_i; column j weights the unknown g(0, xi_j);
-    # I + K^T W is built in place, one n x n array per x
-    a = np.empty((len(weights),) * 2, dtype=complex)
+    # I + K^T W is built in place, one n x n array per x, in K's dtype
+    a = np.empty((len(weights),) * 2, dtype=np.result_type(kmat, weights))
     np.multiply(weights[None, :], kmat.T, out=a)
     a[np.diag_indices_from(a)] += 1.0
     try:
@@ -190,9 +191,9 @@ def solve_additive_fredholm(p_trace, qhat, zgrid: Grid1D, x: float,
     """
     rule = QuadratureRule.for_scheme(zgrid, quadrature)
     nodes, w = rule.nodes, rule.weights
-    kmat = np.asarray(qhat(nodes[:, None], nodes[None, :]), dtype=complex)
+    kmat = np.asarray(qhat(nodes[:, None], nodes[None, :]))
     args = nodes[:, None] + nodes[None, :] if full_kernel else nodes
-    rhs = np.asarray(p_trace(args + x), dtype=complex)
+    rhs = np.asarray(p_trace(args + x))
     g, det_track = solve_fredholm_system(kmat, rhs.T, w, x)
     return g.T, det_track
 

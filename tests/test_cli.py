@@ -116,6 +116,17 @@ def test_unknown_profile_exits_2(tmp_path, capsys, equation):
     assert not list(tmp_path.iterdir())
 
 
+def test_unknown_preset_exits_2(tmp_path, capsys):
+    args = ["kdv", "--preset", "nonsense"]
+    assert main(args + ["--validate-only"]) == 2
+    out = capsys.readouterr().out
+    assert "unknown preset 'nonsense' for kdv" in out
+    assert "1 violation(s)" in out
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    assert "unknown preset 'nonsense' for kdv" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_every_equation_defaults_to_an_accepted_profile():
     for equation, accepted in cli.PROFILES.items():
         config = RunConfig(equation=equation)
@@ -286,6 +297,18 @@ def test_kdv_run_produces_four_tables(tmp_path):
     # every output embeds the same config hash
     other, _, _ = read_table(tmp_path / "kdv_direct.csv")
     assert first == other
+
+
+def test_kdv_paper_preset_closes_on_its_oracle(tmp_path):
+    # the ETDRK4 oracle integrates the equation the projection solves: the
+    # gap is about 2.1e-3, where a 3 u u_x oracle left 0.029
+    rc = main(["kdv", "--preset", "paper", "--checkpoints", "2",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    meta = dict(line.split(" = ", 1) for line in
+                (tmp_path / "kdv_metadata.txt").read_text().splitlines())
+    assert meta["dt"] == "0.01"
+    assert float(meta["sup_difference"]) <= 5e-3
 
 
 def test_kdv_singular_system_exits_1_without_tables(tmp_path, monkeypatch,

@@ -8,12 +8,12 @@ from grassflow.canonical import solve_additive_fredholm
 from grassflow.core import Grid1D, QuadratureRule, dft_forward
 from grassflow.errors import ConfigError, SymbolError
 from grassflow.integrable import (DispersionSymbol, additive_trace,
-                                  cubic_kdv_symbol, half_line_grid,
-                                  kdv_fredholm_solve, kdv_pde_residual,
-                                  nls_assemble_qhat, nls_fredholm_solve,
-                                  nls_pde_residual, propagate_dispersive,
-                                  schrodinger_symbol, split_step_kdv,
-                                  split_step_nls)
+                                  cubic_kdv_symbol, etdrk4_kdv,
+                                  half_line_grid, kdv_fredholm_solve,
+                                  kdv_pde_residual, nls_assemble_qhat,
+                                  nls_fredholm_solve, nls_pde_residual,
+                                  propagate_dispersive, schrodinger_symbol,
+                                  split_step_kdv, split_step_nls)
 
 
 def periodic_grid(lo, hi, n):
@@ -115,13 +115,16 @@ def test_kdv_values_are_float64_at_every_time():
     g = periodic_grid(-5.0, 5.0, 64)
     p0 = -0.5 * np.cosh(g.nodes / 20.0)
     for t in (0.0, 0.3, 1.5):
-        assert kdv_fredholm_solve(p0, g, t).values.dtype == np.float64
+        res = kdv_fredholm_solve(p0, g, t)
+        assert res.values.dtype == np.float64
+        assert res.det_track.dtype == np.float64
 
 
-def generic_projection(fld, qhat_for_x, quadrature):
-    """Values and dets from the generic solver on interpolating callables,
-    and det(I + K W) of each x-system by an independent determinant."""
-    trace = additive_trace(fld)
+def generic_projection(fld, qhat_for_x, quadrature, real=False):
+    """Values and dets from the generic solver on interpolating callables
+    (over the real part of the trace with ``real``), and det(I + K W) of
+    each x-system by an independent determinant."""
+    trace = additive_trace(fld, real)
     zgrid = half_line_grid(fld.grid)
     w = QuadratureRule.for_scheme(zgrid, quadrature).weights
     nodes = zgrid.nodes
@@ -146,10 +149,8 @@ def test_kdv_projection_matches_generic_solver(quadrature):
     fld = propagate_dispersive(dft_forward(p0, g), cubic_kdv_symbol(), t)
     values, dets, plain = generic_projection(
         fld, lambda trace, z, x: lambda xi, zz: trace(xi + zz + x),
-        quadrature)
-    assert np.array_equal(np.real(res.values), values.real)
-    if np.iscomplexobj(res.values):
-        assert np.array_equal(res.values.imag, values.imag)
+        quadrature, real=True)
+    assert np.array_equal(res.values, values)
     assert np.array_equal(res.det_track, dets)
     assert np.max(np.abs(res.det_track - plain) / np.abs(plain)) < 1e-12
 
@@ -262,7 +263,8 @@ def test_split_step_kdv_linear_limit_matches_exact_propagation():
 
 
 def complex_split_step_kdv(u0, grid, dt, steps):
-    """The first-order KdV split step on complex FFTs, Nyquist K zeroed."""
+    """The first-order split step of u_t = u_xxx + 3 (u_x)^2 on complex
+    FFTs, Nyquist K zeroed."""
     kmat = 2j * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
     kmat[grid.n // 2] = 0.0
     lin = np.exp(dt * kmat ** 3)
@@ -270,7 +272,7 @@ def complex_split_step_kdv(u0, grid, dt, steps):
     out = [np.fft.ifft(uhat).real]
     for _ in range(steps):
         v = lin * uhat
-        uhat = v + 3.0 * dt * np.fft.fft(np.fft.ifft(v) * np.fft.ifft(kmat * v))
+        uhat = v + 3.0 * dt * np.fft.fft(np.fft.ifft(kmat * v) ** 2)
         out.append(np.fft.ifft(uhat).real)
     return out
 
@@ -306,3 +308,57 @@ def test_split_step_checkpoints_and_dt_validation():
     assert np.allclose(out[0], u0)
     with pytest.raises(ConfigError):
         split_step_kdv(u0, g, -1e-3, 10)
+
+
+def test_split_step_kdv_steps_the_squared_slope():
+    # u = c + a sin(x): u_xxx has zero mean, so the mean of u grows at
+    # 3 <u_x^2> = 3 a^2 / 2, where 3 u u_x = (3 u^2 / 2)_x would leave it
+    # at c
+    g = periodic_grid(-np.pi, np.pi, 32)
+    a = 1e-3
+    u0 = 0.5 + a * np.sin(g.nodes)
+    out = split_step_kdv(u0, g, 1e-3, 100)
+    assert np.mean(out) - 0.5 == pytest.approx(1.5 * a ** 2 * 0.1, rel=1e-3)
+
+
+def test_etdrk4_kdv_linear_limit_matches_exact_propagation():
+    g = periodic_grid(-5.0, 5.0, 64)
+    eps = 1e-8
+    u0 = eps * (np.sin(2 * np.pi * g.nodes / g.length)
+                + np.exp(-g.nodes ** 2))
+    out = etdrk4_kdv(u0, g, 1e-2, 10)
+    fld = propagate_dispersive(dft_forward(u0, g), cubic_kdv_symbol(), 0.1)
+    assert out.dtype == np.float64
+    assert np.max(np.abs(out - np.real(fld.samples))) < 1e-6 * eps
+
+
+def test_etdrk4_kdv_is_fourth_order_in_dt():
+    # smooth localized data: each halving of dt from 64 to 256 steps cuts
+    # the error against a 1024-step run by at least 8 (measured 16.9, 10.8)
+    g = periodic_grid(-20.0, 20.0, 128)
+    u0 = 0.5 * np.exp(-g.nodes ** 2)
+    ref = etdrk4_kdv(u0, g, 1.0 / 1024, 1024)
+    errs = [np.max(np.abs(etdrk4_kdv(u0, g, 1.0 / s, s) - ref))
+            for s in (64, 128, 256)]
+    assert errs[0] / errs[1] >= 8.0 and errs[1] / errs[2] >= 8.0
+
+
+def test_etdrk4_kdv_checkpoints_match_the_final_samples():
+    g = periodic_grid(-5.0, 5.0, 32)
+    u0 = 0.3 * np.exp(-g.nodes ** 2)
+    cps = etdrk4_kdv(u0, g, 1e-2, 20, checkpoints=[0, 10, 20])
+    assert set(cps) == {0, 10, 20}
+    assert np.allclose(cps[0], u0)
+    assert np.array_equal(cps[10], etdrk4_kdv(u0, g, 1e-2, 10))
+    assert np.array_equal(cps[20], etdrk4_kdv(u0, g, 1e-2, 20))
+    with pytest.raises(ConfigError):
+        etdrk4_kdv(u0, g, 0.0, 10)
+
+
+def test_etdrk4_kdv_matches_split_step_on_paper_preset():
+    # 1500 ETDRK4 steps against 150 000 first-order split steps of the
+    # same equation (measured 9.3e-7 apart)
+    g = periodic_grid(-5.0, 5.0, 256)
+    u0 = kdv_fredholm_solve(-0.5 * np.cosh(g.nodes / 20.0), g, 0.0).values
+    fine = split_step_kdv(u0, g, 1e-4, 150000)
+    assert np.max(np.abs(etdrk4_kdv(u0, g, 1e-2, 1500) - fine)) < 2e-6
