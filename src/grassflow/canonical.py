@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseSystem, Grid1D, QuadratureRule, rk4_step, solve_dense
-from .errors import (ChartBreakdown, ConfigError, IntegrationBlowup,
-                     SingularSystem, TraceRangeError)
+from .core import (DenseSystem, Grid1D, QuadratureRule, march, rk4_step,
+                   solve_dense)
+from .errors import (ChartBreakdown, ConfigError, SingularSystem,
+                     TraceRangeError)
 
 CHART_DET_THRESHOLD = 1e-10
 
@@ -45,18 +46,14 @@ class BaseState:
 
 def linear_flow(generator, y0, s0: float, ds: float, steps: int) -> np.ndarray:
     """RK4 trajectory, shape (steps + 1, *y0.shape), of the linear flow
-    y' = generator(s) y from y0 at s0 in steps of ds; a non-finite
-    trajectory raises IntegrationBlowup."""
+    y' = generator(s) y from y0 at s0 in steps of ds, marched by
+    core.march, which raises IntegrationBlowup on a non-finite state."""
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    ys = [np.asarray(y0)]
     rhs = lambda s, y: generator(s) @ y
-    for m in range(steps):
-        ys.append(rk4_step(rhs, ys[-1], s0 + m * ds, ds))
-    ys = np.stack(ys)
-    if not np.all(np.isfinite(ys)):
-        raise IntegrationBlowup("linear flow became non-finite")
-    return ys
+    ys = march(lambda m, y: rk4_step(rhs, y, s0 + m * ds, ds),
+               np.asarray(y0), steps, range(steps + 1))
+    return np.stack(list(ys.values()))
 
 
 def integrate_base(coeffs: CanonicalCoefficients, initial: BaseState,

@@ -34,6 +34,8 @@ EQUATIONS = ("kdv", "nls", "smol-const", "smol-general", "prelaplace",
 
 SPECTRAL_EQUATIONS = ("kdv", "nls", "spde", "quotient")
 
+QUADRATURES = ("riemann-left", "trapezoid")
+
 
 @dataclass
 class RunConfig:
@@ -107,7 +109,7 @@ def validate(config: RunConfig) -> list:
         problems.append("t-final must be positive")
     if config.dt <= 0:
         problems.append("dt must be positive")
-    if config.quadrature not in ("riemann-left", "trapezoid"):
+    if config.quadrature not in QUADRATURES:
         problems.append(f"unknown quadrature {config.quadrature!r}")
     if config.seed < 0:
         problems.append("seed must be non-negative")
@@ -488,24 +490,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nonlinear PDE solvers by linear base flows and "
                     "Fredholm/Riccati projection, with direct oracles.")
     parser.add_argument("equation", choices=EQUATIONS)
-    parser.add_argument("--preset", default=None)
     parser.add_argument("--config", default=None,
                         help="key-value text file with the same keys as "
                              "the flags")
-    parser.add_argument("--grid-n", type=int, default=None)
-    parser.add_argument("--domain-l", type=float, default=None)
-    parser.add_argument("--t-final", type=float, default=None)
-    parser.add_argument("--dt", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--quadrature",
-                        choices=("riemann-left", "trapezoid"), default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--compare-oracle", choices=("on", "off"),
-                        default=None)
-    parser.add_argument("--profile", default=None)
-    parser.add_argument("--nu", type=float, default=None)
-    parser.add_argument("--checkpoints", type=int, default=None)
-    parser.add_argument("--panels", type=int, default=None)
+    # a flag of its name and type for each RunConfig field after equation
+    choices = {"quadrature": QUADRATURES, "compare_oracle": ("on", "off")}
+    for f in fields(RunConfig)[1:]:
+        kind = ({"choices": choices[f.name]} if f.name in choices
+                else {"type": f.type})
+        parser.add_argument("--" + f.name.replace("_", "-"), **kind)
     parser.add_argument("--validate-only", action="store_true")
     return parser
 
@@ -513,17 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args) -> RunConfig:
     config = RunConfig(equation=args.equation)
     overridden = set()
-    # every field but these two has a flag of its own name and type
-    for name in (f.name for f in fields(RunConfig)):
-        if name in ("equation", "compare_oracle"):
-            continue
-        value = getattr(args, name)
+    for f in fields(RunConfig)[1:]:
+        value = getattr(args, f.name)
         if value is not None:
-            setattr(config, name, value)
-            overridden.add(name)
-    if args.compare_oracle is not None:
-        config.compare_oracle = args.compare_oracle == "on"
-        overridden.add("compare_oracle")
+            # compare_oracle, the one bool field, is set by on/off
+            setattr(config, f.name, value == "on" if f.type is bool else value)
+            overridden.add(f.name)
     overridden.discard("preset")
     return apply_preset(config, overridden)
 

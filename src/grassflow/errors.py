@@ -35,7 +35,12 @@ class BlowupAtTime(Breakdown):
 
 
 class IntegrationBlowup(GrassflowError):
-    """A time-stepped field became non-finite."""
+    """A time-stepped field became non-finite; ``step`` is the first step
+    known to be non-finite."""
+
+    def __init__(self, message, step=None):
+        super().__init__(message)
+        self.step = step
 
 
 class DomainError(GrassflowError):

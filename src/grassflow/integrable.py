@@ -13,8 +13,8 @@ import numpy as np
 
 from .canonical import AdditiveKernelTrace, solve_fredholm_system
 from .core import (Grid1D, QuadratureRule, SpectralField, central_in_t,
-                   dft_forward, dft_frequencies)
-from .errors import ChartBreakdown, ConfigError, IntegrationBlowup, SymbolError
+                   dft_forward, dft_frequencies, march)
+from .errors import ChartBreakdown, ConfigError, SymbolError
 
 
 @dataclass(frozen=True)
@@ -174,33 +174,12 @@ def nls_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
 # direct integrators (cross-validation oracles)
 
 
-def _check_finite(modes):
-    if not np.all(np.isfinite(modes.real) & np.isfinite(modes.imag)):
-        raise IntegrationBlowup("direct integration became non-finite")
-
-
-def _march(uhat, advance, dt, steps, checkpoints, samples):
-    """``steps`` applications of ``advance`` to the spectrum ``uhat``.
-
-    Returns ``samples`` of the final spectrum, or a dict {step: samples}
-    when ``checkpoints`` (an iterable of step indices) is given.
-    """
+def _kdv_spectrum(grid: Grid1D, dt: float):
+    """dt K^3 with K = 2 pi i k on the rfft half-spectrum, 0 at an even
+    grid's Nyquist mode; v -> 3 F((F^-1 K v)^2), the transform of
+    3 (u_x)^2; and the samples of a spectrum."""
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    wanted = set(checkpoints) if checkpoints is not None else {steps}
-    out = {0: samples(uhat)} if 0 in wanted else {}
-    for m in range(1, steps + 1):
-        uhat = advance(uhat)
-        if m % 1024 == 0 or m == steps:
-            _check_finite(uhat)
-        if m in wanted:
-            out[m] = samples(uhat)
-    return out if checkpoints is not None else out[steps]
-
-
-def _kdv_spectrum(grid: Grid1D):
-    """K = 2 pi i k on the rfft half-spectrum, 0 at an even grid's Nyquist
-    mode, and v -> 3 F((F^-1 K v)^2), the transform of 3 (u_x)^2."""
     n = grid.n
     kmat = 2j * np.pi * np.fft.rfftfreq(n, d=grid.spacing)
     if n % 2 == 0:
@@ -210,7 +189,7 @@ def _kdv_spectrum(grid: Grid1D):
         ux = np.fft.irfft(kmat * v, n)
         return 3.0 * np.fft.rfft(ux * ux)
 
-    return kmat, nonlinear, lambda v: np.fft.irfft(v, n)
+    return dt * kmat ** 3, nonlinear, lambda v: np.fft.irfft(v, n)
 
 
 def split_step_kdv(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
@@ -222,15 +201,15 @@ def split_step_kdv(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
     Returns the final samples, or a dict {step: samples} when
     ``checkpoints`` (an iterable of step indices) is given.
     """
-    kmat, nonlinear, samples = _kdv_spectrum(grid)
-    lin = np.exp(dt * kmat ** 3)
+    lin, nonlinear, samples = _kdv_spectrum(grid, dt)
+    e = np.exp(lin)
 
-    def advance(uhat):
-        v = lin * uhat
+    def advance(m, uhat):
+        v = e * uhat
         return v + dt * nonlinear(v)
 
-    return _march(np.fft.rfft(np.asarray(u0, dtype=float)), advance, dt,
-                  steps, checkpoints, samples)
+    return march(advance, np.fft.rfft(np.asarray(u0, dtype=float)), steps,
+                 checkpoints, samples)
 
 
 def etdrk4_kdv(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
@@ -244,8 +223,7 @@ def etdrk4_kdv(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
     mean runs over the whole circle: their upper half circle with real()
     holds only for a real linear part.
     """
-    kmat, nonlinear, samples = _kdv_spectrum(grid)
-    lin = dt * kmat ** 3
+    lin, nonlinear, samples = _kdv_spectrum(grid, dt)
     e, e2 = np.exp(lin), np.exp(lin / 2)
     z = lin[:, None] + np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
     ez = np.exp(z)
@@ -254,7 +232,7 @@ def etdrk4_kdv(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
     f2 = dt * np.mean((2 + z + ez * (z - 2)) / z ** 3, axis=1)
     f3 = dt * np.mean((-4 - 3 * z - z * z + ez * (4 - z)) / z ** 3, axis=1)
 
-    def advance(v):
+    def advance(m, v):
         nv = nonlinear(v)
         ev = e2 * v
         a = ev + q * nv
@@ -263,24 +241,26 @@ def etdrk4_kdv(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
         nc = nonlinear(e2 * a + q * (2 * nb - nv))
         return e * v + f1 * nv + 2 * f2 * (na + nb) + f3 * nc
 
-    return _march(np.fft.rfft(np.asarray(u0, dtype=float)), advance, dt,
-                  steps, checkpoints, samples)
+    return march(advance, np.fft.rfft(np.asarray(u0, dtype=float)), steps,
+                 checkpoints, samples)
 
 
 def split_step_nls(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
                    checkpoints=None):
     """v = exp(-i dt K^2) u;  u <- v - 2 i dt F((F^-1 v)^2 (F^-1 v)^*)."""
+    if dt <= 0:
+        raise ConfigError("dt must be positive")
     k = np.fft.fftfreq(grid.n, d=grid.spacing)
     kmat = 2j * np.pi * k
     lin = np.exp(-1j * dt * kmat ** 2)
 
-    def advance(uhat):
+    def advance(m, uhat):
         v = lin * uhat
         vphys = np.fft.ifft(v)
         return v - 2j * dt * np.fft.fft(vphys * vphys * np.conj(vphys))
 
-    return _march(np.fft.fft(np.asarray(u0, dtype=complex)), advance, dt,
-                  steps, checkpoints, np.fft.ifft)
+    return march(advance, np.fft.fft(np.asarray(u0, dtype=complex)), steps,
+                 checkpoints, np.fft.ifft)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid1D, QuadratureRule, central_in_t, rk4_step
+from .core import Grid1D, QuadratureRule, central_in_t, march, rk4_step
 from .errors import BlowupAtTime, ConfigError, DomainError, IntegrationBlowup
 
 
@@ -209,14 +209,14 @@ def integrate_m0_riccati(coeffs: SmolCoefficients, m00: float, t: float,
     d0, b0c = coeffs.d_poly[0], coeffs.b_poly[0]
     lin, quad = d0 - abar, b0c - b0bar - 1.0
     dt = t / steps
-    track = np.empty(steps + 1)
-    track[0] = m00
     rate = lambda s, m: lin * m + quad * m * m
-    for i in range(steps):
-        track[i + 1] = rk4_step(rate, track[i], i * dt, dt)
-    if not np.all(np.isfinite(track)):
-        raise BlowupAtTime("m0 preprocessing Riccati blew up")
-    return track
+    try:
+        track = march(lambda i, m: rk4_step(rate, m, i * dt, dt), m00,
+                      steps, range(steps + 1))
+    except IntegrationBlowup as exc:
+        raise BlowupAtTime("m0 preprocessing Riccati blew up",
+                           t=exc.step * dt) from exc
+    return np.array(list(track.values()))
 
 
 def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity, t: float,
@@ -247,11 +247,7 @@ def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity, t: float,
         return np.array([dp, dq])
 
     state = np.array([g0.values.astype(float), np.zeros(grid.n)])
-    for m in range(steps):
-        state = rk4_step(rhs, state, m * dt, dt)
-        if not np.all(np.isfinite(state)):
-            raise IntegrationBlowup("base pair became non-finite")
-    p, qhat = state
+    p, qhat = march(lambda m, y: rk4_step(rhs, y, m * dt, dt), state, steps)
     g = volterra_project(p, qhat, grid)
     return MassDensity(grid=grid, values=g, t=t)
 
@@ -318,20 +314,15 @@ def direct_smol_oracle(g0: MassDensity, t: float, dt: float,
 
     steps = max(1, int(round(t / dt)))
     dt = t / steps
-    g = g0.values.astype(float).copy()
-    times, m0s, m1s = [0.0], [np.trapezoid(g, dx=h)], [np.trapezoid(x * g, dx=h)]
-    for m in range(steps):
-        g = rk4_step(rhs, g, m * dt, dt)
-        if not np.all(np.isfinite(g)):
-            raise IntegrationBlowup("direct oracle blew up")
-        if track_moments:
-            times.append((m + 1) * dt)
-            m0s.append(np.trapezoid(g, dx=h))
-            m1s.append(np.trapezoid(x * g, dx=h))
-    out = MassDensity(grid=grid, values=g, t=t)
-    if track_moments:
-        return out, np.array(times), np.array(m0s), np.array(m1s)
-    return out
+    advance = lambda m, g: rk4_step(rhs, g, m * dt, dt)
+    g = g0.values.astype(float)
+    if not track_moments:
+        return MassDensity(grid=grid, values=march(advance, g, steps), t=t)
+    kept = march(advance, g, steps, range(steps + 1), lambda g: (
+        g, np.trapezoid(g, dx=h), np.trapezoid(x * g, dx=h)))
+    gs, m0s, m1s = zip(*kept.values())
+    return (MassDensity(grid=grid, values=gs[-1], t=t),
+            dt * np.arange(steps + 1), np.array(m0s), np.array(m1s))
 
 
 # ---------------------------------------------------------------------------

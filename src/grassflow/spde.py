@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RandomStream, gaussian_increments
-from .errors import ConfigError, IntegrationBlowup, SingularSystem
+from .core import (Grid1D, QuadratureRule, RandomStream, gaussian_increments,
+                   march)
+from .errors import ConfigError, SingularSystem
 
 TWO_PI = 2.0 * np.pi
 
@@ -193,22 +194,18 @@ def spde_direct_run(g0: Field2D, params: SpdeParams,
     dt = sheet.t_final / steps
     lam = -dt * (params.alpha * k[:, None] ** 2 + params.beta * k[None, :] ** 2)
     lin = np.exp(lam)
-    phi = _phi1(lam)
+    eps_phi = params.epsilon * dt * _phi1(lam)
     noise_coef, _ = k0_mode_policy(params, k)
     dws = sheet.aggregated(steps)
-    u = g0.modes.copy()
-    wanted = set(checkpoints) if checkpoints is not None else None
-    out = {0: Field2D(u.copy(), t=0.0)} if wanted and 0 in wanted else {}
-    for m in range(steps):
+
+    def advance(m, u):
         stoch = u + (noise_coef * dws[m])[:, None] * u
-        u = lin * stoch - params.epsilon * dt * phi * composition_product(u, u)
-        if not np.all(np.isfinite(u.real) & np.isfinite(u.imag)):
-            raise IntegrationBlowup(f"direct scheme blew up at step {m + 1}")
-        if wanted is not None and (m + 1) in wanted:
-            out[m + 1] = Field2D(u.copy(), t=(m + 1) * dt)
-    if wanted is not None:
-        return out
-    return Field2D(modes=u, t=sheet.t_final)
+        return lin * stoch - eps_phi * composition_product(u, u)
+
+    out = march(advance, g0.modes.copy(), steps, checkpoints)
+    if checkpoints is None:
+        return Field2D(modes=out, t=sheet.t_final)
+    return {m: Field2D(u, t=m * dt) for m, u in out.items()}
 
 
 def exact_base_modes(g0: Field2D, params: SpdeParams,
@@ -247,8 +244,7 @@ def spde_poppe_run(g0: Field2D, params: SpdeParams,
     k = mode_numbers(n)
     tf = sheet.t_final
     times = np.linspace(0.0, tf, panels + 1)
-    weights = np.full(panels + 1, tf / panels)
-    weights[0] = weights[-1] = 0.5 * tf / panels
+    weights = QuadratureRule.trapezoid(Grid1D(0.0, tf, panels + 1)).weights
     qhat = np.zeros((n, n), dtype=complex)
     dets = np.empty(panels + 1)
     p_final = None

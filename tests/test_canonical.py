@@ -11,7 +11,7 @@ from grassflow.canonical import (AdditiveKernelTrace, BaseState,
                                  integrate_base_exact, linear_flow,
                                  product_rule_check, riccati_project,
                                  riccati_residual, solve_additive_fredholm)
-from grassflow.core import Grid1D, QuadratureRule
+from grassflow.core import Grid1D, QuadratureRule, rk4_step
 from grassflow.errors import (ChartBreakdown, ConfigError, IntegrationBlowup,
                               TraceRangeError)
 from grassflow.graphflows import riccati_subflow
@@ -62,6 +62,25 @@ def test_linear_flow_returns_the_whole_trajectory():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(IntegrationBlowup):
         linear_flow(lambda s: 1e3 * np.eye(2), np.ones(2), 0.0, 1.0, 200)
+
+
+def _linear_flow_loop(generator, y0, s0, ds, steps):
+    """The reference: linear_flow's own RK4 loop before it went through
+    core.march."""
+    ys = [np.asarray(y0)]
+    rhs = lambda s, y: generator(s) @ y
+    for m in range(steps):
+        ys.append(rk4_step(rhs, ys[-1], s0 + m * ds, ds))
+    return np.stack(ys)
+
+
+def test_linear_flow_equals_its_loop_bitwise():
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2, 4, 4))
+    generator = lambda s: a + np.sin(s) * b
+    y0 = rng.standard_normal((4, 2))
+    assert np.array_equal(linear_flow(generator, y0, 0.3, 0.01, 250),
+                          _linear_flow_loop(generator, y0, 0.3, 0.01, 250))
 
 
 def test_riccati_projection_and_breakdown():

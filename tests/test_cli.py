@@ -1,6 +1,7 @@
 """Command-line front end: validation, presets, outputs, reproducibility."""
 
 import csv
+import dataclasses
 import filecmp
 import os
 import subprocess
@@ -88,6 +89,30 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert "grid_n = 64" in meta          # from the file
     assert "t_final = 0.5" in meta        # flag wins over the file
     assert "seed = 9" in meta
+
+
+def test_parser_flags_are_the_run_config_fields():
+    # --config and --validate-only steer the run; each other flag sets the
+    # RunConfig field of its name, parsed to the field's type (argparse
+    # reads a flag without a type as str)
+    flags = {a.dest: a for a in cli.build_parser()._actions
+             if a.option_strings
+             and a.dest not in ("help", "config", "validate_only")}
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)
+             if f.name != "equation"}
+    assert set(flags) == set(types)
+    for name, action in flags.items():
+        if name == "compare_oracle":
+            assert tuple(action.choices) == ("on", "off")
+        else:
+            assert (action.type or str) is types[name], name
+    assert tuple(flags["quadrature"].choices) == ("riemann-left",
+                                                  "trapezoid")
+    parse = lambda *argv: cli.config_from_args(
+        cli.build_parser().parse_args(["kdv", *argv]))
+    assert parse().compare_oracle is True
+    assert parse("--compare-oracle", "off").compare_oracle is False
+    assert parse("--compare-oracle", "on", "--seed", "3").seed == 3
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -362,6 +387,18 @@ def test_blowup_report_carries_time_and_determinant(tmp_path, capsys):
     assert det <= 0
     assert not any(name.endswith((".csv", ".txt"))
                    for name in os.listdir(tmp_path))
+
+
+def test_m0_riccati_blowup_reports_its_time(tmp_path, capsys):
+    # m0(0) = -20 sinh 2 = -36.27 on the kdv-paper profile, so the closed
+    # form m0 / (1 + m0 t / 2) blows up at t = 0.0551
+    rc = main(["smol-general", "--preset", "constant-kernel",
+               "--profile", "kdv-paper", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "m0 preprocessing Riccati blew up" in err
+    t = float(err.split("(t = ")[1].split(",")[0])
+    assert 0.0551 <= t < 0.06
 
 
 def test_smol_general_constant_kernel_preset(tmp_path):

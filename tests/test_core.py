@@ -1,4 +1,5 @@
-"""Grids, quadrature, dense solves, the DFT contract, RK4 stepping, RNG."""
+"""Grids, quadrature, dense solves, the DFT contract, RK4 stepping, the
+fixed-step march, RNG."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from grassflow.core import (Grid1D, QuadratureRule, DenseSystem, RandomStream,
                             SpectralField, central_in_t, dft_forward,
                             dft_frequencies, dft_inverse, gaussian_increments,
-                            rk4_step, solve_dense)
-from grassflow.errors import ConfigError, SingularSystem
+                            march, rk4_step, solve_dense)
+from grassflow.errors import ConfigError, IntegrationBlowup, SingularSystem
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +202,40 @@ def test_central_in_t_solves_in_time_order():
     assert seen == [0.25, 0.5, 0.75]
     assert np.allclose(mid, [0.25, 1.5])
     assert np.allclose(rate, [1.0, 3.0])
+
+
+def test_march_keeps_the_asked_steps():
+    # the state after step m is 1 + 2 + ... + m, so each kept value also
+    # shows that advance saw the step index
+    advance = lambda m, y: y + (m + 1)
+    assert march(advance, 0, 4) == 10
+    assert march(advance, 0, 4, readout=lambda y: -y) == -10
+    assert march(advance, 0, 4, [0, 2, 4]) == {0: 0, 2: 3, 4: 10}
+    assert march(advance, 0, 4, [4, 2]) == {2: 3, 4: 10}
+    assert list(march(advance, 0, 4, [4, 0, 2])) == [0, 2, 4]
+    assert march(advance, 0, 4, range(5), str) == \
+        {0: "0", 1: "1", 2: "3", 3: "6", 4: "10"}
+    assert march(advance, 7, 0) == 7
+
+
+def test_march_names_the_first_step_known_non_finite():
+    # the state turns NaN at step 3 and stays NaN
+    advance = lambda m, y: y * np.nan if m + 1 == 3 else y + 1.0
+    y0 = np.zeros(2)
+    cases = [
+        (dict(checkpoints=range(2001)), 3),   # step 3 is kept
+        (dict(), 1024),                       # the first check fires
+        (dict(checkpoints=[0, 2, 1000]), 1000),
+        (dict(checkpoints=[500, 2000],        # tuple readouts are scanned
+              readout=lambda y: (y, y.sum())), 500),
+    ]
+    for kwargs, step in cases:
+        with pytest.raises(IntegrationBlowup) as exc:
+            march(advance, y0, 2000, **kwargs)
+        assert exc.value.step == step
+    with pytest.raises(IntegrationBlowup) as exc:
+        march(advance, y0, 5)                 # the last step is checked
+    assert exc.value.step == 5
 
 
 # ---------------------------------------------------------------------------

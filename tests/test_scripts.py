@@ -1,4 +1,5 @@
-"""Every script under scripts/ imports against the current library.
+"""Every script under scripts/ imports against the current library, and
+the coagulation moment study runs on a small grid.
 
 Importing runs each script's top level (its `from grassflow... import`
 lines) but not its entry point, which sits under the `__main__` guard.
@@ -17,8 +18,28 @@ def test_scripts_are_found():
     assert SCRIPTS
 
 
+def load(path):
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
 def test_script_imports(path, capsys):
-    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
-    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    load(path)
     assert capsys.readouterr().out == ""  # the entry point did not run
+
+
+def test_coagulation_moments_study_runs(capsys):
+    # the study reads the oracle's moment tracks
+    script = next(p for p in SCRIPTS if p.stem == "coagulation_moments")
+    load(script).study(40.0, 256, 0.5, 1e-2)
+    lines = capsys.readouterr().out.splitlines()
+    errors = {line.split(" = ")[0]: float(line.split(" = ")[1])
+              for line in lines[:4]}
+    assert errors["sup|projected - closed form|"] < 1e-12
+    assert errors["sup|projected - direct oracle|"] < 1e-3
+    assert errors["max relative m0 error vs closed form"] < 2e-3
+    assert errors["max relative m1 drift"] < 1e-10
+    assert len(lines) == 9

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassflow.core import Grid1D
+from grassflow.core import Grid1D, rk4_step
 from grassflow.errors import (BlowupAtTime, ConfigError, DomainError,
                               IntegrationBlowup)
 from grassflow.smoluchowski import (MassDensity, SmolCoefficients,
@@ -236,6 +236,59 @@ def test_general_solver_with_sampled_interaction_terms():
     assert np.array_equal(mid, out.values)
 
 
+def _m0_riccati_loop(lin, quad, m00, t, steps):
+    """The reference: integrate_m0_riccati's own loop before it went
+    through core.march."""
+    dt = t / steps
+    track = np.empty(steps + 1)
+    track[0] = m00
+    rate = lambda s, m: lin * m + quad * m * m
+    for i in range(steps):
+        track[i + 1] = rk4_step(rate, track[i], i * dt, dt)
+    return track
+
+
+def _general_smol_loop(coeffs, g0, t, steps):
+    """The reference: general_smol_solve's own RK4 loop on its linear base
+    pair before it went through core.march; a constant delta gain and the
+    loss term, as in the constant-kernel preset."""
+    grid, h, dt = g0.grid, g0.grid.spacing, t / steps
+    # d0 = abar = b0c = 0, so lin = 0 and quad = -b0_delta - 1
+    m0_track = _m0_riccati_loop(0.0, -coeffs.b0_delta - 1.0, g0.m0, t,
+                                2 * steps)
+
+    def rhs(s, state):
+        p, qhat = state
+        m0 = m0_track[round(2 * s / dt)]
+        dp = _poly_ddx(coeffs.d_poly, p, h) - m0 * p
+        dq = coeffs.b0_delta * p - _poly_ddx(coeffs.b_poly, p, h)
+        return np.array([dp, dq])
+
+    state = np.array([g0.values.astype(float), np.zeros(grid.n)])
+    for m in range(steps):
+        state = rk4_step(rhs, state, m * dt, dt)
+    return volterra_project(state[0], state[1], grid)
+
+
+def test_general_solver_equals_its_loop_bitwise():
+    g = mass_grid(40.0, 128)
+    g0 = MassDensity(grid=g, values=np.exp(-g.nodes))
+    coeffs = SmolCoefficients(b0_delta=-0.5, include_loss=True)
+    out = general_smol_solve(coeffs, g0, 0.7, steps=96)
+    assert np.array_equal(out.values, _general_smol_loop(coeffs, g0, 0.7, 96))
+    assert np.array_equal(integrate_m0_riccati(coeffs, 1.3, 0.7, g, 96),
+                          _m0_riccati_loop(0.0, -0.5, 1.3, 0.7, 96))
+
+
+def test_m0_riccati_blowup_reports_its_time():
+    # m0' = -m0^2 / 2 from m0(0) = -4 blows up at t = 0.5
+    g = mass_grid(10.0, 32)
+    coeffs = SmolCoefficients(b0_delta=-0.5, include_loss=True)
+    with pytest.raises(BlowupAtTime) as exc:
+        integrate_m0_riccati(coeffs, -4.0, 1.0, g, 1024)
+    assert 0.5 <= exc.value.t < 0.55
+
+
 # ---------------------------------------------------------------------------
 # exponential-kernel bridge
 
@@ -284,6 +337,38 @@ def test_rescale_round_trip_and_overflow_guard():
     assert np.allclose(back.values, g0.values)
     with pytest.raises(DomainError):
         exp_kernel_rescale(g0, 100.0)
+
+
+def _oracle_loop(g0, t, dt):
+    """The reference: direct_smol_oracle's own RK4 loop and moment lists
+    (constant kernel, with track_moments) before it went through
+    core.march."""
+    h, x = g0.grid.spacing, g0.grid.nodes
+
+    def rhs(s, g):
+        return 0.5 * riemann_conv(g, g, h) - g * np.trapezoid(g, dx=h)
+
+    steps = max(1, int(round(t / dt)))
+    dt = t / steps
+    g = g0.values.astype(float).copy()
+    times, m0s, m1s = [0.0], [np.trapezoid(g, dx=h)], [np.trapezoid(x * g, dx=h)]
+    for m in range(steps):
+        g = rk4_step(rhs, g, m * dt, dt)
+        times.append((m + 1) * dt)
+        m0s.append(np.trapezoid(g, dx=h))
+        m1s.append(np.trapezoid(x * g, dx=h))
+    return g, np.array(times), np.array(m0s), np.array(m1s)
+
+
+def test_oracle_equals_its_loop_bitwise():
+    g = mass_grid(40.0, 128)
+    g0 = exponential_density(g, 1.0, 1.0)
+    out, times, m0s, m1s = direct_smol_oracle(g0, 0.5, 1e-2,
+                                              track_moments=True)
+    ref = _oracle_loop(g0, 0.5, 1e-2)
+    for a, b in zip((out.values, times, m0s, m1s), ref):
+        assert np.array_equal(a, b)
+    assert np.array_equal(direct_smol_oracle(g0, 0.5, 1e-2).values, ref[0])
 
 
 def test_oracle_rejects_unknown_kernel():

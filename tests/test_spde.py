@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassflow.errors import ConfigError
-from grassflow.spde import (BrownianSheetModes, Field2D, SpdeParams,
+from grassflow.spde import (BrownianSheetModes, Field2D, SpdeParams, _phi1,
                             composition_identity, composition_product,
                             exact_base_modes, k0_mode_policy, mode_numbers,
                             sech_ridge_initial, spde_direct_run,
@@ -210,6 +210,43 @@ def test_direct_checkpoints():
     assert set(out) == {0, 4, 8}
     assert np.allclose(out[0].modes, fld.modes)
     assert out[4].t == pytest.approx(0.5)
+
+
+def _direct_loop(g0, params, sheet, steps, checkpoints):
+    """The reference: spde_direct_run's own loop before it went through
+    core.march."""
+    k = mode_numbers(g0.n)
+    dt = sheet.t_final / steps
+    lam = -dt * (params.alpha * k[:, None] ** 2 + params.beta * k[None, :] ** 2)
+    lin, phi = np.exp(lam), _phi1(lam)
+    noise_coef, _ = k0_mode_policy(params, k)
+    dws = sheet.aggregated(steps)
+    u = g0.modes.copy()
+    out = {0: Field2D(u.copy(), t=0.0)} if 0 in checkpoints else {}
+    for m in range(steps):
+        stoch = u + (noise_coef * dws[m])[:, None] * u
+        u = lin * stoch - params.epsilon * dt * phi * composition_product(u, u)
+        if (m + 1) in checkpoints:
+            out[m + 1] = Field2D(u.copy(), t=(m + 1) * dt)
+    return out
+
+
+def test_direct_run_equals_its_loop_bitwise():
+    n, steps = 16, 64
+    params = SpdeParams(gamma=10.0, epsilon=1000.0)
+    fld = sech_ridge_initial(n, 0.001, 7)
+    sheet = BrownianSheetModes.generate(7, n, 0.007, 256)
+    cps = [0, 1, 17, 32, 64]
+    out = spde_direct_run(fld, params, sheet, steps, checkpoints=cps)
+    ref = _direct_loop(fld, params, sheet, steps, cps)
+    assert list(out) == list(ref)
+    for m in cps:
+        assert out[m].t == ref[m].t
+        assert np.array_equal(out[m].modes, ref[m].modes)
+    assert out[0].modes is not fld.modes
+    final = spde_direct_run(fld, params, sheet, steps)
+    assert final.t == 0.007
+    assert np.array_equal(final.modes, ref[steps].modes)
 
 
 def test_initial_data_noise_is_seeded():
