@@ -64,12 +64,12 @@ class RunConfig:
 PRESETS = {
     ("kdv", "paper"): dict(grid_n=256, domain_l=10.0, dt=1e-2, t_final=15.0,
                            profile="kdv-paper"),
-    ("nls", "paper"): dict(grid_n=256, domain_l=40.0, dt=1e-2, t_final=100.0,
+    ("nls", "paper"): dict(grid_n=256, domain_l=40.0, dt=5e-2, t_final=100.0,
                            profile="nls-paper"),
     ("spde", "paper"): dict(grid_n=32, domain_l=2.0 * np.pi, t_final=0.007,
                             dt=0.007 / 256, profile="sech-ridge"),
     ("smol-const", "paper"): dict(grid_n=1024, domain_l=40.0, t_final=2.0,
-                                  dt=1e-3, profile="exp"),
+                                  dt=1e-2, profile="exp"),
     ("smol-general", "constant-kernel"): dict(grid_n=512, domain_l=40.0,
                                               t_final=1.0, profile="exp"),
 }

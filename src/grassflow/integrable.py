@@ -222,6 +222,11 @@ def etdrk4_kdv(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
     each dt K^3 (Kassam & Trefethen 2005).  dt K^3 is imaginary, so the
     mean runs over the whole circle: their upper half circle with real()
     holds only for a real linear part.
+
+    Fourth order needs smooth periodic data.  The kdv-paper data have a
+    slope jump at +-L/2 in their periodic extension; on them the run at
+    dt = 1e-2 is 7.9e-7 from the run at 2.5e-3, and each halving of dt
+    from 4e-2 shrinks the change only 1.6-2.0 times.
     """
     lin, nonlinear, samples = _kdv_spectrum(grid, dt)
     e, e2 = np.exp(lin), np.exp(lin / 2)

@@ -2,7 +2,7 @@
 
 Each test computes its criterion at the stated scale and tolerance, prints
 a single summary line, and asserts.  Scales follow the reference parameter
-sets baked into the CLI presets.
+sets baked into the CLI presets, whose oracle steps the last gate checks.
 """
 
 import filecmp
@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from grassflow import cli
 from grassflow.canonical import (BaseState, CanonicalCoefficients,
                                  integrate_base_exact, riccati_project,
                                  riccati_residual)
@@ -307,3 +308,55 @@ def test_criterion_9_determinism(tmp_path):
                 identical = False
     report(9, "determinism", identical,
            f"presets {', '.join(presets)} bitwise identical")
+
+
+# ---------------------------------------------------------------------------
+# the paper presets' oracle steps (criteria 1, 2 and 4)
+
+# the criterion and the CLI oracle each paper preset cross-validates with,
+# the preset's dt as its sidecar writes it, and a bound on its oracle gap
+PRESET_ORACLES = {"kdv": (1, "etdrk4_kdv", "0.01", 5e-3),
+                  "nls": (2, "split_step_nls", "0.050000000000000003", 1e-2),
+                  "smol-const": (4, "direct_smol_oracle", "0.01", 1e-5)}
+
+
+@pytest.mark.parametrize("equation", PRESET_ORACLES)
+def test_paper_preset_oracle_steps_are_resolved(equation, tmp_path,
+                                                monkeypatch):
+    # a preset's dt only steps its oracle, which need only resolve the
+    # oracle gap: stepping at dt / 4 must move the oracle at t_final by at
+    # most 1e-3 of that gap (measured change under dt / 4: kdv 7.9e-7 of
+    # 2.1e-3, nls 9.4e-7 of 9.3e-3, smol-const 8.0e-12 of 8.0e-6).  ETDRK4
+    # does not settle on the kdv-paper data, so there the change bounds
+    # nothing; its accuracy is held by
+    # test_etdrk4_kdv_matches_split_step_on_paper_preset
+    number, name, dt_text, gap_bound = PRESET_ORACLES[equation]
+    oracle, runs = getattr(cli, name), []
+
+    def recorded(*args, **kwargs):
+        runs.append((args, oracle(*args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cli, name, recorded)
+    rc = main([equation, "--preset", "paper", "--checkpoints", "2",
+               "--out", str(tmp_path)])
+    assert rc == 0 and len(runs) == 1
+    meta = dict(line.split(" = ", 1) for line in
+                (tmp_path / f"{equation}_metadata.txt").read_text()
+                .splitlines())
+    assert meta["dt"] == dt_text
+    assert float(meta["sup_difference"]) <= gap_bound
+    args, direct = runs[0]
+    if equation == "smol-const":
+        g0, t, dt = args
+        coarse, fine = direct.values, oracle(g0, t, dt / 4).values
+    else:
+        u0, grid, dt, steps = args
+        coarse, fine = direct[steps], oracle(u0, grid, dt / 4, 4 * steps)
+    shift = float(np.max(np.abs(fine - coarse)))
+    _, times, gaps = np.loadtxt(tmp_path / f"{equation}_difference.csv",
+                                delimiter=",", skiprows=2, unpack=True)
+    gap = float(np.max(gaps[times == times.max()]))
+    report(number, f"{equation} paper-preset oracle step",
+           shift <= 1e-3 * gap,
+           f"dt = {dt:g}: change under dt / 4 {shift:.2e}, gap {gap:.2e}")

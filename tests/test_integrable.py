@@ -333,14 +333,19 @@ def test_etdrk4_kdv_linear_limit_matches_exact_propagation():
 
 
 def test_etdrk4_kdv_is_fourth_order_in_dt():
-    # smooth localized data: each halving of dt from 64 to 256 steps cuts
-    # the error against a 1024-step run by at least 8 (measured 16.9, 10.8)
-    g = periodic_grid(-20.0, 20.0, 128)
-    u0 = 0.5 * np.exp(-g.nodes ** 2)
-    ref = etdrk4_kdv(u0, g, 1.0 / 1024, 1024)
-    errs = [np.max(np.abs(etdrk4_kdv(u0, g, 1.0 / s, s) - ref))
-            for s in (64, 128, 256)]
-    assert errs[0] / errs[1] >= 8.0 and errs[1] / errs[2] >= 8.0
+    # smooth localized data on L = 40: each halving of dt cuts the error
+    # against a fine run by at least `bar`.  0.5 e^{-x^2}, n = 128, t = 1,
+    # 64 to 256 steps against 1024 (measured 16.9, 10.8); 0.1 e^{-x^2/4},
+    # n = 256, t = 0.5, 25 to 100 steps against 800 (measured 15.8, 15.9)
+    for amp, width, n, t, coarse, fine, bar in (
+            (0.5, 1.0, 128, 1.0, 64, 1024, 8.0),
+            (0.1, 4.0, 256, 0.5, 25, 800, 12.0)):
+        g = periodic_grid(-20.0, 20.0, n)
+        u0 = amp * np.exp(-g.nodes ** 2 / width)
+        ref = etdrk4_kdv(u0, g, t / fine, fine)
+        errs = [np.max(np.abs(etdrk4_kdv(u0, g, t / s, s) - ref))
+                for s in (coarse, 2 * coarse, 4 * coarse)]
+        assert errs[0] / errs[1] >= bar and errs[1] / errs[2] >= bar
 
 
 def test_etdrk4_kdv_checkpoints_match_the_final_samples():
