@@ -6,5 +6,5 @@ __version__ = "0.1.0"
 from .core import Grid1D, QuadratureRule, SpectralField, RandomStream
 from .errors import (GrassflowError, ConfigError, Breakdown, SingularSystem,
                      ChartBreakdown, BlowupAtTime, IntegrationBlowup,
-                     DomainError, SymbolError, TraceRangeError,
-                     ShockProximity, NewtonDivergence)
+                     DomainError, SymbolError, ShockProximity,
+                     NewtonDivergence)

@@ -223,10 +223,12 @@ PROFILES = {
 
 
 def _checkpoint_steps(config: RunConfig):
-    total = int(round(config.t_final / config.dt))
+    """The step count, the step t_final / total, which ends the last step at
+    t_final, and the checkpoint steps."""
+    total = max(1, int(round(config.t_final / config.dt)))
     idx = sorted({int(round(j * total / (config.checkpoints - 1)))
                   for j in range(config.checkpoints)})
-    return total, idx
+    return total, config.t_final / total, idx
 
 
 def _run_fredholm(config: RunConfig, chash: str, solve, stepper,
@@ -239,11 +241,11 @@ def _run_fredholm(config: RunConfig, chash: str, solve, stepper,
                   kind="periodic")
     nodes = grid.nodes
     p0 = profile_samples(config.profile, nodes)
-    total, idx = _checkpoint_steps(config)
+    total, dt, idx = _checkpoint_steps(config)
     poppe_rows, det_rows, diff_rows, direct_rows = [], [], [], []
     results = {}
     for m in idx:
-        t = m * config.dt
+        t = m * dt
         res = solve(p0, grid, t, config.quadrature)
         if res.breakdown_locations:
             x, det = res.breakdown_locations[0]
@@ -265,10 +267,10 @@ def _run_fredholm(config: RunConfig, chash: str, solve, stepper,
              "sup_difference": np.nan}
     if config.compare_oracle:
         u0 = readout(results[0].values)
-        direct = stepper(u0, grid, config.dt, total, checkpoints=idx)
+        direct = stepper(u0, grid, dt, total, checkpoints=idx)
         sup = 0.0
         for m in idx:
-            t = m * config.dt
+            t = m * dt
             direct_rows.append(_field_table((nodes,), t, direct[m]))
             gap = np.abs(readout(results[m].values) - direct[m])
             diff_rows.append(_columns(nodes, t, gap))

@@ -51,11 +51,6 @@ class SymbolError(GrassflowError):
     """Dispersion symbol fails the skew (purely imaginary) requirement."""
 
 
-class TraceRangeError(GrassflowError):
-    """Additive-kernel trace queried outside its sampled interval with
-    zero-extension disabled."""
-
-
 class ShockProximity(Breakdown):
     """Characteristic inversion approached a vanishing Jacobian."""
 

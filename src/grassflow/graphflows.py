@@ -3,20 +3,17 @@
 Inviscid Burgers and its generalisations are solved by inverting the
 characteristic map q(a, t) = a + t * pi0(a) (one Newton over every node
 at once, with a per-node bisection fallback) and reading the momentum off
-the initial profile.  The module also carries the linear Riccati subflow,
-the alternate coordinate patch of the graph manifold, a first-order upwind
-oracle, and the decaying-Burgers bridge used by the coagulation solvers.
+the initial profile.  The generalised graph flow reduces its linear base
+pair to a fundamental matrix and shares that inversion; a first-order
+upwind integrator is the direct oracle.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import graph_solve, linear_flow
-from .core import central_in_t
-from .errors import (BlowupAtTime, ConfigError, NewtonDivergence,
-                     ShockProximity)
-from .integrable import _ddx
+from .canonical import linear_flow
+from .errors import ConfigError, NewtonDivergence
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -92,25 +89,6 @@ def _solve_characteristic(x, alpha, beta, pi: InitialProfile):
     return a, shock, flagged
 
 
-def invert_characteristic(x, t: float, profile: InitialProfile,
-                          modifier=None):
-    """Solve a + t * pi-tilde(a) = x for the characteristic label a.
-
-    Newton iteration to a residual of 1e-12 within 50 steps, then
-    bisection over an expanded bracket before giving up.  A Jacobian at or
-    below 1e-8 along the path raises ShockProximity.
-    """
-    a, _, flagged = _solve_characteristic(np.full(1, x, dtype=float), 1.0, t,
-                                          _modified_profile(profile, modifier))
-    label = float(a[0])
-    if flagged:
-        det = flagged[0][2]
-        raise ShockProximity(
-            f"Jacobian determinant {det:.3e} at label {label}",
-            det_value=det, location=label, t=t)
-    return label
-
-
 def _bisect_scalar(residual, x, beta):
     span = max(1.0, abs(beta), abs(x))
     lo, hi = x - span, x + span
@@ -161,13 +139,6 @@ def inviscid_burgers_eval(x_nodes, t: float, profile: InitialProfile,
     return GraphField(x_nodes=x_nodes, values=values, flagged=flagged, t=t)
 
 
-def shock_time(profile: InitialProfile, sample_points) -> float:
-    """1 / max(-pi0') over the sampled labels; inf for non-compressive data."""
-    worst = np.max(-profile.grad(np.asarray(sample_points, dtype=float)),
-                   initial=0.0)
-    return np.inf if worst <= 0 else 1.0 / float(worst)
-
-
 # ---------------------------------------------------------------------------
 # generalised first-order models
 
@@ -210,25 +181,7 @@ def generalized_flow_eval(x_nodes, t: float, profile: InitialProfile,
 
 
 # ---------------------------------------------------------------------------
-# Riccati subflow and the alternate chart
-
-
-def riccati_subflow(pi0: np.ndarray, t: float) -> np.ndarray:
-    """pi(t) = pi0 (I + t pi0)^{-1}, the matrix solution of pi' = -pi^2."""
-    pi0 = np.atleast_2d(np.asarray(pi0, dtype=float))
-    # the graph of the base pair Q = I + t pi0, P = pi0
-    return graph_solve(np.eye(pi0.shape[0]) + t * pi0, pi0, 1e-12,
-                       BlowupAtTime, t=t)
-
-
-def chart_swap_eval(y_nodes, t: float, inverse_profile) -> np.ndarray:
-    """Alternate-patch solution pi'_t(y) = pi'_0(y) + t y (exact, affine in t)."""
-    y = np.asarray(y_nodes, dtype=float)
-    return np.asarray(inverse_profile(y), dtype=float) + t * y
-
-
-# ---------------------------------------------------------------------------
-# direct oracle and residuals
+# direct oracle
 
 
 def upwind_oracle(pi0_samples: np.ndarray, h: float, t: float,
@@ -244,45 +197,3 @@ def upwind_oracle(pi0_samples: np.ndarray, h: float, t: float,
         u = u - dt * u * np.where(u > 0, back, fwd)
         elapsed += dt
     return u
-
-
-def inviscid_residual(profile: InitialProfile, x_nodes, t: float,
-                      dt: float):
-    """(pi at t, central-difference defect of pi_t + pi pi_x = 0 on interior
-    nodes)."""
-    x = np.asarray(x_nodes, dtype=float)
-    pi, pt = central_in_t(
-        lambda s: inviscid_burgers_eval(x, s, profile).values, t, dt)
-    res = pt + pi * _ddx(pi, x[1] - x[0])
-    return pi, float(np.max(np.abs(res[1:-1])))
-
-
-def generalized_residual(profile: InitialProfile, coeffs, x_nodes, t: float,
-                         dt: float):
-    """(pi at t, defect of pi_t + pi_x (A x + B pi) - (C x + D pi) on
-    interior nodes)."""
-    x = np.asarray(x_nodes, dtype=float)
-    pi, pt = central_in_t(
-        lambda s: generalized_flow_eval(x, s, profile, coeffs=coeffs).values,
-        t, dt)
-    A, B, C, D = (float(np.atleast_2d(_as_coeff(c, 1)(t))[0, 0])
-                  for c in coeffs)
-    res = pt + _ddx(pi, x[1] - x[0]) * (A * x + B * pi) - (C * x + D * pi)
-    return pi, float(np.max(np.abs(res[1:-1])))
-
-
-# ---------------------------------------------------------------------------
-# coagulation bridge: Burgers flow with linear decay
-
-
-def decaying_burgers_eval(s_nodes, t: float, profile: InitialProfile) -> GraphField:
-    """Solve pi_t + pi pi_s = -pi through the exact integrating factor.
-
-    Substituting pi = e^{-t} sigma and tau = 1 - e^{-t} reduces the decaying
-    flow to plain inviscid Burgers in the rescaled time tau.
-    """
-    tau = 1.0 - np.exp(-t)
-    base = inviscid_burgers_eval(s_nodes, tau, profile)
-    return GraphField(x_nodes=base.x_nodes,
-                      values=np.exp(-t) * base.values,
-                      flagged=base.flagged, t=t)

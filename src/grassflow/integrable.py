@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import AdditiveKernelTrace, solve_fredholm_system
-from .core import (Grid1D, QuadratureRule, SpectralField, central_in_t,
-                   dft_forward, dft_frequencies, march)
+from .canonical import solve_fredholm_system
+from .core import (Grid1D, QuadratureRule, SpectralField, dft_forward,
+                   dft_frequencies, march)
 from .errors import ChartBreakdown, ConfigError, SymbolError
 
 
@@ -60,25 +60,6 @@ def propagate_dispersive(fld: SpectralField, symbol: DispersionSymbol,
     return SpectralField(modes=modes, grid=fld.grid, t=t)
 
 
-# ---------------------------------------------------------------------------
-# trace construction
-#
-# The Fredholm assembly needs p(y + z + x) for y, z in [-L/2, 0] and x in
-# [-L/2, L/2], i.e. arguments in [-3L/2, L/2]: a doubled-width window.  The
-# base field is periodic, so the window is filled by evaluating its Fourier
-# series (periodic extension); beyond the window the trace is zero.
-
-
-def additive_trace(fld: SpectralField, real: bool = False
-                   ) -> AdditiveKernelTrace:
-    """The doubled window of the field's samples, or of their real parts
-    with ``real``."""
-    g = fld.grid
-    wide = Grid1D(g.lower - g.length, g.lower + g.length, 2 * g.n, kind="periodic")
-    samples = fld.samples.real if real else fld.samples
-    return AdditiveKernelTrace(grid=wide, values=np.tile(samples, 2))
-
-
 def half_line_grid(domain: Grid1D) -> Grid1D:
     """Closed truncation [-L/2, 0] sharing the domain's node spacing."""
     return Grid1D(domain.lower, 0.0, domain.n // 2 + 1, kind="closed")
@@ -98,10 +79,13 @@ class ProjectionResult:
 def _project_over_x(fld, kernel, quadrature, real=False):
     """One Fredholm solve, and one LU, per x, in order.
 
-    On a domain symmetric about 0 the argument y_i + z_j + x_m is exactly
-    node i + j + m of the doubled trace window, so x_m's Hankel matrix is
-    the strided view H[m, i, j] = trace[i + j + m], and its z = 0 column is
-    the right-hand side.  ``kernel(H[m], w)`` gives the system's kernel.
+    The assembly reads p(y + z + x) for y, z in [-L/2, 0] and x in
+    [-L/2, L/2], arguments in [-3L/2, L/2]; the base field is periodic, so
+    that doubled window is its samples taken twice.  On a domain
+    symmetric about 0 the argument y_i + z_j + x_m is exactly node
+    i + j + m of that window, so x_m's Hankel matrix is the strided view
+    H[m, i, j] = trace[i + j + m], and its z = 0 column is the right-hand
+    side.  ``kernel(H[m], w)`` gives the system's kernel.
     With ``real`` the trace is the real part of the field, and the systems,
     the values and the dets are float64.  A singular system leaves a NaN
     value and its (x, det) in ``breakdown_locations``.
@@ -112,7 +96,7 @@ def _project_over_x(fld, kernel, quadrature, real=False):
                           "symmetric about 0")
     zgrid = half_line_grid(grid)
     w = QuadratureRule.for_scheme(zgrid, quadrature).weights
-    trace = additive_trace(fld, real).values
+    trace = np.tile(fld.samples.real if real else fld.samples, 2)
     stack = np.lib.stride_tricks.as_strided(
         trace, shape=(grid.n, zgrid.n, zgrid.n),
         strides=(trace.strides[0],) * 3, writeable=False)
@@ -148,19 +132,6 @@ def nls_gram(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
     from scipy.linalg.blas import zgemm
 
     return zgemm(1.0, m, weights[:, None] * m, trans_a=2)
-
-
-def nls_assemble_qhat(trace: AdditiveKernelTrace, zgrid: Grid1D, x: float,
-                      quadrature: str = "riemann-left") -> np.ndarray:
-    """qhat(y, z) = int p*(y + xi + x) p(xi + z + x) dxi by quadrature.
-
-    Returned matrix is Hermitian positive semidefinite by construction
-    (a weighted Gram matrix of shifted trace rows).
-    """
-    rule = QuadratureRule.for_scheme(zgrid, quadrature)
-    nodes, w = rule.nodes, rule.weights
-    m = trace(nodes[:, None] + nodes[None, :] + x)  # m[k, j] = p(eta_k + z_j + x)
-    return nls_gram(m, w)
 
 
 def nls_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
@@ -266,41 +237,3 @@ def split_step_nls(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
 
     return march(advance, np.fft.fft(np.asarray(u0, dtype=complex)), steps,
                  checkpoints, np.fft.ifft)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference PDE residuals (second-order central stencils)
-
-
-def _ddx(u, h):
-    return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
-
-
-def _d3dx3(u, h):
-    return (-np.roll(u, 2) + 2 * np.roll(u, 1)
-            - 2 * np.roll(u, -1) + np.roll(u, -2)) / (2.0 * h ** 3)
-
-
-def _d2dx2(u, h):
-    return (np.roll(u, 1) - 2 * u + np.roll(u, -1)) / h ** 2
-
-
-def kdv_pde_residual(p0, grid: Grid1D, t: float, dt: float,
-                     quadrature: str = "riemann-left"):
-    """(u at t, sup-norm defect of du/dt - 3 (du/dx)^2 = d^3u/dx^3) for the
-    projected field, with three pipeline evaluations for the time
-    derivative."""
-    u, ut = central_in_t(
-        lambda s: kdv_fredholm_solve(p0, grid, s, quadrature).values, t, dt)
-    h = grid.spacing
-    res = ut - 3.0 * _ddx(u, h) ** 2 - _d3dx3(u, h)
-    return u, float(np.max(np.abs(res)))
-
-
-def nls_pde_residual(p0, grid: Grid1D, t: float, dt: float,
-                     quadrature: str = "riemann-left"):
-    """(u at t, sup-norm defect of i du/dt = d^2u/dx^2 + 2 |u|^2 u)."""
-    u, ut = central_in_t(
-        lambda s: nls_fredholm_solve(p0, grid, s, quadrature).values, t, dt)
-    res = 1j * ut - _d2dx2(u, grid.spacing) - 2.0 * np.abs(u) ** 2 * u
-    return u, float(np.max(np.abs(res)))

@@ -4,7 +4,8 @@ Constant-kernel coagulation is solved through its scalar Laplace-space base
 flow; the general Smoluchowski-type equation through mass-space linear base
 PDEs followed by a Volterra projection p = g * q (forward substitution, the
 delta part of q handled analytically as the identity).  A direct
-integro-differential RK4 integrator provides the cross-validation oracle.
+integro-differential RK4 integrator of the constant-kernel equation
+provides the cross-validation oracle.
 """
 
 from dataclasses import dataclass, field
@@ -109,12 +110,6 @@ def riemann_conv(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
     return h * (full - u * v[0])
 
 
-def volterra_assemble(g: np.ndarray, qhat: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """p = g + g * qhat with (g * qhat)(x_i) = h sum_{j<i} g_j qhat_{i-j}."""
-    _check_uniform(grid)
-    return g + riemann_conv(g, qhat, grid.spacing)
-
-
 def _forward_substitute(b, c, s, c0):
     """Solve the lower-triangular Toeplitz system
     c0 g_i + s sum_{j<i} g_j c_{i-j} = b_i by forward substitution."""
@@ -128,10 +123,6 @@ def volterra_project(p: np.ndarray, qhat: np.ndarray, grid: Grid1D) -> np.ndarra
     """Invert p = g + g * qhat by forward substitution (unit lower triangle)."""
     _check_uniform(grid)
     return _forward_substitute(p, qhat, grid.spacing, 1.0)
-
-
-def volterra_residual(p, qhat, g, grid: Grid1D) -> float:
-    return float(np.max(np.abs(volterra_assemble(g, qhat, grid) - p)))
 
 
 def deconvolve(p: np.ndarray, q: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -281,34 +272,16 @@ def general_smol_residual(coeffs: SmolCoefficients, g0: MassDensity, t: float,
 
 
 def direct_smol_oracle(g0: MassDensity, t: float, dt: float,
-                       kernel: str = "constant", alpha: float = 0.0,
-                       gain_only: bool = False, track_moments: bool = False):
-    """RK4 integration of the coagulation equation on the truncated grid.
-
-    kernel "constant" is K = 1; kernel "exp" is the gain-only family
-    K(y, x - y) = exp(-2 alpha y (x - y)) (gain_only forced).
-    """
+                       track_moments: bool = False):
+    """RK4 integration of the constant-kernel (K = 1) coagulation equation
+    on the truncated grid."""
     grid = g0.grid
     _check_uniform(grid)
     h = grid.spacing
     x = grid.nodes
-    n = grid.n
-    if kernel == "exp":
-        gain_only = True
-        # kmat[i, j] = K(x_j, x_i - x_j) pairs g_j with g_{i-j}, j < i
-        lag = np.tril(np.subtract.outer(np.arange(n), np.arange(n)), -1)
-        dist = np.tril(np.subtract.outer(x, x))  # x_i - x_j, 0 for j > i
-        kmat = np.tril(np.exp(-2.0 * alpha * x * dist), -1)
-    elif kernel != "constant":
-        raise ConfigError(f"unknown kernel {kernel!r}")
 
     def rhs(s, g):
-        if kernel == "constant":
-            gain = 0.5 * riemann_conv(g, g, h)
-        else:
-            gain = 0.5 * h * ((kmat * g[lag]) @ g)
-        if gain_only:
-            return gain
+        gain = 0.5 * riemann_conv(g, g, h)
         m0 = np.trapezoid(g, dx=h)
         return gain - g * m0
 
@@ -354,24 +327,3 @@ def pre_laplace_burgers_residual(q0, grid: Grid1D, nu: float, t: float,
         lambda s: pre_laplace_burgers_solve(q0, grid, nu, s), t, dt)
     res = gt - nu * x ** 2 * g - 0.5 * x * riemann_conv(g, g, grid.spacing)
     return g, float(np.max(np.abs(res[1:-2])))
-
-
-# ---------------------------------------------------------------------------
-# exponential-kernel rescaling
-
-
-def exp_kernel_rescale(g: MassDensity, alpha: float,
-                       inverse: bool = False) -> MassDensity:
-    """Map between the exp-kernel and constant-kernel gain-only flows.
-
-    If g solves the gain-only equation with K(y, x-y) = exp(-2 alpha y(x-y)),
-    then u = g exp(alpha x^2) solves the constant-kernel gain-only equation:
-    the kernel exactly absorbs the cross term of (y + (x-y))^2.  ``inverse``
-    maps a constant-kernel solution back.
-    """
-    expo = alpha * g.grid.nodes ** 2
-    if inverse:
-        expo = -expo
-    if np.max(expo) > 700:
-        raise DomainError("rescaling factor overflows")
-    return MassDensity(grid=g.grid, values=g.values * np.exp(expo), t=g.t)

@@ -77,14 +77,6 @@ def composition_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return TWO_PI * f @ g[neg, :]
 
 
-def composition_identity(n: int) -> np.ndarray:
-    """Mode matrix of the Dirac kernel delta(x - y)."""
-    neg = (-np.arange(n)) % n
-    ident = np.zeros((n, n), dtype=complex)
-    ident[np.arange(n), neg] = 1.0 / TWO_PI
-    return ident
-
-
 # ---------------------------------------------------------------------------
 # noise path
 

@@ -1,0 +1,140 @@
+"""Reference code that more than one test file compares the package with.
+
+None of it runs in a pipeline: the generic, callable-driven Fredholm
+solver the KdV/NLS projections are checked against, the graph G = P Q^{-1}
+of a base pair with the Riccati subflow built on it and its RK4 oracle, the
+matrix-exponential base flow, and the central first difference of the
+residual checks.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from grassflow.canonical import solve_fredholm_system
+from grassflow.core import (DenseSystem, Grid1D, QuadratureRule,
+                            solve_dense)
+from grassflow.errors import BlowupAtTime, SingularSystem
+
+
+# ---------------------------------------------------------------------------
+# the generic Fredholm solver on additive (Hankel) kernel traces
+
+
+@dataclass
+class AdditiveKernelTrace:
+    """Samples of a one-argument kernel r(.) inducing an additive operator.
+
+    The action is (R psi)(y; x) = int r(y + z + x) psi(z) dz over the
+    truncated half-line.  Arguments outside the sampled interval evaluate
+    to zero.  Evaluations take the samples' dtype, float at least.
+    """
+
+    grid: Grid1D
+    values: np.ndarray
+
+    def __call__(self, points):
+        pts = np.asarray(points, dtype=float)
+        h = self.grid.spacing
+        idx = (pts - self.grid.lower) / h
+        near = np.rint(idx)
+        on_node = np.abs(idx - near) < 1e-9
+        vals = np.asarray(self.values)
+        out = np.zeros(pts.shape, dtype=np.result_type(vals, float))
+        inside = (near >= 0) & (near <= self.grid.n - 1)
+        # node hits dominate; off-node interior points interpolate linearly
+        take = inside & on_node
+        out[take] = vals[near[take].astype(int)]
+        off = inside & ~on_node
+        if np.any(off):
+            lo = np.clip(np.floor(idx[off]).astype(int), 0, self.grid.n - 2)
+            frac = idx[off] - lo
+            out[off] = (1 - frac) * vals[lo] + frac * vals[lo + 1]
+        return out
+
+
+def solve_additive_fredholm(p_trace, qhat, zgrid: Grid1D, x: float,
+                            quadrature: str = "riemann-left",
+                            full_kernel: bool = False):
+    """Solve  p(z + x) = g(0, z) + int g(0, xi) qhat(xi, z) w(xi) dxi.
+
+    ``p_trace`` is callable at shifted nodes; ``qhat`` is a callable
+    (xi, z) -> value, vectorised over its arguments (for the KdV case it is
+    the additive evaluation qhat(xi + z + x)).  Returns (g_row, det_track)
+    as solve_fredholm_system does.  With ``full_kernel`` the whole matrix
+    g(y, z) is solved instead of just the y = 0 row.
+    """
+    rule = QuadratureRule.for_scheme(zgrid, quadrature)
+    nodes, w = rule.nodes, rule.weights
+    kmat = np.asarray(qhat(nodes[:, None], nodes[None, :]))
+    args = nodes[:, None] + nodes[None, :] if full_kernel else nodes
+    rhs = np.asarray(p_trace(args + x))
+    g, det_track = solve_fredholm_system(kmat, rhs.T, w, x)
+    return g.T, det_track
+
+
+# ---------------------------------------------------------------------------
+# the Grassmannian step at matrix scale
+
+
+def integrate_base_exact(coeffs, q, p, t: float):
+    """(Q, P) at t from (q, p) at 0: the matrix exponential of the constant
+    block [[A, B], [C, D]]."""
+    from scipy.linalg import expm
+
+    A, B = np.asarray(coeffs.A), np.asarray(coeffs.B)
+    C, D = np.asarray(coeffs.C), np.asarray(coeffs.D)
+    block = np.block([[A, B], [C, D]])
+    n = A.shape[0]
+    y0 = np.concatenate([np.atleast_2d(q), np.atleast_2d(p)], axis=0)
+    y = expm(t * block) @ y0
+    return y[:n], y[n:]
+
+
+def graph_solve(q, p, floor: float, error, location=None, t=None):
+    """G = P Q^{-1} from one LU of Q^T.  A pivot below the solve's floor,
+    or |det Q| below ``floor``, raises ``error`` carrying det Q, location
+    and t."""
+    # solve G Q = P as Q^T G^T = P^T
+    try:
+        gt, det = solve_dense(DenseSystem(q.T, p.T), with_det=True)
+    except SingularSystem as exc:
+        raise error(str(exc), det_value=exc.det_value, location=location,
+                    t=t) from exc
+    if abs(det) < floor:
+        raise error(f"|det Q| = {abs(det):.3e} below {floor}",
+                    det_value=det, location=location, t=t)
+    return gt.T
+
+
+def riccati_subflow(pi0: np.ndarray, t: float) -> np.ndarray:
+    """pi(t) = pi0 (I + t pi0)^{-1}, the matrix solution of pi' = -pi^2."""
+    pi0 = np.atleast_2d(np.asarray(pi0, dtype=float))
+    # the graph of the base pair Q = I + t pi0, P = pi0
+    return graph_solve(np.eye(pi0.shape[0]) + t * pi0, pi0, 1e-12,
+                       BlowupAtTime, t=t)
+
+
+def riccati_rk4(pi0: np.ndarray, t: float, steps: int) -> np.ndarray:
+    """Classical RK4 of pi' = -pi^2 from pi0, written out by hand."""
+    pi = pi0.copy()
+    dt = t / steps
+    for _ in range(steps):
+        k1 = -pi @ pi
+        y2 = pi + 0.5 * dt * k1
+        k2 = -y2 @ y2
+        y3 = pi + 0.5 * dt * k2
+        k3 = -y3 @ y3
+        y4 = pi + dt * k3
+        k4 = -y4 @ y4
+        pi = pi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return pi
+
+
+# ---------------------------------------------------------------------------
+# finite-difference residuals
+
+
+def ddx(u, h):
+    """Periodic second-order central first difference."""
+    return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)

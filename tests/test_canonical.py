@@ -1,25 +1,31 @@
-"""Base/Riccati integration, additive traces, the Fredholm solver."""
+"""Base/Riccati integration, the graph of the base pair, and the generic
+Fredholm solver and product rule on additive traces."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from grassflow.canonical import (AdditiveKernelTrace, BaseState,
-                                 CanonicalCoefficients, compose, delta_kernel,
-                                 fredholm_residual, integrate_base,
-                                 integrate_base_exact, linear_flow,
-                                 product_rule_check, riccati_project,
-                                 riccati_residual, solve_additive_fredholm)
+from grassflow.canonical import (CanonicalCoefficients, linear_flow,
+                                 riccati_residual)
 from grassflow.core import Grid1D, QuadratureRule, rk4_step
-from grassflow.errors import (ChartBreakdown, ConfigError, IntegrationBlowup,
-                              TraceRangeError)
-from grassflow.graphflows import riccati_subflow
+from grassflow.errors import ChartBreakdown, ConfigError, IntegrationBlowup
+from reference import (AdditiveKernelTrace, graph_solve,
+                       integrate_base_exact, riccati_subflow,
+                       solve_additive_fredholm)
 
 
 def random_coeffs(rng, n):
     blocks = [rng.standard_normal((n, n)) for _ in range(4)]
     return CanonicalCoefficients(*blocks)
+
+
+def base_flow(coeffs, q, p, t, steps):
+    """(Q, P) at t by linear_flow's RK4 on the constant block."""
+    block = np.block([[coeffs.A, coeffs.B], [coeffs.C, coeffs.D]])
+    y = linear_flow(lambda s: block, np.vstack((q, p)), 0.0, t / steps,
+                    steps)[-1]
+    return y[:len(q)], y[len(q):]
 
 
 # ---------------------------------------------------------------------------
@@ -34,20 +40,20 @@ def test_coefficients_validate_shapes():
 def test_rk4_matches_matrix_exponential_oracle():
     rng = np.random.default_rng(0)
     coeffs = random_coeffs(rng, 3)
-    init = BaseState(Q=np.eye(3), P=0.1 * rng.standard_normal((3, 3)))
-    approx = integrate_base(coeffs, init, 0.5, steps=200)
-    exact = integrate_base_exact(coeffs, init, 0.5)
-    assert np.max(np.abs(approx.Q - exact.Q)) < 1e-8
-    assert np.max(np.abs(approx.P - exact.P)) < 1e-8
+    q, p = np.eye(3), 0.1 * rng.standard_normal((3, 3))
+    approx = base_flow(coeffs, q, p, 0.5, steps=200)
+    exact = integrate_base_exact(coeffs, q, p, 0.5)
+    assert np.max(np.abs(approx[0] - exact[0])) < 1e-8
+    assert np.max(np.abs(approx[1] - exact[1])) < 1e-8
 
 
 def test_scalar_base_flow_closed_form():
     # Qdot = P, Pdot = 0 with Q0 = 1, P0 = 2  =>  Q = 1 + 2t
     coeffs = CanonicalCoefficients(np.zeros((1, 1)), np.eye(1),
                                    np.zeros((1, 1)), np.zeros((1, 1)))
-    out = integrate_base(coeffs, BaseState(np.eye(1), 2 * np.eye(1)), 3.0, 10)
-    assert out.Q[0, 0] == pytest.approx(7.0)
-    assert out.P[0, 0] == pytest.approx(2.0)
+    q, p = base_flow(coeffs, np.eye(1), 2 * np.eye(1), 3.0, 10)
+    assert q[0, 0] == pytest.approx(7.0)
+    assert p[0, 0] == pytest.approx(2.0)
 
 
 def test_linear_flow_returns_the_whole_trajectory():
@@ -84,27 +90,27 @@ def test_linear_flow_equals_its_loop_bitwise():
 
 
 def test_riccati_projection_and_breakdown():
-    state = BaseState(Q=np.array([[2.0, 0.0], [0.0, 4.0]]),
-                      P=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    g = riccati_project(state)
+    # the chart breaks down below |det Q| = 1e-10
+    g = graph_solve(np.array([[2.0, 0.0], [0.0, 4.0]]),
+                    np.array([[1.0, 0.0], [0.0, 1.0]]), 1e-10, ChartBreakdown)
     assert np.allclose(g, np.diag([0.5, 0.25]))
     with pytest.raises(ChartBreakdown):
-        riccati_project(BaseState(Q=np.zeros((2, 2)), P=np.eye(2)))
+        graph_solve(np.zeros((2, 2)), np.eye(2), 1e-10, ChartBreakdown)
 
 
 def test_riccati_project_turns_pivot_floor_into_chart_breakdown():
     # |det Q| = 1e10 passes the chart threshold, the 1e-10 pivot does not
-    state = BaseState(Q=np.diag([1e20, 1e-10]), P=np.eye(2), t=0.25)
     with pytest.raises(ChartBreakdown) as exc:
-        riccati_project(state)
+        graph_solve(np.diag([1e20, 1e-10]), np.eye(2), 1e-10, ChartBreakdown,
+                    location=0.25)
     assert exc.value.location == 0.25
     assert exc.value.det_value == pytest.approx(1e10)
     assert "pivot" in str(exc.value)
 
 
 @pytest.mark.parametrize("project", [
-    lambda: riccati_project(BaseState(Q=np.array([[2.0, 1.0], [0.5, 3.0]]),
-                                      P=np.eye(2))),
+    lambda: graph_solve(np.array([[2.0, 1.0], [0.5, 3.0]]), np.eye(2), 1e-10,
+                        ChartBreakdown),
     lambda: riccati_subflow(np.array([[0.2, 0.1], [0.3, -0.4]]), 0.5),
 ], ids=["riccati_project", "riccati_subflow"])
 def test_riccati_projection_factorises_once(monkeypatch, project):
@@ -125,10 +131,10 @@ def test_riccati_projection_factorises_once(monkeypatch, project):
 def test_riccati_residual_small_on_true_flow():
     rng = np.random.default_rng(1)
     coeffs = random_coeffs(rng, 2)
-    init = BaseState(Q=np.eye(2), P=0.2 * rng.standard_normal((2, 2)))
+    q, p = np.eye(2), 0.2 * rng.standard_normal((2, 2))
     dt = 1e-3
-    gs = [riccati_project(integrate_base_exact(coeffs, init, k * dt))
-          for k in range(5)]
+    gs = [graph_solve(*integrate_base_exact(coeffs, q, p, k * dt), 1e-10,
+                      ChartBreakdown) for k in range(5)]
     assert riccati_residual(coeffs, gs, dt) < 1e-4
 
 
@@ -148,16 +154,23 @@ def test_trace_node_lookup_and_zero_extension():
     assert trace(np.array([-2.0, -1.5, 0.0])) == pytest.approx([0, 1, 4])
     # off-node points interpolate linearly
     assert trace(np.array([-1.75])) == pytest.approx([0.5])
-    # outside the window: zero by default, error when disabled
+    # outside the window: zero
     assert trace(np.array([1.0])) == pytest.approx([0.0])
-    strict = AdditiveKernelTrace(grid=g, values=np.arange(5.0),
-                                 zero_extension=False)
-    with pytest.raises(TraceRangeError):
-        strict(np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
 # Fredholm solver
+
+
+def fredholm_residual(p_trace, qhat, zgrid: Grid1D, x: float, g_row,
+                      quadrature: str = "riemann-left") -> float:
+    """Discrete residual of the solved Fredholm equation (should be ~1e-10)."""
+    rule = QuadratureRule.for_scheme(zgrid, quadrature)
+    nodes, w = rule.nodes, rule.weights
+    kmat = np.asarray(qhat(nodes[:, None], nodes[None, :]), dtype=complex)
+    lhs = np.asarray(p_trace(nodes + x), dtype=complex)
+    rhs = g_row + (w[None, :] * kmat.T) @ g_row
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def test_two_node_fredholm_matches_hand_solve():
@@ -165,8 +178,7 @@ def test_two_node_fredholm_matches_hand_solve():
     kvals = np.array([[0.3, 0.1], [0.2, 0.4]])  # k[i, j] = qhat(xi_i, z_j)
 
     def qhat(xi, z):
-        xi_idx = np.rint(xi - zgrid.lower).astype(int) * 0 + \
-            np.rint((np.asarray(xi) - zgrid.lower)).astype(int)
+        xi_idx = np.rint((np.asarray(xi) - zgrid.lower)).astype(int)
         z_idx = np.rint((np.asarray(z) - zgrid.lower)).astype(int)
         return kvals[xi_idx, z_idx]
 
@@ -230,7 +242,51 @@ def test_fredholm_breakdown_on_singular_operator():
 
 
 # ---------------------------------------------------------------------------
-# operator compositions
+# operator compositions and the product rule
+
+
+def compose(f: np.ndarray, g: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Operator composition by quadrature: (F G)(y,z) = sum f(y,xi) g(xi,z) w."""
+    return f @ (weights[:, None] * g)
+
+
+def delta_kernel(weights: np.ndarray) -> np.ndarray:
+    """Kernel whose quadrature composition acts as the identity."""
+    if np.any(weights == 0):
+        raise ConfigError("delta discretisation needs strictly positive weights")
+    return np.diag(1.0 / weights)
+
+
+def product_rule_check(f_kernel, r_trace: AdditiveKernelTrace,
+                       rp_trace: AdditiveKernelTrace, fp_kernel,
+                       zgrid: Grid1D, x: float, dx: float,
+                       quadrature: str = "trapezoid") -> float:
+    """|<F d/dx (R R') F'> - <F R><R' F'>| at parameter x.
+
+    d/dx is a central difference with step dx; all compositions use the
+    grid quadrature.  Vanishes at second order in (grid spacing, dx).
+    """
+    rule = QuadratureRule.for_scheme(zgrid, quadrature)
+    nodes, w = rule.nodes, rule.weights
+    for trace in (r_trace, rp_trace):
+        assert trace.grid.lower <= x - dx and x + dx <= trace.grid.upper, \
+            "x stencil leaves the sampled trace range"
+
+    def rr(at):
+        rm = r_trace(nodes[:, None] + nodes[None, :] + at)
+        rpm = rp_trace(nodes[:, None] + nodes[None, :] + at)
+        return compose(rm, rpm, w)
+
+    d_rr = (rr(x + dx) - rr(x - dx)) / (2.0 * dx)
+    lhs_kernel = compose(compose(f_kernel, d_rr, w), fp_kernel, w)
+    # observation functional reads the kernel at (0, 0): the grid's last node
+    i0 = zgrid.n - 1
+    lhs = lhs_kernel[i0, i0]
+
+    fr = compose(f_kernel, r_trace(nodes[:, None] + nodes[None, :] + x), w)
+    rpfp = compose(rp_trace(nodes[:, None] + nodes[None, :] + x), fp_kernel, w)
+    rhs = fr[i0, i0] * rpfp[i0, i0]
+    return float(abs(lhs - rhs))
 
 
 def test_delta_kernel_is_composition_identity():

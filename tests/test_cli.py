@@ -324,6 +324,22 @@ def test_kdv_run_produces_four_tables(tmp_path):
     assert first == other
 
 
+@pytest.mark.parametrize("argv", [
+    ("kdv", "--t-final", "1", "--dt", "0.3"),
+    ("nls", "--t-final", "0.004", "--dt", "0.01"),
+], ids=["kdv", "nls"])
+def test_fredholm_run_ends_at_t_final(tmp_path, argv):
+    # a dt that does not divide t_final is rounded to t_final / steps, so
+    # the last checkpoint, and the oracle's, is t_final itself
+    equation, t_final = argv[0], float(argv[2])
+    rc = main([*argv, "--grid-n", "32", "--checkpoints", "2",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    for name in ("poppe", "direct"):
+        _, _, rows = read_table(tmp_path / f"{equation}_{name}.csv")
+        assert float(rows[-1][1]) == t_final
+
+
 def test_kdv_paper_preset_closes_on_its_oracle(tmp_path):
     # the ETDRK4 oracle integrates the equation the projection solves: the
     # gap is about 2.1e-3, where a 3 u u_x oracle left 0.029

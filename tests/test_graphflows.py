@@ -5,38 +5,46 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassflow import graphflows
-from grassflow.errors import BlowupAtTime, ConfigError, ShockProximity
+from grassflow.core import central_in_t
+from grassflow.errors import BlowupAtTime, ConfigError
 from grassflow.graphflows import (FD_STEP, JACOBIAN_FLOOR, NEWTON_MAX_ITER,
-                                  NEWTON_TOL, InitialProfile, _bisect_scalar,
-                                  chart_swap_eval,
-                                  decaying_burgers_eval, fundamental_matrix,
-                                  generalized_flow_eval, generalized_residual,
-                                  invert_characteristic,
-                                  inviscid_burgers_eval, inviscid_residual,
-                                  riccati_subflow, shock_time, upwind_oracle)
+                                  NEWTON_TOL, GraphField, InitialProfile,
+                                  _as_coeff, _bisect_scalar,
+                                  _modified_profile, _solve_characteristic,
+                                  fundamental_matrix, generalized_flow_eval,
+                                  inviscid_burgers_eval, upwind_oracle)
+from reference import ddx, riccati_rk4, riccati_subflow
 
 
 # ---------------------------------------------------------------------------
 # characteristic inversion
 
 
+def label(x, t, profile, modifier=None):
+    """The label a of a + t pi-tilde(a) = x, and the solve's flagged list."""
+    a, _, flagged = _solve_characteristic(np.full(1, x, dtype=float), 1.0, t,
+                                          _modified_profile(profile, modifier))
+    return float(a[0]), flagged
+
+
 def test_linear_profile_inverts_in_closed_form():
     # pi0(a) = c a  =>  a = x / (1 + c t)
     prof = InitialProfile(evaluator=lambda a: 0.5 * a)
-    a = invert_characteristic(2.0, 1.0, prof)
-    assert a == pytest.approx(2.0 / 1.5, abs=1e-12)
+    a, flagged = label(2.0, 1.0, prof)
+    assert a == pytest.approx(2.0 / 1.5, abs=1e-12) and flagged == []
 
 
 def test_constant_profile_inverts_exactly():
     prof = InitialProfile(evaluator=lambda a: np.full_like(np.atleast_1d(a), 3.0))
-    a = invert_characteristic(1.0, 2.0, prof)
-    assert a == pytest.approx(1.0 - 6.0, abs=1e-12)
+    a, flagged = label(1.0, 2.0, prof)
+    assert a == pytest.approx(1.0 - 6.0, abs=1e-12) and flagged == []
 
 
 def test_newton_and_bisection_agree():
     prof = InitialProfile(evaluator=lambda a: np.tanh(np.atleast_1d(a)))
     x, t = 0.7, 0.5
-    a_newton = invert_characteristic(x, t, prof)
+    a_newton, flagged = label(x, t, prof)
+    assert flagged == []
 
     # force the bisection path by resolving the same scalar root directly
     def residual(a):
@@ -46,13 +54,19 @@ def test_newton_and_bisection_agree():
     assert abs(a_newton - a_bisect) < 1e-10
 
 
-def test_shock_raises_at_steepening_profile():
+def test_shock_flags_steepening_profile():
     prof = InitialProfile(evaluator=lambda a: -np.tanh(np.atleast_1d(a)))
     # shock time is 1 for pi0 = -tanh; at t = 1 the origin is singular
-    with pytest.raises(ShockProximity) as exc:
-        invert_characteristic(0.0, 1.0, prof)
-    assert type(exc.value.location) is float and exc.value.t == 1.0
-    assert exc.value.det_value <= JACOBIAN_FLOOR
+    _, flagged = label(0.0, 1.0, prof)
+    assert [f[:2] for f in flagged] == [(0, 0.0)]
+    assert flagged[0][2] <= JACOBIAN_FLOOR
+
+
+def shock_time(profile, sample_points):
+    """1 / max(-pi0') over the sampled labels; inf for non-compressive data."""
+    worst = np.max(-profile.grad(np.asarray(sample_points, dtype=float)),
+                   initial=0.0)
+    return np.inf if worst <= 0 else 1.0 / float(worst)
 
 
 def test_shock_time_formula():
@@ -110,6 +124,16 @@ def test_shock_flagging_window():
     assert all(np.isnan(at.values[i]) for i in flagged_idx)
 
 
+def inviscid_residual(profile, x_nodes, t, dt):
+    """(pi at t, central-difference defect of pi_t + pi pi_x = 0 on interior
+    nodes)."""
+    x = np.asarray(x_nodes, dtype=float)
+    pi, pt = central_in_t(
+        lambda s: inviscid_burgers_eval(x, s, profile).values, t, dt)
+    res = pt + pi * ddx(pi, x[1] - x[0])
+    return pi, float(np.max(np.abs(res[1:-1])))
+
+
 def test_inviscid_residual_second_order_in_stencil():
     prof = InitialProfile(evaluator=lambda a: 0.2 * np.sin(np.atleast_1d(a)))
     x = np.linspace(-np.pi, np.pi, 129)
@@ -124,7 +148,8 @@ def test_cubic_modifier_matches_scalar_formula():
     prof = InitialProfile(evaluator=lambda a: 0.4 * np.atleast_1d(a))
     modifier = lambda s: 1.0 + s  # f(|p|^2) = 1 + |p|^2
     x0, t = 0.9, 0.7
-    field_a = invert_characteristic(x0, t, prof, modifier=modifier)
+    field_a, flagged = label(x0, t, prof, modifier=modifier)
+    assert flagged == []
     p = 0.4 * field_a
     assert field_a + t * (1.0 + p ** 2) * p == pytest.approx(x0, abs=1e-10)
 
@@ -273,6 +298,19 @@ def test_generalized_flow_with_decay_matches_closed_form():
     assert np.max(np.abs(field.values - expected)) < 1e-8
 
 
+def generalized_residual(profile, coeffs, x_nodes, t, dt):
+    """(pi at t, defect of pi_t + pi_x (A x + B pi) - (C x + D pi) on
+    interior nodes)."""
+    x = np.asarray(x_nodes, dtype=float)
+    pi, pt = central_in_t(
+        lambda s: generalized_flow_eval(x, s, profile, coeffs=coeffs).values,
+        t, dt)
+    A, B, C, D = (float(np.atleast_2d(_as_coeff(c, 1)(t))[0, 0])
+                  for c in coeffs)
+    res = pt + ddx(pi, x[1] - x[0]) * (A * x + B * pi) - (C * x + D * pi)
+    return pi, float(np.max(np.abs(res[1:-1])))
+
+
 def test_generalized_residual_decreases_with_stencil():
     prof = InitialProfile(evaluator=lambda a: 0.2 * np.sin(np.atleast_1d(a)))
     coeffs = (None, np.array([[1.0]]), None, np.array([[-0.5]]))
@@ -295,19 +333,7 @@ def test_riccati_subflow_matches_ode_oracle():
     rng = np.random.default_rng(11)
     pi0 = 0.4 * rng.standard_normal((3, 3))
     t = 0.7
-    # RK4 oracle for pi' = -pi^2
-    pi = pi0.copy()
-    steps = 2000
-    dt = t / steps
-    for _ in range(steps):
-        k1 = -pi @ pi
-        y2 = pi + 0.5 * dt * k1
-        k2 = -y2 @ y2
-        y3 = pi + 0.5 * dt * k2
-        k3 = -y3 @ y3
-        y4 = pi + dt * k3
-        k4 = -y4 @ y4
-        pi = pi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    pi = riccati_rk4(pi0, t, 2000)
     assert np.max(np.abs(riccati_subflow(pi0, t) - pi)) < 1e-6
 
 
@@ -327,7 +353,7 @@ def test_chart_swap_composition_identity():
     # pi'_0 = id, so pi'_t(y) = y + t y = (1 + t) y is its inverse graph
     t = 0.8
     y = np.linspace(-2, 2, 17)
-    swapped = chart_swap_eval(y, t, lambda y: y)
+    swapped = y + t * y
     prof = InitialProfile(evaluator=lambda a: np.atleast_1d(a))
     direct = inviscid_burgers_eval(swapped, t, prof).values
     assert np.max(np.abs(direct - y)) < 1e-8
@@ -335,6 +361,19 @@ def test_chart_swap_composition_identity():
 
 # ---------------------------------------------------------------------------
 # decaying bridge
+
+
+def decaying_burgers_eval(s_nodes, t, profile):
+    """Solve pi_t + pi pi_s = -pi through the exact integrating factor.
+
+    Substituting pi = e^{-t} sigma and tau = 1 - e^{-t} reduces the decaying
+    flow to plain inviscid Burgers in the rescaled time tau.
+    """
+    tau = 1.0 - np.exp(-t)
+    base = inviscid_burgers_eval(s_nodes, tau, profile)
+    return GraphField(x_nodes=base.x_nodes,
+                      values=np.exp(-t) * base.values,
+                      flagged=base.flagged, t=t)
 
 
 def test_decaying_burgers_matches_integrating_factor():

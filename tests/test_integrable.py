@@ -4,20 +4,41 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassflow.canonical import solve_additive_fredholm
-from grassflow.core import Grid1D, QuadratureRule, dft_forward
+from grassflow.core import Grid1D, QuadratureRule, central_in_t, dft_forward
 from grassflow.errors import ConfigError, SymbolError
-from grassflow.integrable import (DispersionSymbol, additive_trace,
-                                  cubic_kdv_symbol, etdrk4_kdv,
-                                  half_line_grid, kdv_fredholm_solve,
-                                  kdv_pde_residual, nls_assemble_qhat,
-                                  nls_fredholm_solve, nls_pde_residual,
-                                  propagate_dispersive, schrodinger_symbol,
-                                  split_step_kdv, split_step_nls)
+from grassflow.integrable import (DispersionSymbol, cubic_kdv_symbol,
+                                  etdrk4_kdv, half_line_grid,
+                                  kdv_fredholm_solve, nls_fredholm_solve,
+                                  nls_gram, propagate_dispersive,
+                                  schrodinger_symbol, split_step_kdv,
+                                  split_step_nls)
+from reference import AdditiveKernelTrace, ddx, solve_additive_fredholm
 
 
 def periodic_grid(lo, hi, n):
     return Grid1D(lo, hi, n, kind="periodic")
+
+
+def additive_trace(fld, real=False):
+    """The field's samples, or with ``real`` their real parts, on the
+    doubled window [-3L/2, L/2), zero beyond it."""
+    g = fld.grid
+    wide = Grid1D(g.lower - g.length, g.lower + g.length, 2 * g.n,
+                  kind="periodic")
+    samples = fld.samples.real if real else fld.samples
+    return AdditiveKernelTrace(grid=wide, values=np.tile(samples, 2))
+
+
+def nls_assemble_qhat(trace, zgrid, x, quadrature="riemann-left"):
+    """qhat(y, z) = int p*(y + xi + x) p(xi + z + x) dxi by quadrature.
+
+    Returned matrix is Hermitian positive semidefinite by construction
+    (a weighted Gram matrix of shifted trace rows).
+    """
+    rule = QuadratureRule.for_scheme(zgrid, quadrature)
+    nodes, w = rule.nodes, rule.weights
+    m = trace(nodes[:, None] + nodes[None, :] + x)  # m[k, j] = p(eta_k + z_j + x)
+    return nls_gram(m, w)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +220,34 @@ def test_projection_needs_symmetric_domain():
     g = periodic_grid(-4.0, 6.0, 32)
     with pytest.raises(ConfigError):
         kdv_fredholm_solve(np.zeros(32), g, 0.0)
+
+
+def _d3dx3(u, h):
+    return (-np.roll(u, 2) + 2 * np.roll(u, 1)
+            - 2 * np.roll(u, -1) + np.roll(u, -2)) / (2.0 * h ** 3)
+
+
+def _d2dx2(u, h):
+    return (np.roll(u, 1) - 2 * u + np.roll(u, -1)) / h ** 2
+
+
+def kdv_pde_residual(p0, grid, t, dt, quadrature="riemann-left"):
+    """(u at t, sup-norm defect of du/dt - 3 (du/dx)^2 = d^3u/dx^3) for the
+    projected field, with three pipeline evaluations for the time
+    derivative."""
+    u, ut = central_in_t(
+        lambda s: kdv_fredholm_solve(p0, grid, s, quadrature).values, t, dt)
+    h = grid.spacing
+    res = ut - 3.0 * ddx(u, h) ** 2 - _d3dx3(u, h)
+    return u, float(np.max(np.abs(res)))
+
+
+def nls_pde_residual(p0, grid, t, dt, quadrature="riemann-left"):
+    """(u at t, sup-norm defect of i du/dt = d^2u/dx^2 + 2 |u|^2 u)."""
+    u, ut = central_in_t(
+        lambda s: nls_fredholm_solve(p0, grid, s, quadrature).values, t, dt)
+    res = 1j * ut - _d2dx2(u, grid.spacing) - 2.0 * np.abs(u) ** 2 * u
+    return u, float(np.max(np.abs(res)))
 
 
 def test_kdv_pde_residual_shrinks_with_stencil():

@@ -1,0 +1,51 @@
+"""The package keeps only what its pipelines run.
+
+Every public top-level function and class of ``src/grassflow`` and
+``scripts`` must be named somewhere in those two trees outside its own
+definition: by a call, an attribute, an import or a table entry.  A
+mention in a docstring or a comment does not count.  Reference code that
+only the tests need lives in ``tests/``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "grassflow").glob("*.py")) \
+    + sorted((ROOT / "scripts").glob("*.py"))
+
+# public names kept without a caller, each for its reason
+WITHOUT_CALLER = {
+    "generalized_flow_eval": "the paper's generalised graph flow; it shares "
+                             "the characteristic solve with burgers",
+    "split_step_kdv": "the independent KdV reference oracle; it shares "
+                      "_kdv_spectrum with etdrk4_kdv",
+}
+
+
+def _names(node):
+    """Every name that ``node`` refers to: loads, attributes and imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield (sub.asname or sub.name).rpartition(".")[2]
+
+
+def test_every_public_name_has_a_caller():
+    defined, referenced = {}, set()
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node, "name", None)  # a def's or a class's
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not name.startswith("_"):
+                defined[name] = path.relative_to(ROOT)
+            # a definition's own body does not count as its caller
+            referenced |= set(_names(node)) - {name}
+    orphans = sorted(f"{path}: {name}" for name, path in defined.items()
+                     if name not in referenced)
+    # exactly the listed names, each still defined and still uncalled
+    assert orphans == sorted(f"{defined[name]}: {name}"
+                             for name in WITHOUT_CALLER)

@@ -5,20 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassflow.core import Grid1D, rk4_step
-from grassflow.errors import (BlowupAtTime, ConfigError, DomainError,
-                              IntegrationBlowup)
+from grassflow.core import Grid1D, march, rk4_step
+from grassflow.errors import BlowupAtTime, ConfigError, DomainError
 from grassflow.smoluchowski import (MassDensity, SmolCoefficients,
-                                    _poly_ddx, constant_kernel_scalars,
+                                    _check_uniform, _poly_ddx,
+                                    constant_kernel_scalars,
                                     constant_kernel_solve, deconvolve,
-                                    direct_smol_oracle, exp_kernel_rescale,
-                                    exponential_density, general_smol_residual,
-                                    general_smol_solve, integrate_m0_riccati,
-                                    m0_constant_kernel,
+                                    direct_smol_oracle, exponential_density,
+                                    general_smol_residual, general_smol_solve,
+                                    integrate_m0_riccati, m0_constant_kernel,
                                     pre_laplace_burgers_residual,
                                     pre_laplace_burgers_solve, riemann_conv,
-                                    volterra_assemble, volterra_project,
-                                    volterra_residual)
+                                    volterra_project)
 
 
 def mass_grid(upper, n):
@@ -98,6 +96,12 @@ def test_moments_track_conservation_laws():
 # Volterra machinery
 
 
+def volterra_assemble(g, qhat, grid):
+    """p = g + g * qhat with (g * qhat)(x_i) = h sum_{j<i} g_j qhat_{i-j}."""
+    _check_uniform(grid)
+    return g + riemann_conv(g, qhat, grid.spacing)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31))
 def test_volterra_round_trip_is_exact(seed):
@@ -108,7 +112,7 @@ def test_volterra_round_trip_is_exact(seed):
     p = volterra_assemble(gv, qv, g)
     back = volterra_project(p, qv, g)
     assert np.max(np.abs(back - gv)) < 1e-12 * max(1, np.max(np.abs(gv)))
-    assert volterra_residual(p, qv, back, g) < 1e-12
+    assert np.max(np.abs(volterra_assemble(back, qv, g) - p)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [33, 64])
@@ -126,8 +130,8 @@ def test_riemann_conv_matches_direct_left_sum(n, same):
 
 def test_volterra_requires_mass_grid():
     with pytest.raises(ConfigError):
-        volterra_assemble(np.ones(4), np.ones(4),
-                          Grid1D(1.0, 2.0, 4, kind="closed"))
+        volterra_project(np.ones(4), np.ones(4),
+                         Grid1D(1.0, 2.0, 4, kind="closed"))
 
 
 def test_deconvolve_recovers_known_factor():
@@ -293,27 +297,48 @@ def test_m0_riccati_blowup_reports_its_time():
 # exponential-kernel bridge
 
 
-def test_exp_kernel_bridge_matches_direct_oracle():
-    # rescale the exp-kernel gain-only oracle into the constant-kernel
-    # gain-only oracle: u = g exp(alpha x^2)
-    alpha = 0.05
-    g = mass_grid(6.0, 256)
-    g0 = MassDensity(grid=g, values=np.exp(-2.0 * g.nodes))
-    t, dt = 0.4, 1e-3
-    exp_out = direct_smol_oracle(g0, t, dt, kernel="exp", alpha=alpha)
-    u0 = exp_kernel_rescale(g0, alpha)
-    const_out = direct_smol_oracle(u0, t, dt, kernel="constant",
-                                   gain_only=True)
-    bridged = exp_kernel_rescale(exp_out, alpha)
-    assert np.max(np.abs(bridged.values - const_out.values)) < 5e-3
+def gain_only_oracle(g0, t, dt, alpha=None):
+    """RK4 of the gain-only equation dg/dt = (1/2) int_0^x K(y, x - y)
+    g(y) g(x - y) dy on the truncated grid: the constant kernel K = 1, or
+    with ``alpha`` the kernel K(y, x - y) = exp(-2 alpha y (x - y))."""
+    grid = g0.grid
+    h, x, n = grid.spacing, grid.nodes, grid.n
+    if alpha is None:
+        gain = lambda s, g: 0.5 * riemann_conv(g, g, h)
+    else:
+        # kmat[i, j] = K(x_j, x_i - x_j) pairs g_j with g_{i-j}, j < i
+        lag = np.tril(np.subtract.outer(np.arange(n), np.arange(n)), -1)
+        dist = np.tril(np.subtract.outer(x, x))  # x_i - x_j, 0 for j > i
+        kmat = np.tril(np.exp(-2.0 * alpha * x * dist), -1)
+        gain = lambda s, g: 0.5 * h * ((kmat * g[lag]) @ g)
+    steps = max(1, int(round(t / dt)))
+    dt = t / steps
+    g = march(lambda m, g: rk4_step(gain, g, m * dt, dt),
+              g0.values.astype(float), steps)
+    return MassDensity(grid=grid, values=g, t=t)
+
+
+def exp_kernel_rescale(g, alpha, inverse=False):
+    """Map between the exp-kernel and constant-kernel gain-only flows.
+
+    If g solves the gain-only equation with K(y, x-y) = exp(-2 alpha y(x-y)),
+    then u = g exp(alpha x^2) solves the constant-kernel gain-only equation:
+    the kernel exactly absorbs the cross term of (y + (x-y))^2.  ``inverse``
+    maps a constant-kernel solution back.
+    """
+    expo = alpha * g.grid.nodes ** 2
+    if inverse:
+        expo = -expo
+    if np.max(expo) > 700:
+        raise DomainError("rescaling factor overflows")
+    return MassDensity(grid=g.grid, values=g.values * np.exp(expo), t=g.t)
 
 
 def test_exp_kernel_at_zero_alpha_is_the_constant_gain_only_oracle():
     g = mass_grid(6.0, 256)
     g0 = MassDensity(grid=g, values=np.exp(-2.0 * g.nodes))
-    exp_out = direct_smol_oracle(g0, 0.4, 1e-3, kernel="exp", alpha=0.0)
-    const_out = direct_smol_oracle(g0, 0.4, 1e-3, kernel="constant",
-                                   gain_only=True)
+    exp_out = gain_only_oracle(g0, 0.4, 1e-3, alpha=0.0)
+    const_out = gain_only_oracle(g0, 0.4, 1e-3)
     assert np.max(np.abs(exp_out.values - const_out.values)) < 1e-13
 
 
@@ -323,9 +348,8 @@ def test_exp_kernel_bridge_holds_to_round_off():
     alpha = 0.05
     g = mass_grid(6.0, 256)
     g0 = MassDensity(grid=g, values=np.exp(-2.0 * g.nodes))
-    exp_out = direct_smol_oracle(g0, 0.4, 1e-3, kernel="exp", alpha=alpha)
-    const_out = direct_smol_oracle(exp_kernel_rescale(g0, alpha), 0.4, 1e-3,
-                                   kernel="constant", gain_only=True)
+    exp_out = gain_only_oracle(g0, 0.4, 1e-3, alpha=alpha)
+    const_out = gain_only_oracle(exp_kernel_rescale(g0, alpha), 0.4, 1e-3)
     bridged = exp_kernel_rescale(exp_out, alpha)
     assert np.max(np.abs(bridged.values - const_out.values)) < 1e-12
 
@@ -369,13 +393,6 @@ def test_oracle_equals_its_loop_bitwise():
     for a, b in zip((out.values, times, m0s, m1s), ref):
         assert np.array_equal(a, b)
     assert np.array_equal(direct_smol_oracle(g0, 0.5, 1e-2).values, ref[0])
-
-
-def test_oracle_rejects_unknown_kernel():
-    g = mass_grid(5.0, 32)
-    g0 = exponential_density(g, 1.0, 1.0)
-    with pytest.raises(ConfigError):
-        direct_smol_oracle(g0, 0.1, 1e-2, kernel="multiplicative")
 
 
 # ---------------------------------------------------------------------------
