@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .core import Grid1D
+from .core import Grid1D, uniform_steps
 from .errors import Breakdown, ChartBreakdown, GrassflowError, ShockProximity
 from .graphflows import InitialProfile, inviscid_burgers_eval, upwind_oracle
 from .integrable import (etdrk4_kdv, kdv_fredholm_solve, nls_fredholm_solve,
@@ -179,6 +179,7 @@ def _field_table(coords, t, values, det=np.nan, residual=np.nan):
 
 FIELD_HEADER = ("x", "t", "value_real", "value_imag", "det_track", "residual")
 PLANE_HEADER = ("x", "y") + FIELD_HEADER[1:]
+DIFF_HEADER = ("x", "t", "difference")
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +221,22 @@ PROFILES = {
 
 # ---------------------------------------------------------------------------
 # per-equation runners
+#
+# A runner takes the configuration and write(name, header, rows), which
+# writes the table <equation>_<name>.csv, and returns the entries its run
+# adds to the metadata sidecar.
 
 
 def _checkpoint_steps(config: RunConfig):
     """The step count, the step t_final / total, which ends the last step at
     t_final, and the checkpoint steps."""
-    total = max(1, int(round(config.t_final / config.dt)))
+    total, dt = uniform_steps(config.t_final, config.dt)
     idx = sorted({int(round(j * total / (config.checkpoints - 1)))
                   for j in range(config.checkpoints)})
-    return total, config.t_final / total, idx
+    return total, dt, idx
 
 
-def _run_fredholm(config: RunConfig, chash: str, solve, stepper,
-                  readout) -> dict:
+def _run_fredholm(config: RunConfig, write, solve, stepper, readout) -> dict:
     """KdV and NLS: project at every checkpoint, then cross-validate the
     ``readout`` of the projected field against the direct ``stepper``.
     The first singular x-system raises ChartBreakdown before any table is
@@ -257,14 +261,11 @@ def _run_fredholm(config: RunConfig, chash: str, solve, stepper,
         det_abs = np.abs(res.det_track)
         poppe_rows.append(_field_table((nodes,), t, res.values, det_abs))
         det_rows.append(_columns(nodes, t, det_abs))
-    out, eq = config.out, config.equation
-    write_table(os.path.join(out, f"{eq}_poppe.csv"), FIELD_HEADER,
-                np.vstack(poppe_rows), chash)
-    write_table(os.path.join(out, f"{eq}_det.csv"),
-                ("x", "t", "det_abs"), np.vstack(det_rows), chash)
+    write("poppe", FIELD_HEADER, np.vstack(poppe_rows))
+    write("det", ("x", "t", "det_abs"), np.vstack(det_rows))
     extra = {"min_abs_det": min(float(np.min(np.abs(r.det_track)))
                                 for r in results.values()),
-             "sup_difference": np.nan}
+             "sup_difference": np.nan, "step": dt}
     if config.compare_oracle:
         u0 = readout(results[0].values)
         direct = stepper(u0, grid, dt, total, checkpoints=idx)
@@ -275,25 +276,23 @@ def _run_fredholm(config: RunConfig, chash: str, solve, stepper,
             gap = np.abs(readout(results[m].values) - direct[m])
             diff_rows.append(_columns(nodes, t, gap))
             sup = max(sup, float(np.max(gap)))
-        write_table(os.path.join(out, f"{eq}_direct.csv"), FIELD_HEADER,
-                    np.vstack(direct_rows), chash)
-        write_table(os.path.join(out, f"{eq}_difference.csv"),
-                    ("x", "t", "difference"), np.vstack(diff_rows), chash)
+        write("direct", FIELD_HEADER, np.vstack(direct_rows))
+        write("difference", DIFF_HEADER, np.vstack(diff_rows))
         extra["sup_difference"] = sup
     return extra
 
 
-def run_kdv(config: RunConfig, chash: str) -> dict:
-    return _run_fredholm(config, chash, kdv_fredholm_solve, etdrk4_kdv,
+def run_kdv(config: RunConfig, write) -> dict:
+    return _run_fredholm(config, write, kdv_fredholm_solve, etdrk4_kdv,
                          np.real)
 
 
-def run_nls(config: RunConfig, chash: str) -> dict:
-    return _run_fredholm(config, chash, nls_fredholm_solve, split_step_nls,
+def run_nls(config: RunConfig, write) -> dict:
+    return _run_fredholm(config, write, nls_fredholm_solve, split_step_nls,
                          np.asarray)
 
 
-def run_smol_const(config: RunConfig, chash: str) -> dict:
+def run_smol_const(config: RunConfig, write) -> dict:
     grid = Grid1D(0.0, config.domain_l, config.grid_n, kind="closed")
     nodes, t = grid.nodes, config.t_final
     if config.profile == "exp":
@@ -302,23 +301,20 @@ def run_smol_const(config: RunConfig, chash: str) -> dict:
         g0 = MassDensity(grid=grid,
                          values=profile_samples(config.profile, nodes))
     gt = constant_kernel_solve(g0, t)
-    write_table(os.path.join(config.out, "smol-const_poppe.csv"),
-                FIELD_HEADER, _field_table((nodes,), t, gt.values), chash)
+    write("poppe", FIELD_HEADER, _field_table((nodes,), t, gt.values))
     extra = {"m0": gt.m0, "m1": gt.m1,
              "m0_closed_form": m0_constant_kernel(g0.m0, t)}
     if config.compare_oracle:
         direct = direct_smol_oracle(g0, t, config.dt)
         gap = np.abs(gt.values - direct.values)
-        write_table(os.path.join(config.out, "smol-const_direct.csv"),
-                    FIELD_HEADER, _field_table((nodes,), t, direct.values),
-                    chash)
-        write_table(os.path.join(config.out, "smol-const_difference.csv"),
-                    ("x", "t", "difference"), _columns(nodes, t, gap), chash)
+        write("direct", FIELD_HEADER, _field_table((nodes,), t, direct.values))
+        write("difference", DIFF_HEADER, _columns(nodes, t, gap))
         extra["sup_difference"] = float(np.max(gap))
+        extra["step"] = uniform_steps(t, config.dt)[1]
     return extra
 
 
-def run_smol_general(config: RunConfig, chash: str) -> dict:
+def run_smol_general(config: RunConfig, write) -> dict:
     grid = Grid1D(0.0, config.domain_l, config.grid_n, kind="closed")
     nodes = grid.nodes
     g0 = MassDensity(grid=grid, values=profile_samples(config.profile, nodes))
@@ -329,14 +325,12 @@ def run_smol_general(config: RunConfig, chash: str) -> dict:
     g, residual = general_smol_residual(coeffs, g0, config.t_final,
                                         dt=config.dt)
     gt = MassDensity(grid=grid, values=g, t=config.t_final)
-    write_table(os.path.join(config.out, "smol-general_poppe.csv"),
-                FIELD_HEADER,
-                _field_table((nodes,), config.t_final, g, residual=residual),
-                chash)
+    write("poppe", FIELD_HEADER,
+          _field_table((nodes,), config.t_final, g, residual=residual))
     return {"pde_residual": residual, "m0": gt.m0, "m1": gt.m1}
 
 
-def run_prelaplace(config: RunConfig, chash: str) -> dict:
+def run_prelaplace(config: RunConfig, write) -> dict:
     grid = Grid1D(0.0, config.domain_l, config.grid_n, kind="closed")
     nodes = grid.nodes
     q0 = profile_samples(config.profile, nodes)
@@ -346,17 +340,16 @@ def run_prelaplace(config: RunConfig, chash: str) -> dict:
     rows = np.vstack((
         _field_table((nodes,), config.t_final, g, residual=residual),
         _field_table((nodes,), 0.0, g_init, residual=residual)))
-    write_table(os.path.join(config.out, "prelaplace_poppe.csv"),
-                FIELD_HEADER, rows, chash)
+    write("poppe", FIELD_HEADER, rows)
     return {"pde_residual": residual}
 
 
-def run_burgers(config: RunConfig, chash: str) -> dict:
+def run_burgers(config: RunConfig, write) -> dict:
     profile = BURGERS_PROFILES[config.profile]
     x = np.linspace(-config.domain_l / 2, config.domain_l / 2, config.grid_n)
     fld = inviscid_burgers_eval(x, config.t_final, profile)
-    write_table(os.path.join(config.out, "burgers_field.csv"), FIELD_HEADER,
-                _field_table((x,), config.t_final, fld.values), chash)
+    write("field", FIELD_HEADER,
+          _field_table((x,), config.t_final, fld.values))
     extra = {"flagged_nodes": len(fld.flagged)}
     if config.compare_oracle and config.profile in ("sin",):
         fine = 4 * config.grid_n
@@ -365,9 +358,7 @@ def run_burgers(config: RunConfig, chash: str) -> dict:
         oracle = upwind_oracle(profile(xs), h, config.t_final)
         interp = np.interp(x, xs, oracle)
         gap = np.abs(fld.values - interp)
-        write_table(os.path.join(config.out, "burgers_difference.csv"),
-                    ("x", "t", "difference"),
-                    _columns(x, config.t_final, gap), chash)
+        write("difference", DIFF_HEADER, _columns(x, config.t_final, gap))
         extra["sup_difference"] = float(np.nanmax(gap))
     if fld.flagged:
         raise ShockProximity(
@@ -377,9 +368,9 @@ def run_burgers(config: RunConfig, chash: str) -> dict:
     return extra
 
 
-def run_spde(config: RunConfig, chash: str) -> dict:
+def run_spde(config: RunConfig, write) -> dict:
     params = SpdeParams(alpha=1.0, beta=0.0, gamma=10.0, epsilon=1000.0)
-    steps = max(2, int(round(config.t_final / config.dt)))
+    steps, step = uniform_steps(config.t_final, config.dt, least=2)
     # one sheet serves both schemes: its resolution must subdivide into the
     # direct scheme's steps and the quadrature panels alike
     resolution = int(np.lcm(steps, config.panels))
@@ -389,25 +380,22 @@ def run_spde(config: RunConfig, chash: str) -> dict:
     direct = spde_direct_run(g0, params, sheet, steps)
     poppe = spde_poppe_run(g0, params, sheet, panels=config.panels)
     xy = _plane_xy(2.0 * np.pi * np.arange(config.grid_n) / config.grid_n)
-    write_table(os.path.join(config.out, "spde_direct.csv"), PLANE_HEADER,
-                _field_table(xy, direct.t, direct.samples), chash)
-    write_table(os.path.join(config.out, "spde_poppe.csv"), PLANE_HEADER,
-                _field_table(xy, poppe.g.t, poppe.g.samples,
-                             det=float(poppe.det_track[-1]),
-                             residual=poppe.solve_residual), chash)
+    write("direct", PLANE_HEADER, _field_table(xy, direct.t, direct.samples))
+    write("poppe", PLANE_HEADER,
+          _field_table(xy, poppe.g.t, poppe.g.samples,
+                       det=float(poppe.det_track[-1]),
+                       residual=poppe.solve_residual))
     gap = np.abs(direct.samples - poppe.g.samples)
-    write_table(os.path.join(config.out, "spde_difference.csv"),
-                ("x", "y", "t", "difference"),
-                _columns(*xy, config.t_final, gap.ravel()), chash)
-    write_table(os.path.join(config.out, "spde_det.csv"),
-                ("t", "det_abs"),
-                _columns(np.linspace(0, config.t_final, config.panels + 1),
-                         poppe.det_track), chash)
+    write("difference", ("x", "y") + DIFF_HEADER[1:],
+          _columns(*xy, config.t_final, gap.ravel()))
+    write("det", ("t", "det_abs"),
+          _columns(np.linspace(0, config.t_final, config.panels + 1),
+                   poppe.det_track))
     return {"sup_difference": float(np.max(gap)),
-            "solve_residual": poppe.solve_residual}
+            "solve_residual": poppe.solve_residual, "step": step}
 
 
-def run_quotient(config: RunConfig, chash: str) -> dict:
+def run_quotient(config: RunConfig, write) -> dict:
     grid = Grid1D(0.0, config.domain_l, config.grid_n, kind="periodic")
     nodes = grid.nodes
     centre = config.domain_l / 2
@@ -418,13 +406,12 @@ def run_quotient(config: RunConfig, chash: str) -> dict:
                                   b=lambda y: np.ones_like(y))
     g, residual = quotient_residual(g0, grid, coeffs, config.t_final,
                                     dt=config.dt)
-    write_table(os.path.join(config.out, "quotient_field.csv"), PLANE_HEADER,
-                _field_table(_plane_xy(nodes), config.t_final, g,
-                             residual=residual), chash)
+    write("field", PLANE_HEADER,
+          _field_table(_plane_xy(nodes), config.t_final, g, residual=residual))
     return {"pde_residual": residual}
 
 
-def run_elliptic(config: RunConfig, chash: str) -> dict:
+def run_elliptic(config: RunConfig, write) -> dict:
     grid = Grid1D(0.0, config.domain_l, config.grid_n, kind="closed")
     zeros, ones = np.zeros(grid.n), np.ones(grid.n)
     if config.profile == "tanh":
@@ -433,9 +420,8 @@ def run_elliptic(config: RunConfig, chash: str) -> dict:
         coeffs = EllipticCoefficients(grid, zeros, ones, zeros, zeros)
     q0, p0 = (1.0, 0.0) if config.profile == "tanh" else (1.0, 1.0)
     sol = elliptic_quotient_solve(coeffs, q0, p0)
-    write_table(os.path.join(config.out, "elliptic_field.csv"), FIELD_HEADER,
-                _field_table((grid.nodes,), 0.0, sol.g,
-                             residual=sol.residual), chash)
+    write("field", FIELD_HEADER,
+          _field_table((grid.nodes,), 0.0, sol.g, residual=sol.residual))
     return {"ode_residual": sol.residual}
 
 
@@ -455,8 +441,13 @@ def run(config: RunConfig) -> int:
         return 2
     os.makedirs(config.out, exist_ok=True)
     chash = config_hash(config)
+
+    def write(name, header, rows):
+        write_table(os.path.join(config.out, f"{config.equation}_{name}.csv"),
+                    header, rows, chash)
+
     try:
-        extra = RUNNERS[config.equation](config, chash)
+        extra = RUNNERS[config.equation](config, write)
     except Breakdown as exc:
         t = config.t_final if exc.t is None else exc.t
         print(f"breakdown: {exc} (t = {t}, location = {exc.location}, "

@@ -1,11 +1,11 @@
 """Grids, quadrature, dense solves, DFT contract, time stepping and RNG
 streams.
 
-Everything here is deterministic and pure given its inputs; RandomStream is
-the one stateful object and is reproducible from (seed, stream_id) alone.
+Everything here is deterministic and pure given its inputs; a random stream
+is the one stateful object and is reproducible from (seed, stream_id) alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,43 +52,25 @@ class Grid1D:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and positive weights for integration over a closed interval."""
+def quadrature_weights(grid: Grid1D, scheme: str) -> np.ndarray:
+    """Non-negative weights on the grid's nodes for integration over it.
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    scheme: str
-
-    @staticmethod
-    def riemann_left(grid: Grid1D) -> "QuadratureRule":
-        # left-endpoint Riemann sum; the final node carries zero weight so a
-        # solution value at the right endpoint can sit on the same grid.
-        h = grid.spacing
-        w = np.full(grid.n, h, dtype=float)
+    ``riemann-left`` is the left-endpoint Riemann sum; on a closed grid its
+    final node carries zero weight, so a solution value at the right
+    endpoint can sit on the same grid.  ``trapezoid`` needs a closed grid.
+    """
+    h = grid.spacing
+    w = np.full(grid.n, h, dtype=float)
+    if scheme == "riemann-left":
         if grid.kind == "closed":
             w[-1] = 0.0
-        return QuadratureRule(grid.nodes, w, "riemann-left")
-
-    @staticmethod
-    def trapezoid(grid: Grid1D) -> "QuadratureRule":
+    elif scheme == "trapezoid":
         if grid.kind != "closed":
             raise ConfigError("trapezoid rule expects a closed grid")
-        h = grid.spacing
-        w = np.full(grid.n, h, dtype=float)
         w[0] = w[-1] = 0.5 * h
-        return QuadratureRule(grid.nodes, w, "trapezoid")
-
-    @staticmethod
-    def for_scheme(grid: Grid1D, scheme: str) -> "QuadratureRule":
-        if scheme == "riemann-left":
-            return QuadratureRule.riemann_left(grid)
-        if scheme == "trapezoid":
-            return QuadratureRule.trapezoid(grid)
+    else:
         raise ConfigError(f"unknown quadrature scheme {scheme!r}")
-
-    def integrate(self, values: np.ndarray):
-        return np.sum(self.weights * values, axis=-1)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +128,7 @@ def solve_dense(system: DenseSystem, with_det: bool = False):
 # zero, and Parseval reads  sum |f|^2 h = sum |f~|^2 / L.
 
 
-def _require_power_of_two(n: int):
+def require_power_of_two(n: int):
     if n < 2 or (n & (n - 1)) != 0:
         raise ConfigError(f"mode count {n} is not a power of two")
 
@@ -189,7 +171,7 @@ def dft_forward(samples: np.ndarray, grid: Grid1D) -> SpectralField:
     """Transform along axis 0; trailing axes are independent columns."""
     if grid.kind != "periodic":
         raise ConfigError("dft_forward needs a periodic grid")
-    _require_power_of_two(grid.n)
+    require_power_of_two(grid.n)
     samples = np.asarray(samples, dtype=complex)
     if samples.shape[0] != grid.n:
         raise ConfigError("sample count does not match grid")
@@ -218,6 +200,22 @@ def rk4_step(f, y, s, ds):
     k3 = f(s + 0.5 * ds, y + 0.5 * ds * k2)
     k4 = f(s + ds, y + ds * k3)
     return y + (ds / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def uniform_steps(t: float, dt: float, least: int = 1):
+    """The count max(least, round(t / dt)) of equal steps that ends at t,
+    and that step, t / count."""
+    steps = max(least, int(round(t / dt)))
+    return steps, t / steps
+
+
+def phi1(d, t=1.0):
+    """(e^{d t} - 1)/d elementwise, and its limit t at d = 0: t phi1(d t)
+    for phi1(z) = (e^z - 1)/z, the form at t = 1.  np.expm1 keeps the
+    quotient accurate at every other d, however small d t is."""
+    d = np.asarray(d)
+    nonzero = d != 0
+    return np.where(nonzero, np.expm1(d * t) / np.where(nonzero, d, 1), t)
 
 
 # march checks its state every CHECK_EVERY steps and at the last step; a
@@ -268,24 +266,17 @@ def central_in_t(solve, t: float, dt: float):
 # random streams
 
 
-class RandomStream:
-    """Deterministic normal-variate stream keyed by (seed, stream_id).
+def random_stream(seed: int, stream_id: int) -> np.random.Generator:
+    """Deterministic generator keyed by (seed, stream_id).
 
     Identical keys give identical sequences regardless of thread schedule;
     each logical stream must be owned by a single consumer.
     """
-
-    def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
-        self._rng = np.random.Generator(np.random.Philox(ss))
-
-    def standard_normal(self, size) -> np.ndarray:
-        return self._rng.standard_normal(size)
+    ss = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+    return np.random.Generator(np.random.Philox(ss))
 
 
-def gaussian_increments(stream: RandomStream, count: int, variance: float,
+def gaussian_increments(stream: np.random.Generator, count: int, variance: float,
                         complex_valued: bool = True) -> np.ndarray:
     """i.i.d. Gaussians with the stated per-component variance."""
     if variance < 0:

@@ -12,34 +12,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import solve_fredholm_system
-from .core import (Grid1D, QuadratureRule, SpectralField, dft_forward,
-                   dft_frequencies, march)
+from .core import (Grid1D, SpectralField, dft_forward, dft_frequencies,
+                   march, quadrature_weights)
 from .errors import ChartBreakdown, ConfigError, SymbolError
 
 
-@dataclass(frozen=True)
-class DispersionSymbol:
-    """Evaluator k -> d(2 pi i k) for a skew polynomial symbol d."""
-
-    name: str
-    multiplier: callable
-
-    def __call__(self, k):
-        return self.multiplier(np.asarray(k, dtype=float))
+def cubic_kdv_symbol(k):
+    """d(2 pi i k) = (2 pi i k)^3, the KdV dispersion."""
+    return (2j * np.pi * np.asarray(k, dtype=float)) ** 3
 
 
-def cubic_kdv_symbol() -> DispersionSymbol:
-    return DispersionSymbol("cubic-kdv", lambda k: (2j * np.pi * k) ** 3)
+def schrodinger_symbol(k):
+    """i dp/dt = dxx p  =>  dp/dt = -i (2 pi i k)^2 p."""
+    return -1j * (2j * np.pi * np.asarray(k, dtype=float)) ** 2
 
 
-def schrodinger_symbol() -> DispersionSymbol:
-    # i dp/dt = dxx p  =>  dp/dt = -i (2 pi i k)^2 p
-    return DispersionSymbol("schrodinger", lambda k: -1j * (2j * np.pi * k) ** 2)
-
-
-def propagate_dispersive(fld: SpectralField, symbol: DispersionSymbol,
-                         t: float) -> SpectralField:
-    """Exact per-mode dispersive propagation.
+def propagate_dispersive(fld: SpectralField, symbol, t: float) -> SpectralField:
+    """Exact per-mode dispersive propagation under ``symbol``, the map
+    k -> d(2 pi i k) of a skew polynomial symbol d.
 
     The forward transform uses the kernel e^{+2 pi i k x}, so the mode stored
     at index k carries the physical harmonic e^{-2 pi i k x} and d/dx acts on
@@ -55,7 +45,8 @@ def propagate_dispersive(fld: SpectralField, symbol: DispersionSymbol,
         d[nyq] = 0.5 * (d[nyq] + symbol(k[nyq]))
     scale = np.max(np.abs(d)) or 1.0
     if np.max(np.abs(d.real)) > 1e-12 * scale:
-        raise SymbolError(f"symbol {symbol.name!r} is not skew on this grid")
+        raise SymbolError(f"symbol {symbol.__name__!r} is not skew on this "
+                          "grid")
     modes = fld.modes * np.exp((t - fld.t) * d)
     return SpectralField(modes=modes, grid=fld.grid, t=t)
 
@@ -95,7 +86,7 @@ def _project_over_x(fld, kernel, quadrature, real=False):
         raise ConfigError("the Fredholm projection needs a domain "
                           "symmetric about 0")
     zgrid = half_line_grid(grid)
-    w = QuadratureRule.for_scheme(zgrid, quadrature).weights
+    w = quadrature_weights(zgrid, quadrature)
     trace = np.tile(fld.samples.real if real else fld.samples, 2)
     stack = np.lib.stride_tricks.as_strided(
         trace, shape=(grid.n, zgrid.n, zgrid.n),
@@ -123,7 +114,7 @@ def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
     The propagated trace is real to rounding (the Nyquist mode takes no
     phase), so the x-systems are solved in float64 and the values are
     float64."""
-    fld = propagate_dispersive(dft_forward(p0, grid), cubic_kdv_symbol(), t)
+    fld = propagate_dispersive(dft_forward(p0, grid), cubic_kdv_symbol, t)
     return _project_over_x(fld, lambda h, w: h, quadrature, real=True)
 
 
@@ -137,7 +128,7 @@ def nls_gram(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def nls_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
                        quadrature: str = "riemann-left") -> ProjectionResult:
     """NLS via the quadratic prescription qhat = P^dag P."""
-    fld = propagate_dispersive(dft_forward(p0, grid), schrodinger_symbol(), t)
+    fld = propagate_dispersive(dft_forward(p0, grid), schrodinger_symbol, t)
     return _project_over_x(fld, nls_gram, quadrature)
 
 

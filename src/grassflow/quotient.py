@@ -3,9 +3,10 @@
 The anisotropic family  dg/dt = D_x g - g b(y) gbar,  gbar(y) = g(y, y),
 admits explicit solutions: p evolves by the linear symbol in x alone, q is
 a scalar weight per y-node accumulated from p, and g = p / q.  The
-odd-degree variant replaces the q equation by a purely imaginary phase
-flow, so |q| = 1 along the run.  The elliptic construction integrates the
-first-order linear pair q' = aq + bp, p' = cq + dp and projects g = p / q.
+odd-degree variant, dg/dt = D_x g - g F(|gbar|^2), replaces the q equation
+by a purely imaginary phase flow, so |q| = 1 along the run.  The elliptic
+construction integrates the first-order linear pair q' = aq + bp,
+p' = cq + dp and projects g = p / q.
 """
 
 from dataclasses import dataclass
@@ -14,11 +15,12 @@ import numpy as np
 
 from .canonical import CanonicalCoefficients, linear_flow, riccati_residual
 from .core import (Grid1D, SpectralField, central_in_t, dft_forward,
-                   dft_frequencies, dft_inverse)
+                   dft_frequencies, dft_inverse, phi1)
 from .errors import (BlowupAtTime, ChartBreakdown, ConfigError,
                      IntegrationBlowup, SymbolError)
 
-SERIES_CUTOFF = 1e-6
+# trapezoid panels of the odd-degree phase integral over [0, t]
+PHASE_STEPS = 256
 
 
 @dataclass
@@ -28,7 +30,7 @@ class QuotientCoefficients:
     ``dispersion`` maps 2 pi |k| to d(2 pi |k|) (Re d <= 0 enforced when
     ``decaying``); ``b`` is callable b(y); ``f_coeffs`` are the alpha_m of
     F(u) = i sum alpha_m u^m for the odd-degree variant (real alpha_m so F
-    stays purely imaginary).
+    stays purely imaginary).  At most one of ``b`` and ``f_coeffs`` is set.
     """
 
     dispersion: callable
@@ -52,16 +54,6 @@ class QuotientCoefficients:
         return 1j * acc
 
 
-def _growth_factor(d: np.ndarray, t: float) -> np.ndarray:
-    """(e^{dt} - 1)/d with the d -> 0 limit t filled in by series."""
-    z = d * t
-    out = np.empty_like(z)
-    small = np.abs(z) < SERIES_CUTOFF
-    out[small] = t * (1.0 + 0.5 * z[small])
-    out[~small] = np.expm1(z[~small]) / d[~small]
-    return out
-
-
 @dataclass
 class QuotientField:
     grid: Grid1D
@@ -76,13 +68,22 @@ class QuotientField:
 
 def quotient_solve(g0: np.ndarray, grid: Grid1D,
                    coeffs: QuotientCoefficients, t: float) -> QuotientField:
-    """g(x, y; t) = p(x, y; t) / q(y; t) with
+    """g(x, y; t) = p(x, y; t) / q(y; t), p(., y; t) the linear evolution of
+    g0(., y) under the x symbol.  The coefficients choose q:
 
-    p(., y; t) the linear evolution of g0(., y) under the x symbol and
-    q(y; t) = 1 + b(y) * sum_k ((e^{dt} - 1)/d) p0_hat(k, y) e^{2 pi i k y}.
+    - ``b`` set: q(y; t) = 1 + b(y) r(y, y; t), r the inverse transform in
+      x of ((e^{dt} - 1)/d) p0_hat, so that dq/dt = b(y) p(y, y; t) holds
+      exactly;
+    - ``f_coeffs`` set (the odd-degree variant):
+      q(y; t) = exp(int_0^t F(|p(y, y; s)|^2) ds), an exact unit-modulus
+      phase since F is purely imaginary; the time integral is a trapezoid
+      over PHASE_STEPS panels of the exact diagonal path;
+    - neither: q = 1.
     """
     if grid.kind != "periodic":
         raise ConfigError("quotient solver works on a periodic grid")
+    if coeffs.b is not None and coeffs.f_coeffs:
+        raise ConfigError("set at most one of b and f_coeffs")
     g0 = np.asarray(g0, dtype=complex)
     if g0.shape != (grid.n, grid.n):
         raise ConfigError("initial data must be square on the grid")
@@ -90,14 +91,25 @@ def quotient_solve(g0: np.ndarray, grid: Grid1D,
     # per-column transforms in x: p0_hat[k, j] = sum_i g0[i, j] e^{+2pi i k x_i} h
     p0_hat = dft_forward(g0, grid).modes
     p = dft_inverse(SpectralField(np.exp(d * t)[:, None] * p0_hat, grid))
-    if coeffs.b is None:
+    if coeffs.f_coeffs:
+        # pbar(s)_j = sum_k B[j, k] e^{d_k s} p0_hat[k, j] with B the
+        # inverse-DFT matrix: one O(n^2) product per quadrature time
+        weights = dft_inverse(SpectralField(np.eye(grid.n), grid)) * p0_hat.T
+        exponent = np.zeros(grid.n, dtype=complex)
+        ds = t / PHASE_STEPS
+        for m in range(PHASE_STEPS + 1):
+            rate = coeffs.f_value(np.abs(weights @ np.exp(d * (m * ds))) ** 2)
+            exponent += (0.5 * ds if m in (0, PHASE_STEPS) else ds) * rate
+        if np.max(np.abs(exponent.real)) > 1e-6:
+            raise IntegrationBlowup("unit-modulus weight drifted off the "
+                                    "circle")
+        q = np.exp(exponent)
+    elif coeffs.b is None:
         q = np.ones(grid.n, dtype=complex)
     else:
-        growth = _growth_factor(d, t)
         # time-integrated p, inverse-transformed and read on the diagonal
-        # x = y, so that dq/dt = b(y) p(y, y; t) holds exactly
         integral = np.diag(dft_inverse(
-            SpectralField(growth[:, None] * p0_hat, grid)))
+            SpectralField(phi1(d, t)[:, None] * p0_hat, grid)))
         q = 1.0 + np.asarray(coeffs.b(grid.nodes), dtype=complex) * integral
     j = int(np.argmin(np.abs(q)))
     if abs(q[j]) < 1e-10:
@@ -106,54 +118,17 @@ def quotient_solve(g0: np.ndarray, grid: Grid1D,
     return QuotientField(grid=grid, values=p / q[None, :], q=q, t=t)
 
 
-def quotient_odd_degree_solve(g0: np.ndarray, grid: Grid1D,
-                              coeffs: QuotientCoefficients, t: float,
-                              steps: int = 256) -> QuotientField:
-    """Odd-degree variant: q(y; t) = exp(i int_0^t Im F(|pbar|^2) ds).
-
-    F is purely imaginary, so q is an exact unit-modulus phase; the time
-    integral of the phase rate uses a trapezoid over the exact pbar path.
-    """
-    if not coeffs.f_coeffs:
-        return quotient_solve(g0, grid,
-                              QuotientCoefficients(coeffs.dispersion,
-                                                   decaying=coeffs.decaying), t)
-    if grid.kind != "periodic":
-        raise ConfigError("quotient solver works on a periodic grid")
-    d = coeffs.symbol(dft_frequencies(grid))
-    p0_hat = dft_forward(g0, grid).modes
-    # pbar(s)_j = sum_k B[j, k] e^{d_k s} p0_hat[k, j] with B the
-    # inverse-DFT matrix: one O(n^2) product per quadrature time
-    weights = dft_inverse(SpectralField(np.eye(grid.n), grid)) * p0_hat.T
-
-    # accumulate the purely imaginary exponent of q per y-node
-    exponent = np.zeros(grid.n, dtype=complex)
-    ds = t / steps
-    for m in range(steps + 1):
-        pbar = weights @ np.exp(d * (m * ds))
-        rate = coeffs.f_value(np.abs(pbar) ** 2)
-        w = 0.5 * ds if m in (0, steps) else ds
-        exponent += w * rate
-    if np.max(np.abs(exponent.real)) > 1e-6:
-        raise IntegrationBlowup("unit-modulus weight drifted off the circle")
-    q = np.exp(exponent)
-    p = dft_inverse(SpectralField(np.exp(d * t)[:, None] * p0_hat, grid))
-    return QuotientField(grid=grid, values=p / q[None, :], q=q, t=t)
-
-
 def quotient_residual(g0, grid: Grid1D, coeffs: QuotientCoefficients,
-                      t: float, dt: float, odd_degree: bool = False):
-    """(g at t, central-difference defect of dg/dt = D_x g - g b(y) gbar).
-
-    For the odd-degree variant the nonlinearity is g F(gbar gbar*) instead.
-    """
-    solver = quotient_odd_degree_solve if odd_degree else quotient_solve
-    g, gt = central_in_t(lambda s: solver(g0, grid, coeffs, s).values, t, dt)
+                      t: float, dt: float):
+    """(g at t, central-difference defect of dg/dt = D_x g - g b(y) gbar),
+    or, when ``f_coeffs`` is set, of dg/dt = D_x g - g F(|gbar|^2)."""
+    g, gt = central_in_t(lambda s: quotient_solve(g0, grid, coeffs, s).values,
+                         t, dt)
     d = coeffs.symbol(dft_frequencies(grid))
     dxg = dft_inverse(SpectralField(d[:, None] * dft_forward(g, grid).modes,
                                     grid))
     gbar = np.diag(g)
-    if odd_degree:
+    if coeffs.f_coeffs:
         nonlin = g * coeffs.f_value(np.abs(gbar) ** 2)[None, :]
     else:
         b = coeffs.b(grid.nodes) if coeffs.b is not None else np.zeros(grid.n)

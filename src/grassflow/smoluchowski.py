@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid1D, QuadratureRule, central_in_t, march, rk4_step
+from .core import (Grid1D, central_in_t, march, quadrature_weights, rk4_step,
+                   uniform_steps)
 from .errors import BlowupAtTime, ConfigError, DomainError, IntegrationBlowup
 
 
@@ -72,18 +73,16 @@ def constant_kernel_solve(g0: MassDensity, t: float) -> MassDensity:
     g(x, t) = c A exp(-(beta + lam A) x).  General sampled data goes through
     the discrete Volterra projection (first-order in the grid spacing).
     """
-    mu = g0.m0
-    c, lam = constant_kernel_scalars(mu, t)
     if g0.exponential is not None:
         amp, rate = g0.exponential
-        mu_exact = amp / rate
-        c, lam = constant_kernel_scalars(mu_exact, t)
+        c, lam = constant_kernel_scalars(amp / rate, t)
         new_rate = rate + lam * amp
         if new_rate <= 0:
             raise BlowupAtTime("inverted exponential no longer decays")
         return MassDensity(grid=g0.grid, t=t,
                            values=c * amp * np.exp(-new_rate * g0.grid.nodes),
                            exponential=(c * amp, new_rate))
+    c, lam = constant_kernel_scalars(g0.m0, t)
     p = c * g0.values
     qhat = lam * g0.values
     g = volterra_project(p, qhat, g0.grid)
@@ -192,11 +191,11 @@ def integrate_m0_riccati(coeffs: SmolCoefficients, m00: float, t: float,
     abar / b0bar are the [0, X] integrals of a and b0 (plus the delta
     coefficient).  Returns m0 at the steps+1 equispaced times in [0, t].
     """
-    rule = QuadratureRule.trapezoid(grid)
-    abar = float(rule.integrate(coeffs.a)) if coeffs.a is not None else 0.0
+    w = quadrature_weights(grid, "trapezoid")
+    abar = float(np.sum(w * coeffs.a)) if coeffs.a is not None else 0.0
     b0bar = coeffs.b0_delta
     if coeffs.b0 is not None:
-        b0bar += float(rule.integrate(coeffs.b0))
+        b0bar += float(np.sum(w * coeffs.b0))
     d0, b0c = coeffs.d_poly[0], coeffs.b_poly[0]
     lin, quad = d0 - abar, b0c - b0bar - 1.0
     dt = t / steps
@@ -285,8 +284,7 @@ def direct_smol_oracle(g0: MassDensity, t: float, dt: float,
         m0 = np.trapezoid(g, dx=h)
         return gain - g * m0
 
-    steps = max(1, int(round(t / dt)))
-    dt = t / steps
+    steps, dt = uniform_steps(t, dt)
     advance = lambda m, g: rk4_step(rhs, g, m * dt, dt)
     g = g0.values.astype(float)
     if not track_moments:

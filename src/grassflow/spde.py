@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Grid1D, QuadratureRule, RandomStream, gaussian_increments,
-                   march)
+from .core import (Grid1D, gaussian_increments, march, phi1,
+                   quadrature_weights, random_stream, require_power_of_two)
 from .errors import ConfigError, SingularSystem
 
 TWO_PI = 2.0 * np.pi
@@ -35,8 +35,7 @@ class SpdeParams:
 
 def mode_numbers(n: int) -> np.ndarray:
     """Integer wavenumbers in FFT ordering for the 2 pi period."""
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ConfigError(f"mode count {n} is not a power of two")
+    require_power_of_two(n)
     return np.fft.fftfreq(n, d=1.0 / n)
 
 
@@ -108,7 +107,7 @@ class BrownianSheetModes:
         if resolution < 1:
             raise ConfigError("resolution must be >= 1")
         dt = t_final / resolution
-        stream = RandomStream(seed, stream_id=1)
+        stream = random_stream(seed, stream_id=1)
         flat = gaussian_increments(stream, resolution * n_modes, dt,
                                    complex_valued=False)
         return BrownianSheetModes(seed=seed, n_modes=n_modes,
@@ -158,16 +157,6 @@ def k0_mode_policy(params: SpdeParams, k: np.ndarray):
     return noise, ito
 
 
-def _phi1(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1)/z with the removable singularity filled by series."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-8
-    out[small] = 1.0 + 0.5 * z[small]
-    out[~small] = np.expm1(z[~small]) / z[~small]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # schemes
 
@@ -186,7 +175,7 @@ def spde_direct_run(g0: Field2D, params: SpdeParams,
     dt = sheet.t_final / steps
     lam = -dt * (params.alpha * k[:, None] ** 2 + params.beta * k[None, :] ** 2)
     lin = np.exp(lam)
-    eps_phi = params.epsilon * dt * _phi1(lam)
+    eps_phi = params.epsilon * dt * phi1(lam)
     noise_coef, _ = k0_mode_policy(params, k)
     dws = sheet.aggregated(steps)
 
@@ -236,7 +225,7 @@ def spde_poppe_run(g0: Field2D, params: SpdeParams,
     k = mode_numbers(n)
     tf = sheet.t_final
     times = np.linspace(0.0, tf, panels + 1)
-    weights = QuadratureRule.trapezoid(Grid1D(0.0, tf, panels + 1)).weights
+    weights = quadrature_weights(Grid1D(0.0, tf, panels + 1), "trapezoid")
     qhat = np.zeros((n, n), dtype=complex)
     dets = np.empty(panels + 1)
     p_final = None
@@ -273,7 +262,7 @@ def sech_ridge_initial(n: int, noise_factor: float, seed: int) -> Field2D:
         / np.cosh(10.0 * (yy - np.pi))
     fld = Field2D.from_samples(samples)
     if noise_factor:
-        stream = RandomStream(seed, stream_id=2)
+        stream = random_stream(seed, stream_id=2)
         noise = gaussian_increments(stream, n * n, 1.0, complex_valued=True)
         fld.modes = fld.modes + noise_factor * noise.reshape(n, n)
     return fld

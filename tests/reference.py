@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from grassflow.canonical import solve_fredholm_system
-from grassflow.core import (DenseSystem, Grid1D, QuadratureRule,
+from grassflow.core import (DenseSystem, Grid1D, quadrature_weights,
                             solve_dense)
 from grassflow.errors import BlowupAtTime, SingularSystem
 
@@ -64,8 +64,7 @@ def solve_additive_fredholm(p_trace, qhat, zgrid: Grid1D, x: float,
     as solve_fredholm_system does.  With ``full_kernel`` the whole matrix
     g(y, z) is solved instead of just the y = 0 row.
     """
-    rule = QuadratureRule.for_scheme(zgrid, quadrature)
-    nodes, w = rule.nodes, rule.weights
+    nodes, w = zgrid.nodes, quadrature_weights(zgrid, quadrature)
     kmat = np.asarray(qhat(nodes[:, None], nodes[None, :]))
     args = nodes[:, None] + nodes[None, :] if full_kernel else nodes
     rhs = np.asarray(p_trace(args + x))

@@ -23,8 +23,8 @@ from grassflow.integrable import (cubic_kdv_symbol, etdrk4_kdv,
                                   propagate_dispersive, schrodinger_symbol,
                                   split_step_kdv, split_step_nls)
 from grassflow.quotient import (EllipticCoefficients, QuotientCoefficients,
-                                elliptic_quotient_solve,
-                                quotient_odd_degree_solve, quotient_residual)
+                                elliptic_quotient_solve, quotient_residual,
+                                quotient_solve)
 from grassflow.smoluchowski import (constant_kernel_solve, direct_smol_oracle,
                                     exponential_density, m0_constant_kernel)
 from grassflow.spde import (BrownianSheetModes, SpdeParams,
@@ -99,7 +99,7 @@ def test_criterion_1_kdv_converges_in_h():
     # 1.31e-4, 3.52e-5, 8.76e-6; the 200-step oracle is converged to
     # 3e-14; the nonlinear effect is 3.04e-3, so 2.9e-3 of it)
     converges_in_h(1, "kdv convergence in h", kdv_fredholm_solve, etdrk4_kdv,
-                   200, cubic_kdv_symbol(), 40.0, 0.1, (128, 256, 512))
+                   200, cubic_kdv_symbol, 40.0, 0.1, (128, 256, 512))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_criterion_2_nls_converges_in_h():
     # the split step at dt / 2 moves 1.2e-7 (measured gaps 6.98e-5,
     # 1.75e-5, 4.41e-6; the nonlinear effect is 5.66e-3, so 7.8e-4 of it)
     converges_in_h(2, "nls convergence in h", nls_fredholm_solve,
-                   split_step_nls, 4000, schrodinger_symbol(), 10.0, 0.2,
+                   split_step_nls, 4000, schrodinger_symbol, 10.0, 0.2,
                    (64, 128, 256))
 
 
@@ -284,7 +284,7 @@ def test_criterion_8_quotient_elliptic():
     odd = QuotientCoefficients(dispersion=lambda s: -s ** 2,
                                f_coeffs=(0.5, -0.2))
     drift = float(np.max(np.abs(np.abs(
-        quotient_odd_degree_solve(g0, grid, odd, 0.5).q) - 1.0)))
+        quotient_solve(g0, grid, odd, 0.5).q) - 1.0)))
     egrid = Grid1D(0.0, 1.0, 2 ** 10, kind="closed")
     zeros, ones = np.zeros(egrid.n), np.ones(egrid.n)
     recip = elliptic_quotient_solve(

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from grassflow.canonical import (CanonicalCoefficients, linear_flow,
                                  riccati_residual)
-from grassflow.core import Grid1D, QuadratureRule, rk4_step
+from grassflow.core import Grid1D, quadrature_weights, rk4_step
 from grassflow.errors import ChartBreakdown, ConfigError, IntegrationBlowup
 from reference import (AdditiveKernelTrace, graph_solve,
                        integrate_base_exact, riccati_subflow,
@@ -165,8 +165,7 @@ def test_trace_node_lookup_and_zero_extension():
 def fredholm_residual(p_trace, qhat, zgrid: Grid1D, x: float, g_row,
                       quadrature: str = "riemann-left") -> float:
     """Discrete residual of the solved Fredholm equation (should be ~1e-10)."""
-    rule = QuadratureRule.for_scheme(zgrid, quadrature)
-    nodes, w = rule.nodes, rule.weights
+    nodes, w = zgrid.nodes, quadrature_weights(zgrid, quadrature)
     kmat = np.asarray(qhat(nodes[:, None], nodes[None, :]), dtype=complex)
     lhs = np.asarray(p_trace(nodes + x), dtype=complex)
     rhs = g_row + (w[None, :] * kmat.T) @ g_row
@@ -266,8 +265,7 @@ def product_rule_check(f_kernel, r_trace: AdditiveKernelTrace,
     d/dx is a central difference with step dx; all compositions use the
     grid quadrature.  Vanishes at second order in (grid spacing, dx).
     """
-    rule = QuadratureRule.for_scheme(zgrid, quadrature)
-    nodes, w = rule.nodes, rule.weights
+    nodes, w = zgrid.nodes, quadrature_weights(zgrid, quadrature)
     for trace in (r_trace, rp_trace):
         assert trace.grid.lower <= x - dx and x + dx <= trace.grid.upper, \
             "x stencil leaves the sampled trace range"
@@ -292,11 +290,11 @@ def product_rule_check(f_kernel, r_trace: AdditiveKernelTrace,
 def test_delta_kernel_is_composition_identity():
     rng = np.random.default_rng(4)
     g = Grid1D(0.0, 1.0, 9, kind="closed")
-    rule = QuadratureRule.trapezoid(g)
+    w = quadrature_weights(g, "trapezoid")
     f = rng.standard_normal((9, 9))
-    delta = delta_kernel(rule.weights)
-    assert np.allclose(compose(f, delta, rule.weights), f)
-    assert np.allclose(compose(delta, f, rule.weights), f)
+    delta = delta_kernel(w)
+    assert np.allclose(compose(f, delta, w), f)
+    assert np.allclose(compose(delta, f, w), f)
 
 
 def test_product_rule_defect_shrinks_with_refinement():

@@ -340,6 +340,26 @@ def test_fredholm_run_ends_at_t_final(tmp_path, argv):
         assert float(rows[-1][1]) == t_final
 
 
+@pytest.mark.parametrize("argv, step", [
+    (("kdv", "--grid-n", "32", "--t-final", "1", "--dt", "0.3",
+      "--checkpoints", "2"), "0.33333333333333331"),
+    (("nls", "--grid-n", "32", "--t-final", "1", "--dt", "0.3",
+      "--checkpoints", "2"), "0.33333333333333331"),
+    (("spde", "--grid-n", "8", "--t-final", "0.007", "--dt", "0.003",
+      "--panels", "4"), "0.0035000000000000001"),
+    (("smol-const", "--grid-n", "64", "--t-final", "1", "--dt", "0.3"),
+     "0.33333333333333331"),
+], ids=["kdv", "nls", "spde", "smol-const"])
+def test_sidecar_records_the_step_the_run_took(tmp_path, argv, step):
+    # dt echoes the configuration; step is t_final / steps, the step taken
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    meta = dict(line.split(" = ", 1) for line in
+                (tmp_path / f"{argv[0]}_metadata.txt").read_text()
+                .splitlines())
+    assert meta["dt"] == cli._fmt(float(argv[argv.index("--dt") + 1]))
+    assert meta["step"] == step
+
+
 def test_kdv_paper_preset_closes_on_its_oracle(tmp_path):
     # the ETDRK4 oracle integrates the equation the projection solves: the
     # gap is about 2.1e-3, where a 3 u u_x oracle left 0.029
@@ -382,7 +402,7 @@ def test_cli_import_does_not_load_scipy_signal():
 
 def test_breakdown_report_keeps_zero_location_and_determinant(
         tmp_path, monkeypatch, capsys):
-    def singular(config, chash):
+    def singular(config, write):
         raise ChartBreakdown("singular", det_value=0.0, location=0.0)
 
     monkeypatch.setitem(cli.RUNNERS, "burgers", singular)

@@ -1,4 +1,5 @@
-"""The package keeps only what its pipelines run.
+"""The package keeps only what its pipelines run, and the benchmark's
+tracer still finds what it times.
 
 Every public top-level function and class of ``src/grassflow`` and
 ``scripts`` must be named somewhere in those two trees outside its own
@@ -8,6 +9,8 @@ only the tests need lives in ``tests/``.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,3 +52,31 @@ def test_every_public_name_has_a_caller():
     # exactly the listed names, each still defined and still uncalled
     assert orphans == sorted(f"{defined[name]}: {name}"
                              for name in WITHOUT_CALLER)
+
+
+# tracer targets already gone from the package; the tracer skips them and
+# their per-layer metrics read 0 until the benchmark drops or renames them
+STALE_TARGETS = {
+    "core.det_plain", "canonical.solve_additive_fredholm",
+    "canonical.AdditiveKernelTrace.__call__", "integrable.additive_trace",
+    "integrable.nls_assemble_qhat", "graphflows.invert_characteristic",
+    "quotient.EllipticCoefficients.at",
+}
+
+
+def test_tracer_targets_resolve_in_the_package():
+    # perfbench/tracing.py is read, never changed: a rename in src/ must not
+    # silently zero a per-layer metric
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = set()
+    for _, modname, attr, _ in tracing.TARGETS:
+        module = importlib.import_module(f"grassflow.{modname}")
+        owner, _, name = attr.rpartition(".")
+        scope = getattr(module, owner, None) if owner else module
+        # a method must be its class's own, as the tracer requires
+        if scope is None or vars(scope).get(name) is None:
+            unresolved.add(f"{modname}.{attr}")
+    assert unresolved <= STALE_TARGETS

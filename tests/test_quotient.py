@@ -8,10 +8,9 @@ from grassflow.core import (Grid1D, SpectralField, dft_forward,
                             dft_frequencies, dft_inverse)
 from grassflow.errors import (BlowupAtTime, ChartBreakdown, ConfigError,
                               IntegrationBlowup, SymbolError)
-from grassflow.quotient import (EllipticCoefficients, QuotientCoefficients,
-                                elliptic_quotient_solve,
-                                quotient_odd_degree_solve, quotient_residual,
-                                quotient_solve)
+from grassflow.quotient import (PHASE_STEPS, EllipticCoefficients,
+                                QuotientCoefficients, elliptic_quotient_solve,
+                                quotient_residual, quotient_solve)
 
 
 def periodic_grid(l, n):
@@ -121,17 +120,25 @@ def test_odd_degree_weight_is_unimodular():
     g = periodic_grid(4.0, 32)
     g0 = gaussian_sheet(g)
     coeffs = heat_coeffs(f=(0.5, -0.3, 0.1))
-    out = quotient_odd_degree_solve(g0, g, coeffs, 0.5)
+    out = quotient_solve(g0, g, coeffs, 0.5)
     assert np.max(np.abs(np.abs(out.q) - 1.0)) < 1e-8
 
 
 def test_odd_degree_empty_f_falls_back_to_linear():
+    # neither b nor f_coeffs set: q = 1, the solve with b = 0
     g = periodic_grid(4.0, 16)
     g0 = gaussian_sheet(g)
-    coeffs = heat_coeffs()
-    a = quotient_odd_degree_solve(g0, g, coeffs, 0.3)
-    b = quotient_solve(g0, g, coeffs, 0.3)
+    a = quotient_solve(g0, g, heat_coeffs(), 0.3)
+    b = quotient_solve(g0, g, heat_coeffs(b=np.zeros_like), 0.3)
+    assert np.array_equal(a.q, np.ones(g.n))
     assert np.max(np.abs(a.values - b.values)) < 1e-12
+
+
+def test_b_and_f_coeffs_together_rejected():
+    g = periodic_grid(4.0, 16)
+    coeffs = heat_coeffs(b=np.ones_like, f=(0.5,))
+    with pytest.raises(ConfigError):
+        quotient_solve(gaussian_sheet(g), g, coeffs, 0.1)
 
 
 def test_odd_degree_diagonal_matches_full_inverse_per_time():
@@ -140,7 +147,7 @@ def test_odd_degree_diagonal_matches_full_inverse_per_time():
     g = periodic_grid(4.0, 64)
     g0 = gaussian_sheet(g) * np.exp(1j * np.add.outer(g.nodes, 0.5 * g.nodes))
     coeffs = heat_coeffs(f=(0.5, -0.3, 0.1))
-    t, steps = 0.6, 64
+    t, steps = 0.6, PHASE_STEPS
     d = coeffs.symbol(dft_frequencies(g))
     p0_hat = dft_forward(g0, g).modes
     exponent = np.zeros(g.n, dtype=complex)
@@ -150,7 +157,7 @@ def test_odd_degree_diagonal_matches_full_inverse_per_time():
         w = 0.5 * t / steps if m in (0, steps) else t / steps
         exponent += w * coeffs.f_value(np.abs(np.diag(p)) ** 2)
     q = np.exp(exponent)
-    out = quotient_odd_degree_solve(g0, g, coeffs, t, steps=steps)
+    out = quotient_solve(g0, g, coeffs, t)
     assert np.max(np.abs(out.q - q)) <= 1e-12 * np.max(np.abs(q))
     ref = p / q[None, :]
     assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -160,8 +167,8 @@ def test_odd_degree_residual_decreases():
     g = periodic_grid(4.0, 32)
     g0 = gaussian_sheet(g)
     coeffs = heat_coeffs(f=(0.4, 0.2))
-    _, coarse = quotient_residual(g0, g, coeffs, 0.4, 4e-2, odd_degree=True)
-    _, fine = quotient_residual(g0, g, coeffs, 0.4, 2e-2, odd_degree=True)
+    _, coarse = quotient_residual(g0, g, coeffs, 0.4, 4e-2)
+    _, fine = quotient_residual(g0, g, coeffs, 0.4, 2e-2)
     assert fine < coarse
 
 

@@ -63,6 +63,27 @@ def test_exponential_blowup_when_base_denominator_crosses_zero():
         constant_kernel_solve(g0, 3.0)
 
 
+def negative_exponential():
+    # the sampled mass of -e^{-x} on [0, 40] is -1.000127, whose base
+    # denominator 1 + t m0/2 crosses zero before t = 2; the exact mass -1
+    # puts the blow-up at t = 2, and only the exact mass may decide it
+    return exponential_density(mass_grid(40.0, 1024), -1.0, 1.0)
+
+
+def test_exponential_just_before_blowup_is_the_closed_form():
+    g0, t = negative_exponential(), 1.9999
+    c, lam = constant_kernel_scalars(-1.0, t)
+    out = constant_kernel_solve(g0, t)
+    expected = c * -1.0 * np.exp(-(1.0 + lam * -1.0) * g0.grid.nodes)
+    assert np.array_equal(out.values, expected)
+
+
+def test_exponential_blowup_reports_the_exact_denominator():
+    with pytest.raises(BlowupAtTime) as exc:
+        constant_kernel_solve(negative_exponential(), 2.0001)
+    assert exc.value.det_value == 1 - 0.5 * 2.0001
+
+
 def test_sampled_data_agrees_with_analytic_path():
     g = mass_grid(60.0, 2048)
     g0_exp = exponential_density(g, 1.0, 1.0)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grassflow.core import phi1
 from grassflow.errors import ConfigError
-from grassflow.spde import (BrownianSheetModes, Field2D, SpdeParams, _phi1,
+from grassflow.spde import (BrownianSheetModes, Field2D, SpdeParams,
                             composition_product, exact_base_modes,
                             k0_mode_policy, mode_numbers, sech_ridge_initial,
                             spde_direct_run, spde_poppe_run)
@@ -220,7 +221,7 @@ def _direct_loop(g0, params, sheet, steps, checkpoints):
     k = mode_numbers(g0.n)
     dt = sheet.t_final / steps
     lam = -dt * (params.alpha * k[:, None] ** 2 + params.beta * k[None, :] ** 2)
-    lin, phi = np.exp(lam), _phi1(lam)
+    lin, phi = np.exp(lam), phi1(lam)
     noise_coef, _ = k0_mode_policy(params, k)
     dws = sheet.aggregated(steps)
     u = g0.modes.copy()
