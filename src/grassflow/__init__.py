@@ -3,8 +3,7 @@ projection, cross-validated against independent direct integrators."""
 
 __version__ = "0.1.0"
 
-from .core import Grid1D, SpectralField
+from .core import Grid1D
 from .errors import (GrassflowError, ConfigError, Breakdown, SingularSystem,
                      ChartBreakdown, BlowupAtTime, IntegrationBlowup,
-                     DomainError, SymbolError, ShockProximity,
-                     NewtonDivergence)
+                     SymbolError, ShockProximity, NewtonDivergence)

@@ -4,16 +4,16 @@ The canonical linear system
 
     Qdot = A Q + B P,     Pdot = C Q + D P,     P = G Q
 
-is integrated here at matrix scale, together with the per-x Fredholm
-solve used by the KdV/NLS pipelines.
+is integrated here at matrix scale, and the Riccati defect of its graph
+G is measured.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseSystem, march, rk4_step, solve_dense
-from .errors import ChartBreakdown, ConfigError, SingularSystem
+from .core import march, rk4_step
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,3 @@ def riccati_residual(coeffs: CanonicalCoefficients, g_samples, dt: float) -> flo
         + gi @ (coeffs.A + coeffs.B @ gi)
     return float(np.max(np.abs(defect)))
 
-
-def solve_fredholm_system(kmat, rhs, weights, x: float):
-    """Solve  rhs(z) = g(0, z) + sum_xi g(0, xi) kmat[xi, z] w(xi)  at one x
-    (``rhs`` a vector, or a matrix of columns).  Returns (g, det_track), the
-    solve and det(I + K W) = det(I + K^T W) from one LU; a singular system
-    raises ChartBreakdown at ``x`` carrying that determinant."""
-    # row i is the equation at z_i; column j weights the unknown g(0, xi_j);
-    # I + K^T W is built in place, one n x n array per x, in K's dtype
-    a = np.empty((len(weights),) * 2, dtype=np.result_type(kmat, weights))
-    np.multiply(weights[None, :], kmat.T, out=a)
-    a[np.diag_indices_from(a)] += 1.0
-    try:
-        return solve_dense(DenseSystem(a, rhs), with_det=True)
-    except SingularSystem as exc:
-        raise ChartBreakdown(str(exc), det_value=exc.det_value,
-                             location=x) from exc

@@ -98,12 +98,10 @@ def _lu_det(lu, piv):
         piv != np.arange(len(piv)))
 
 
-def solve_dense(system: DenseSystem, with_det: bool = False):
-    """LU solve with a relative pivot floor of 1e-14 * ||A||_inf.
-
-    With ``with_det`` the result is ``(solution, det A)``, the determinant
-    taken from the same factorisation.  A SingularSystem carries it too.
-    """
+def solve_dense(system: DenseSystem):
+    """LU solve with a relative pivot floor of 1e-14 * ||A||_inf.  Returns
+    ``(solution, det A)``, the determinant taken from the same
+    factorisation; a SingularSystem carries it too."""
     import scipy.linalg as sla
 
     a = np.asarray(system.coefficients)
@@ -116,7 +114,7 @@ def solve_dense(system: DenseSystem, with_det: bool = False):
             f"pivot {np.min(pivots):.3e} below floor {PIVOT_FLOOR * norm_a:.3e}",
             det_value=_lu_det(lu, piv))
     x = sla.lu_solve((lu, piv), b, check_finite=False)
-    return (x, _lu_det(lu, piv)) if with_det else x
+    return x, _lu_det(lu, piv)
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +136,6 @@ def dft_frequencies(grid: Grid1D) -> np.ndarray:
     return np.fft.fftfreq(grid.n, d=grid.spacing)
 
 
-@dataclass
-class SpectralField:
-    """Fourier modes of a periodic field together with its grid.
-
-    ``modes[j]`` is f~(k_j) under the package transform convention, FFT
-    ordering.  Physical samples are recovered with :func:`dft_inverse`.
-    """
-
-    modes: np.ndarray
-    grid: Grid1D
-    t: float = 0.0
-
-    @property
-    def samples(self) -> np.ndarray:
-        return dft_inverse(self)
-
-
 def _grid_phase(grid: Grid1D) -> np.ndarray:
     # e^{2 pi i k x_j} factorises as e^{2 pi i k lo} * e^{2 pi i m j / n};
     # this is the per-mode offset factor for the grid origin.
@@ -167,8 +148,10 @@ def _axis0(v: np.ndarray, ndim: int) -> np.ndarray:
     return v.reshape(v.shape + (1,) * (ndim - 1))
 
 
-def dft_forward(samples: np.ndarray, grid: Grid1D) -> SpectralField:
-    """Transform along axis 0; trailing axes are independent columns."""
+def dft_forward(samples: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """The modes of ``samples`` on the periodic ``grid``, transformed along
+    axis 0 (trailing axes are independent columns): ``modes[j]`` is f~(k_j)
+    in FFT ordering."""
     if grid.kind != "periodic":
         raise ConfigError("dft_forward needs a periodic grid")
     require_power_of_two(grid.n)
@@ -176,15 +159,13 @@ def dft_forward(samples: np.ndarray, grid: Grid1D) -> SpectralField:
     if samples.shape[0] != grid.n:
         raise ConfigError("sample count does not match grid")
     # numpy ifft carries e^{+2 pi i jm/n} and a 1/n factor
-    modes = grid.n * np.fft.ifft(samples, axis=0) * grid.spacing \
+    return grid.n * np.fft.ifft(samples, axis=0) * grid.spacing \
         * _axis0(_grid_phase(grid), samples.ndim)
-    return SpectralField(modes=modes, grid=grid)
 
 
-def dft_inverse(field: SpectralField) -> np.ndarray:
+def dft_inverse(modes: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Inverse of :func:`dft_forward`, along axis 0."""
-    grid = field.grid
-    modes = np.asarray(field.modes, dtype=complex)
+    modes = np.asarray(modes, dtype=complex)
     phase = _axis0(np.conj(_grid_phase(grid)), modes.ndim)
     return np.fft.fft(modes * phase, axis=0) / grid.length
 

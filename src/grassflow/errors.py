@@ -43,10 +43,6 @@ class IntegrationBlowup(GrassflowError):
         self.step = step
 
 
-class DomainError(GrassflowError):
-    """Input outside the mathematical domain of the formula."""
-
-
 class SymbolError(GrassflowError):
     """Dispersion symbol fails the skew (purely imaginary) requirement."""
 

@@ -8,7 +8,7 @@ pair to a fundamental matrix and shares that inversion; a first-order
 upwind integrator is the direct oracle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,8 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 JACOBIAN_FLOOR = 1e-8
 FD_STEP = 1e-6
+FLOW_STEPS = 256  # RK4 steps of fundamental_matrix over [0, t]
+CFL = 0.4  # Courant number of upwind_oracle's adaptive step
 
 
 @dataclass
@@ -117,12 +119,10 @@ def _bisect_scalar(residual, x, beta):
 
 @dataclass
 class GraphField:
-    """Momentum samples on an x-grid; flagged nodes hit a near-shock."""
+    """Momentum samples at the nodes; flagged nodes hit a near-shock."""
 
-    x_nodes: np.ndarray
     values: np.ndarray
-    flagged: list = field(default_factory=list)
-    t: float = 0.0
+    flagged: list
 
 
 def inviscid_burgers_eval(x_nodes, t: float, profile: InitialProfile,
@@ -136,7 +136,7 @@ def inviscid_burgers_eval(x_nodes, t: float, profile: InitialProfile,
     a, shock, flagged = _solve_characteristic(
         x_nodes, 1.0, t, _modified_profile(profile, modifier))
     values = np.where(shock, np.nan, profile(a))
-    return GraphField(x_nodes=x_nodes, values=values, flagged=flagged, t=t)
+    return GraphField(values=values, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +152,15 @@ def _as_coeff(c, n):
     return lambda s: cmat
 
 
-def fundamental_matrix(coeffs, t: float, n: int, steps: int = 256) -> np.ndarray:
-    """Phi(t) of d/ds [q; p] = [[A, B], [C, D]] [q; p], classical RK4."""
+def fundamental_matrix(coeffs, t: float, n: int) -> np.ndarray:
+    """Phi(t) of d/ds [q; p] = [[A, B], [C, D]] [q; p], FLOW_STEPS of RK4."""
     A, B, C, D = (_as_coeff(c, n) for c in coeffs)
     return linear_flow(lambda s: np.block([[A(s), B(s)], [C(s), D(s)]]),
-                       np.eye(2 * n), 0.0, t / steps, steps)[-1]
+                       np.eye(2 * n), 0.0, t / FLOW_STEPS, FLOW_STEPS)[-1]
 
 
 def generalized_flow_eval(x_nodes, t: float, profile: InitialProfile,
-                          coeffs=None, modifier=None,
-                          steps: int = 256) -> GraphField:
+                          coeffs=None, modifier=None) -> GraphField:
     """Graph flow under q' = Aq + Bp, p' = Cq + Dp (or the f(|p|^2) model).
 
     The linear base pair is reduced to its scalar fundamental matrix, so
@@ -174,24 +173,23 @@ def generalized_flow_eval(x_nodes, t: float, profile: InitialProfile,
     if modifier is not None:
         raise ConfigError("modifier applies only without coeffs")
     x_nodes = np.asarray(x_nodes, dtype=float)
-    (qq, qp), (pq, pp) = fundamental_matrix(coeffs, t, 1, steps=steps)
+    (qq, qp), (pq, pp) = fundamental_matrix(coeffs, t, 1)
     a, shock, flagged = _solve_characteristic(x_nodes, qq, qp, profile)
     values = np.where(shock, np.nan, pq * a + pp * profile(a))
-    return GraphField(x_nodes=x_nodes, values=values, flagged=flagged, t=t)
+    return GraphField(values=values, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------
 # direct oracle
 
 
-def upwind_oracle(pi0_samples: np.ndarray, h: float, t: float,
-                  cfl: float = 0.4) -> np.ndarray:
+def upwind_oracle(pi0_samples: np.ndarray, h: float, t: float) -> np.ndarray:
     """First-order upwind integration of pi_t + pi pi_x = 0, periodic."""
     u = np.asarray(pi0_samples, dtype=float).copy()
     elapsed = 0.0
     while elapsed < t:
         speed = np.max(np.abs(u))
-        dt = min(cfl * h / max(speed, 1e-12), t - elapsed)
+        dt = min(CFL * h / max(speed, 1e-12), t - elapsed)
         back = (u - np.roll(u, 1)) / h
         fwd = (np.roll(u, -1) - u) / h
         u = u - dt * u * np.where(u > 0, back, fwd)

@@ -7,14 +7,13 @@ the independent cross-validation oracle: ETDRK4 for KdV, a split step for
 NLS.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import solve_fredholm_system
-from .core import (Grid1D, SpectralField, dft_forward, dft_frequencies,
-                   march, quadrature_weights)
-from .errors import ChartBreakdown, ConfigError, SymbolError
+from .core import (DenseSystem, Grid1D, dft_forward, dft_frequencies,
+                   dft_inverse, march, quadrature_weights, solve_dense)
+from .errors import ConfigError, SingularSystem, SymbolError
 
 
 def cubic_kdv_symbol(k):
@@ -27,9 +26,11 @@ def schrodinger_symbol(k):
     return -1j * (2j * np.pi * np.asarray(k, dtype=float)) ** 2
 
 
-def propagate_dispersive(fld: SpectralField, symbol, t: float) -> SpectralField:
-    """Exact per-mode dispersive propagation under ``symbol``, the map
-    k -> d(2 pi i k) of a skew polynomial symbol d.
+def propagate_dispersive(modes: np.ndarray, grid: Grid1D, symbol,
+                         t: float) -> np.ndarray:
+    """The modes on ``grid`` propagated from time 0 to ``t``: exact per-mode
+    dispersive propagation under ``symbol``, the map k -> d(2 pi i k) of a
+    skew polynomial symbol d.
 
     The forward transform uses the kernel e^{+2 pi i k x}, so the mode stored
     at index k carries the physical harmonic e^{-2 pi i k x} and d/dx acts on
@@ -38,17 +39,16 @@ def propagate_dispersive(fld: SpectralField, symbol, t: float) -> SpectralField:
     exp(t d(2 pi i k)).  On an even grid the Nyquist mode gets the even part
     (d(2 pi i k_N) + d(-2 pi i k_N)) / 2, so a real field stays real.
     """
-    k = dft_frequencies(fld.grid)
+    k = dft_frequencies(grid)
     d = symbol(-k)
-    if fld.grid.n % 2 == 0:
-        nyq = fld.grid.n // 2
+    if grid.n % 2 == 0:
+        nyq = grid.n // 2
         d[nyq] = 0.5 * (d[nyq] + symbol(k[nyq]))
     scale = np.max(np.abs(d)) or 1.0
     if np.max(np.abs(d.real)) > 1e-12 * scale:
         raise SymbolError(f"symbol {symbol.__name__!r} is not skew on this "
                           "grid")
-    modes = fld.modes * np.exp((t - fld.t) * d)
-    return SpectralField(modes=modes, grid=fld.grid, t=t)
+    return modes * np.exp(t * d)
 
 
 def half_line_grid(domain: Grid1D) -> Grid1D:
@@ -58,17 +58,30 @@ def half_line_grid(domain: Grid1D) -> Grid1D:
 
 @dataclass
 class ProjectionResult:
-    """Per-x output of a linearise-then-project run."""
+    """Per-x output of a linearise-then-project run; ``breakdown_locations``
+    lists (x, det) of each singular system."""
 
-    x_nodes: np.ndarray
     values: np.ndarray
     det_track: np.ndarray
-    breakdown_locations: list = field(default_factory=list)
-    t: float = 0.0
+    breakdown_locations: list
 
 
-def _project_over_x(fld, kernel, quadrature, real=False):
-    """One Fredholm solve, and one LU, per x, in order.
+def solve_fredholm_system(kmat, rhs, weights):
+    """Solve  rhs(z) = g(0, z) + sum_xi g(0, xi) kmat[xi, z] w(xi)  at one x
+    (``rhs`` a vector, or a matrix of columns).  Returns (g, det_track), the
+    solve and det(I + K W) = det(I + K^T W) from one LU; a singular system
+    raises SingularSystem carrying that determinant."""
+    # row i is the equation at z_i; column j weights the unknown g(0, xi_j);
+    # I + K^T W is built in place, one n x n array per x, in K's dtype
+    a = np.empty((len(weights),) * 2, dtype=np.result_type(kmat, weights))
+    np.multiply(weights[None, :], kmat.T, out=a)
+    a[np.diag_indices_from(a)] += 1.0
+    return solve_dense(DenseSystem(a, rhs))
+
+
+def _project_over_x(samples, grid, kernel, quadrature, real=False):
+    """One Fredholm solve, and one LU, per x, in order, over the base
+    field's ``samples`` on ``grid``.
 
     The assembly reads p(y + z + x) for y, z in [-L/2, 0] and x in
     [-L/2, L/2], arguments in [-3L/2, L/2]; the base field is periodic, so
@@ -81,13 +94,12 @@ def _project_over_x(fld, kernel, quadrature, real=False):
     the values and the dets are float64.  A singular system leaves a NaN
     value and its (x, det) in ``breakdown_locations``.
     """
-    grid = fld.grid
     if grid.lower != -grid.upper:
         raise ConfigError("the Fredholm projection needs a domain "
                           "symmetric about 0")
     zgrid = half_line_grid(grid)
     w = quadrature_weights(zgrid, quadrature)
-    trace = np.tile(fld.samples.real if real else fld.samples, 2)
+    trace = np.tile(samples.real if real else samples, 2)
     stack = np.lib.stride_tricks.as_strided(
         trace, shape=(grid.n, zgrid.n, zgrid.n),
         strides=(trace.strides[0],) * 3, writeable=False)
@@ -97,14 +109,14 @@ def _project_over_x(fld, kernel, quadrature, real=False):
     for i, x in enumerate(grid.nodes):
         try:
             g_row, dets[i] = solve_fredholm_system(kernel(stack[i], w),
-                                                   stack[i, :, -1], w, x)
-        except ChartBreakdown as exc:
+                                                   stack[i, :, -1], w)
+        except SingularSystem as exc:
             dets[i] = exc.det_value
             breakdowns.append((float(x), exc.det_value))
             continue
         values[i] = g_row[-1]  # z = 0 sits at the grid's last node
-    return ProjectionResult(x_nodes=grid.nodes, values=values, det_track=dets,
-                            breakdown_locations=breakdowns, t=fld.t)
+    return ProjectionResult(values=values, det_track=dets,
+                            breakdown_locations=breakdowns)
 
 
 def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
@@ -114,8 +126,10 @@ def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
     The propagated trace is real to rounding (the Nyquist mode takes no
     phase), so the x-systems are solved in float64 and the values are
     float64."""
-    fld = propagate_dispersive(dft_forward(p0, grid), cubic_kdv_symbol, t)
-    return _project_over_x(fld, lambda h, w: h, quadrature, real=True)
+    modes = propagate_dispersive(dft_forward(p0, grid), grid,
+                                 cubic_kdv_symbol, t)
+    return _project_over_x(dft_inverse(modes, grid), grid, lambda h, w: h,
+                           quadrature, real=True)
 
 
 def nls_gram(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -128,8 +142,10 @@ def nls_gram(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def nls_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
                        quadrature: str = "riemann-left") -> ProjectionResult:
     """NLS via the quadratic prescription qhat = P^dag P."""
-    fld = propagate_dispersive(dft_forward(p0, grid), schrodinger_symbol, t)
-    return _project_over_x(fld, nls_gram, quadrature)
+    modes = propagate_dispersive(dft_forward(p0, grid), grid,
+                                 schrodinger_symbol, t)
+    return _project_over_x(dft_inverse(modes, grid), grid, nls_gram,
+                           quadrature)
 
 
 # ---------------------------------------------------------------------------

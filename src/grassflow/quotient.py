@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalCoefficients, linear_flow, riccati_residual
-from .core import (Grid1D, SpectralField, central_in_t, dft_forward,
-                   dft_frequencies, dft_inverse, phi1)
+from .core import (Grid1D, central_in_t, dft_forward, dft_frequencies,
+                   dft_inverse, phi1)
 from .errors import (BlowupAtTime, ChartBreakdown, ConfigError,
                      IntegrationBlowup, SymbolError)
 
@@ -27,21 +27,20 @@ PHASE_STEPS = 256
 class QuotientCoefficients:
     """Scalar-scale coefficients of the quotient family.
 
-    ``dispersion`` maps 2 pi |k| to d(2 pi |k|) (Re d <= 0 enforced when
-    ``decaying``); ``b`` is callable b(y); ``f_coeffs`` are the alpha_m of
-    F(u) = i sum alpha_m u^m for the odd-degree variant (real alpha_m so F
-    stays purely imaginary).  At most one of ``b`` and ``f_coeffs`` is set.
+    ``dispersion`` maps 2 pi |k| to d(2 pi |k|) (Re d <= 0 enforced); ``b``
+    is callable b(y); ``f_coeffs`` are the alpha_m of F(u) = i sum alpha_m
+    u^m for the odd-degree variant (real alpha_m so F stays purely
+    imaginary).  At most one of ``b`` and ``f_coeffs`` is set.
     """
 
     dispersion: callable
     b: callable = None
     f_coeffs: tuple = ()
-    decaying: bool = True
 
     def symbol(self, k):
         d = np.asarray(self.dispersion(2.0 * np.pi * np.abs(np.asarray(k))),
                        dtype=complex)
-        if self.decaying and np.any(d.real > 1e-12):
+        if np.any(d.real > 1e-12):
             raise SymbolError("dispersion has growing modes")
         return d
 
@@ -56,14 +55,8 @@ class QuotientCoefficients:
 
 @dataclass
 class QuotientField:
-    grid: Grid1D
     values: np.ndarray  # g[i, j] = g(x_i, y_j)
     q: np.ndarray       # per-y weight
-    t: float
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.values)
 
 
 def quotient_solve(g0: np.ndarray, grid: Grid1D,
@@ -89,12 +82,12 @@ def quotient_solve(g0: np.ndarray, grid: Grid1D,
         raise ConfigError("initial data must be square on the grid")
     d = coeffs.symbol(dft_frequencies(grid))
     # per-column transforms in x: p0_hat[k, j] = sum_i g0[i, j] e^{+2pi i k x_i} h
-    p0_hat = dft_forward(g0, grid).modes
-    p = dft_inverse(SpectralField(np.exp(d * t)[:, None] * p0_hat, grid))
+    p0_hat = dft_forward(g0, grid)
+    p = dft_inverse(np.exp(d * t)[:, None] * p0_hat, grid)
     if coeffs.f_coeffs:
         # pbar(s)_j = sum_k B[j, k] e^{d_k s} p0_hat[k, j] with B the
         # inverse-DFT matrix: one O(n^2) product per quadrature time
-        weights = dft_inverse(SpectralField(np.eye(grid.n), grid)) * p0_hat.T
+        weights = dft_inverse(np.eye(grid.n), grid) * p0_hat.T
         exponent = np.zeros(grid.n, dtype=complex)
         ds = t / PHASE_STEPS
         for m in range(PHASE_STEPS + 1):
@@ -108,14 +101,13 @@ def quotient_solve(g0: np.ndarray, grid: Grid1D,
         q = np.ones(grid.n, dtype=complex)
     else:
         # time-integrated p, inverse-transformed and read on the diagonal
-        integral = np.diag(dft_inverse(
-            SpectralField(phi1(d, t)[:, None] * p0_hat, grid)))
+        integral = np.diag(dft_inverse(phi1(d, t)[:, None] * p0_hat, grid))
         q = 1.0 + np.asarray(coeffs.b(grid.nodes), dtype=complex) * integral
     j = int(np.argmin(np.abs(q)))
     if abs(q[j]) < 1e-10:
         raise BlowupAtTime(f"quotient weight q vanished at t = {t}",
                            det_value=abs(q[j]), location=grid.nodes[j], t=t)
-    return QuotientField(grid=grid, values=p / q[None, :], q=q, t=t)
+    return QuotientField(values=p / q[None, :], q=q)
 
 
 def quotient_residual(g0, grid: Grid1D, coeffs: QuotientCoefficients,
@@ -125,8 +117,7 @@ def quotient_residual(g0, grid: Grid1D, coeffs: QuotientCoefficients,
     g, gt = central_in_t(lambda s: quotient_solve(g0, grid, coeffs, s).values,
                          t, dt)
     d = coeffs.symbol(dft_frequencies(grid))
-    dxg = dft_inverse(SpectralField(d[:, None] * dft_forward(g, grid).modes,
-                                    grid))
+    dxg = dft_inverse(d[:, None] * dft_forward(g, grid), grid)
     gbar = np.diag(g)
     if coeffs.f_coeffs:
         nonlin = g * coeffs.f_value(np.abs(gbar) ** 2)[None, :]
@@ -162,7 +153,6 @@ class EllipticCoefficients:
 
 @dataclass
 class EllipticSolution:
-    grid: Grid1D
     g: np.ndarray
     q: np.ndarray
     p: np.ndarray
@@ -199,4 +189,4 @@ def elliptic_quotient_solve(coeffs: EllipticCoefficients, q0: float,
     g = p / q
     residual = riccati_residual(CanonicalCoefficients(
         *(v[1:-1, None, None] for v in abcd)), g[:, None, None], h)
-    return EllipticSolution(grid=grid, g=g, q=q, p=p, residual=residual)
+    return EllipticSolution(g=g, q=q, p=p, residual=residual)

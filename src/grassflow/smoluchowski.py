@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (Grid1D, central_in_t, march, quadrature_weights, rk4_step,
                    uniform_steps)
-from .errors import BlowupAtTime, ConfigError, DomainError, IntegrationBlowup
+from .errors import BlowupAtTime, ConfigError, IntegrationBlowup
 
 
 @dataclass
@@ -23,7 +23,6 @@ class MassDensity:
 
     grid: Grid1D
     values: np.ndarray
-    t: float = 0.0
     # set when the data is an exponential profile A exp(-beta x); enables the
     # analytic Laplace inversion in constant_kernel_solve
     exponential: tuple | None = None
@@ -48,12 +47,11 @@ def exponential_density(grid: Grid1D, amplitude: float, rate: float) -> MassDens
 
 
 def m0_constant_kernel(m00: float, t: float) -> float:
-    """m0(t) = m0(0) / (1 + t m0(0)/2)."""
-    if m00 < 0:
-        raise DomainError("m0(0) must be non-negative")
+    """m0(t) = m0(0) / (1 + t m0(0)/2) while the denominator is positive."""
     denom = 1.0 + 0.5 * t * m00
     if denom <= 0:
-        raise DomainError("closed-form m0 denominator non-positive")
+        raise BlowupAtTime("closed-form m0 denominator crossed zero",
+                           det_value=denom, t=t)
     return m00 / denom
 
 
@@ -79,14 +77,14 @@ def constant_kernel_solve(g0: MassDensity, t: float) -> MassDensity:
         new_rate = rate + lam * amp
         if new_rate <= 0:
             raise BlowupAtTime("inverted exponential no longer decays")
-        return MassDensity(grid=g0.grid, t=t,
+        return MassDensity(grid=g0.grid,
                            values=c * amp * np.exp(-new_rate * g0.grid.nodes),
                            exponential=(c * amp, new_rate))
     c, lam = constant_kernel_scalars(g0.m0, t)
     p = c * g0.values
     qhat = lam * g0.values
     g = volterra_project(p, qhat, g0.grid)
-    return MassDensity(grid=g0.grid, values=g, t=t)
+    return MassDensity(grid=g0.grid, values=g)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +237,7 @@ def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity, t: float,
     state = np.array([g0.values.astype(float), np.zeros(grid.n)])
     p, qhat = march(lambda m, y: rk4_step(rhs, y, m * dt, dt), state, steps)
     g = volterra_project(p, qhat, grid)
-    return MassDensity(grid=grid, values=g, t=t)
+    return MassDensity(grid=grid, values=g)
 
 
 def general_smol_residual(coeffs: SmolCoefficients, g0: MassDensity, t: float,
@@ -288,11 +286,11 @@ def direct_smol_oracle(g0: MassDensity, t: float, dt: float,
     advance = lambda m, g: rk4_step(rhs, g, m * dt, dt)
     g = g0.values.astype(float)
     if not track_moments:
-        return MassDensity(grid=grid, values=march(advance, g, steps), t=t)
+        return MassDensity(grid=grid, values=march(advance, g, steps))
     kept = march(advance, g, steps, range(steps + 1), lambda g: (
         g, np.trapezoid(g, dx=h), np.trapezoid(x * g, dx=h)))
     gs, m0s, m1s = zip(*kept.values())
-    return (MassDensity(grid=grid, values=gs[-1], t=t),
+    return (MassDensity(grid=grid, values=gs[-1]),
             dt * np.arange(steps + 1), np.array(m0s), np.array(m1s))
 
 

@@ -59,9 +59,9 @@ class Field2D:
         return np.fft.ifft2(self.modes) * self.modes.size
 
     @staticmethod
-    def from_samples(samples: np.ndarray, t: float = 0.0) -> "Field2D":
+    def from_samples(samples: np.ndarray) -> "Field2D":
         samples = np.asarray(samples, dtype=complex)
-        return Field2D(modes=np.fft.fft2(samples) / samples.size, t=t)
+        return Field2D(modes=np.fft.fft2(samples) / samples.size)
 
 
 def composition_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -92,7 +92,6 @@ class BrownianSheetModes:
     so every consumer sees the same underlying path.
     """
 
-    seed: int
     n_modes: int
     t_final: float
     resolution: int
@@ -110,8 +109,8 @@ class BrownianSheetModes:
         stream = random_stream(seed, stream_id=1)
         flat = gaussian_increments(stream, resolution * n_modes, dt,
                                    complex_valued=False)
-        return BrownianSheetModes(seed=seed, n_modes=n_modes,
-                                  t_final=t_final, resolution=resolution,
+        return BrownianSheetModes(n_modes=n_modes, t_final=t_final,
+                                  resolution=resolution,
                                   increments=flat.reshape(resolution, n_modes))
 
     def aggregated(self, steps: int) -> np.ndarray:
@@ -208,7 +207,6 @@ class PoppeResult:
     """Projected field plus the diagnostics of the final dense solve."""
 
     g: Field2D
-    p: Field2D
     det_track: np.ndarray
     solve_residual: float
 
@@ -239,6 +237,8 @@ def spde_poppe_run(g0: Field2D, params: SpdeParams,
             p_final = p_s
     # p = g o (delta + qhat)  =>  P = G (I + 2 pi J Qhat) in mode matrices
     system = np.eye(n, dtype=complex) + TWO_PI * qhat[neg, :]
+    # not core.solve_dense: its scipy.linalg adds about 20 MB of resident
+    # memory to a run that has no other dense solve
     try:
         g = np.linalg.solve(system.T, p_final.T).T
     except np.linalg.LinAlgError as exc:
@@ -246,8 +246,8 @@ def spde_poppe_run(g0: Field2D, params: SpdeParams,
     residual = float(np.max(np.abs(g @ system - p_final)))
     if residual > 1e-10 * max(1.0, float(np.max(np.abs(p_final)))):
         raise SingularSystem(f"I + qhat solve residual {residual:.3e}")
-    return PoppeResult(g=Field2D(modes=g, t=tf), p=Field2D(modes=p_final, t=tf),
-                       det_track=dets, solve_residual=residual)
+    return PoppeResult(g=Field2D(modes=g, t=tf), det_track=dets,
+                       solve_residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from grassflow.canonical import solve_fredholm_system
 from grassflow.core import (DenseSystem, Grid1D, quadrature_weights,
                             solve_dense)
 from grassflow.errors import BlowupAtTime, SingularSystem
+from grassflow.integrable import solve_fredholm_system
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,7 @@ def solve_additive_fredholm(p_trace, qhat, zgrid: Grid1D, x: float,
     kmat = np.asarray(qhat(nodes[:, None], nodes[None, :]))
     args = nodes[:, None] + nodes[None, :] if full_kernel else nodes
     rhs = np.asarray(p_trace(args + x))
-    g, det_track = solve_fredholm_system(kmat, rhs.T, w, x)
+    g, det_track = solve_fredholm_system(kmat, rhs.T, w)
     return g.T, det_track
 
 
@@ -96,7 +96,7 @@ def graph_solve(q, p, floor: float, error, location=None, t=None):
     and t."""
     # solve G Q = P as Q^T G^T = P^T
     try:
-        gt, det = solve_dense(DenseSystem(q.T, p.T), with_det=True)
+        gt, det = solve_dense(DenseSystem(q.T, p.T))
     except SingularSystem as exc:
         raise error(str(exc), det_value=exc.det_value, location=location,
                     t=t) from exc

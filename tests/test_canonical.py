@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from grassflow.canonical import (CanonicalCoefficients, linear_flow,
                                  riccati_residual)
 from grassflow.core import Grid1D, quadrature_weights, rk4_step
-from grassflow.errors import ChartBreakdown, ConfigError, IntegrationBlowup
+from grassflow.errors import (ChartBreakdown, ConfigError, IntegrationBlowup,
+                             SingularSystem)
 from reference import (AdditiveKernelTrace, graph_solve,
                        integrate_base_exact, riccati_subflow,
                        solve_additive_fredholm)
@@ -236,7 +237,7 @@ def test_fredholm_breakdown_on_singular_operator():
 
     trace = AdditiveKernelTrace(grid=Grid1D(-2.0, 2.0, 5, kind="closed"),
                                 values=np.ones(5))
-    with pytest.raises(ChartBreakdown):
+    with pytest.raises(SingularSystem):
         solve_additive_fredholm(trace, qhat, zgrid, 0.0)
 
 

@@ -14,8 +14,10 @@ import grassflow.cli as cli
 from grassflow import quotient, smoluchowski
 from grassflow.cli import (RunConfig, apply_preset, config_hash, main,
                            validate, write_table)
-from grassflow.core import Grid1D
+from grassflow.core import Grid1D, dft_forward, dft_inverse
 from grassflow.errors import ChartBreakdown
+from grassflow.integrable import (cubic_kdv_symbol, propagate_dispersive,
+                                  schrodinger_symbol)
 from grassflow.smoluchowski import MassDensity, constant_kernel_solve
 
 
@@ -340,6 +342,11 @@ def test_fredholm_run_ends_at_t_final(tmp_path, argv):
         assert float(rows[-1][1]) == t_final
 
 
+def read_metadata(path):
+    return dict(line.split(" = ", 1)
+                for line in path.read_text().splitlines())
+
+
 @pytest.mark.parametrize("argv, step", [
     (("kdv", "--grid-n", "32", "--t-final", "1", "--dt", "0.3",
       "--checkpoints", "2"), "0.33333333333333331"),
@@ -353,11 +360,54 @@ def test_fredholm_run_ends_at_t_final(tmp_path, argv):
 def test_sidecar_records_the_step_the_run_took(tmp_path, argv, step):
     # dt echoes the configuration; step is t_final / steps, the step taken
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    meta = dict(line.split(" = ", 1) for line in
-                (tmp_path / f"{argv[0]}_metadata.txt").read_text()
-                .splitlines())
+    meta = read_metadata(tmp_path / f"{argv[0]}_metadata.txt")
     assert meta["dt"] == cli._fmt(float(argv[argv.index("--dt") + 1]))
     assert meta["step"] == step
+
+
+def complex_columns_by_time(path):
+    """{t: value_real + i value_imag} of a field table, in row order."""
+    _, _, rows = read_table(path)
+    by_time = {}
+    for row in rows:
+        value = float(row[2]) + 1j * float(row[3])
+        by_time.setdefault(float(row[1]), []).append(value)
+    return {t: np.array(v) for t, v in by_time.items()}
+
+
+@pytest.mark.parametrize("equation, symbol, readout", [
+    ("kdv", cubic_kdv_symbol, np.real),
+    ("nls", schrodinger_symbol, np.asarray),
+], ids=["kdv", "nls"])
+def test_nonlinear_effect_is_the_oracle_gap_to_the_linear_flow(
+        tmp_path, equation, symbol, readout):
+    rc = main([equation, "--grid-n", "64", "--t-final", "0.5", "--dt", "0.01",
+               "--checkpoints", "3", "--out", str(tmp_path)])
+    assert rc == 0
+    grid = Grid1D(-5.0, 5.0, 64, kind="periodic")
+    u0 = readout(complex_columns_by_time(tmp_path / f"{equation}_poppe.csv")
+                 [0.0])
+    effect = 0.0
+    for t, direct in complex_columns_by_time(
+            tmp_path / f"{equation}_direct.csv").items():
+        linear = dft_inverse(propagate_dispersive(dft_forward(u0, grid), grid,
+                                                  symbol, t), grid)
+        effect = max(effect, np.max(np.abs(readout(direct)
+                                           - readout(linear))))
+    meta = read_metadata(tmp_path / f"{equation}_metadata.txt")
+    assert effect > 0
+    assert float(meta["nonlinear_effect"]) == pytest.approx(effect,
+                                                             rel=1e-12)
+
+
+def test_burgers_difference_wraps_the_periodic_oracle(tmp_path):
+    # x = +L/2 is the periodic oracle's first node, -L/2, not its last
+    rc = main(["burgers", "--profile", "sin", "--grid-n", "256",
+               "--t-final", "0.5", "--domain-l", str(2 * np.pi),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    _, _, rows = read_table(tmp_path / "burgers_difference.csv")
+    assert abs(float(rows[0][2]) - float(rows[-1][2])) <= 1e-12
 
 
 def test_kdv_paper_preset_closes_on_its_oracle(tmp_path):
@@ -366,8 +416,7 @@ def test_kdv_paper_preset_closes_on_its_oracle(tmp_path):
     rc = main(["kdv", "--preset", "paper", "--checkpoints", "2",
                "--out", str(tmp_path)])
     assert rc == 0
-    meta = dict(line.split(" = ", 1) for line in
-                (tmp_path / "kdv_metadata.txt").read_text().splitlines())
+    meta = read_metadata(tmp_path / "kdv_metadata.txt")
     assert meta["dt"] == "0.01"
     assert float(meta["sup_difference"]) <= 5e-3
 
@@ -459,6 +508,15 @@ def test_spde_rerun_is_bitwise_identical(tmp_path):
     assert names
     for name in names:
         assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+def test_smol_const_closed_form_takes_a_negative_initial_mass(tmp_path):
+    # m0(0) = -5.21 on the kdv-paper profile; 1 + t m0(0) / 2 stays positive
+    rc = main(["smol-const", "--profile", "kdv-paper", "--grid-n", "64",
+               "--t-final", "0.01", "--out", str(tmp_path)])
+    assert rc == 0
+    meta = read_metadata(tmp_path / "smol-const_metadata.txt")
+    assert meta["m0_closed_form"] == "-5.3503841419452796"
 
 
 def test_smol_const_run_reports_moments(tmp_path):

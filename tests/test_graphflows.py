@@ -371,9 +371,7 @@ def decaying_burgers_eval(s_nodes, t, profile):
     """
     tau = 1.0 - np.exp(-t)
     base = inviscid_burgers_eval(s_nodes, tau, profile)
-    return GraphField(x_nodes=base.x_nodes,
-                      values=np.exp(-t) * base.values,
-                      flagged=base.flagged, t=t)
+    return GraphField(values=np.exp(-t) * base.values, flagged=base.flagged)
 
 
 def test_decaying_burgers_matches_integrating_factor():

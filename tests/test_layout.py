@@ -11,6 +11,8 @@ only the tests need lives in ``tests/``.
 import ast
 import importlib
 import importlib.util
+import inspect
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,19 +66,42 @@ STALE_TARGETS = {
 }
 
 
-def test_tracer_targets_resolve_in_the_package():
+def _tracing():
     # perfbench/tracing.py is read, never changed: a rename in src/ must not
     # silently zero a per-layer metric
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    unresolved = set()
-    for _, modname, attr, _ in tracing.TARGETS:
-        module = importlib.import_module(f"grassflow.{modname}")
-        owner, _, name = attr.rpartition(".")
-        scope = getattr(module, owner, None) if owner else module
-        # a method must be its class's own, as the tracer requires
-        if scope is None or vars(scope).get(name) is None:
-            unresolved.add(f"{modname}.{attr}")
+    return tracing
+
+
+def _resolve(modname, attr):
+    """The target as the tracer finds it, or None.  A method must be its
+    class's own, as the tracer requires."""
+    module = importlib.import_module(f"grassflow.{modname}")
+    owner, _, name = attr.rpartition(".")
+    scope = getattr(module, owner, None) if owner else module
+    return None if scope is None else vars(scope).get(name)
+
+
+def test_tracer_targets_resolve_in_the_package():
+    unresolved = {f"{modname}.{attr}"
+                  for _, modname, attr, _ in _tracing().TARGETS
+                  if _resolve(modname, attr) is None}
     assert unresolved <= STALE_TARGETS
+
+
+def test_tracer_counters_read_parameters_of_their_targets():
+    # the tracer swallows the KeyError of a counter that reads a renamed
+    # parameter, and the count reads 0
+    missing = []
+    for _, modname, attr, counter in _tracing().TARGETS:
+        if counter is None or f"{modname}.{attr}" in STALE_TARGETS:
+            continue
+        params = inspect.signature(_resolve(modname, attr)).parameters
+        keys = re.findall(r'a\["(\w+)"\]', inspect.getsource(counter))
+        assert keys, f"no parameter read by the counter of {attr}"
+        missing += [f"{modname}.{attr}: {key}" for key in keys
+                    if key not in params]
+    assert missing == []

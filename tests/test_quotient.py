@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassflow.core import (Grid1D, SpectralField, dft_forward,
-                            dft_frequencies, dft_inverse)
+from grassflow.core import Grid1D, dft_forward, dft_frequencies, dft_inverse
 from grassflow.errors import (BlowupAtTime, ChartBreakdown, ConfigError,
                               IntegrationBlowup, SymbolError)
 from grassflow.quotient import (PHASE_STEPS, EllipticCoefficients,
@@ -149,11 +148,10 @@ def test_odd_degree_diagonal_matches_full_inverse_per_time():
     coeffs = heat_coeffs(f=(0.5, -0.3, 0.1))
     t, steps = 0.6, PHASE_STEPS
     d = coeffs.symbol(dft_frequencies(g))
-    p0_hat = dft_forward(g0, g).modes
+    p0_hat = dft_forward(g0, g)
     exponent = np.zeros(g.n, dtype=complex)
     for m in range(steps + 1):
-        p = dft_inverse(SpectralField(np.exp(d * (m * t / steps))[:, None]
-                                      * p0_hat, g))
+        p = dft_inverse(np.exp(d * (m * t / steps))[:, None] * p0_hat, g)
         w = 0.5 * t / steps if m in (0, steps) else t / steps
         exponent += w * coeffs.f_value(np.abs(np.diag(p)) ** 2)
     q = np.exp(exponent)
@@ -170,13 +168,6 @@ def test_odd_degree_residual_decreases():
     _, coarse = quotient_residual(g0, g, coeffs, 0.4, 4e-2)
     _, fine = quotient_residual(g0, g, coeffs, 0.4, 2e-2)
     assert fine < coarse
-
-
-def test_diagonal_property():
-    g = periodic_grid(4.0, 16)
-    g0 = gaussian_sheet(g)
-    out = quotient_solve(g0, g, heat_coeffs(b=lambda y: np.ones_like(y)), 0.2)
-    assert np.allclose(out.diagonal, np.diag(out.values))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassflow.core import Grid1D, march, rk4_step
-from grassflow.errors import BlowupAtTime, ConfigError, DomainError
+from grassflow.errors import BlowupAtTime, ConfigError
 from grassflow.smoluchowski import (MassDensity, SmolCoefficients,
                                     _check_uniform, _poly_ddx,
                                     constant_kernel_scalars,
@@ -30,10 +30,11 @@ def mass_grid(upper, n):
 def test_m0_closed_form():
     assert m0_constant_kernel(1.0, 0.0) == pytest.approx(1.0)
     assert m0_constant_kernel(1.0, 2.0) == pytest.approx(0.5)
-    with pytest.raises(DomainError):
-        m0_constant_kernel(-1.0, 1.0)
-    with pytest.raises(DomainError):
+    # a negative initial mass is finite while 1 + t m0(0)/2 > 0
+    assert m0_constant_kernel(-1.0, 1.0) == -2.0
+    with pytest.raises(BlowupAtTime) as exc:
         m0_constant_kernel(1.0, -4.0)
+    assert exc.value.det_value == -1.0
 
 
 def test_scalar_base_flow_values():
@@ -336,7 +337,7 @@ def gain_only_oracle(g0, t, dt, alpha=None):
     dt = t / steps
     g = march(lambda m, g: rk4_step(gain, g, m * dt, dt),
               g0.values.astype(float), steps)
-    return MassDensity(grid=grid, values=g, t=t)
+    return MassDensity(grid=grid, values=g)
 
 
 def exp_kernel_rescale(g, alpha, inverse=False):
@@ -351,8 +352,8 @@ def exp_kernel_rescale(g, alpha, inverse=False):
     if inverse:
         expo = -expo
     if np.max(expo) > 700:
-        raise DomainError("rescaling factor overflows")
-    return MassDensity(grid=g.grid, values=g.values * np.exp(expo), t=g.t)
+        raise ConfigError("rescaling factor overflows")
+    return MassDensity(grid=g.grid, values=g.values * np.exp(expo))
 
 
 def test_exp_kernel_at_zero_alpha_is_the_constant_gain_only_oracle():
@@ -380,7 +381,7 @@ def test_rescale_round_trip_and_overflow_guard():
     g0 = MassDensity(grid=g, values=np.exp(-g.nodes))
     back = exp_kernel_rescale(exp_kernel_rescale(g0, 0.3), 0.3, inverse=True)
     assert np.allclose(back.values, g0.values)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         exp_kernel_rescale(g0, 100.0)
 
 
