@@ -171,14 +171,14 @@ def _plane_xy(nodes):
     return np.repeat(nodes, len(nodes)), np.tile(nodes, len(nodes))
 
 
-def _field_table(coords, t, values, det=np.nan, residual=np.nan):
+def _field_table(coords, t, values, det=np.nan):
     """Rows of a field sampled at the points of ``coords`` (x, or the x and
-    y of _plane_xy): the coords, t, value_real, value_imag, det, residual."""
+    y of _plane_xy): the coords, t, value_real, value_imag and det."""
     vals = np.asarray(values, dtype=complex).ravel()
-    return _columns(*coords, t, vals.real, vals.imag, det, residual)
+    return _columns(*coords, t, vals.real, vals.imag, det)
 
 
-FIELD_HEADER = ("x", "t", "value_real", "value_imag", "det_track", "residual")
+FIELD_HEADER = ("x", "t", "value_real", "value_imag", "det_track")
 PLANE_HEADER = ("x", "y") + FIELD_HEADER[1:]
 DIFF_HEADER = ("x", "t", "difference")
 
@@ -333,8 +333,7 @@ def run_smol_general(config: RunConfig, write) -> dict:
     g, residual = general_smol_residual(coeffs, g0, config.t_final,
                                         dt=config.dt)
     gt = MassDensity(grid=grid, values=g)
-    write("poppe", FIELD_HEADER,
-          _field_table((nodes,), config.t_final, g, residual=residual))
+    write("poppe", FIELD_HEADER, _field_table((nodes,), config.t_final, g))
     return {"pde_residual": residual, "m0": gt.m0, "m1": gt.m1}
 
 
@@ -346,8 +345,8 @@ def run_prelaplace(config: RunConfig, write) -> dict:
                                                config.t_final, config.dt)
     g_init = pre_laplace_burgers_solve(q0, grid, config.nu, 0.0)
     rows = np.vstack((
-        _field_table((nodes,), config.t_final, g, residual=residual),
-        _field_table((nodes,), 0.0, g_init, residual=residual)))
+        _field_table((nodes,), config.t_final, g),
+        _field_table((nodes,), 0.0, g_init)))
     write("poppe", FIELD_HEADER, rows)
     return {"pde_residual": residual}
 
@@ -379,28 +378,26 @@ def run_burgers(config: RunConfig, write) -> dict:
 
 def run_spde(config: RunConfig, write) -> dict:
     params = SpdeParams(alpha=1.0, beta=0.0, gamma=10.0, epsilon=1000.0)
-    steps, step = uniform_steps(config.t_final, config.dt, least=2)
+    t = config.t_final
+    steps, step = uniform_steps(t, config.dt, least=2)
     # one sheet serves both schemes: its resolution must subdivide into the
     # direct scheme's steps and the quadrature panels alike
     resolution = int(np.lcm(steps, config.panels))
-    sheet = BrownianSheetModes.generate(config.seed, config.grid_n,
-                                        config.t_final, resolution)
+    sheet = BrownianSheetModes.generate(config.seed, config.grid_n, t,
+                                        resolution)
     g0 = sech_ridge_initial(config.grid_n, 0.001, config.seed)
     direct = spde_direct_run(g0, params, sheet, steps)
     poppe = spde_poppe_run(g0, params, sheet, panels=config.panels)
     xy = _plane_xy(2.0 * np.pi * np.arange(config.grid_n) / config.grid_n)
-    write("direct", PLANE_HEADER, _field_table(xy, direct.t, direct.samples))
-    write("poppe", PLANE_HEADER,
-          _field_table(xy, poppe.g.t, poppe.g.samples,
-                       det=float(poppe.det_track[-1]),
-                       residual=poppe.solve_residual))
+    write("direct", PLANE_HEADER, _field_table(xy, t, direct.samples))
+    write("poppe", PLANE_HEADER, _field_table(xy, t, poppe.g.samples))
     gap = np.abs(direct.samples - poppe.g.samples)
     write("difference", ("x", "y") + DIFF_HEADER[1:],
-          _columns(*xy, config.t_final, gap.ravel()))
+          _columns(*xy, t, gap.ravel()))
     write("det", ("t", "det_abs"),
-          _columns(np.linspace(0, config.t_final, config.panels + 1),
-                   poppe.det_track))
+          _columns(np.linspace(0, t, config.panels + 1), poppe.det_track))
     return {"sup_difference": float(np.max(gap)),
+            "min_abs_det": float(np.min(poppe.det_track)),
             "solve_residual": poppe.solve_residual, "step": step}
 
 
@@ -416,7 +413,7 @@ def run_quotient(config: RunConfig, write) -> dict:
     g, residual = quotient_residual(g0, grid, coeffs, config.t_final,
                                     dt=config.dt)
     write("field", PLANE_HEADER,
-          _field_table(_plane_xy(nodes), config.t_final, g, residual=residual))
+          _field_table(_plane_xy(nodes), config.t_final, g))
     return {"pde_residual": residual}
 
 
@@ -430,7 +427,7 @@ def run_elliptic(config: RunConfig, write) -> dict:
     q0, p0 = (1.0, 0.0) if config.profile == "tanh" else (1.0, 1.0)
     sol = elliptic_quotient_solve(coeffs, q0, p0)
     write("field", FIELD_HEADER,
-          _field_table((grid.nodes,), 0.0, sol.g, residual=sol.residual))
+          _field_table((grid.nodes,), 0.0, sol.g))
     return {"ode_residual": sol.residual}
 
 

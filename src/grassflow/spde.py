@@ -48,7 +48,6 @@ class Field2D:
     """
 
     modes: np.ndarray
-    t: float = 0.0
 
     @property
     def n(self) -> int:
@@ -96,9 +95,6 @@ class BrownianSheetModes:
     t_final: float
     resolution: int
     increments: np.ndarray = field(repr=False, default=None)
-    # built once by at_time() from cumulative(); read-only, rows are views
-    _cumulative: np.ndarray = field(init=False, repr=False, compare=False,
-                                    default=None)
 
     @staticmethod
     def generate(seed: int, n_modes: int, t_final: float,
@@ -113,28 +109,25 @@ class BrownianSheetModes:
                                   resolution=resolution,
                                   increments=flat.reshape(resolution, n_modes))
 
-    def aggregated(self, steps: int) -> np.ndarray:
-        """Increments over ``steps`` equal intervals (resolution multiple)."""
+    def _slices(self, steps: int) -> int:
+        """Slices per interval of ``steps`` equal intervals."""
         if self.resolution % steps != 0:
             raise ConfigError("steps must divide the sheet resolution")
-        g = self.resolution // steps
+        return self.resolution // steps
+
+    def aggregated(self, steps: int) -> np.ndarray:
+        """Increments over ``steps`` equal intervals."""
+        g = self._slices(steps)
         return self.increments.reshape(steps, g, self.n_modes).sum(axis=1)
 
-    def cumulative(self) -> np.ndarray:
-        """W at the resolution+1 slice boundaries (row 0 is zero)."""
-        out = np.zeros((self.resolution + 1, self.n_modes), dtype=complex)
-        out[1:] = np.cumsum(self.increments, axis=0)
+    def cumulative(self, steps: int) -> np.ndarray:
+        """W at the steps + 1 boundaries of ``steps`` equal intervals (row 0
+        is zero), read from the running sum of the slices."""
+        g = self._slices(steps)
+        # complex: exp of a complex exponent rounds unlike exp of a real one
+        out = np.zeros((steps + 1, self.n_modes), dtype=complex)
+        out[1:] = np.cumsum(self.increments, axis=0)[g - 1::g]
         return out
-
-    def at_time(self, s: float) -> np.ndarray:
-        pos = s / self.t_final * self.resolution
-        idx = int(round(pos))
-        if abs(pos - idx) > 1e-9:
-            raise ConfigError("requested time is not a slice boundary")
-        if self._cumulative is None:
-            self._cumulative = self.cumulative()
-            self._cumulative.flags.writeable = False
-        return self._cumulative[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +177,19 @@ def spde_direct_run(g0: Field2D, params: SpdeParams,
 
     out = march(advance, g0.modes.copy(), steps, checkpoints)
     if checkpoints is None:
-        return Field2D(modes=out, t=sheet.t_final)
-    return {m: Field2D(u, t=m * dt) for m, u in out.items()}
+        return Field2D(out)
+    return {m: Field2D(u) for m, u in out.items()}
 
 
-def exact_base_modes(g0: Field2D, params: SpdeParams,
-                     sheet: BrownianSheetModes, s: float) -> np.ndarray:
+def exact_base_modes(g0: Field2D, params: SpdeParams, w: np.ndarray,
+                     s: float) -> np.ndarray:
     """Closed-form base kernel p(s): per-row exponential martingale.
 
-    p_hat(k, :; s) = exp(-s alpha k^2 + noise_coef W_s(k)
-                         - s ito_coef(k)) g0_hat(k, :).
+    p_hat(k, :; s) = exp(-s alpha k^2 + noise_coef w(k)
+                         - s ito_coef(k)) g0_hat(k, :), with w = W_s.
     """
     k = mode_numbers(g0.n)
     noise_coef, ito_coef = k0_mode_policy(params, k)
-    w = sheet.at_time(s)
     expo = -s * params.alpha * k ** 2 + noise_coef * w - s * ito_coef
     return np.exp(expo)[:, None] * g0.modes
 
@@ -226,27 +218,25 @@ def spde_poppe_run(g0: Field2D, params: SpdeParams,
     weights = quadrature_weights(Grid1D(0.0, tf, panels + 1), "trapezoid")
     qhat = np.zeros((n, n), dtype=complex)
     dets = np.empty(panels + 1)
-    p_final = None
     neg = (-np.arange(n)) % n
+    w = sheet.cumulative(panels)
     for j, s in enumerate(times):
-        p_s = exact_base_modes(g0, params, sheet, s)
+        p_s = exact_base_modes(g0, params, w[j], s)
         decay = np.exp(params.beta * k ** 2 * (tf - s))
         qhat += weights[j] * params.epsilon * decay[:, None] * p_s
-        dets[j] = abs(np.linalg.det(np.eye(n) + TWO_PI * qhat[neg, :]))
-        if j == panels:
-            p_final = p_s
-    # p = g o (delta + qhat)  =>  P = G (I + 2 pi J Qhat) in mode matrices
-    system = np.eye(n, dtype=complex) + TWO_PI * qhat[neg, :]
-    # not core.solve_dense: its scipy.linalg adds about 20 MB of resident
-    # memory to a run that has no other dense solve
+        # p = g o (delta + qhat)  =>  P = G (I + 2 pi J Qhat) in mode matrices
+        system = np.eye(n, dtype=complex) + TWO_PI * qhat[neg, :]
+        dets[j] = abs(np.linalg.det(system))
+    # solve at T, the last panel; core.solve_dense's scipy.linalg would add
+    # about 20 MB of resident memory to a run that has no other dense solve
     try:
-        g = np.linalg.solve(system.T, p_final.T).T
+        g = np.linalg.solve(system.T, p_s.T).T
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"I + qhat solve failed: {exc}") from exc
-    residual = float(np.max(np.abs(g @ system - p_final)))
-    if residual > 1e-10 * max(1.0, float(np.max(np.abs(p_final)))):
+    residual = float(np.max(np.abs(g @ system - p_s)))
+    if residual > 1e-10 * max(1.0, float(np.max(np.abs(p_s)))):
         raise SingularSystem(f"I + qhat solve residual {residual:.3e}")
-    return PoppeResult(g=Field2D(modes=g, t=tf), det_track=dets,
+    return PoppeResult(g=Field2D(g), det_track=dets,
                        solve_residual=residual)
 
 

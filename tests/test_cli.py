@@ -449,6 +449,35 @@ def test_cli_import_does_not_load_scipy_signal():
     assert out.strip() == "False"
 
 
+# one small job of each equation that has no Fredholm solve
+SCIPY_LINALG_FREE_JOBS = (
+    ("spde", "--grid-n", "8", "--t-final", "0.004", "--dt", "2e-4",
+     "--panels", "16"),
+    ("burgers", "--profile", "sin", "--t-final", "0.5", "--grid-n", "64",
+     "--domain-l", "6.283185307179586"),
+    ("quotient", "--grid-n", "16"),
+    ("smol-general", "--grid-n", "32", "--t-final", "0.1", "--dt", "0.01"),
+    ("prelaplace", "--grid-n", "32", "--t-final", "0.1", "--dt", "0.01"),
+    ("elliptic", "--grid-n", "64"),
+    ("smol-const", "--grid-n", "64", "--t-final", "0.1", "--dt", "0.01"),
+)
+
+
+def test_runs_without_a_fredholm_solve_do_not_load_scipy_linalg(tmp_path):
+    # importing scipy.linalg adds about 20 MB of resident memory to a run
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\nfrom grassflow.cli import main\n"
+            f"for argv in {SCIPY_LINALG_FREE_JOBS!r}:\n"
+            f"    assert main(list(argv) + ['--out', {str(tmp_path)!r}]) "
+            "== 0, argv\n"
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_breakdown_report_keeps_zero_location_and_determinant(
         tmp_path, monkeypatch, capsys):
     def singular(config, write):
@@ -508,6 +537,32 @@ def test_spde_rerun_is_bitwise_identical(tmp_path):
     assert names
     for name in names:
         assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+def test_spde_sidecar_records_the_least_determinant(tmp_path):
+    assert main(["spde", "--grid-n", "8", "--t-final", "0.004", "--dt", "2e-4",
+                 "--panels", "16", "--out", str(tmp_path)]) == 0
+    meta = read_metadata(tmp_path / "spde_metadata.txt")
+    det = np.loadtxt(tmp_path / "spde_det.csv", delimiter=",", skiprows=2)
+    assert float(meta["min_abs_det"]) == np.min(det[:, 1])
+    # the determinant is per panel, so the field table carries none
+    _, header, rows = read_table(tmp_path / "spde_poppe.csv")
+    assert all(r[header.index("det_track")] == "nan" for r in rows)
+
+
+def test_tables_hold_per_row_values_and_sidecars_the_residual(tmp_path):
+    for argv, table, key in (
+            (("smol-general", "--grid-n", "32", "--t-final", "0.1",
+              "--dt", "0.01"), "poppe", "pde_residual"),
+            (("prelaplace", "--grid-n", "32", "--t-final", "0.1",
+              "--dt", "0.01"), "poppe", "pde_residual"),
+            (("quotient", "--grid-n", "16"), "field", "pde_residual"),
+            (("elliptic", "--grid-n", "64"), "field", "ode_residual")):
+        assert main(list(argv) + ["--out", str(tmp_path)]) == 0
+        _, header, _ = read_table(tmp_path / f"{argv[0]}_{table}.csv")
+        assert header[-4:] == ["t", "value_real", "value_imag", "det_track"]
+        meta = read_metadata(tmp_path / f"{argv[0]}_metadata.txt")
+        assert np.isfinite(float(meta[key]))
 
 
 def test_smol_const_closed_form_takes_a_negative_initial_mass(tmp_path):

@@ -1,6 +1,8 @@
 """Grids, quadrature, dense solves, the DFT contract, RK4 stepping, the
 fixed-step march, RNG."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,9 +86,14 @@ def test_solve_dense_matches_hand_inverse():
 
 
 def test_solve_dense_raises_on_singular_matrix():
+    # the pivot floor reports the breakdown; scipy's LinAlgWarning about
+    # the exactly zero pivot must not reach stderr before it
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularSystem):
-        solve_dense(DenseSystem(a, np.array([1.0, 1.0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem) as exc:
+            solve_dense(DenseSystem(a, np.array([1.0, 1.0])))
+    assert exc.value.det_value == 0
 
 
 def test_dense_system_validates_shape_and_finiteness():

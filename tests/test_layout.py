@@ -62,7 +62,7 @@ STALE_TARGETS = {
     "core.det_plain", "canonical.solve_additive_fredholm",
     "canonical.AdditiveKernelTrace.__call__", "integrable.additive_trace",
     "integrable.nls_assemble_qhat", "graphflows.invert_characteristic",
-    "quotient.EllipticCoefficients.at",
+    "quotient.EllipticCoefficients.at", "spde.BrownianSheetModes.at_time",
 }
 
 

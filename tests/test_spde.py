@@ -78,28 +78,31 @@ def test_sheet_deterministic_and_aggregation_consistent():
 
 
 def test_sheet_time_lookup():
+    # W at the boundaries of 4 intervals of [0, 2]: row 1 is W at t = 0.5
     sheet = BrownianSheetModes.generate(3, 4, 2.0, 8)
-    w = sheet.at_time(0.5)
-    assert np.allclose(w, sheet.increments[:2].sum(axis=0))
-    assert np.allclose(sheet.at_time(0.0), 0.0)
+    w = sheet.cumulative(4)
+    assert np.allclose(w[1], sheet.increments[:2].sum(axis=0))
+    assert np.allclose(w[0], 0.0)
+    # every interval count reads the same running sum of the slices
+    assert np.array_equal(w, sheet.cumulative(8)[::2])
+    # 3 equal intervals do not end on slice boundaries
     with pytest.raises(ConfigError):
-        sheet.at_time(0.3)
+        sheet.cumulative(3)
 
 
 def test_sheet_builds_its_cumulative_once(monkeypatch):
     sheet = BrownianSheetModes.generate(3, 4, 2.0, 8)
-    full = sheet.cumulative()
     original = BrownianSheetModes.cumulative
     calls = []
 
-    def counted(self):
-        calls.append(1)
-        return original(self)
+    def counted(self, steps):
+        calls.append(steps)
+        return original(self, steps)
 
     monkeypatch.setattr(BrownianSheetModes, "cumulative", counted)
-    rows = [sheet.at_time(s) for s in np.linspace(0.0, 2.0, 9)]
-    assert len(calls) == 1
-    assert np.array_equal(np.array(rows), full)
+    spde_poppe_run(sech_ridge_initial(4, 0.0, 0),
+                   zero_noise_params(epsilon=0.0), sheet, panels=8)
+    assert calls == [8]
 
 
 def test_k0_policy_zeroes_the_mean_mode():
@@ -153,10 +156,10 @@ def test_exact_base_modes_martingale_exponent():
     params = SpdeParams(gamma=2.0)
     fld = sech_ridge_initial(n, 0.0, 0)
     sheet = BrownianSheetModes.generate(5, n, 1.0, 4)
-    p = exact_base_modes(fld, params, sheet, 0.5)
+    w = sheet.increments[:2].sum(axis=0)
+    p = exact_base_modes(fld, params, w, 0.5)
     k = mode_numbers(n)
     noise, ito = k0_mode_policy(params, k)
-    w = sheet.at_time(0.5)
     expo = -0.5 * params.alpha * k ** 2 + noise * w - 0.5 * ito
     assert np.max(np.abs(p - np.exp(expo)[:, None] * fld.modes)) < 1e-12
 
@@ -212,7 +215,10 @@ def test_direct_checkpoints():
     out = spde_direct_run(fld, params, sheet, steps=8, checkpoints=[0, 4, 8])
     assert set(out) == {0, 4, 8}
     assert np.allclose(out[0].modes, fld.modes)
-    assert out[4].t == pytest.approx(0.5)
+    # step 4 of 8 is t = 0.5: the heat semigroup at that time
+    k = mode_numbers(n)
+    expected = np.exp(-0.5 * params.alpha * k[:, None] ** 2) * fld.modes
+    assert np.allclose(out[4].modes, expected)
 
 
 def _direct_loop(g0, params, sheet, steps, checkpoints):
@@ -225,12 +231,12 @@ def _direct_loop(g0, params, sheet, steps, checkpoints):
     noise_coef, _ = k0_mode_policy(params, k)
     dws = sheet.aggregated(steps)
     u = g0.modes.copy()
-    out = {0: Field2D(u.copy(), t=0.0)} if 0 in checkpoints else {}
+    out = {0: Field2D(u.copy())} if 0 in checkpoints else {}
     for m in range(steps):
         stoch = u + (noise_coef * dws[m])[:, None] * u
         u = lin * stoch - params.epsilon * dt * phi * composition_product(u, u)
         if (m + 1) in checkpoints:
-            out[m + 1] = Field2D(u.copy(), t=(m + 1) * dt)
+            out[m + 1] = Field2D(u.copy())
     return out
 
 
@@ -244,11 +250,9 @@ def test_direct_run_equals_its_loop_bitwise():
     ref = _direct_loop(fld, params, sheet, steps, cps)
     assert list(out) == list(ref)
     for m in cps:
-        assert out[m].t == ref[m].t
         assert np.array_equal(out[m].modes, ref[m].modes)
     assert out[0].modes is not fld.modes
     final = spde_direct_run(fld, params, sheet, steps)
-    assert final.t == 0.007
     assert np.array_equal(final.modes, ref[steps].modes)
 
 
