@@ -79,17 +79,69 @@ def solve_fredholm_system(kmat, rhs, weights):
     return solve_dense(DenseSystem(a, rhs))
 
 
-def _project_over_x(samples, grid, kernel, quadrature, real=False):
-    """One Fredholm solve, and one LU, per x, in order, over the base
-    field's ``samples`` on ``grid``.
+def _grid_hankel(trace, grid, quadrature):
+    """The weights of ``quadrature`` on the half-line grid, and x_m's
+    Hankel matrix as a function of m.
 
     The assembly reads p(y + z + x) for y, z in [-L/2, 0] and x in
     [-L/2, L/2], arguments in [-3L/2, L/2]; the base field is periodic, so
-    that doubled window is its samples taken twice.  On a domain
-    symmetric about 0 the argument y_i + z_j + x_m is exactly node
-    i + j + m of that window, so x_m's Hankel matrix is the strided view
-    H[m, i, j] = trace[i + j + m], and its z = 0 column is the right-hand
-    side.  ``kernel(H[m], w)`` gives the system's kernel.
+    that doubled window is its samples taken twice.  On a domain symmetric
+    about 0 the argument y_i + z_j + x_m is exactly node i + j + m of that
+    window, so x_m's Hankel matrix is the strided view
+    H[m, i, j] = trace[i + j + m].
+    """
+    zgrid = half_line_grid(grid)
+    doubled = np.tile(trace, 2)
+    stack = np.lib.stride_tricks.as_strided(
+        doubled, shape=(grid.n, zgrid.n, zgrid.n),
+        strides=(doubled.strides[0],) * 3, writeable=False)
+    return quadrature_weights(zgrid, quadrature), stack.__getitem__
+
+
+def _nystrom_hankel(trace, grid, m):
+    """The m Gauss-Legendre weights of [-L/2, 0] and a zero weight at
+    z = 0, and x_i's Hankel matrix on those m + 1 nodes as a function of i.
+
+    The trace is read off its trigonometric interpolant
+    p(y) = sum_k c_k e^{-2 pi i k y}, c = dft_forward / L; on an even grid
+    the Nyquist mode is split into half-modes at +-k_N, so real samples
+    give a real interpolant, the real part of its k >= 0 half with every
+    mode but k = 0 doubled.  With E[i, k] = e^{-2 pi i k eta_i}, x's
+    matrix is H = E diag(c e^{-2 pi i k x}) E^T, built per x at
+    (m + 1)^2 times the mode count in multiplies.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    quarter = grid.length / 4  # [-1, 1] onto [-L/2, 0]
+    eta = np.append(quarter * (nodes - 1.0), 0.0)
+    k = dft_frequencies(grid)
+    c = dft_forward(trace, grid) / grid.length
+    if grid.n % 2 == 0:
+        nyq = grid.n // 2
+        c[nyq] *= 0.5
+        k, c = np.append(k, -k[nyq]), np.append(c, c[nyq])
+    real = np.isrealobj(trace)
+    if real:
+        half = k >= 0
+        k, c = k[half], np.where(k[half] > 0, 2.0, 1.0) * c[half]
+    e, xs = np.exp(-2j * np.pi * np.outer(eta, k)), grid.nodes
+
+    def hankel(i):
+        h = (e * (c * np.exp(-2j * np.pi * k * xs[i]))) @ e.T
+        return h.real if real else h
+
+    return np.append(quarter * weights, 0.0), hankel
+
+
+def _project_over_x(samples, grid, kernel, quadrature, panels, real=False):
+    """One Fredholm solve, and one LU, per x, in order, over the base
+    field's ``samples`` on ``grid``.
+
+    The grid rules solve on the half-line grid's n/2 + 1 nodes
+    (:func:`_grid_hankel`), ``gauss-legendre`` on ``panels`` Nystrom nodes
+    and z = 0 (:func:`_nystrom_hankel`).  Either way z = 0 is the last node
+    and has zero weight, so the last row of the system is the solution
+    there, and x's Hankel matrix H gives the system's kernel
+    ``kernel(H, w)`` and, in its z = 0 column, the right-hand side.
     With ``real`` the trace is the real part of the field, and the systems,
     the values and the dets are float64.  A singular system leaves a NaN
     value and its (x, det) in ``breakdown_locations``.
@@ -97,31 +149,32 @@ def _project_over_x(samples, grid, kernel, quadrature, real=False):
     if grid.lower != -grid.upper:
         raise ConfigError("the Fredholm projection needs a domain "
                           "symmetric about 0")
-    zgrid = half_line_grid(grid)
-    w = quadrature_weights(zgrid, quadrature)
-    trace = np.tile(samples.real if real else samples, 2)
-    stack = np.lib.stride_tricks.as_strided(
-        trace, shape=(grid.n, zgrid.n, zgrid.n),
-        strides=(trace.strides[0],) * 3, writeable=False)
+    trace = samples.real if real else samples
+    if quadrature == "gauss-legendre":
+        w, hankel = _nystrom_hankel(trace, grid, panels)
+    else:
+        w, hankel = _grid_hankel(trace, grid, quadrature)
     values = np.full(grid.n, np.nan, dtype=trace.dtype)
     dets = np.empty(grid.n, dtype=trace.dtype)
     breakdowns = []
     for i, x in enumerate(grid.nodes):
+        h = hankel(i)
         try:
-            g_row, dets[i] = solve_fredholm_system(kernel(stack[i], w),
-                                                   stack[i, :, -1], w)
+            g_row, dets[i] = solve_fredholm_system(kernel(h, w), h[:, -1], w)
         except SingularSystem as exc:
             dets[i] = exc.det_value
             breakdowns.append((float(x), exc.det_value))
             continue
-        values[i] = g_row[-1]  # z = 0 sits at the grid's last node
+        values[i] = g_row[-1]  # z = 0 sits at the last node
     return ProjectionResult(values=values, det_track=dets,
                             breakdown_locations=breakdowns)
 
 
 def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
-                       quadrature: str = "riemann-left") -> ProjectionResult:
-    """KdV via its additive prescription: qhat = p, one dense solve per x.
+                       quadrature: str = "riemann-left",
+                       panels: int = 32) -> ProjectionResult:
+    """KdV via its additive prescription: qhat = p, one dense solve per x
+    (on ``panels`` nodes under ``gauss-legendre``).
 
     The propagated trace is real to rounding (the Nyquist mode takes no
     phase), so the x-systems are solved in float64 and the values are
@@ -129,7 +182,7 @@ def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
     modes = propagate_dispersive(dft_forward(p0, grid), grid,
                                  cubic_kdv_symbol, t)
     return _project_over_x(dft_inverse(modes, grid), grid, lambda h, w: h,
-                           quadrature, real=True)
+                           quadrature, panels, real=True)
 
 
 def nls_gram(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -140,12 +193,14 @@ def nls_gram(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def nls_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
-                       quadrature: str = "riemann-left") -> ProjectionResult:
-    """NLS via the quadratic prescription qhat = P^dag P."""
+                       quadrature: str = "riemann-left",
+                       panels: int = 32) -> ProjectionResult:
+    """NLS via the quadratic prescription qhat = P^dag P (on ``panels``
+    nodes under ``gauss-legendre``)."""
     modes = propagate_dispersive(dft_forward(p0, grid), grid,
                                  schrodinger_symbol, t)
     return _project_over_x(dft_inverse(modes, grid), grid, nls_gram,
-                           quadrature)
+                           quadrature, panels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Reference code that more than one test file compares the package with.
 
 None of it runs in a pipeline: the generic, callable-driven Fredholm
-solver the KdV/NLS projections are checked against, the graph G = P Q^{-1}
+solver the KdV/NLS projections are checked against, the Nystrom solve on
+Gauss-Legendre nodes written out point by point, the graph G = P Q^{-1}
 of a base pair with the Riccati subflow built on it and its RK4 oracle, the
 matrix-exponential base flow, and the central first difference of the
 residual checks.
@@ -70,6 +71,58 @@ def solve_additive_fredholm(p_trace, qhat, zgrid: Grid1D, x: float,
     rhs = np.asarray(p_trace(args + x))
     g, det_track = solve_fredholm_system(kmat, rhs.T, w)
     return g.T, det_track
+
+
+def trig_interpolant(samples, grid: Grid1D):
+    """The trigonometric interpolant of periodic ``samples`` on ``grid``, a
+    callable evaluated point by point as a direct sum over the modes
+    c_k = (h / L) sum_j f_j e^{2 pi i k x_j}, each carrying e^{-2 pi i k y};
+    on an even grid the Nyquist term is c_N cos(2 pi k_N y).  Real samples
+    give its real part."""
+    n, length = grid.n, grid.length
+    k = np.fft.fftfreq(n, d=grid.spacing)
+    c = np.array([grid.spacing / length
+                  * np.sum(samples * np.exp(2j * np.pi * kk * grid.nodes))
+                  for kk in k])
+    nyq = n // 2 if n % 2 == 0 else None
+
+    def p(y):
+        total = 0.0
+        for j in range(n):
+            if j == nyq:
+                total += c[j] * np.cos(2 * np.pi * k[j] * y)
+            else:
+                total += c[j] * np.exp(-2j * np.pi * k[j] * y)
+        return total.real if np.isrealobj(samples) else total
+
+    return np.vectorize(p, otypes=[samples.dtype])
+
+
+def nystrom_fredholm(samples, grid: Grid1D, m: int, quadratic=False):
+    """Values and dets of the Nystrom solve of
+    p(z + x) = g(z) + int_{-L/2}^0 g(xi) K(xi, z) dxi  at each x of
+    ``grid``, on the m Gauss-Legendre nodes xi_j of [-L/2, 0] with weights
+    w_j.  K(xi, z) is p(xi + z + x), or with ``quadratic``
+    sum_k w_k p*(eta_k + xi + x) p(eta_k + z + x).  The m x m system
+    I + K^T W is solved by numpy, and g(0) is the interpolant
+    p(x) - sum_j w_j g(xi_j) K(xi_j, 0)."""
+    p = trig_interpolant(samples, grid)
+    t, wt = np.polynomial.legendre.leggauss(m)
+    half = grid.length / 4
+    xi, w = half * (t - 1.0), half * wt
+    zs = np.append(xi, 0.0)  # the nodes, then z = 0
+    values, dets = [], []
+    for x in grid.nodes:
+        if quadratic:
+            rows = p(xi[:, None] + zs[None, :] + x)  # rows[k, j]: eta_k, z_j
+            kmat = np.einsum("k,ki,kj->ij", w, np.conj(rows), rows)
+        else:
+            kmat = p(zs[:, None] + zs[None, :] + x)
+        a = np.eye(m) + kmat[:m, :m].T * w[None, :]
+        g = np.linalg.solve(a, p(xi + x))
+        values.append(p(x) - np.sum(w * g * kmat[:m, m]))
+        dets.append(np.linalg.det(a))
+    return np.array(values), np.array(dets)
 
 
 # ---------------------------------------------------------------------------

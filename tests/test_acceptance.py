@@ -66,26 +66,41 @@ def test_criterion_1_kdv_cross_validation():
            f"sup_diff {sups[0]:.6f} -> {sups[1]:.6f} under dt halving")
 
 
+# the time the localized-data gates project to
+LOCALIZED_T = 0.5
+
+
+def localized_gap(solve, oracle, steps, half_width, amplitude, n,
+                  quadrature, panels=32):
+    """Localized data amplitude * e^{-x^2/4} on n nodes of
+    [-half_width, half_width), projected under ``quadrature`` to
+    LOCALIZED_T: the projection's largest gap to ``oracle`` (``steps``
+    steps from the projection's t = 0 value) on the interior window
+    |x| < 5, and the grid, u0, the oracle at LOCALIZED_T and the window."""
+    grid = Grid1D(-half_width, half_width, n, kind="periodic")
+    p0 = amplitude * np.exp(-grid.nodes ** 2 / 4.0)
+    u0, u1 = (solve(p0, grid, t, quadrature, panels).values
+              for t in (0.0, LOCALIZED_T))
+    direct = oracle(u0, grid, LOCALIZED_T / steps, steps)
+    inner = np.abs(grid.nodes) < 5.0
+    return float(np.max(np.abs(u1 - direct)[inner])), grid, u0, direct, inner
+
+
 def converges_in_h(number, name, solve, oracle, steps, symbol, half_width,
                    amplitude, ns):
-    """Localized data amplitude * e^{-x^2/4} on [-half_width, half_width),
-    projected by the trapezoid rule to t = 0.5 at each n of ``ns``, must
-    close on ``oracle`` (``steps`` steps) at second order in h on the
-    interior window |x| < 5.  The finest gap must also be at most 1e-2 of
-    the nonlinear effect there: the oracle's distance from the linear flow
-    of the same data."""
-    t_final, gaps = 0.5, []
+    """The localized data of :func:`localized_gap`, projected by the
+    trapezoid rule at each n of ``ns``, must close on ``oracle`` at second
+    order in h on the interior window.  The finest gap must also be at most
+    1e-2 of the nonlinear effect there: the oracle's distance from the
+    linear flow of the same data."""
+    gaps = []
     for n in ns:
-        grid = Grid1D(-half_width, half_width, n, kind="periodic")
-        p0 = amplitude * np.exp(-grid.nodes ** 2 / 4.0)
-        u0, u1 = (solve(p0, grid, t, "trapezoid").values
-                  for t in (0.0, t_final))
-        direct = oracle(u0, grid, t_final / steps, steps)
-        inner = np.abs(grid.nodes) < 5.0
-        gaps.append(float(np.max(np.abs(u1 - direct)[inner])))
+        gap, grid, u0, direct, inner = localized_gap(
+            solve, oracle, steps, half_width, amplitude, n, "trapezoid")
+        gaps.append(gap)
     # KdV's linear flow is real to rounding (test_integrable)
     linear = dft_inverse(propagate_dispersive(dft_forward(u0, grid), grid,
-                                              symbol, t_final), grid)
+                                              symbol, LOCALIZED_T), grid)
     effect = float(np.max(np.abs(direct - linear)[inner]))
     ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
     report(number, name, min(ratios) >= 3.5 and gaps[-1] <= 1e-2 * effect,
@@ -100,6 +115,41 @@ def test_criterion_1_kdv_converges_in_h():
     # 3e-14; the nonlinear effect is 3.04e-3, so 2.9e-3 of it)
     converges_in_h(1, "kdv convergence in h", kdv_fredholm_solve, etdrk4_kdv,
                    200, cubic_kdv_symbol, 40.0, 0.1, (128, 256, 512))
+
+
+def converges_in_m(number, name, solve, oracle, steps, half_width,
+                   amplitude, ms):
+    """The localized data of :func:`localized_gap` at n = 256, projected on
+    m Gauss-Legendre nodes for each m of ``ms``, must close on ``oracle``
+    exponentially in m: each step in m must shrink the interior gap at
+    least 10 times, unless the gap it starts from is already at the
+    oracle's floor.  The floor is twice the oracle's own error, which is
+    at most twice its change under dt halving for a method of order one or
+    more.  The gap at the last m must also be at most 1e-1 of the trapezoid
+    gap at n = 256."""
+    n, gaps = 256, []
+    for m in ms:
+        gap, grid, u0, direct, inner = localized_gap(
+            solve, oracle, steps, half_width, amplitude, n,
+            "gauss-legendre", m)
+        gaps.append(gap)
+    halved = oracle(u0, grid, LOCALIZED_T / (2 * steps), 2 * steps)
+    floor = 4.0 * float(np.max(np.abs(halved - direct)[inner]))
+    trapezoid = localized_gap(solve, oracle, steps, half_width, amplitude,
+                              n, "trapezoid")[0]
+    shrinks = all(b <= a / 10 or a <= floor
+                  for a, b in zip(gaps, gaps[1:]))
+    report(number, name, shrinks and gaps[-1] <= 1e-1 * trapezoid,
+           "interior gaps " + ", ".join(f"{g:.2e}" for g in gaps)
+           + f" for m = {ms}; oracle floor {floor:.2e}; trapezoid "
+           f"{trapezoid:.2e}")
+
+
+def test_criterion_1_kdv_converges_in_m():
+    # measured gaps 2.56e-4, 1.30e-6, 4.03e-8 (trapezoid 3.52e-5); the
+    # 200-step ETDRK4 oracle moves 4.1e-14 under dt halving
+    converges_in_m(1, "kdv convergence in m", kdv_fredholm_solve, etdrk4_kdv,
+                   200, 40.0, 0.1, (16, 24, 32))
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +188,14 @@ def test_criterion_2_nls_converges_in_h():
     converges_in_h(2, "nls convergence in h", nls_fredholm_solve,
                    split_step_nls, 4000, schrodinger_symbol, 10.0, 0.2,
                    (64, 128, 256))
+
+
+def test_criterion_2_nls_converges_in_m():
+    # measured gaps 3.13e-5, 3.14e-7, 2.48e-7 (trapezoid 4.41e-6); from
+    # m = 16 on the gap is the split step's own error, twice its change
+    # under dt halving (1.24e-7), and the m = 12 gap is within the floor
+    converges_in_m(2, "nls convergence in m", nls_fredholm_solve,
+                   split_step_nls, 4000, 10.0, 0.2, (8, 12, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +396,8 @@ def test_paper_preset_oracle_steps_are_resolved(equation, tmp_path,
                                                 monkeypatch):
     # a preset's dt only steps its oracle, which need only resolve the
     # oracle gap: stepping at dt / 4 must move the oracle at t_final by at
-    # most 1e-3 of that gap (measured change under dt / 4: kdv 7.9e-7 of
-    # 2.1e-3, nls 9.4e-7 of 9.3e-3, smol-const 8.0e-12 of 8.0e-6).  ETDRK4
+    # most 1e-3 of that gap (measured change under dt / 4: kdv 7.2e-7 of
+    # 2.1e-3, nls 8.9e-7 of 9.0e-3, smol-const 8.0e-12 of 8.0e-6).  ETDRK4
     # does not settle on the kdv-paper data, so there the change bounds
     # nothing; its accuracy is held by
     # test_etdrk4_kdv_matches_split_step_on_paper_preset

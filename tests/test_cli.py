@@ -109,7 +109,8 @@ def test_parser_flags_are_the_run_config_fields():
         else:
             assert (action.type or str) is types[name], name
     assert tuple(flags["quadrature"].choices) == ("riemann-left",
-                                                  "trapezoid")
+                                                  "trapezoid",
+                                                  "gauss-legendre")
     parse = lambda *argv: cli.config_from_args(
         cli.build_parser().parse_args(["kdv", *argv]))
     assert parse().compare_oracle is True
@@ -421,6 +422,34 @@ def test_kdv_paper_preset_closes_on_its_oracle(tmp_path):
     assert float(meta["sup_difference"]) <= 5e-3
 
 
+@pytest.mark.parametrize("equation", ["kdv", "nls"])
+def test_paper_presets_solve_on_32_gauss_legendre_nodes(tmp_path, equation):
+    rc = main([equation, "--preset", "paper", "--checkpoints", "2",
+               "--compare-oracle", "off", "--out", str(tmp_path)])
+    assert rc == 0
+    meta = read_metadata(tmp_path / f"{equation}_metadata.txt")
+    assert meta["quadrature"] == "gauss-legendre"
+    assert meta["panels"] == "32"
+
+
+@pytest.mark.parametrize("quadrature", cli.QUADRATURES)
+def test_constant_data_make_every_x_system_singular(tmp_path, monkeypatch,
+                                                    capsys, quadrature):
+    # the constant kernel c = -2 / L gives det(I + K^T W) = 1 + c L / 2 = 0
+    # at every x, on every rule: the weights sum to L / 2
+    monkeypatch.setattr(cli, "profile_samples",
+                        lambda name, x: np.full(len(x), -2.0 / 8.0))
+    rc = main(["kdv", "--grid-n", "16", "--domain-l", "8", "--quadrature",
+               quadrature, "--panels", "4", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert ("16 singular Fredholm system(s) at t = 0.0, the first at "
+            "x = -4.0") in err
+    det = complex(err.split("determinant = ")[1].strip().rstrip(")"))
+    assert abs(det) <= 6e-17
+    assert os.listdir(tmp_path) == []
+
+
 def test_kdv_singular_system_exits_1_without_tables(tmp_path, monkeypatch,
                                                    capsys):
     # with h = 1 this profile makes the x = -2 system singular at t = 0
@@ -438,15 +467,27 @@ def test_kdv_singular_system_exits_1_without_tables(tmp_path, monkeypatch,
                    for name in os.listdir(tmp_path))
 
 
-def test_cli_import_does_not_load_scipy_signal():
-    # scipy.signal costs over a second to import, on every CLI call
+def loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after
+    ``import grassflow.cli``."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, grassflow.cli; print('scipy.signal' in sys.modules)"
+    code = f"import sys, grassflow.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # scipy.signal costs over a second to import, on every CLI call
+    assert not loaded_by_cli_import("scipy.signal")
+
+
+def test_cli_import_does_not_load_numpy_polynomial():
+    # the Gauss-Legendre nodes load numpy.polynomial only when a run asks
+    # for them, so the import every CLI call pays stays as it is
+    assert not loaded_by_cli_import("numpy.polynomial")
 
 
 # one small job of each equation that has no Fredholm solve

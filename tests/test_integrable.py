@@ -12,7 +12,8 @@ from grassflow.integrable import (cubic_kdv_symbol, etdrk4_kdv,
                                   nls_fredholm_solve, nls_gram,
                                   propagate_dispersive, schrodinger_symbol,
                                   split_step_kdv, split_step_nls)
-from reference import AdditiveKernelTrace, ddx, solve_additive_fredholm
+from reference import (AdditiveKernelTrace, ddx, nystrom_fredholm,
+                       solve_additive_fredholm)
 
 
 def periodic_grid(lo, hi, n):
@@ -141,10 +142,11 @@ def test_kdv_matches_split_step_on_coarse_run():
 def test_kdv_values_are_float64_at_every_time():
     g = periodic_grid(-5.0, 5.0, 64)
     p0 = -0.5 * np.cosh(g.nodes / 20.0)
-    for t in (0.0, 0.3, 1.5):
-        res = kdv_fredholm_solve(p0, g, t)
-        assert res.values.dtype == np.float64
-        assert res.det_track.dtype == np.float64
+    for quadrature in ("riemann-left", "trapezoid", "gauss-legendre"):
+        for t in (0.0, 0.3, 1.5):
+            res = kdv_fredholm_solve(p0, g, t, quadrature)
+            assert res.values.dtype == np.float64
+            assert res.det_track.dtype == np.float64
 
 
 def generic_projection(samples, g, qhat_for_x, quadrature, real=False):
@@ -198,6 +200,29 @@ def test_nls_projection_matches_generic_solver(quadrature):
     assert np.max(np.abs(res.values - values)) <= 1e-13
     for ref in (dets, plain):
         assert np.max(np.abs(res.det_track - ref) / np.abs(ref)) < 1e-12
+
+
+def test_kdv_nystrom_matches_the_pointwise_reference():
+    g = periodic_grid(-5.0, 5.0, 16)
+    p0 = -0.5 * np.cosh(g.nodes / 20.0) + 0.3 * np.exp(-g.nodes ** 2)
+    t = 0.7
+    res = kdv_fredholm_solve(p0, g, t, "gauss-legendre", 6)
+    p = propagated_samples(p0, g, cubic_kdv_symbol, t).real
+    values, dets = nystrom_fredholm(p, g, 6)
+    assert res.values.dtype == values.dtype == np.float64
+    assert np.max(np.abs(res.values - values)) <= 1e-12
+    assert np.max(np.abs(res.det_track - dets)) <= 1e-12
+
+
+def test_nls_nystrom_matches_the_pointwise_reference():
+    g = periodic_grid(-4.0, 4.0, 16)
+    p0 = 0.5 * np.exp(-g.nodes ** 2 / 4.0 + 1j * g.nodes)
+    t = 0.3
+    res = nls_fredholm_solve(p0, g, t, "gauss-legendre", 6)
+    p = propagated_samples(p0, g, schrodinger_symbol, t)
+    values, dets = nystrom_fredholm(p, g, 6, quadratic=True)
+    assert np.max(np.abs(res.values - values)) <= 1e-12
+    assert np.max(np.abs(res.det_track - dets)) <= 1e-12
 
 
 def test_singular_x_system_is_reported_with_its_determinant():
