@@ -55,8 +55,6 @@ class RunConfig:
     profile: str = ""
     nu: float = 1.0
     checkpoints: int = 11
-    # quadrature panels: spde's time panels, and the Gauss-Legendre node
-    # count of kdv and nls
     panels: int = 256
 
     def __post_init__(self):
@@ -66,11 +64,9 @@ class RunConfig:
 
 PRESETS = {
     ("kdv", "paper"): dict(grid_n=256, domain_l=10.0, dt=1e-2, t_final=15.0,
-                           profile="kdv-paper", quadrature="gauss-legendre",
-                           panels=32),
+                           profile="kdv-paper", quadrature="gauss-legendre"),
     ("nls", "paper"): dict(grid_n=256, domain_l=40.0, dt=5e-2, t_final=100.0,
-                           profile="nls-paper", quadrature="gauss-legendre",
-                           panels=32),
+                           profile="nls-paper", quadrature="gauss-legendre"),
     ("spde", "paper"): dict(grid_n=32, domain_l=2.0 * np.pi, t_final=0.007,
                             dt=0.007 / 256, profile="sech-ridge"),
     ("smol-const", "paper"): dict(grid_n=1024, domain_l=40.0, t_final=2.0,
@@ -257,7 +253,7 @@ def _run_fredholm(config: RunConfig, write, solve, stepper, readout,
     results = {}
     for m in idx:
         t = m * dt
-        res = solve(p0, grid, t, config.quadrature, config.panels)
+        res = solve(p0, grid, t, config.quadrature)
         if res.breakdown_locations:
             x, det = res.breakdown_locations[0]
             raise ChartBreakdown(

@@ -15,6 +15,9 @@ from .core import (DenseSystem, Grid1D, dft_forward, dft_frequencies,
                    dft_inverse, march, quadrature_weights, solve_dense)
 from .errors import ConfigError, SingularSystem, SymbolError
 
+# the Gauss-Legendre node count of the KdV and NLS Nystrom solves
+GAUSS_NODES = 32
+
 
 def cubic_kdv_symbol(k):
     """d(2 pi i k) = (2 pi i k)^3, the KdV dispersion."""
@@ -172,7 +175,7 @@ def _project_over_x(samples, grid, kernel, quadrature, panels, real=False):
 
 def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
                        quadrature: str = "riemann-left",
-                       panels: int = 32) -> ProjectionResult:
+                       panels: int = GAUSS_NODES) -> ProjectionResult:
     """KdV via its additive prescription: qhat = p, one dense solve per x
     (on ``panels`` nodes under ``gauss-legendre``).
 
@@ -194,7 +197,7 @@ def nls_gram(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def nls_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
                        quadrature: str = "riemann-left",
-                       panels: int = 32) -> ProjectionResult:
+                       panels: int = GAUSS_NODES) -> ProjectionResult:
     """NLS via the quadratic prescription qhat = P^dag P (on ``panels``
     nodes under ``gauss-legendre``)."""
     modes = propagate_dispersive(dft_forward(p0, grid), grid,

@@ -18,7 +18,7 @@ from grassflow.core import Grid1D, dft_forward, dft_inverse
 from grassflow.errors import ChartBreakdown
 from grassflow.graphflows import (InitialProfile, inviscid_burgers_eval,
                                   upwind_oracle)
-from grassflow.integrable import (cubic_kdv_symbol, etdrk4_kdv,
+from grassflow.integrable import (GAUSS_NODES, cubic_kdv_symbol, etdrk4_kdv,
                                   kdv_fredholm_solve, nls_fredholm_solve,
                                   propagate_dispersive, schrodinger_symbol,
                                   split_step_kdv, split_step_nls)
@@ -71,7 +71,7 @@ LOCALIZED_T = 0.5
 
 
 def localized_gap(solve, oracle, steps, half_width, amplitude, n,
-                  quadrature, panels=32):
+                  quadrature, panels=GAUSS_NODES):
     """Localized data amplitude * e^{-x^2/4} on n nodes of
     [-half_width, half_width), projected under ``quadrature`` to
     LOCALIZED_T: the projection's largest gap to ``oracle`` (``steps``

@@ -33,6 +33,8 @@ def test_paper_presets_validate_clean():
     for eq in ("kdv", "nls", "spde", "smol-const"):
         config = apply_preset(RunConfig(equation=eq, preset="paper"))
         assert validate(config) == []
+        if eq in ("kdv", "nls"):
+            assert config.quadrature == "gauss-legendre"
 
 
 def test_non_power_of_two_modes_flagged():
@@ -422,31 +424,22 @@ def test_kdv_paper_preset_closes_on_its_oracle(tmp_path):
     assert float(meta["sup_difference"]) <= 5e-3
 
 
-@pytest.mark.parametrize("equation", ["kdv", "nls"])
-def test_paper_presets_solve_on_32_gauss_legendre_nodes(tmp_path, equation):
-    rc = main([equation, "--preset", "paper", "--checkpoints", "2",
-               "--compare-oracle", "off", "--out", str(tmp_path)])
-    assert rc == 0
-    meta = read_metadata(tmp_path / f"{equation}_metadata.txt")
-    assert meta["quadrature"] == "gauss-legendre"
-    assert meta["panels"] == "32"
-
-
 @pytest.mark.parametrize("quadrature", cli.QUADRATURES)
 def test_constant_data_make_every_x_system_singular(tmp_path, monkeypatch,
                                                     capsys, quadrature):
     # the constant kernel c = -2 / L gives det(I + K^T W) = 1 + c L / 2 = 0
-    # at every x, on every rule: the weights sum to L / 2
+    # at every x, on every rule: the weights sum to L / 2, so the det is
+    # the rounding left of cancelling 1, at most one machine epsilon
     monkeypatch.setattr(cli, "profile_samples",
                         lambda name, x: np.full(len(x), -2.0 / 8.0))
     rc = main(["kdv", "--grid-n", "16", "--domain-l", "8", "--quadrature",
-               quadrature, "--panels", "4", "--out", str(tmp_path)])
+               quadrature, "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
     assert ("16 singular Fredholm system(s) at t = 0.0, the first at "
             "x = -4.0") in err
     det = complex(err.split("determinant = ")[1].strip().rstrip(")"))
-    assert abs(det) <= 6e-17
+    assert abs(det) <= np.finfo(float).eps
     assert os.listdir(tmp_path) == []
 
 
