@@ -140,13 +140,22 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+# rows formatted by one % each: np.savetxt's text, without its per-row
+# Python loop, and a block's text stays under a few MB
+CSV_BLOCK = 4096
+
+
 def write_table(path: str, header, rows, chash: str):
     """One CSV: the hash line, the header, then ``rows``, a 2-D float array
     with one row per line, each value at 17 significant digits."""
+    rows = np.asarray(rows)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# config_hash={chash}\n")
         fh.write(",".join(header) + "\n")
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+        for start in range(0, len(rows), CSV_BLOCK):
+            block = rows[start:start + CSV_BLOCK]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_metadata(config: RunConfig, chash: str, extra=None):
@@ -268,7 +277,8 @@ def _run_fredholm(config: RunConfig, write, solve, stepper, readout,
     write("det", ("x", "t", "det_abs"), np.vstack(det_rows))
     extra = {"min_abs_det": min(float(np.min(np.abs(r.det_track)))
                                 for r in results.values()),
-             "sup_difference": np.nan, "step": dt}
+             "sup_difference": np.nan, "step": dt,
+             "x_system_unknowns": results[0].unknowns}
     if config.compare_oracle:
         u0 = readout(results[0].values)
         direct = stepper(u0, grid, dt, total, checkpoints=idx)

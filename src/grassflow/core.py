@@ -5,7 +5,6 @@ Everything here is deterministic and pure given its inputs; a random stream
 is the one stateful object and is reproducible from (seed, stream_id) alone.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,43 +81,58 @@ PIVOT_FLOOR = 1e-14
 
 @dataclass
 class DenseSystem:
+    """One system, coefficients (n, n) and rhs (n,) or (n, k), or a stack
+    of them along a leading axis: (count, n, n) and (count, n) or
+    (count, n, k)."""
+
     coefficients: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.coefficients)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
             raise ConfigError("coefficient matrix must be square")
-        if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+        if not np.all(np.isfinite(a)):
             raise ConfigError("coefficient matrix has non-finite entries")
 
 
-def _lu_det(lu, piv):
-    """det A from scipy's LU of A: U's diagonal, signed by the row swaps."""
-    return np.prod(np.diag(lu)) * (-1) ** np.count_nonzero(
-        piv != np.arange(len(piv)))
-
-
 def solve_dense(system: DenseSystem):
-    """LU solve with a relative pivot floor of 1e-14 * ||A||_inf.  Returns
-    ``(solution, det A)``, the determinant taken from the same
-    factorisation; a SingularSystem carries it too."""
-    import scipy.linalg as sla
+    """Partial-pivot LU solves under a relative pivot floor of
+    1e-14 * ||A||_inf.  Returns ``(solution, det A)``, the determinant taken
+    from the same factorisation, for one system or for each of a stack.
+    A system below the floor (or A = 0) is singular: alone it raises
+    SingularSystem carrying its determinant, in a stack its solution is
+    NaN.
 
-    a = np.asarray(system.coefficients)
-    b = np.asarray(system.rhs)
-    norm_a = np.max(np.sum(np.abs(a), axis=1))
-    with warnings.catch_warnings():
-        # a zero pivot is reported by the floor below, not as a warning
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if norm_a == 0.0 or np.min(pivots) < PIVOT_FLOOR * norm_a:
-        raise SingularSystem(
-            f"pivot {np.min(pivots):.3e} below floor {PIVOT_FLOOR * norm_a:.3e}",
-            det_value=_lu_det(lu, piv))
-    x = sla.lu_solve((lu, piv), b, check_finite=False)
-    return x, _lu_det(lu, piv)
+    Each system costs one LAPACK getrf and one getrs; the norms, the floor
+    test and the determinants are array operations over the stack."""
+    from scipy.linalg import get_lapack_funcs
+
+    a, b = np.asarray(system.coefficients), np.asarray(system.rhs)
+    lone = a.ndim == 2
+    if lone:
+        a, b = a[None], b[None]
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a, b))
+    # LAPACK is column-major: slice j of lu holds A_j^T row-major, so
+    # lu[j].T is A_j, factorised in place
+    lu = np.array(np.swapaxes(a, 1, 2), dtype=getrf.dtype, order="C")
+    norm = np.max(np.sum(np.abs(lu), axis=1), axis=1)  # A's row sums
+    piv = np.empty(a.shape[:2], dtype=np.int32)
+    x = np.empty(b.shape, dtype=getrf.dtype)
+    for j in range(len(lu)):
+        _, piv[j], _ = getrf(lu[j].T, overwrite_a=True)
+        x[j] = getrs(lu[j].T, piv[j], b[j])[0]
+    diag = np.diagonal(lu, axis1=1, axis2=2)
+    swaps = np.count_nonzero(piv != np.arange(piv.shape[1]), axis=1)
+    det = np.prod(diag, axis=1) * (1 - 2 * (swaps % 2))
+    pivot = np.min(np.abs(diag), axis=1)
+    singular = (norm == 0.0) | (pivot < PIVOT_FLOOR * norm)
+    if lone and singular[0]:
+        raise SingularSystem(f"pivot {pivot[0]:.3e} below floor "
+                             f"{PIVOT_FLOOR * norm[0]:.3e}",
+                             det_value=det[0])
+    x[singular] = np.nan
+    return (x[0], det[0]) if lone else (x, det)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import (DenseSystem, Grid1D, dft_forward, dft_frequencies,
                    dft_inverse, march, quadrature_weights, solve_dense)
-from .errors import ConfigError, SingularSystem, SymbolError
+from .errors import ConfigError, SymbolError
 
 # the Gauss-Legendre node count of the KdV and NLS Nystrom solves
 GAUSS_NODES = 32
@@ -62,89 +62,93 @@ def half_line_grid(domain: Grid1D) -> Grid1D:
 @dataclass
 class ProjectionResult:
     """Per-x output of a linearise-then-project run; ``breakdown_locations``
-    lists (x, det) of each singular system."""
+    lists (x, det) of each singular system, and every x-system has
+    ``unknowns`` unknowns."""
 
     values: np.ndarray
     det_track: np.ndarray
     breakdown_locations: list
-
-
-def solve_fredholm_system(kmat, rhs, weights):
-    """Solve  rhs(z) = g(0, z) + sum_xi g(0, xi) kmat[xi, z] w(xi)  at one x
-    (``rhs`` a vector, or a matrix of columns).  Returns (g, det_track), the
-    solve and det(I + K W) = det(I + K^T W) from one LU; a singular system
-    raises SingularSystem carrying that determinant."""
-    # row i is the equation at z_i; column j weights the unknown g(0, xi_j);
-    # I + K^T W is built in place, one n x n array per x, in K's dtype
-    a = np.empty((len(weights),) * 2, dtype=np.result_type(kmat, weights))
-    np.multiply(weights[None, :], kmat.T, out=a)
-    a[np.diag_indices_from(a)] += 1.0
-    return solve_dense(DenseSystem(a, rhs))
+    unknowns: int
 
 
 def _grid_hankel(trace, grid, quadrature):
-    """The weights of ``quadrature`` on the half-line grid, and x_m's
-    Hankel matrix as a function of m.
+    """The weights of ``quadrature`` on the half-line grid, and the Hankel
+    matrices of the x-systems lo <= m < hi as a function of (lo, hi).
 
     The assembly reads p(y + z + x) for y, z in [-L/2, 0] and x in
     [-L/2, L/2], arguments in [-3L/2, L/2]; the base field is periodic, so
     that doubled window is its samples taken twice.  On a domain symmetric
     about 0 the argument y_i + z_j + x_m is exactly node i + j + m of that
-    window, so x_m's Hankel matrix is the strided view
-    H[m, i, j] = trace[i + j + m].
+    window, so the matrices are the strided view H[m, i, j] = trace[i + j + m].
     """
     zgrid = half_line_grid(grid)
     doubled = np.tile(trace, 2)
     stack = np.lib.stride_tricks.as_strided(
         doubled, shape=(grid.n, zgrid.n, zgrid.n),
         strides=(doubled.strides[0],) * 3, writeable=False)
-    return quadrature_weights(zgrid, quadrature), stack.__getitem__
+    return quadrature_weights(zgrid, quadrature), lambda lo, hi: stack[lo:hi]
 
 
 def _nystrom_hankel(trace, grid, m):
     """The m Gauss-Legendre weights of [-L/2, 0] and a zero weight at
-    z = 0, and x_i's Hankel matrix on those m + 1 nodes as a function of i.
+    z = 0, and the Hankel matrices on those m + 1 nodes of the x-systems
+    lo <= i < hi as a function of (lo, hi).
 
     The trace is read off its trigonometric interpolant
-    p(y) = sum_k c_k e^{-2 pi i k y}, c = dft_forward / L; on an even grid
-    the Nyquist mode is split into half-modes at +-k_N, so real samples
-    give a real interpolant, the real part of its k >= 0 half with every
-    mode but k = 0 doubled.  With E[i, k] = e^{-2 pi i k eta_i}, x's
-    matrix is H = E diag(c e^{-2 pi i k x}) E^T, built per x at
-    (m + 1)^2 times the mode count in multiplies.
+    p(y) = sum_k c_k e^{-2 pi i k y}, c = dft_forward / L, so with
+    E[a, k] = e^{-2 pi i k eta_a} x's matrix is
+    H(x)[a, b] = sum_k E[a, k] E[b, k] c_k e^{-2 pi i k x}.  On the node
+    x_j = lower + j h the phase is e^{-2 pi i k lower} times the DFT
+    kernel, and d = ifft(trace) is c e^{-2 pi i k lower}, so every
+    x's matrix comes from one FFT along x of the per-mode E[a] E[b] d.
+    On an even grid the Nyquist mode is split into half-modes at +-k_N;
+    on a domain symmetric about 0 both fall in bin n/2, where they add to
+    d_N Re(E[a] E[b]).  H is symmetric, so only its upper triangle is
+    transformed: (m + 1)(m + 2)/2 entries, each an FFT over the n nodes.
+    A real trace gives a real interpolant and keeps the real part.
     """
     nodes, weights = np.polynomial.legendre.leggauss(m)
     quarter = grid.length / 4  # [-1, 1] onto [-L/2, 0]
     eta = np.append(quarter * (nodes - 1.0), 0.0)
-    k = dft_frequencies(grid)
-    c = dft_forward(trace, grid) / grid.length
-    if grid.n % 2 == 0:
-        nyq = grid.n // 2
-        c[nyq] *= 0.5
-        k, c = np.append(k, -k[nyq]), np.append(c, c[nyq])
-    real = np.isrealobj(trace)
-    if real:
-        half = k >= 0
-        k, c = k[half], np.where(k[half] > 0, 2.0, 1.0) * c[half]
-    e, xs = np.exp(-2j * np.pi * np.outer(eta, k)), grid.nodes
+    et = np.exp(-2j * np.pi * np.outer(dft_frequencies(grid), eta))  # E^T
+    d = np.fft.ifft(trace)
+    rows, cols = np.triu_indices(m + 1)
+    tri = np.empty((grid.n, len(rows)), dtype=complex)
+    start = 0  # row by row, in place: no temporary of the whole triangle
+    for a in range(m + 1):
+        stop = start + m + 1 - a
+        np.multiply(et[:, a:], (d * et[:, a])[:, None], out=tri[:, start:stop])
+        start = stop
+    nyq = grid.n // 2
+    tri[nyq] = d[nyq] * (et[nyq, rows] * et[nyq, cols]).real
+    np.fft.fft(tri, axis=0, out=tri)
+    if np.isrealobj(trace):
+        tri = tri.real
 
-    def hankel(i):
-        h = (e * (c * np.exp(-2j * np.pi * k * xs[i]))) @ e.T
-        return h.real if real else h
+    def hankel(lo, hi):
+        h = np.empty((hi - lo, m + 1, m + 1), dtype=tri.dtype)
+        h[:, rows, cols] = h[:, cols, rows] = tri[lo:hi]
+        return h
 
     return np.append(quarter * weights, 0.0), hankel
 
 
+# the bytes of one stack of x-systems: the Fredholm layer solves the x in
+# chunks of this size, so its working set is a few such stacks (and the
+# Gauss-Legendre rule's FFT'd triangle) whatever the grid
+CHUNK_BYTES = 1 << 18
+
+
 def _project_over_x(samples, grid, kernel, quadrature, panels, real=False):
-    """One Fredholm solve, and one LU, per x, in order, over the base
-    field's ``samples`` on ``grid``.
+    """One Fredholm solve, and one LU, per x over the base field's
+    ``samples`` on ``grid``, the x taken in chunks of CHUNK_BYTES.
 
     The grid rules solve on the half-line grid's n/2 + 1 nodes
     (:func:`_grid_hankel`), ``gauss-legendre`` on ``panels`` Nystrom nodes
     and z = 0 (:func:`_nystrom_hankel`).  Either way z = 0 is the last node
     and has zero weight, so the last row of the system is the solution
-    there, and x's Hankel matrix H gives the system's kernel
-    ``kernel(H, w)`` and, in its z = 0 column, the right-hand side.
+    there, and the chunk's Hankel matrices H give the systems' kernels
+    ``kernel(H, w)`` and, in their z = 0 columns, the right-hand sides.
     With ``real`` the trace is the real part of the field, and the systems,
     the values and the dets are float64.  A singular system leaves a NaN
     value and its (x, det) in ``breakdown_locations``.
@@ -157,20 +161,25 @@ def _project_over_x(samples, grid, kernel, quadrature, panels, real=False):
         w, hankel = _nystrom_hankel(trace, grid, panels)
     else:
         w, hankel = _grid_hankel(trace, grid, quadrature)
-    values = np.full(grid.n, np.nan, dtype=trace.dtype)
+    size = len(w)
+    chunk = max(1, CHUNK_BYTES // (size * size * trace.itemsize))
+    diag = np.arange(size)
+    values = np.empty(grid.n, dtype=trace.dtype)
     dets = np.empty(grid.n, dtype=trace.dtype)
-    breakdowns = []
-    for i, x in enumerate(grid.nodes):
-        h = hankel(i)
-        try:
-            g_row, dets[i] = solve_fredholm_system(kernel(h, w), h[:, -1], w)
-        except SingularSystem as exc:
-            dets[i] = exc.det_value
-            breakdowns.append((float(x), exc.det_value))
-            continue
-        values[i] = g_row[-1]  # z = 0 sits at the last node
+    for lo in range(0, grid.n, chunk):
+        hi = min(lo + chunk, grid.n)
+        h = hankel(lo, hi)
+        # I + K^T W: row i is the equation at z_i, column j weights the
+        # unknown g(0, xi_j)
+        a = np.swapaxes(kernel(h, w), 1, 2) * w
+        a[:, diag, diag] += 1.0
+        g, dets[lo:hi] = solve_dense(DenseSystem(a, h[:, :, -1]))
+        values[lo:hi] = g[:, -1]  # z = 0 sits at the last node
+    broken = np.flatnonzero(np.isnan(values))
     return ProjectionResult(values=values, det_track=dets,
-                            breakdown_locations=breakdowns)
+                            breakdown_locations=[(float(grid.nodes[i]),
+                                                  dets[i]) for i in broken],
+                            unknowns=size)
 
 
 def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
@@ -189,10 +198,14 @@ def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
 
 
 def nls_gram(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """M^H W M as one zgemm in scipy's BLAS."""
+    """M^H W M of each matrix M of a stack, one zgemm each in scipy's BLAS,
+    the runtime of the LU.  numpy's matmul would bring its own BLAS, whose
+    threads contend with scipy's for the cores: at 129 x 129 that made
+    the n = 256 grid-rule NLS solve ten times slower."""
     from scipy.linalg.blas import zgemm
 
-    return zgemm(1.0, m, weights[:, None] * m, trans_a=2)
+    return np.stack([zgemm(1.0, mj, wmj, trans_a=2)
+                     for mj, wmj in zip(m, weights[:, None] * m)])
 
 
 def nls_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,

@@ -1,25 +1,37 @@
 """Reference code that more than one test file compares the package with.
 
 None of it runs in a pipeline: the generic, callable-driven Fredholm
-solver the KdV/NLS projections are checked against, the Nystrom solve on
-Gauss-Legendre nodes written out point by point, the graph G = P Q^{-1}
-of a base pair with the Riccati subflow built on it and its RK4 oracle, the
-matrix-exponential base flow, and the central first difference of the
-residual checks.
+solver the KdV/NLS projections are checked against, the same projection
+one x at a time, the Nystrom solve on Gauss-Legendre nodes written out
+point by point, the graph G = P Q^{-1} of a base pair with the Riccati
+subflow built on it and its RK4 oracle, the matrix-exponential base flow,
+and the central first difference of the residual checks.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from grassflow.core import (DenseSystem, Grid1D, quadrature_weights,
-                            solve_dense)
+from grassflow.core import (DenseSystem, Grid1D, dft_forward,
+                            quadrature_weights, solve_dense)
 from grassflow.errors import BlowupAtTime, SingularSystem
-from grassflow.integrable import solve_fredholm_system
+from grassflow.integrable import GAUSS_NODES, half_line_grid
 
 
 # ---------------------------------------------------------------------------
 # the generic Fredholm solver on additive (Hankel) kernel traces
+
+
+def solve_fredholm_system(kmat, rhs, weights):
+    """Solve  rhs(z) = g(0, z) + sum_xi g(0, xi) kmat[xi, z] w(xi)  at one x
+    (``rhs`` a vector, or a matrix of columns).  Returns (g, det_track), the
+    solve and det(I + K W) = det(I + K^T W) from one LU; a singular system
+    raises SingularSystem carrying that determinant."""
+    # row i is the equation at z_i; column j weights the unknown g(0, xi_j)
+    a = np.empty((len(weights),) * 2, dtype=np.result_type(kmat, weights))
+    np.multiply(weights[None, :], kmat.T, out=a)
+    a[np.diag_indices_from(a)] += 1.0
+    return solve_dense(DenseSystem(a, rhs))
 
 
 @dataclass
@@ -71,6 +83,66 @@ def solve_additive_fredholm(p_trace, qhat, zgrid: Grid1D, x: float,
     rhs = np.asarray(p_trace(args + x))
     g, det_track = solve_fredholm_system(kmat, rhs.T, w)
     return g.T, det_track
+
+
+def one_x_hankel(samples, grid: Grid1D, quadrature: str,
+                 m: int = GAUSS_NODES):
+    """The weights of ``quadrature`` and x_i's Hankel matrix as a function
+    of i, built on its own.
+
+    The grid rules read H[a, b] = p(y_a + z_b + x) on the half-line grid
+    from the doubled sample window.  ``gauss-legendre`` sums the
+    trigonometric interpolant on the m Gauss nodes of [-L/2, 0] and z = 0
+    as H = E diag(c e^{-2 pi i k x}) E^T, the Nyquist mode split into
+    half-modes at +-k_N; real samples keep the k >= 0 half, doubled, and
+    the real part."""
+    if quadrature != "gauss-legendre":
+        zgrid = half_line_grid(grid)
+        doubled = np.tile(samples, 2)
+        ab = np.add.outer(np.arange(zgrid.n), np.arange(zgrid.n))
+        return quadrature_weights(zgrid, quadrature), lambda i: doubled[ab + i]
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    quarter = grid.length / 4
+    eta = np.append(quarter * (nodes - 1.0), 0.0)
+    k = np.fft.fftfreq(grid.n, d=grid.spacing)
+    c = dft_forward(samples, grid) / grid.length
+    nyq = grid.n // 2
+    c[nyq] *= 0.5
+    k, c = np.append(k, -k[nyq]), np.append(c, c[nyq])
+    real = np.isrealobj(samples)
+    if real:
+        half = k >= 0
+        k, c = k[half], np.where(k[half] > 0, 2.0, 1.0) * c[half]
+    e = np.exp(-2j * np.pi * np.outer(eta, k))
+
+    def hankel(i):
+        h = (e * (c * np.exp(-2j * np.pi * k * grid.nodes[i]))) @ e.T
+        return h.real if real else h
+
+    return np.append(quarter * weights, 0.0), hankel
+
+
+def project_one_x_at_a_time(samples, grid: Grid1D, quadrature: str,
+                            quadratic=False):
+    """Values, dets and breakdown x of the Fredholm projection of the trace
+    ``samples``, one x at a time: each x's matrix from
+    :func:`one_x_hankel`, its kernel H (or with ``quadratic`` H^H W H)
+    and one solve_fredholm_system."""
+    w, hankel = one_x_hankel(samples, grid, quadrature)
+    values = np.full(grid.n, np.nan, dtype=samples.dtype)
+    dets = np.empty(grid.n, dtype=samples.dtype)
+    broken = []
+    for i, x in enumerate(grid.nodes):
+        h = hankel(i)
+        kmat = np.conj(h).T @ (w[:, None] * h) if quadratic else h
+        try:
+            g, dets[i] = solve_fredholm_system(kmat, h[:, -1], w)
+        except SingularSystem as exc:
+            dets[i] = exc.det_value
+            broken.append(float(x))
+            continue
+        values[i] = g[-1]
+    return values, dets, broken
 
 
 def trig_interpolant(samples, grid: Grid1D):

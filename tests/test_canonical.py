@@ -115,14 +115,31 @@ def test_riccati_project_turns_pivot_floor_into_chart_breakdown():
     lambda: riccati_subflow(np.array([[0.2, 0.1], [0.3, -0.4]]), 0.5),
 ], ids=["riccati_project", "riccati_subflow"])
 def test_riccati_projection_factorises_once(monkeypatch, project):
+    # every LU of solve_dense is a LAPACK getrf it fetches by name
     calls = []
-    lu_factor = scipy.linalg.lu_factor
-    monkeypatch.setattr(scipy.linalg, "lu_factor",
-                        lambda *a, **k: calls.append(1) or lu_factor(*a, **k))
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
+
+    class Counted:
+        def __init__(self, f):
+            self.f = f
+
+        def __call__(self, *args, **kwargs):
+            calls.append(1)
+            return self.f(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+    def counting(names, arrays=(), **kwargs):
+        funcs = get_lapack_funcs(names, arrays, **kwargs)
+        return [Counted(f) if f.__name__.endswith("getrf") else f
+                for f in funcs]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("second factorisation")
 
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", forbidden)
     monkeypatch.setattr(np.linalg, "det", forbidden)
     monkeypatch.setattr(np.linalg, "solve", forbidden)
     project()

@@ -7,13 +7,18 @@ from hypothesis import given, settings, strategies as st
 from grassflow.core import (Grid1D, central_in_t, dft_forward, dft_inverse,
                             quadrature_weights)
 from grassflow.errors import ConfigError, SymbolError
-from grassflow.integrable import (cubic_kdv_symbol, etdrk4_kdv,
+from grassflow.cli import RunConfig, apply_preset, profile_samples
+from grassflow.integrable import (CHUNK_BYTES, GAUSS_NODES, _project_over_x,
+                                  cubic_kdv_symbol, etdrk4_kdv,
                                   half_line_grid, kdv_fredholm_solve,
                                   nls_fredholm_solve, nls_gram,
                                   propagate_dispersive, schrodinger_symbol,
                                   split_step_kdv, split_step_nls)
 from reference import (AdditiveKernelTrace, ddx, nystrom_fredholm,
+                       one_x_hankel, project_one_x_at_a_time,
                        solve_additive_fredholm)
+
+RULES = ("riemann-left", "trapezoid", "gauss-legendre")
 
 
 def periodic_grid(lo, hi, n):
@@ -43,7 +48,7 @@ def nls_assemble_qhat(trace, zgrid, x, quadrature="riemann-left"):
     """
     nodes, w = zgrid.nodes, quadrature_weights(zgrid, quadrature)
     m = trace(nodes[:, None] + nodes[None, :] + x)  # m[k, j] = p(eta_k + z_j + x)
-    return nls_gram(m, w)
+    return nls_gram(m[None], w)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +250,87 @@ def test_every_x_system_singular_still_returns():
     assert [x for x, _ in res.breakdown_locations] == [-1.0, 0.0]
     assert np.all(np.isnan(res.values))
     assert np.all(np.isfinite(res.det_track))
+
+
+def chunk_of(res):
+    """The x count of each chunk of the solve that gave ``res``."""
+    return CHUNK_BYTES // (res.unknowns ** 2 * res.values.itemsize)
+
+
+@pytest.mark.parametrize("quadrature", RULES)
+@pytest.mark.parametrize("equation", ["kdv", "nls"])
+def test_chunked_projection_matches_one_x_at_a_time(equation, quadrature):
+    # 64 x-systems of 33 unknowns: chunks of 30 (KdV, float64) or 15 (NLS,
+    # complex), the last one short
+    if equation == "kdv":
+        g = periodic_grid(-5.0, 5.0, 64)
+        p0 = -0.5 * np.cosh(g.nodes / 20.0) + 0.3 * np.exp(-g.nodes ** 2)
+        solve, symbol, t = kdv_fredholm_solve, cubic_kdv_symbol, 0.7
+    else:
+        g = periodic_grid(-4.0, 4.0, 64)
+        p0 = 0.5 * np.exp(-g.nodes ** 2 / 4.0 + 1j * g.nodes)
+        solve, symbol, t = nls_fredholm_solve, schrodinger_symbol, 0.3
+    res = solve(p0, g, t, quadrature)
+    chunk = chunk_of(res)
+    assert res.unknowns == 33 and 1 < chunk < g.n and g.n % chunk != 0
+    p = propagated_samples(p0, g, symbol, t)
+    values, dets, broken = project_one_x_at_a_time(
+        p.real if equation == "kdv" else p, g, quadrature,
+        quadratic=equation == "nls")
+    assert broken == [] and res.breakdown_locations == []
+    assert res.values.dtype == values.dtype
+    assert np.max(np.abs(res.values - values)) <= 1e-14
+    assert np.max(np.abs(res.det_track - dets) / np.abs(dets)) <= 1e-14
+
+
+@pytest.mark.parametrize("quadrature", RULES)
+def test_one_singular_x_system_in_a_later_chunk(quadrature):
+    # the trace 0.1 + a e^{-2 pi i y / L} gives each x the kernel of the
+    # constant plus a rank-one H turning with e^{-2 pi i x / L}, so by the
+    # determinant lemma det(I + H^T W) = d0 (1 + a e^{-2 pi i x / L} s):
+    # the a that zeroes it at x_50 leaves |det| >= 2 d0 sin(pi / 64) at
+    # every other x, with d0 = 1 + 0.1 L / 2 = 1.5: 0.1472
+    g = periodic_grid(-5.0, 5.0, 64)
+    mode = np.exp(-2j * np.pi * g.nodes / g.length)
+
+    def det_at_x50(samples):
+        w, hankel = one_x_hankel(samples, g, quadrature)
+        return np.linalg.det(np.eye(len(w)) + hankel(50).T * w)
+
+    # affine in a: d0 + a (d1 - d0)
+    d0, d1 = det_at_x50(0.1 + 0 * mode), det_at_x50(0.1 + mode)
+    samples = 0.1 + d0 / (d0 - d1) * mode
+    res = _project_over_x(samples, g, lambda h, w: h, quadrature,
+                          GAUSS_NODES)
+    assert 50 >= chunk_of(res) and 50 % chunk_of(res) != 0
+    assert [x for x, _ in res.breakdown_locations] == [g.nodes[50]]
+    det = res.breakdown_locations[0][1]
+    assert res.det_track[50] == det and abs(det) < 1e-14
+    assert np.isnan(res.values[50])
+    assert np.all(np.isfinite(np.delete(res.values, 50)))
+    assert np.min(np.abs(np.delete(res.det_track, 50))) > 0.147
+
+
+@pytest.mark.parametrize("equation, solve", [("kdv", kdv_fredholm_solve),
+                                             ("nls", nls_fredholm_solve)])
+def test_paper_preset_solve_working_set_is_bounded(equation, solve):
+    # the chunks keep the layer's peak allocation to a few stacks of
+    # x-systems and the FFT'd triangle: one (256, 33, 33) complex stack of
+    # every x would alone be 4.25 MiB
+    import tracemalloc
+
+    config = apply_preset(RunConfig(equation, preset="paper"))
+    g = periodic_grid(-config.domain_l / 2, config.domain_l / 2,
+                      config.grid_n)
+    p0 = profile_samples(config.profile, g.nodes)
+    solve(p0, g, config.t_final, config.quadrature)  # the lazy imports
+    tracemalloc.start()
+    try:
+        solve(p0, g, config.t_final, config.quadrature)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def test_projection_needs_symmetric_domain():
