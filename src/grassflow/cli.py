@@ -233,8 +233,9 @@ PROFILES = {
 # per-equation runners
 #
 # A runner takes the configuration and write(name, header, rows), which
-# writes the table <equation>_<name>.csv, and returns the entries its run
-# adds to the metadata sidecar.
+# keeps the table <equation>_<name>.csv for run to write once the runner
+# has returned, and returns the entries its run adds to the metadata
+# sidecar.
 
 
 def _checkpoint_steps(config: RunConfig):
@@ -252,7 +253,7 @@ def _run_fredholm(config: RunConfig, write, solve, stepper, readout,
     ``readout`` of the projected field against the direct ``stepper``.
     The oracle's ``nonlinear_effect`` is its largest distance from the
     linear flow under ``symbol`` of the same t = 0 data.  The first
-    singular x-system raises ChartBreakdown before any table is written."""
+    singular x-system raises ChartBreakdown."""
     grid = Grid1D(-config.domain_l / 2, config.domain_l / 2, config.grid_n,
                   kind="periodic")
     nodes = grid.nodes
@@ -458,13 +459,22 @@ def run(config: RunConfig) -> int:
     os.makedirs(config.out, exist_ok=True)
     chash = config_hash(config)
 
-    def write(name, header, rows):
-        write_table(os.path.join(config.out, f"{config.equation}_{name}.csv"),
-                    header, rows, chash)
+    tables = []
+
+    def write_tables():
+        for name, header, rows in tables:
+            write_table(os.path.join(config.out,
+                                     f"{config.equation}_{name}.csv"),
+                        header, rows, chash)
 
     try:
-        extra = RUNNERS[config.equation](config, write)
+        extra = RUNNERS[config.equation](config, lambda *table:
+                                         tables.append(table))
     except Breakdown as exc:
+        # a failed run leaves no tables, except a shock's field, which is
+        # whole but for its flagged NaN nodes
+        if isinstance(exc, ShockProximity):
+            write_tables()
         t = config.t_final if exc.t is None else exc.t
         print(f"breakdown: {exc} (t = {t}, location = {exc.location}, "
               f"determinant = {exc.det_value})", file=sys.stderr)
@@ -472,6 +482,7 @@ def run(config: RunConfig) -> int:
     except GrassflowError as exc:
         print(f"breakdown: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    write_tables()
     write_metadata(config, chash, extra)
     return 0
 

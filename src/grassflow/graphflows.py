@@ -184,14 +184,22 @@ def generalized_flow_eval(x_nodes, t: float, profile: InitialProfile,
 
 
 def upwind_oracle(pi0_samples: np.ndarray, h: float, t: float) -> np.ndarray:
-    """First-order upwind integration of pi_t + pi pi_x = 0, periodic."""
+    """First-order upwind integration of pi_t + pi pi_x = 0, periodic.
+
+    Each step fills one periodic difference array, diff[i] = u_i - u_{i-1}
+    with diff[0] = diff[n] = u_0 - u_{n-1}, so the backward difference at
+    node i is diff[i] and the forward one diff[i + 1].
+    """
     u = np.asarray(pi0_samples, dtype=float).copy()
+    n = len(u)
+    diff = np.empty(n + 1)
     elapsed = 0.0
     while elapsed < t:
         speed = np.max(np.abs(u))
         dt = min(CFL * h / max(speed, 1e-12), t - elapsed)
-        back = (u - np.roll(u, 1)) / h
-        fwd = (np.roll(u, -1) - u) / h
-        u = u - dt * u * np.where(u > 0, back, fwd)
+        np.subtract(u[1:], u[:-1], out=diff[1:n])
+        diff[0] = diff[n] = u[0] - u[-1]
+        diff /= h
+        u = u - dt * u * np.where(u > 0, diff[:n], diff[1:])
         elapsed += dt
     return u

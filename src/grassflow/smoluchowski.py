@@ -2,8 +2,8 @@
 
 Constant-kernel coagulation is solved through its scalar Laplace-space base
 flow; the general Smoluchowski-type equation through mass-space linear base
-PDEs followed by a Volterra projection p = g * q (forward substitution, the
-delta part of q handled analytically as the identity).  A direct
+PDEs followed by a Volterra projection p = g * q (a power-series quotient,
+the delta part of q handled analytically as the identity).  A direct
 integro-differential RK4 integrator of the constant-kernel equation
 provides the cross-validation oracle.
 """
@@ -96,30 +96,54 @@ def _check_uniform(grid: Grid1D):
         raise ConfigError("mass grids are closed and start at 0")
 
 
+def _series_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The first len(u) coefficients of the product of two real power
+    series, by real FFTs padded to len(u) + len(v) (one transform when
+    ``v is u``)."""
+    m = len(u) + len(v)
+    fu = np.fft.rfft(u, m)
+    fv = fu if v is u else np.fft.rfft(v, m)
+    return np.fft.irfft(fu * fv, m)[:len(u)]
+
+
 def riemann_conv(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
     """Truncated left-Riemann convolution h sum_{j<i} u_j v_{i-j} of real
-    samples: the full convolution by real FFTs padded to 2n (one transform
-    when ``v is u``), less its j = i term."""
-    n = len(u)
-    fu = np.fft.rfft(u, 2 * n)
-    fv = fu if v is u else np.fft.rfft(v, 2 * n)
-    full = np.fft.irfft(fu * fv, 2 * n)[:n]
-    return h * (full - u * v[0])
+    samples: the series product of u and v less its j = i term."""
+    return h * (_series_product(u, v) - u * v[0])
 
 
-def _forward_substitute(b, c, s, c0):
+def _series_quotient(b, c, s, c0):
     """Solve the lower-triangular Toeplitz system
-    c0 g_i + s sum_{j<i} g_j c_{i-j} = b_i by forward substitution."""
-    g = np.zeros(len(b), dtype=np.result_type(b, c, float))
-    for i in range(len(b)):
-        g[i] = (b[i] - s * np.dot(g[:i], c[i:0:-1])) / c0
-    return g
+    c0 g_i + s sum_{j<i} g_j c_{i-j} = b_i, that is the power-series
+    quotient g = b / a with a = (c0, s c_1, s c_2, ...).
+
+    1/a comes from Newton's iteration r <- r - r (a r - 1), which doubles
+    the number of correct coefficients each pass, so the solve is
+    O(n log n).  The series are zero-padded to a power of two, which keeps
+    every FFT length a power of two or three times one.  The real FFTs
+    would drop an imaginary part, so complex data is refused.
+    """
+    if np.iscomplexobj(b) or np.iscomplexobj(c):
+        raise ConfigError("the Volterra solve takes real data only")
+    n = len(b)
+    size = 1 << (n - 1).bit_length()
+    a = np.zeros(size)
+    a[:n] = s * np.asarray(c, dtype=float)
+    a[0] = c0
+    r = np.array([1.0 / c0])
+    while len(r) < size:
+        # a r - 1 vanishes below len(r); its next len(r) coefficients
+        # give the next len(r) of r
+        e = _series_product(a[:2 * len(r)], r)[len(r):]
+        r = np.append(r, -_series_product(r, e))
+    b = np.pad(np.asarray(b, dtype=float), (0, size - n))
+    return _series_product(b, r)[:n]
 
 
 def volterra_project(p: np.ndarray, qhat: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Invert p = g + g * qhat by forward substitution (unit lower triangle)."""
+    """Invert p = g + g * qhat (a unit lower-triangular Toeplitz system)."""
     _check_uniform(grid)
-    return _forward_substitute(p, qhat, grid.spacing, 1.0)
+    return _series_quotient(p, qhat, grid.spacing, 1.0)
 
 
 def deconvolve(p: np.ndarray, q: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -132,7 +156,7 @@ def deconvolve(p: np.ndarray, q: np.ndarray, grid: Grid1D) -> np.ndarray:
     _check_uniform(grid)
     if q[1] == 0:
         raise ConfigError("deconvolution needs q nonzero at the first node")
-    g = _forward_substitute(p[1:] / grid.spacing, q[1:], 1, q[1])
+    g = _series_quotient(p[1:] / grid.spacing, q[1:], 1, q[1])
     return np.append(g, 2 * g[-1] - g[-2])
 
 

@@ -5,7 +5,8 @@ solver the KdV/NLS projections are checked against, the same projection
 one x at a time, the Nystrom solve on Gauss-Legendre nodes written out
 point by point, the graph G = P Q^{-1} of a base pair with the Riccati
 subflow built on it and its RK4 oracle, the matrix-exponential base flow,
-and the central first difference of the residual checks.
+the central first difference of the residual checks, the node-by-node
+Volterra loops with their long-double twin, and the np.roll upwind loop.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ import numpy as np
 from grassflow.core import (DenseSystem, Grid1D, dft_forward,
                             quadrature_weights, solve_dense)
 from grassflow.errors import BlowupAtTime, SingularSystem
+from grassflow.graphflows import CFL
 from grassflow.integrable import GAUSS_NODES, half_line_grid
 
 
@@ -262,3 +264,54 @@ def riccati_rk4(pi0: np.ndarray, t: float, steps: int) -> np.ndarray:
 def ddx(u, h):
     """Periodic second-order central first difference."""
     return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# the per-node loops the Volterra solve and the upwind oracle replaced
+
+
+def volterra_loop(p, qv, h):
+    """volterra_project's former forward substitution, one np.dot a node."""
+    n = len(p)
+    ref = np.zeros(n)
+    ref[0] = p[0]
+    for i in range(1, n):
+        ref[i] = p[i] - h * np.dot(ref[:i], qv[i:0:-1])
+    return ref
+
+
+def deconvolve_loop(p, qv, h):
+    """deconvolve's former forward substitution, last node extrapolated."""
+    n = len(p)
+    ref = np.zeros(n)
+    for i in range(1, n):
+        acc = np.dot(ref[:i - 1], qv[i:1:-1]) if i > 1 else 0.0
+        ref[i - 1] = (p[i] / h - acc) / qv[1]
+    ref[n - 1] = 2 * ref[n - 2] - ref[n - 3]
+    return ref
+
+
+def forward_substitute_longdouble(b, c, s, c0):
+    """c0 g_i + s sum_{j<i} g_j c_{i-j} = b_i node by node in np.longdouble,
+    from the float64 data: the exact answer to well past float64."""
+    b = np.asarray(b, dtype=np.longdouble)
+    c = np.asarray(c, dtype=np.longdouble)
+    s, c0 = np.longdouble(s), np.longdouble(c0)
+    g = np.zeros(len(b), dtype=np.longdouble)
+    for i in range(len(b)):
+        g[i] = (b[i] - s * np.dot(g[:i], c[i:0:-1])) / c0
+    return g
+
+
+def upwind_roll(pi0_samples, h, t):
+    """upwind_oracle's former step, its differences taken by np.roll."""
+    u = np.asarray(pi0_samples, dtype=float).copy()
+    elapsed = 0.0
+    while elapsed < t:
+        speed = np.max(np.abs(u))
+        dt = min(CFL * h / max(speed, 1e-12), t - elapsed)
+        back = (u - np.roll(u, 1)) / h
+        fwd = (np.roll(u, -1) - u) / h
+        u = u - dt * u * np.where(u > 0, back, fwd)
+        elapsed += dt
+    return u

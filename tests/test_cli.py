@@ -460,6 +460,15 @@ def test_kdv_singular_system_exits_1_without_tables(tmp_path, monkeypatch,
                    for name in os.listdir(tmp_path))
 
 
+def test_failed_oracle_leaves_no_tables(tmp_path, capsys):
+    # the projection succeeds, then the oracle blows up at step 100
+    rc = main(["kdv", "--profile", "gaussian", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "IntegrationBlowup" in capsys.readouterr().err
+    assert not any(name.endswith((".csv", ".txt"))
+                   for name in os.listdir(tmp_path))
+
+
 def loaded_by_cli_import(module: str) -> bool:
     """Whether a fresh interpreter has ``module`` loaded after
     ``import grassflow.cli``."""
@@ -571,6 +580,26 @@ def test_spde_rerun_is_bitwise_identical(tmp_path):
     assert names
     for name in names:
         assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+@pytest.mark.parametrize("args", [
+    ["prelaplace", "--grid-n", "64", "--domain-l", "1.0", "--t-final", "0.5"],
+    ["smol-general", "--grid-n", "32", "--t-final", "0.5"],
+    ["burgers", "--profile", "sin", "--grid-n", "64", "--t-final", "0.5",
+     "--domain-l", str(2 * np.pi)],
+])
+def test_rerun_is_bitwise_identical(tmp_path, args):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    assert [n for n in names if n.endswith(".csv")]
+    for name in names:
+        # the sidecars differ only in the out line
+        text = [[line for line in (d / name).read_text().splitlines()
+                 if not line.startswith("out = ")] for d in (a, b)]
+        assert text[0] == text[1], name
 
 
 def test_spde_sidecar_records_the_least_determinant(tmp_path):

@@ -13,7 +13,7 @@ from grassflow.graphflows import (FD_STEP, JACOBIAN_FLOOR, NEWTON_MAX_ITER,
                                   _modified_profile, _solve_characteristic,
                                   fundamental_matrix, generalized_flow_eval,
                                   inviscid_burgers_eval, upwind_oracle)
-from reference import ddx, riccati_rk4, riccati_subflow
+from reference import ddx, riccati_rk4, riccati_subflow, upwind_roll
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +111,19 @@ def test_upwind_oracle_matches_characteristics():
     direct = upwind_oracle(0.5 * np.sin(x), h, t)
     exact = inviscid_burgers_eval(x, t, prof).values
     assert np.max(np.abs(direct - exact)) < 1e-2
+
+
+def test_upwind_oracle_equals_its_roll_loop_bitwise():
+    # the burgers benchmark job's oracle input: sine on 16384 nodes of
+    # [-pi, pi), to t = 0.5
+    h = 2 * np.pi / 16384
+    xs = -np.pi + h * np.arange(16384)
+    cases = [(np.sin(xs), h, 0.5)]
+    # test_upwind_oracle_matches_characteristics's data
+    x = np.linspace(-np.pi, np.pi, 512, endpoint=False)
+    cases.append((0.5 * np.sin(x), x[1] - x[0], 0.8))
+    for pi0, h, t in cases:
+        assert np.array_equal(upwind_oracle(pi0, h, t), upwind_roll(pi0, h, t))
 
 
 def test_shock_flagging_window():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grassflow.cli import profile_samples
 from grassflow.core import Grid1D, march, rk4_step
 from grassflow.errors import BlowupAtTime, ConfigError
 from grassflow.smoluchowski import (MassDensity, SmolCoefficients,
@@ -17,6 +18,8 @@ from grassflow.smoluchowski import (MassDensity, SmolCoefficients,
                                     pre_laplace_burgers_residual,
                                     pre_laplace_burgers_solve, riemann_conv,
                                     volterra_project)
+from reference import (deconvolve_loop, forward_substitute_longdouble,
+                       volterra_loop)
 
 
 def mass_grid(upper, n):
@@ -173,22 +176,42 @@ def test_deconvolve_recovers_known_factor():
 
 
 def test_triangular_solves_match_their_former_loops():
-    # the two loops the shared forward substitution replaced, verbatim
+    # the FFT solve cannot repeat the loops' rounding, so both are held to
+    # the same bound against a long-double forward substitution
     rng = np.random.default_rng(5)
     g = mass_grid(3.0, 129)
     h = g.spacing
     p, qv = rng.standard_normal(129), 1.0 + rng.random(129)
-    ref = np.zeros(129)
-    ref[0] = p[0]
-    for i in range(1, 129):
-        ref[i] = p[i] - h * np.dot(ref[:i], qv[i:0:-1])
-    assert np.array_equal(volterra_project(p, qv, g), ref)
-    ref = np.zeros(129)
-    for i in range(1, 129):
-        acc = np.dot(ref[:i - 1], qv[i:1:-1]) if i > 1 else 0.0
-        ref[i - 1] = (p[i] / h - acc) / qv[1]
-    ref[128] = 2 * ref[127] - ref[126]
-    assert np.array_equal(deconvolve(p, qv, g), ref)
+    exact = forward_substitute_longdouble(p, qv, h, 1.0)
+    bound = 1e-14 * float(np.max(np.abs(exact)))
+    for out in (volterra_project(p, qv, g), volterra_loop(p, qv, h)):
+        assert float(np.max(np.abs(out - exact))) <= bound
+    exact = forward_substitute_longdouble(p[1:] / h, qv[1:], 1, qv[1])
+    bound = 1e-14 * float(np.max(np.abs(exact)))
+    for out in (deconvolve(p, qv, g), deconvolve_loop(p, qv, h)):
+        assert float(np.max(np.abs(out[:-1] - exact))) <= bound
+
+
+def test_prelaplace_deconvolution_is_no_less_accurate_than_the_loop():
+    # the prelaplace benchmark job's data: 8192 nodes on [0, 1], exp
+    # profile, nu = 1, t = 0.5; the system amplifies rounding by about 1e4
+    g = mass_grid(1.0, 8192)
+    x, h = g.nodes, g.spacing
+    q = profile_samples("exp", x) * np.exp(x ** 2 * 0.5)
+    p = 2.0 * x * q
+    exact = forward_substitute_longdouble(p[1:] / h, q[1:], 1, q[1])
+    err = lambda out: float(np.max(np.abs(out[:-1] - exact)))
+    assert err(deconvolve(p, q, g)) <= err(deconvolve_loop(p, q, h))
+
+
+@pytest.mark.parametrize("complex_arg", [0, 1])
+def test_volterra_solves_refuse_complex_data(complex_arg):
+    g = mass_grid(1.0, 16)
+    args = [np.ones(16), 1.0 + np.arange(16.0)]
+    args[complex_arg] = args[complex_arg] + 1e-3j
+    for solve in (volterra_project, deconvolve):
+        with pytest.raises(ConfigError):
+            solve(*args, g)
 
 
 # ---------------------------------------------------------------------------
