@@ -35,7 +35,7 @@ EQUATIONS = ("kdv", "nls", "smol-const", "smol-general", "prelaplace",
 
 SPECTRAL_EQUATIONS = ("kdv", "nls", "spde", "quotient")
 
-QUADRATURES = ("riemann-left", "trapezoid", "gauss-legendre")
+QUADRATURES = ("trapezoid", "gauss-legendre")
 
 
 @dataclass
@@ -49,7 +49,7 @@ class RunConfig:
     t_final: float = 1.0
     dt: float = 1e-3
     seed: int = 0
-    quadrature: str = "riemann-left"
+    quadrature: str = "trapezoid"
     out: str = "."
     compare_oracle: bool = True
     profile: str = ""

@@ -52,24 +52,15 @@ class Grid1D:
         return self.upper - self.lower
 
 
-def quadrature_weights(grid: Grid1D, scheme: str) -> np.ndarray:
-    """Non-negative weights on the grid's nodes for integration over it.
-
-    ``riemann-left`` is the left-endpoint Riemann sum; on a closed grid its
-    final node carries zero weight, so a solution value at the right
-    endpoint can sit on the same grid.  ``trapezoid`` needs a closed grid.
-    """
+def quadrature_weights(grid: Grid1D) -> np.ndarray:
+    """The trapezoid rule's weights on a closed grid's nodes: the spacing h
+    inside and h / 2 at either endpoint, so an integral over the grid is
+    ``np.sum(w * f)``."""
+    if grid.kind != "closed":
+        raise ConfigError("trapezoid rule expects a closed grid")
     h = grid.spacing
     w = np.full(grid.n, h, dtype=float)
-    if scheme == "riemann-left":
-        if grid.kind == "closed":
-            w[-1] = 0.0
-    elif scheme == "trapezoid":
-        if grid.kind != "closed":
-            raise ConfigError("trapezoid rule expects a closed grid")
-        w[0] = w[-1] = 0.5 * h
-    else:
-        raise ConfigError(f"unknown quadrature scheme {scheme!r}")
+    w[0] = w[-1] = 0.5 * h
     return w
 
 
@@ -243,14 +234,17 @@ def march(advance, y, steps: int, checkpoints=None, readout=None):
     readout = readout or (lambda v: v)
     wanted = set(checkpoints) if checkpoints is not None else {steps}
     kept = {0: readout(y)} if 0 in wanted else {}
-    for m in range(1, steps + 1):
-        y = advance(m - 1, y)
-        if (m % CHECK_EVERY == 0 or m == steps) and not _finite(y):
-            step = next((s for s, v in kept.items() if not _finite(v)), m)
-            raise IntegrationBlowup(f"state non-finite at step {step}",
-                                    step=step)
-        if m in wanted:
-            kept[m] = readout(y)
+    # a diverging state overflows between two checks; the finiteness check
+    # reports that as IntegrationBlowup, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, steps + 1):
+            y = advance(m - 1, y)
+            if (m % CHECK_EVERY == 0 or m == steps) and not _finite(y):
+                step = next((s for s, v in kept.items() if not _finite(v)), m)
+                raise IntegrationBlowup(f"state non-finite at step {step}",
+                                        step=step)
+            if m in wanted:
+                kept[m] = readout(y)
     return kept if checkpoints is not None else kept[steps]
 
 

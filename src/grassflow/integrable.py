@@ -71,9 +71,9 @@ class ProjectionResult:
     unknowns: int
 
 
-def _grid_hankel(trace, grid, quadrature):
-    """The weights of ``quadrature`` on the half-line grid, and the Hankel
-    matrices of the x-systems lo <= m < hi as a function of (lo, hi).
+def _grid_hankel(trace, grid):
+    """The trapezoid weights on the half-line grid, and the Hankel matrices
+    of the x-systems lo <= m < hi as a function of (lo, hi).
 
     The assembly reads p(y + z + x) for y, z in [-L/2, 0] and x in
     [-L/2, L/2], arguments in [-3L/2, L/2]; the base field is periodic, so
@@ -86,7 +86,7 @@ def _grid_hankel(trace, grid, quadrature):
     stack = np.lib.stride_tricks.as_strided(
         doubled, shape=(grid.n, zgrid.n, zgrid.n),
         strides=(doubled.strides[0],) * 3, writeable=False)
-    return quadrature_weights(zgrid, quadrature), lambda lo, hi: stack[lo:hi]
+    return quadrature_weights(zgrid), lambda lo, hi: stack[lo:hi]
 
 
 def _nystrom_hankel(trace, grid, m):
@@ -143,12 +143,13 @@ def _project_over_x(samples, grid, kernel, quadrature, panels, real=False):
     """One Fredholm solve, and one LU, per x over the base field's
     ``samples`` on ``grid``, the x taken in chunks of CHUNK_BYTES.
 
-    The grid rules solve on the half-line grid's n/2 + 1 nodes
+    ``trapezoid`` solves on the half-line grid's n/2 + 1 nodes
     (:func:`_grid_hankel`), ``gauss-legendre`` on ``panels`` Nystrom nodes
-    and z = 0 (:func:`_nystrom_hankel`).  Either way z = 0 is the last node
-    and has zero weight, so the last row of the system is the solution
-    there, and the chunk's Hankel matrices H give the systems' kernels
-    ``kernel(H, w)`` and, in their z = 0 columns, the right-hand sides.
+    and z = 0 (:func:`_nystrom_hankel`).  Either way z = 0 is the last node,
+    weighted h / 2 by the trapezoid rule and 0 by Gauss-Legendre, and the
+    last unknown is the solution there.  The chunk's Hankel matrices H give
+    the systems' kernels ``kernel(H, w)`` and, in their z = 0 columns, the
+    right-hand sides.
     With ``real`` the trace is the real part of the field, and the systems,
     the values and the dets are float64.  A singular system leaves a NaN
     value and its (x, det) in ``breakdown_locations``.
@@ -159,8 +160,10 @@ def _project_over_x(samples, grid, kernel, quadrature, panels, real=False):
     trace = samples.real if real else samples
     if quadrature == "gauss-legendre":
         w, hankel = _nystrom_hankel(trace, grid, panels)
+    elif quadrature == "trapezoid":
+        w, hankel = _grid_hankel(trace, grid)
     else:
-        w, hankel = _grid_hankel(trace, grid, quadrature)
+        raise ConfigError(f"unknown quadrature {quadrature!r}")
     size = len(w)
     chunk = max(1, CHUNK_BYTES // (size * size * trace.itemsize))
     diag = np.arange(size)
@@ -183,7 +186,7 @@ def _project_over_x(samples, grid, kernel, quadrature, panels, real=False):
 
 
 def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
-                       quadrature: str = "riemann-left",
+                       quadrature: str = "trapezoid",
                        panels: int = GAUSS_NODES) -> ProjectionResult:
     """KdV via its additive prescription: qhat = p, one dense solve per x
     (on ``panels`` nodes under ``gauss-legendre``).
@@ -209,7 +212,7 @@ def nls_gram(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def nls_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
-                       quadrature: str = "riemann-left",
+                       quadrature: str = "trapezoid",
                        panels: int = GAUSS_NODES) -> ProjectionResult:
     """NLS via the quadratic prescription qhat = P^dag P (on ``panels``
     nodes under ``gauss-legendre``)."""

@@ -213,7 +213,7 @@ def integrate_m0_riccati(coeffs: SmolCoefficients, m00: float, t: float,
     abar / b0bar are the [0, X] integrals of a and b0 (plus the delta
     coefficient).  Returns m0 at the steps+1 equispaced times in [0, t].
     """
-    w = quadrature_weights(grid, "trapezoid")
+    w = quadrature_weights(grid)
     abar = float(np.sum(w * coeffs.a)) if coeffs.a is not None else 0.0
     b0bar = coeffs.b0_delta
     if coeffs.b0 is not None:

@@ -215,7 +215,7 @@ def spde_poppe_run(g0: Field2D, params: SpdeParams,
     k = mode_numbers(n)
     tf = sheet.t_final
     times = np.linspace(0.0, tf, panels + 1)
-    weights = quadrature_weights(Grid1D(0.0, tf, panels + 1), "trapezoid")
+    weights = quadrature_weights(Grid1D(0.0, tf, panels + 1))
     qhat = np.zeros((n, n), dtype=complex)
     dets = np.empty(panels + 1)
     neg = (-np.arange(n)) % n

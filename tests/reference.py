@@ -1,7 +1,8 @@
 """Reference code that more than one test file compares the package with.
 
 None of it runs in a pipeline: the generic, callable-driven Fredholm
-solver the KdV/NLS projections are checked against, the same projection
+solver the KdV/NLS projections are checked against, with the left-endpoint
+weights its hand-solved systems are built on, the same projection
 one x at a time, the Nystrom solve on Gauss-Legendre nodes written out
 point by point, the graph G = P Q^{-1} of a base pair with the Riccati
 subflow built on it and its RK4 oracle, the matrix-exponential base flow,
@@ -68,18 +69,27 @@ class AdditiveKernelTrace:
         return out
 
 
+def left_endpoint_weights(grid: Grid1D) -> np.ndarray:
+    """The left Riemann sum on a closed grid: the spacing at every node but
+    the last, which has weight 0."""
+    w = np.full(grid.n, grid.spacing)
+    w[-1] = 0.0
+    return w
+
+
 def solve_additive_fredholm(p_trace, qhat, zgrid: Grid1D, x: float,
-                            quadrature: str = "riemann-left",
+                            weights=quadrature_weights,
                             full_kernel: bool = False):
     """Solve  p(z + x) = g(0, z) + int g(0, xi) qhat(xi, z) w(xi) dxi.
 
     ``p_trace`` is callable at shifted nodes; ``qhat`` is a callable
     (xi, z) -> value, vectorised over its arguments (for the KdV case it is
-    the additive evaluation qhat(xi + z + x)).  Returns (g_row, det_track)
-    as solve_fredholm_system does.  With ``full_kernel`` the whole matrix
-    g(y, z) is solved instead of just the y = 0 row.
+    the additive evaluation qhat(xi + z + x)); w is ``weights(zgrid)``.
+    Returns (g_row, det_track) as solve_fredholm_system does.  With
+    ``full_kernel`` the whole matrix g(y, z) is solved instead of just the
+    y = 0 row.
     """
-    nodes, w = zgrid.nodes, quadrature_weights(zgrid, quadrature)
+    nodes, w = zgrid.nodes, weights(zgrid)
     kmat = np.asarray(qhat(nodes[:, None], nodes[None, :]))
     args = nodes[:, None] + nodes[None, :] if full_kernel else nodes
     rhs = np.asarray(p_trace(args + x))
@@ -92,17 +102,17 @@ def one_x_hankel(samples, grid: Grid1D, quadrature: str,
     """The weights of ``quadrature`` and x_i's Hankel matrix as a function
     of i, built on its own.
 
-    The grid rules read H[a, b] = p(y_a + z_b + x) on the half-line grid
+    ``trapezoid`` reads H[a, b] = p(y_a + z_b + x) on the half-line grid
     from the doubled sample window.  ``gauss-legendre`` sums the
     trigonometric interpolant on the m Gauss nodes of [-L/2, 0] and z = 0
     as H = E diag(c e^{-2 pi i k x}) E^T, the Nyquist mode split into
     half-modes at +-k_N; real samples keep the k >= 0 half, doubled, and
     the real part."""
-    if quadrature != "gauss-legendre":
+    if quadrature == "trapezoid":
         zgrid = half_line_grid(grid)
         doubled = np.tile(samples, 2)
         ab = np.add.outer(np.arange(zgrid.n), np.arange(zgrid.n))
-        return quadrature_weights(zgrid, quadrature), lambda i: doubled[ab + i]
+        return quadrature_weights(zgrid), lambda i: doubled[ab + i]
     nodes, weights = np.polynomial.legendre.leggauss(m)
     quarter = grid.length / 4
     eta = np.append(quarter * (nodes - 1.0), 0.0)

@@ -12,8 +12,8 @@ from grassflow.core import Grid1D, quadrature_weights, rk4_step
 from grassflow.errors import (ChartBreakdown, ConfigError, IntegrationBlowup,
                              SingularSystem)
 from reference import (AdditiveKernelTrace, graph_solve,
-                       integrate_base_exact, riccati_subflow,
-                       solve_additive_fredholm)
+                       integrate_base_exact, left_endpoint_weights,
+                       riccati_subflow, solve_additive_fredholm)
 
 
 def random_coeffs(rng, n):
@@ -181,9 +181,10 @@ def test_trace_node_lookup_and_zero_extension():
 
 
 def fredholm_residual(p_trace, qhat, zgrid: Grid1D, x: float, g_row,
-                      quadrature: str = "riemann-left") -> float:
-    """Discrete residual of the solved Fredholm equation (should be ~1e-10)."""
-    nodes, w = zgrid.nodes, quadrature_weights(zgrid, quadrature)
+                      weights) -> float:
+    """Discrete residual of the solved Fredholm equation (should be ~1e-10)
+    under the weights ``weights(zgrid)``."""
+    nodes, w = zgrid.nodes, weights(zgrid)
     kmat = np.asarray(qhat(nodes[:, None], nodes[None, :]), dtype=complex)
     lhs = np.asarray(p_trace(nodes + x), dtype=complex)
     rhs = g_row + (w[None, :] * kmat.T) @ g_row
@@ -202,8 +203,8 @@ def test_two_node_fredholm_matches_hand_solve():
     p = AdditiveKernelTrace(grid=Grid1D(-2.0, 2.0, 5, kind="closed"),
                             values=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
     g_row, det = solve_additive_fredholm(p, qhat, zgrid, 0.0,
-                                         quadrature="riemann-left")
-    # riemann-left weights are (1, 0): unknowns g(-1), g(0) satisfy
+                                         weights=left_endpoint_weights)
+    # the left-endpoint weights are (1, 0): unknowns g(-1), g(0) satisfy
     #   p(-1) = g(-1) + g(-1) k(-1,-1),   p(0) = g(0) + g(-1) k(-1, 0)
     h = 1.0
     g_m1 = 2.0 / (1.0 + h * kvals[0, 0])
@@ -213,8 +214,9 @@ def test_two_node_fredholm_matches_hand_solve():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 31), st.sampled_from(["riemann-left", "trapezoid"]))
-def test_fredholm_solution_has_tiny_discrete_residual(seed, scheme):
+@given(st.integers(0, 2 ** 31),
+       st.sampled_from([left_endpoint_weights, quadrature_weights]))
+def test_fredholm_solution_has_tiny_discrete_residual(seed, weights):
     rng = np.random.default_rng(seed)
     zgrid = Grid1D(-1.0, 0.0, 17, kind="closed")
     wide = Grid1D(-3.0, 1.0, 65, kind="closed")
@@ -224,9 +226,9 @@ def test_fredholm_solution_has_tiny_discrete_residual(seed, scheme):
         return 0.5 * trace(xi + z)
 
     g_row, _ = solve_additive_fredholm(trace, qhat, zgrid, 0.25,
-                                       quadrature=scheme)
+                                       weights=weights)
     assert fredholm_residual(trace, qhat, zgrid, 0.25, g_row,
-                             quadrature=scheme) < 1e-10
+                             weights) < 1e-10
 
 
 def test_fredholm_full_kernel_first_row_consistent():
@@ -249,13 +251,14 @@ def test_fredholm_breakdown_on_singular_operator():
     zgrid = Grid1D(-1.0, 0.0, 2, kind="closed")
 
     def qhat(xi, z):
-        # with riemann-left weights (1, 0) this makes the pivot vanish
+        # with the left-endpoint weights (1, 0) this makes the pivot vanish
         return np.where(np.rint(xi - zgrid.lower) == 0, -1.0, 0.0)
 
     trace = AdditiveKernelTrace(grid=Grid1D(-2.0, 2.0, 5, kind="closed"),
                                 values=np.ones(5))
     with pytest.raises(SingularSystem):
-        solve_additive_fredholm(trace, qhat, zgrid, 0.0)
+        solve_additive_fredholm(trace, qhat, zgrid, 0.0,
+                                weights=left_endpoint_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +279,13 @@ def delta_kernel(weights: np.ndarray) -> np.ndarray:
 
 def product_rule_check(f_kernel, r_trace: AdditiveKernelTrace,
                        rp_trace: AdditiveKernelTrace, fp_kernel,
-                       zgrid: Grid1D, x: float, dx: float,
-                       quadrature: str = "trapezoid") -> float:
+                       zgrid: Grid1D, x: float, dx: float) -> float:
     """|<F d/dx (R R') F'> - <F R><R' F'>| at parameter x.
 
     d/dx is a central difference with step dx; all compositions use the
-    grid quadrature.  Vanishes at second order in (grid spacing, dx).
+    trapezoid rule.  Vanishes at second order in (grid spacing, dx).
     """
-    nodes, w = zgrid.nodes, quadrature_weights(zgrid, quadrature)
+    nodes, w = zgrid.nodes, quadrature_weights(zgrid)
     for trace in (r_trace, rp_trace):
         assert trace.grid.lower <= x - dx and x + dx <= trace.grid.upper, \
             "x stencil leaves the sampled trace range"
@@ -308,7 +310,7 @@ def product_rule_check(f_kernel, r_trace: AdditiveKernelTrace,
 def test_delta_kernel_is_composition_identity():
     rng = np.random.default_rng(4)
     g = Grid1D(0.0, 1.0, 9, kind="closed")
-    w = quadrature_weights(g, "trapezoid")
+    w = quadrature_weights(g)
     f = rng.standard_normal((9, 9))
     delta = delta_kernel(w)
     assert np.allclose(compose(f, delta, w), f)

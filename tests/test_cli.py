@@ -4,8 +4,10 @@ import csv
 import dataclasses
 import filecmp
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,23 @@ def test_paper_presets_validate_clean():
         assert validate(config) == []
         if eq in ("kdv", "nls"):
             assert config.quadrature == "gauss-legendre"
+
+
+def test_kdv_and_nls_default_to_the_trapezoid_rule(tmp_path):
+    # the presets keep gauss-legendre; a run without one solves on the
+    # half-line grid's n/2 + 1 nodes
+    assert RunConfig("kdv").quadrature == "trapezoid"
+    assert main(["kdv", "--grid-n", "32", "--t-final", "0.01",
+                 "--checkpoints", "2", "--out", str(tmp_path)]) == 0
+    meta = read_metadata(tmp_path / "kdv_metadata.txt")
+    assert meta["quadrature"] == "trapezoid"
+    assert meta["x_system_unknowns"] == str(32 // 2 + 1)
+
+
+def test_readme_synopsis_names_every_quadrature():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = re.findall(r"--quadrature \{([^}]*)\}", readme)
+    assert [tuple(s.split("|")) for s in synopsis] == [cli.QUADRATURES]
 
 
 def test_non_power_of_two_modes_flagged():
@@ -110,8 +129,7 @@ def test_parser_flags_are_the_run_config_fields():
             assert tuple(action.choices) == ("on", "off")
         else:
             assert (action.type or str) is types[name], name
-    assert tuple(flags["quadrature"].choices) == ("riemann-left",
-                                                  "trapezoid",
+    assert tuple(flags["quadrature"].choices) == ("trapezoid",
                                                   "gauss-legendre")
     parse = lambda *argv: cli.config_from_args(
         cli.build_parser().parse_args(["kdv", *argv]))
@@ -447,7 +465,7 @@ def test_kdv_singular_system_exits_1_without_tables(tmp_path, monkeypatch,
                                                    capsys):
     # with h = 1 this profile makes the x = -2 system singular at t = 0
     monkeypatch.setattr(cli, "profile_samples",
-                        lambda name, x: np.array([-1.0, 0.0, 0.0, 0.5]))
+                        lambda name, x: np.array([-2.0, 0.0, 0.0, 1.0]))
     rc = main(["kdv", "--grid-n", "4", "--domain-l", "4.0", "--t-final",
                "0.01", "--dt", "1e-3", "--out", str(tmp_path)])
     assert rc == 1

@@ -41,19 +41,9 @@ def test_grid_rejects_bad_parameters(kwargs):
         Grid1D(**kwargs)
 
 
-def test_riemann_left_integrates_constants_exactly():
-    g = Grid1D(0.0, 2.0, 9, kind="closed")
-    w = quadrature_weights(g, "riemann-left")
-    assert np.sum(w * np.ones(9)) == pytest.approx(2.0)
-    # the right endpoint carries zero weight so its value cannot matter
-    vals = np.ones(9)
-    vals[-1] = 1e6
-    assert np.sum(w * vals) == pytest.approx(2.0)
-
-
 def test_trapezoid_is_exact_for_linear_functions():
     g = Grid1D(0.0, 1.0, 17, kind="closed")
-    w = quadrature_weights(g, "trapezoid")
+    w = quadrature_weights(g)
     assert np.sum(w * g.nodes) == pytest.approx(0.5)
 
 
@@ -61,17 +51,14 @@ def test_trapezoid_second_order_on_smooth_integrand():
     errs = []
     for n in (33, 65):
         g = Grid1D(0.0, 1.0, n, kind="closed")
-        w = quadrature_weights(g, "trapezoid")
+        w = quadrature_weights(g)
         errs.append(abs(np.sum(w * np.exp(g.nodes)) - (np.e - 1.0)))
     assert errs[0] / errs[1] > 3.5
 
 
 def test_unknown_quadrature_scheme_rejected():
-    g = Grid1D(0.0, 1.0, 8, kind="closed")
     with pytest.raises(ConfigError):
-        quadrature_weights(g, "simpson")
-    with pytest.raises(ConfigError):
-        quadrature_weights(Grid1D(0.0, 1.0, 8, kind="periodic"), "trapezoid")
+        quadrature_weights(Grid1D(0.0, 1.0, 8, kind="periodic"))
 
 
 # ---------------------------------------------------------------------------

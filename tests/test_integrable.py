@@ -18,7 +18,7 @@ from reference import (AdditiveKernelTrace, ddx, nystrom_fredholm,
                        one_x_hankel, project_one_x_at_a_time,
                        solve_additive_fredholm)
 
-RULES = ("riemann-left", "trapezoid", "gauss-legendre")
+RULES = ("trapezoid", "gauss-legendre")
 
 
 def periodic_grid(lo, hi, n):
@@ -40,13 +40,14 @@ def propagated_samples(p0, g, symbol, t):
                        g)
 
 
-def nls_assemble_qhat(trace, zgrid, x, quadrature="riemann-left"):
-    """qhat(y, z) = int p*(y + xi + x) p(xi + z + x) dxi by quadrature.
+def nls_assemble_qhat(trace, zgrid, x):
+    """qhat(y, z) = int p*(y + xi + x) p(xi + z + x) dxi by the trapezoid
+    rule.
 
     Returned matrix is Hermitian positive semidefinite by construction
     (a weighted Gram matrix of shifted trace rows).
     """
-    nodes, w = zgrid.nodes, quadrature_weights(zgrid, quadrature)
+    nodes, w = zgrid.nodes, quadrature_weights(zgrid)
     m = trace(nodes[:, None] + nodes[None, :] + x)  # m[k, j] = p(eta_k + z_j + x)
     return nls_gram(m[None], w)[0]
 
@@ -147,26 +148,26 @@ def test_kdv_matches_split_step_on_coarse_run():
 def test_kdv_values_are_float64_at_every_time():
     g = periodic_grid(-5.0, 5.0, 64)
     p0 = -0.5 * np.cosh(g.nodes / 20.0)
-    for quadrature in ("riemann-left", "trapezoid", "gauss-legendre"):
+    for quadrature in RULES:
         for t in (0.0, 0.3, 1.5):
             res = kdv_fredholm_solve(p0, g, t, quadrature)
             assert res.values.dtype == np.float64
             assert res.det_track.dtype == np.float64
 
 
-def generic_projection(samples, g, qhat_for_x, quadrature, real=False):
+def generic_projection(samples, g, qhat_for_x, real=False):
     """Values and dets from the generic solver on interpolating callables
-    (over the real part of the trace with ``real``), and det(I + K W) of
-    each x-system by an independent determinant."""
+    (over the real part of the trace with ``real``) under the trapezoid
+    rule, and det(I + K W) of each x-system by an independent
+    determinant."""
     trace = additive_trace(samples, g, real)
     zgrid = half_line_grid(g)
-    w = quadrature_weights(zgrid, quadrature)
+    w = quadrature_weights(zgrid)
     nodes = zgrid.nodes
     values, dets, plain = [], [], []
     for x in g.nodes:
         qhat = qhat_for_x(trace, zgrid, x)
-        g_row, det = solve_additive_fredholm(trace, qhat, zgrid, x,
-                                             quadrature=quadrature)
+        g_row, det = solve_additive_fredholm(trace, qhat, zgrid, x)
         values.append(g_row[-1])
         dets.append(det)
         kmat = np.asarray(qhat(nodes[:, None], nodes[None, :]), dtype=complex)
@@ -174,7 +175,8 @@ def generic_projection(samples, g, qhat_for_x, quadrature, real=False):
     return np.array(values), np.array(dets), np.array(plain)
 
 
-@pytest.mark.parametrize("quadrature", ["riemann-left", "trapezoid"])
+# the generic solver reads the trace at grid nodes: it checks the grid rule
+@pytest.mark.parametrize("quadrature", ["trapezoid"])
 def test_kdv_projection_matches_generic_solver(quadrature):
     g = periodic_grid(-5.0, 5.0, 64)
     p0 = -0.5 * np.cosh(g.nodes / 20.0)
@@ -183,13 +185,13 @@ def test_kdv_projection_matches_generic_solver(quadrature):
     p = propagated_samples(p0, g, cubic_kdv_symbol, t)
     values, dets, plain = generic_projection(
         p, g, lambda trace, z, x: lambda xi, zz: trace(xi + zz + x),
-        quadrature, real=True)
+        real=True)
     assert np.array_equal(res.values, values)
     assert np.array_equal(res.det_track, dets)
     assert np.max(np.abs(res.det_track - plain) / np.abs(plain)) < 1e-12
 
 
-@pytest.mark.parametrize("quadrature", ["riemann-left", "trapezoid"])
+@pytest.mark.parametrize("quadrature", ["trapezoid"])
 def test_nls_projection_matches_generic_solver(quadrature):
     g = periodic_grid(-20.0, 20.0, 64)
     p0 = 0.5 * np.cosh(g.nodes / 40.0)
@@ -198,10 +200,10 @@ def test_nls_projection_matches_generic_solver(quadrature):
     p = propagated_samples(p0, g, schrodinger_symbol, t)
 
     def qhat_for_x(trace, zgrid, x):
-        qm = nls_assemble_qhat(trace, zgrid, x, quadrature)
+        qm = nls_assemble_qhat(trace, zgrid, x)
         return lambda xi, z: qm
 
-    values, dets, plain = generic_projection(p, g, qhat_for_x, quadrature)
+    values, dets, plain = generic_projection(p, g, qhat_for_x)
     assert np.max(np.abs(res.values - values)) <= 1e-13
     for ref in (dets, plain):
         assert np.max(np.abs(res.det_track - ref) / np.abs(ref)) < 1e-12
@@ -231,17 +233,18 @@ def test_nls_nystrom_matches_the_pointwise_reference():
 
 
 def test_singular_x_system_is_reported_with_its_determinant():
-    # h = 1 and riemann-left weights (1, 1, 0): the x = -2 system has an
-    # all-zero first column; those at x = -1, 0, 1 have det 1.5, -0.25, 0.5
+    # h = 1 and trapezoid weights (0.5, 1, 0.5): the x = -2 system has an
+    # all-zero first column; those at x = -1, 0, 1 have det -0.5, -0.5,
+    # -0.75
     g = periodic_grid(-2.0, 2.0, 4)
-    p0 = np.array([-1.0, 0.0, 0.0, 0.5])
+    p0 = np.array([-2.0, 0.0, 0.0, 1.0])
     res = kdv_fredholm_solve(p0, g, 0.0)
     assert [x for x, _ in res.breakdown_locations] == [-2.0]
     det = res.breakdown_locations[0][1]
     assert np.isfinite(det) and abs(det) < 1e-14
     assert res.det_track[0] == det
     assert np.isnan(res.values[0]) and np.all(np.isfinite(res.values[1:]))
-    assert res.det_track[1:] == pytest.approx([1.5, -0.25, 0.5])
+    assert res.det_track[1:] == pytest.approx([-0.5, -0.5, -0.75])
 
 
 def test_every_x_system_singular_still_returns():
@@ -339,6 +342,13 @@ def test_projection_needs_symmetric_domain():
         kdv_fredholm_solve(np.zeros(32), g, 0.0)
 
 
+def test_unknown_quadrature_rejected():
+    g = periodic_grid(-4.0, 4.0, 32)
+    for solve in (kdv_fredholm_solve, nls_fredholm_solve):
+        with pytest.raises(ConfigError):
+            solve(np.zeros(32), g, 0.0, "riemann-left")
+
+
 def _d3dx3(u, h):
     return (-np.roll(u, 2) + 2 * np.roll(u, 1)
             - 2 * np.roll(u, -1) + np.roll(u, -2)) / (2.0 * h ** 3)
@@ -348,21 +358,21 @@ def _d2dx2(u, h):
     return (np.roll(u, 1) - 2 * u + np.roll(u, -1)) / h ** 2
 
 
-def kdv_pde_residual(p0, grid, t, dt, quadrature="riemann-left"):
+def kdv_pde_residual(p0, grid, t, dt):
     """(u at t, sup-norm defect of du/dt - 3 (du/dx)^2 = d^3u/dx^3) for the
     projected field, with three pipeline evaluations for the time
     derivative."""
     u, ut = central_in_t(
-        lambda s: kdv_fredholm_solve(p0, grid, s, quadrature).values, t, dt)
+        lambda s: kdv_fredholm_solve(p0, grid, s).values, t, dt)
     h = grid.spacing
     res = ut - 3.0 * ddx(u, h) ** 2 - _d3dx3(u, h)
     return u, float(np.max(np.abs(res)))
 
 
-def nls_pde_residual(p0, grid, t, dt, quadrature="riemann-left"):
+def nls_pde_residual(p0, grid, t, dt):
     """(u at t, sup-norm defect of i du/dt = d^2u/dx^2 + 2 |u|^2 u)."""
     u, ut = central_in_t(
-        lambda s: nls_fredholm_solve(p0, grid, s, quadrature).values, t, dt)
+        lambda s: nls_fredholm_solve(p0, grid, s).values, t, dt)
     res = 1j * ut - _d2dx2(u, grid.spacing) - 2.0 * np.abs(u) ** 2 * u
     return u, float(np.max(np.abs(res)))
 
