@@ -169,27 +169,10 @@ def write_metadata(config: RunConfig, chash: str, extra=None):
             fh.write(f"{k} = {_fmt(v)}\n")
 
 
-def _columns(*columns):
-    """A table from equal-length columns, scalars broadcast along them."""
-    return np.column_stack(np.broadcast_arrays(*columns))
-
-
-def _plane_xy(nodes):
-    """The x (outer) and y (inner) columns of the n x n tensor grid, in the
-    row-major order of an (n, n) field."""
-    return np.repeat(nodes, len(nodes)), np.tile(nodes, len(nodes))
-
-
-def _field_table(coords, t, values, det=np.nan):
-    """Rows of a field sampled at the points of ``coords`` (x, or the x and
-    y of _plane_xy): the coords, t, value_real, value_imag and det."""
-    vals = np.asarray(values, dtype=complex).ravel()
-    return _columns(*coords, t, vals.real, vals.imag, det)
-
-
-FIELD_HEADER = ("x", "t", "value_real", "value_imag", "det_track")
-PLANE_HEADER = ("x", "y") + FIELD_HEADER[1:]
-DIFF_HEADER = ("x", "t", "difference")
+def _value(field):
+    """The value_real and value_imag columns of a field, in its own dtype."""
+    field = np.asarray(field)
+    return {"value_real": field.real, "value_imag": field.imag}
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +215,13 @@ PROFILES = {
 # ---------------------------------------------------------------------------
 # per-equation runners
 #
-# A runner takes the configuration and write(name, header, rows), which
-# keeps the table <equation>_<name>.csv for run to write once the runner
-# has returned, and returns the entries its run adds to the metadata
-# sidecar.
+# A runner takes the configuration and write(name, **columns), which keeps
+# the table <equation>_<name>.csv, its columns named and in order, for run
+# to write once the runner has returned, and returns the entries its run
+# adds to the metadata sidecar.  The columns broadcast against each other
+# and become rows in row-major order, so a plane is x-outer, y-inner.  A
+# table has a t column only if it holds more than one time; a one-time
+# table's time is the sidecar's t_final.
 
 
 def _checkpoint_steps(config: RunConfig):
@@ -259,10 +245,9 @@ def _run_fredholm(config: RunConfig, write, solve, stepper, readout,
     nodes = grid.nodes
     p0 = profile_samples(config.profile, nodes)
     total, dt, idx = _checkpoint_steps(config)
-    poppe_rows, det_rows, diff_rows, direct_rows = [], [], [], []
-    results = {}
-    for m in idx:
-        t = m * dt
+    times = [m * dt for m in idx]
+    solved = []
+    for t in times:
         res = solve(p0, grid, t, config.quadrature)
         if res.breakdown_locations:
             x, det = res.breakdown_locations[0]
@@ -270,34 +255,28 @@ def _run_fredholm(config: RunConfig, write, solve, stepper, readout,
                 f"{len(res.breakdown_locations)} singular Fredholm "
                 f"system(s) at t = {t}, the first at x = {x}",
                 det_value=det, location=x, t=t)
-        results[m] = res
-        det_abs = np.abs(res.det_track)
-        poppe_rows.append(_field_table((nodes,), t, res.values, det_abs))
-        det_rows.append(_columns(nodes, t, det_abs))
-    write("poppe", FIELD_HEADER, np.vstack(poppe_rows))
-    write("det", ("x", "t", "det_abs"), np.vstack(det_rows))
-    extra = {"min_abs_det": min(float(np.min(np.abs(r.det_track)))
-                                for r in results.values()),
+        solved.append(res)
+    # (checkpoint, x) arrays, and t as a column beside them
+    values = np.array([res.values for res in solved])
+    det_abs = np.abs([res.det_track for res in solved])
+    t = np.array(times)[:, None]
+    write("poppe", x=nodes, t=t, **_value(values), det_track=det_abs)
+    write("det", x=nodes, t=t, det_abs=det_abs)
+    extra = {"min_abs_det": float(np.min(det_abs)),
              "sup_difference": np.nan, "step": dt,
-             "x_system_unknowns": results[0].unknowns}
+             "x_system_unknowns": solved[0].unknowns}
     if config.compare_oracle:
-        u0 = readout(results[0].values)
+        u0 = readout(values[0])
         direct = stepper(u0, grid, dt, total, checkpoints=idx)
+        direct = np.array([direct[m] for m in idx])
         u0_modes = dft_forward(u0, grid)
-        sup = effect = 0.0
-        for m in idx:
-            t = m * dt
-            direct_rows.append(_field_table((nodes,), t, direct[m]))
-            gap = np.abs(readout(results[m].values) - direct[m])
-            diff_rows.append(_columns(nodes, t, gap))
-            sup = max(sup, float(np.max(gap)))
-            linear = readout(dft_inverse(propagate_dispersive(
-                u0_modes, grid, symbol, t), grid))
-            effect = max(effect, float(np.max(np.abs(direct[m] - linear))))
-        write("direct", FIELD_HEADER, np.vstack(direct_rows))
-        write("difference", DIFF_HEADER, np.vstack(diff_rows))
-        extra["sup_difference"] = sup
-        extra["nonlinear_effect"] = effect
+        linear = np.array([readout(dft_inverse(propagate_dispersive(
+            u0_modes, grid, symbol, tm), grid)) for tm in times])
+        gap = np.abs(readout(values) - direct)
+        write("direct", x=nodes, t=t, **_value(direct))
+        write("difference", x=nodes, t=t, difference=gap)
+        extra["sup_difference"] = float(np.max(gap))
+        extra["nonlinear_effect"] = float(np.max(np.abs(direct - linear)))
     return extra
 
 
@@ -320,14 +299,14 @@ def run_smol_const(config: RunConfig, write) -> dict:
         g0 = MassDensity(grid=grid,
                          values=profile_samples(config.profile, nodes))
     gt = constant_kernel_solve(g0, t)
-    write("poppe", FIELD_HEADER, _field_table((nodes,), t, gt.values))
+    write("poppe", x=nodes, **_value(gt.values))
     extra = {"m0": gt.m0, "m1": gt.m1,
              "m0_closed_form": m0_constant_kernel(g0.m0, t)}
     if config.compare_oracle:
         direct = direct_smol_oracle(g0, t, config.dt)
         gap = np.abs(gt.values - direct.values)
-        write("direct", FIELD_HEADER, _field_table((nodes,), t, direct.values))
-        write("difference", DIFF_HEADER, _columns(nodes, t, gap))
+        write("direct", x=nodes, **_value(direct.values))
+        write("difference", x=nodes, difference=gap)
         extra["sup_difference"] = float(np.max(gap))
         extra["step"] = uniform_steps(t, config.dt)[1]
     return extra
@@ -344,7 +323,7 @@ def run_smol_general(config: RunConfig, write) -> dict:
     g, residual = general_smol_residual(coeffs, g0, config.t_final,
                                         dt=config.dt)
     gt = MassDensity(grid=grid, values=g)
-    write("poppe", FIELD_HEADER, _field_table((nodes,), config.t_final, g))
+    write("poppe", x=nodes, **_value(g))
     return {"pde_residual": residual, "m0": gt.m0, "m1": gt.m1}
 
 
@@ -355,10 +334,8 @@ def run_prelaplace(config: RunConfig, write) -> dict:
     g, residual = pre_laplace_burgers_residual(q0, grid, config.nu,
                                                config.t_final, config.dt)
     g_init = pre_laplace_burgers_solve(q0, grid, config.nu, 0.0)
-    rows = np.vstack((
-        _field_table((nodes,), config.t_final, g),
-        _field_table((nodes,), 0.0, g_init)))
-    write("poppe", FIELD_HEADER, rows)
+    write("poppe", x=nodes, t=np.array([[config.t_final], [0.0]]),
+          **_value(np.array([g, g_init])))
     return {"pde_residual": residual}
 
 
@@ -366,8 +343,7 @@ def run_burgers(config: RunConfig, write) -> dict:
     profile = BURGERS_PROFILES[config.profile]
     x = np.linspace(-config.domain_l / 2, config.domain_l / 2, config.grid_n)
     fld = inviscid_burgers_eval(x, config.t_final, profile)
-    write("field", FIELD_HEADER,
-          _field_table((x,), config.t_final, fld.values))
+    write("field", x=x, **_value(fld.values))
     extra = {"flagged_nodes": len(fld.flagged)}
     if config.compare_oracle and config.profile in ("sin",):
         fine = 4 * config.grid_n
@@ -377,7 +353,7 @@ def run_burgers(config: RunConfig, write) -> dict:
         # the oracle is periodic: x = +L/2 reads it at -L/2
         interp = np.interp(x, xs, oracle, period=config.domain_l)
         gap = np.abs(fld.values - interp)
-        write("difference", DIFF_HEADER, _columns(x, config.t_final, gap))
+        write("difference", x=x, difference=gap)
         extra["sup_difference"] = float(np.nanmax(gap))
     if fld.flagged:
         raise ShockProximity(
@@ -399,14 +375,14 @@ def run_spde(config: RunConfig, write) -> dict:
     g0 = sech_ridge_initial(config.grid_n, 0.001, config.seed)
     direct = spde_direct_run(g0, params, sheet, steps)
     poppe = spde_poppe_run(g0, params, sheet, panels=config.panels)
-    xy = _plane_xy(2.0 * np.pi * np.arange(config.grid_n) / config.grid_n)
-    write("direct", PLANE_HEADER, _field_table(xy, t, direct.samples))
-    write("poppe", PLANE_HEADER, _field_table(xy, t, poppe.g.samples))
+    nodes = 2.0 * np.pi * np.arange(config.grid_n) / config.grid_n
+    xy = {"x": nodes[:, None], "y": nodes}
+    write("direct", **xy, **_value(direct.samples))
+    write("poppe", **xy, **_value(poppe.g.samples))
     gap = np.abs(direct.samples - poppe.g.samples)
-    write("difference", ("x", "y") + DIFF_HEADER[1:],
-          _columns(*xy, t, gap.ravel()))
-    write("det", ("t", "det_abs"),
-          _columns(np.linspace(0, t, config.panels + 1), poppe.det_track))
+    write("difference", **xy, difference=gap)
+    write("det", t=np.linspace(0, t, config.panels + 1),
+          det_abs=poppe.det_track)
     return {"sup_difference": float(np.max(gap)),
             "min_abs_det": float(np.min(poppe.det_track)),
             "solve_residual": poppe.solve_residual, "step": step}
@@ -423,8 +399,9 @@ def run_quotient(config: RunConfig, write) -> dict:
                                   b=lambda y: np.ones_like(y))
     g, residual = quotient_residual(g0, grid, coeffs, config.t_final,
                                     dt=config.dt)
-    write("field", PLANE_HEADER,
-          _field_table(_plane_xy(nodes), config.t_final, g))
+    # the field is real by its equation (real data, dispersion -s^2, b = 1):
+    # the imaginary part of quotient_solve's complex arithmetic is rounding
+    write("field", x=nodes[:, None], y=nodes, **_value(g.real))
     return {"pde_residual": residual}
 
 
@@ -437,8 +414,7 @@ def run_elliptic(config: RunConfig, write) -> dict:
         coeffs = EllipticCoefficients(grid, zeros, ones, zeros, zeros)
     q0, p0 = (1.0, 0.0) if config.profile == "tanh" else (1.0, 1.0)
     sol = elliptic_quotient_solve(coeffs, q0, p0)
-    write("field", FIELD_HEADER,
-          _field_table((grid.nodes,), 0.0, sol.g))
+    write("field", x=grid.nodes, **_value(sol.g))
     return {"ode_residual": sol.residual}
 
 
@@ -462,14 +438,15 @@ def run(config: RunConfig) -> int:
     tables = []
 
     def write_tables():
-        for name, header, rows in tables:
+        for name, columns in tables:
+            rows = np.stack(np.broadcast_arrays(*columns.values()), axis=-1)
             write_table(os.path.join(config.out,
                                      f"{config.equation}_{name}.csv"),
-                        header, rows, chash)
+                        tuple(columns), rows.reshape(-1, len(columns)), chash)
 
     try:
-        extra = RUNNERS[config.equation](config, lambda *table:
-                                         tables.append(table))
+        extra = RUNNERS[config.equation](
+            config, lambda name, **columns: tables.append((name, columns)))
     except Breakdown as exc:
         # a failed run leaves no tables, except a shock's field, which is
         # whole but for its flagged NaN nodes

@@ -139,9 +139,9 @@ def _nystrom_hankel(trace, grid, m):
 CHUNK_BYTES = 1 << 18
 
 
-def _project_over_x(samples, grid, kernel, quadrature, panels, real=False):
+def _project_over_x(trace, grid, kernel, quadrature, panels):
     """One Fredholm solve, and one LU, per x over the base field's
-    ``samples`` on ``grid``, the x taken in chunks of CHUNK_BYTES.
+    ``trace`` on ``grid``, the x taken in chunks of CHUNK_BYTES.
 
     ``trapezoid`` solves on the half-line grid's n/2 + 1 nodes
     (:func:`_grid_hankel`), ``gauss-legendre`` on ``panels`` Nystrom nodes
@@ -150,14 +150,13 @@ def _project_over_x(samples, grid, kernel, quadrature, panels, real=False):
     last unknown is the solution there.  The chunk's Hankel matrices H give
     the systems' kernels ``kernel(H, w)`` and, in their z = 0 columns, the
     right-hand sides.
-    With ``real`` the trace is the real part of the field, and the systems,
-    the values and the dets are float64.  A singular system leaves a NaN
+    The trace's dtype is that of the systems, the values and the dets: a
+    float64 trace gives float64 systems.  A singular system leaves a NaN
     value and its (x, det) in ``breakdown_locations``.
     """
     if grid.lower != -grid.upper:
         raise ConfigError("the Fredholm projection needs a domain "
                           "symmetric about 0")
-    trace = samples.real if real else samples
     if quadrature == "gauss-legendre":
         w, hankel = _nystrom_hankel(trace, grid, panels)
     elif quadrature == "trapezoid":
@@ -196,8 +195,8 @@ def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
     float64."""
     modes = propagate_dispersive(dft_forward(p0, grid), grid,
                                  cubic_kdv_symbol, t)
-    return _project_over_x(dft_inverse(modes, grid), grid, lambda h, w: h,
-                           quadrature, panels, real=True)
+    return _project_over_x(dft_inverse(modes, grid).real, grid,
+                           lambda h, w: h, quadrature, panels)
 
 
 def nls_gram(m: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ one x at a time, the Nystrom solve on Gauss-Legendre nodes written out
 point by point, the graph G = P Q^{-1} of a base pair with the Riccati
 subflow built on it and its RK4 oracle, the matrix-exponential base flow,
 the central first difference of the residual checks, the node-by-node
-Volterra loops with their long-double twin, and the np.roll upwind loop.
+Volterra loops with their long-double twin, and the np.roll upwind loop;
+and the reader of the CLI's tables by column name.
 """
 
 from dataclasses import dataclass
@@ -325,3 +326,17 @@ def upwind_roll(pi0_samples, h, t):
         u = u - dt * u * np.where(u > 0, back, fwd)
         elapsed += dt
     return u
+
+
+# ---------------------------------------------------------------------------
+# the CLI's tables
+
+
+def read_columns(path):
+    """The columns of a CLI table by name, as float arrays, in header order."""
+    with open(path) as fh:
+        assert fh.readline().startswith("# config_hash=")
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    assert data.shape[1] == len(header)
+    return dict(zip(header, data.T))

@@ -30,8 +30,8 @@ from grassflow.smoluchowski import (constant_kernel_solve, direct_smol_oracle,
 from grassflow.spde import (BrownianSheetModes, SpdeParams,
                             sech_ridge_initial, spde_direct_run,
                             spde_poppe_run)
-from reference import (graph_solve, integrate_base_exact, riccati_rk4,
-                       riccati_subflow)
+from reference import (graph_solve, integrate_base_exact, read_columns,
+                       riccati_rk4, riccati_subflow)
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -425,9 +425,11 @@ def test_paper_preset_oracle_steps_are_resolved(equation, tmp_path,
         u0, grid, dt, steps = args
         coarse, fine = direct[steps], oracle(u0, grid, dt / 4, 4 * steps)
     shift = float(np.max(np.abs(fine - coarse)))
-    _, times, gaps = np.loadtxt(tmp_path / f"{equation}_difference.csv",
-                                delimiter=",", skiprows=2, unpack=True)
-    gap = float(np.max(gaps[times == times.max()]))
+    table = read_columns(tmp_path / f"{equation}_difference.csv")
+    gaps = table["difference"]
+    if "t" in table:  # a one-time table has no t column
+        gaps = gaps[table["t"] == table["t"].max()]
+    gap = float(np.max(gaps))
     report(number, f"{equation} paper-preset oracle step",
            shift <= 1e-3 * gap,
            f"dt = {dt:g}: change under dt / 4 {shift:.2e}, gap {gap:.2e}")

@@ -21,6 +21,7 @@ from grassflow.errors import ChartBreakdown
 from grassflow.integrable import (cubic_kdv_symbol, propagate_dispersive,
                                   schrodinger_symbol)
 from grassflow.smoluchowski import MassDensity, constant_kernel_solve
+from reference import read_columns
 
 
 def base_config(**kw):
@@ -293,10 +294,9 @@ def test_burgers_linear_closed_form(tmp_path):
                "--grid-n", "11", "--domain-l", "4.0",
                "--out", str(tmp_path)])
     assert rc == 0
-    _, header, rows = read_table(tmp_path / "burgers_field.csv")
-    assert header[:4] == ["x", "t", "value_real", "value_imag"]
-    for row in rows:
-        x, _, value = float(row[0]), float(row[1]), float(row[2])
+    table = read_columns(tmp_path / "burgers_field.csv")
+    assert list(table) == ["x", "value_real", "value_imag"]
+    for x, value in zip(table["x"], table["value_real"]):
         assert value == pytest.approx(x / 2.0, abs=1e-10)
 
 
@@ -427,8 +427,8 @@ def test_burgers_difference_wraps_the_periodic_oracle(tmp_path):
                "--t-final", "0.5", "--domain-l", str(2 * np.pi),
                "--out", str(tmp_path)])
     assert rc == 0
-    _, _, rows = read_table(tmp_path / "burgers_difference.csv")
-    assert abs(float(rows[0][2]) - float(rows[-1][2])) <= 1e-12
+    gap = read_columns(tmp_path / "burgers_difference.csv")["difference"]
+    assert abs(gap[0] - gap[-1]) <= 1e-12
 
 
 def test_kdv_paper_preset_closes_on_its_oracle(tmp_path):
@@ -580,8 +580,7 @@ def test_smol_general_constant_kernel_preset(tmp_path):
     rc = main(["smol-general", "--preset", "constant-kernel",
                "--out", str(tmp_path)])
     assert rc == 0
-    _, _, rows = read_table(tmp_path / "smol-general_poppe.csv")
-    values = np.array([float(row[2]) for row in rows])
+    values = read_columns(tmp_path / "smol-general_poppe.csv")["value_real"]
     grid = Grid1D(0.0, 40.0, 512, kind="closed")
     expected = constant_kernel_solve(
         MassDensity(grid=grid, values=np.exp(-grid.nodes)), 1.0).values
@@ -624,11 +623,11 @@ def test_spde_sidecar_records_the_least_determinant(tmp_path):
     assert main(["spde", "--grid-n", "8", "--t-final", "0.004", "--dt", "2e-4",
                  "--panels", "16", "--out", str(tmp_path)]) == 0
     meta = read_metadata(tmp_path / "spde_metadata.txt")
-    det = np.loadtxt(tmp_path / "spde_det.csv", delimiter=",", skiprows=2)
-    assert float(meta["min_abs_det"]) == np.min(det[:, 1])
-    # the determinant is per panel, so the field table carries none
-    _, header, rows = read_table(tmp_path / "spde_poppe.csv")
-    assert all(r[header.index("det_track")] == "nan" for r in rows)
+    det = read_columns(tmp_path / "spde_det.csv")["det_abs"]
+    assert float(meta["min_abs_det"]) == np.min(det)
+    # the determinant is per panel, so the field tables carry none
+    for name in ("direct", "poppe"):
+        assert "det_track" not in read_columns(tmp_path / f"spde_{name}.csv")
 
 
 def test_tables_hold_per_row_values_and_sidecars_the_residual(tmp_path):
@@ -640,10 +639,53 @@ def test_tables_hold_per_row_values_and_sidecars_the_residual(tmp_path):
             (("quotient", "--grid-n", "16"), "field", "pde_residual"),
             (("elliptic", "--grid-n", "64"), "field", "ode_residual")):
         assert main(list(argv) + ["--out", str(tmp_path)]) == 0
-        _, header, _ = read_table(tmp_path / f"{argv[0]}_{table}.csv")
-        assert header[-4:] == ["t", "value_real", "value_imag", "det_track"]
+        header = list(read_columns(tmp_path / f"{argv[0]}_{table}.csv"))
+        assert header[-2:] == ["value_real", "value_imag"]
         meta = read_metadata(tmp_path / f"{argv[0]}_metadata.txt")
         assert np.isfinite(float(meta[key]))
+
+
+# a small run of each equation, with every table it writes
+SMALL_RUNS = {
+    "kdv": ("--grid-n", "32", "--t-final", "0.01", "--checkpoints", "3"),
+    "nls": ("--grid-n", "32", "--t-final", "0.01", "--checkpoints", "3"),
+    "smol-const": ("--grid-n", "64", "--t-final", "0.1", "--dt", "0.01"),
+    "smol-general": ("--grid-n", "32", "--t-final", "0.1", "--dt", "0.01"),
+    "prelaplace": ("--grid-n", "32", "--t-final", "0.1", "--dt", "0.01"),
+    "burgers": ("--profile", "sin", "--grid-n", "64", "--t-final", "0.5",
+                "--domain-l", str(2 * np.pi)),
+    "spde": ("--grid-n", "8", "--t-final", "0.004", "--dt", "2e-4",
+             "--panels", "16"),
+    "quotient": ("--grid-n", "16"),
+    "elliptic": ("--grid-n", "64"),
+}
+
+# the tables whose rows hold more than one time: the checkpoints of kdv and
+# nls, prelaplace's t_final and t = 0, and spde's determinant per panel
+MULTI_TIME = {f"{eq}_{name}" for eq in ("kdv", "nls")
+              for name in ("poppe", "det", "direct", "difference")} \
+    | {"prelaplace_poppe", "spde_det"}
+
+
+def test_tables_hold_only_columns_that_vary(tmp_path):
+    # t only where the rows hold more than one time, det_track only where a
+    # Fredholm solve has one per row, and no column NaN on every row
+    assert set(SMALL_RUNS) == set(cli.EQUATIONS)
+    names = set()
+    for equation, argv in SMALL_RUNS.items():
+        out = tmp_path / equation
+        assert main([equation, *argv, "--out", str(out)]) == 0
+        for path in sorted(out.glob("*.csv")):
+            name, table = path.stem, read_columns(path)
+            names.add(name)
+            assert ("t" in table) == (name in MULTI_TIME), name
+            if "t" in table:
+                assert len(np.unique(table["t"])) > 1, name
+            assert ("det_track" in table) == \
+                (name in ("kdv_poppe", "nls_poppe")), name
+            for column, values in table.items():
+                assert not np.all(np.isnan(values)), (name, column)
+    assert MULTI_TIME <= names
 
 
 def test_smol_const_closed_form_takes_a_negative_initial_mass(tmp_path):
