@@ -124,8 +124,7 @@ class BrownianSheetModes:
         """W at the steps + 1 boundaries of ``steps`` equal intervals (row 0
         is zero), read from the running sum of the slices."""
         g = self._slices(steps)
-        # complex: exp of a complex exponent rounds unlike exp of a real one
-        out = np.zeros((steps + 1, self.n_modes), dtype=complex)
+        out = np.zeros((steps + 1, self.n_modes))
         out[1:] = np.cumsum(self.increments, axis=0)[g - 1::g]
         return out
 
@@ -181,6 +180,14 @@ def spde_direct_run(g0: Field2D, params: SpdeParams,
     return {m: Field2D(u) for m, u in out.items()}
 
 
+def _martingale_exponent(params: SpdeParams, k: np.ndarray, w: np.ndarray,
+                         s) -> np.ndarray:
+    """-s alpha k^2 + noise_coef w(k) - s ito_coef(k), with w = W_s: one
+    time and its row of W, or a column of times and their rows."""
+    noise_coef, ito_coef = k0_mode_policy(params, k)
+    return -s * params.alpha * k ** 2 + noise_coef * w - s * ito_coef
+
+
 def exact_base_modes(g0: Field2D, params: SpdeParams, w: np.ndarray,
                      s: float) -> np.ndarray:
     """Closed-form base kernel p(s): per-row exponential martingale.
@@ -188,9 +195,7 @@ def exact_base_modes(g0: Field2D, params: SpdeParams, w: np.ndarray,
     p_hat(k, :; s) = exp(-s alpha k^2 + noise_coef w(k)
                          - s ito_coef(k)) g0_hat(k, :), with w = W_s.
     """
-    k = mode_numbers(g0.n)
-    noise_coef, ito_coef = k0_mode_policy(params, k)
-    expo = -s * params.alpha * k ** 2 + noise_coef * w - s * ito_coef
+    expo = _martingale_exponent(params, mode_numbers(g0.n), w, s)
     return np.exp(expo)[:, None] * g0.modes
 
 
@@ -210,31 +215,41 @@ def spde_poppe_run(g0: Field2D, params: SpdeParams,
     qhat(T) = eps int_0^T e^{beta k^2 (T - s)} p(s) ds over ``panels``
     trapezoid panels, then g solves p = g o (delta + qhat); the absolute
     determinant of the system matrix is tracked panel by panel.
+
+    p(s) = diag(e^{expo(s)}) G0 and the decay is diagonal, so the running
+    sum is qhat_j = diag(c_j) G0 with c = cumsum(w eps decay e^{expo}) over
+    the panels, and the system at panel j is I + diag(c_j[-k]) 2 pi G0[-k].
     """
     n = g0.n
     k = mode_numbers(n)
     tf = sheet.t_final
-    times = np.linspace(0.0, tf, panels + 1)
-    weights = quadrature_weights(Grid1D(0.0, tf, panels + 1))
-    qhat = np.zeros((n, n), dtype=complex)
-    dets = np.empty(panels + 1)
-    neg = (-np.arange(n)) % n
+    times = np.linspace(0.0, tf, panels + 1)[:, None]
+    weights = quadrature_weights(Grid1D(0.0, tf, panels + 1))[:, None]
     w = sheet.cumulative(panels)
-    for j, s in enumerate(times):
-        p_s = exact_base_modes(g0, params, w[j], s)
-        decay = np.exp(params.beta * k ** 2 * (tf - s))
-        qhat += weights[j] * params.epsilon * decay[:, None] * p_s
-        # p = g o (delta + qhat)  =>  P = G (I + 2 pi J Qhat) in mode matrices
-        system = np.eye(n, dtype=complex) + TWO_PI * qhat[neg, :]
+    # the decay e^{beta k^2 (T - s)} joins the exponent: one exp in all
+    c = _martingale_exponent(params, k, w, times)
+    c += params.beta * k ** 2 * (tf - times)
+    np.exp(c, out=c)
+    c *= weights * params.epsilon
+    np.cumsum(c, axis=0, out=c)
+    neg = (-np.arange(n)) % n
+    # p = g o (delta + qhat)  =>  P = G (I + 2 pi J Qhat) in mode matrices
+    a = TWO_PI * g0.modes[neg, :]
+    diagonal = np.diag_indices(n)
+    dets = np.empty(panels + 1)
+    for j in range(panels + 1):
+        system = c[j, neg, None] * a
+        system[diagonal] += 1.0
         dets[j] = abs(np.linalg.det(system))
     # solve at T, the last panel; core.solve_dense's scipy.linalg would add
     # about 20 MB of resident memory to a run that has no other dense solve
+    p_t = exact_base_modes(g0, params, w[-1], tf)
     try:
-        g = np.linalg.solve(system.T, p_s.T).T
+        g = np.linalg.solve(system.T, p_t.T).T
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"I + qhat solve failed: {exc}") from exc
-    residual = float(np.max(np.abs(g @ system - p_s)))
-    if residual > 1e-10 * max(1.0, float(np.max(np.abs(p_s)))):
+    residual = float(np.max(np.abs(g @ system - p_t)))
+    if residual > 1e-10 * max(1.0, float(np.max(np.abs(p_t)))):
         raise SingularSystem(f"I + qhat solve residual {residual:.3e}")
     return PoppeResult(g=Field2D(g), det_track=dets,
                        solve_residual=residual)

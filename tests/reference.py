@@ -7,8 +7,9 @@ one x at a time, the Nystrom solve on Gauss-Legendre nodes written out
 point by point, the graph G = P Q^{-1} of a base pair with the Riccati
 subflow built on it and its RK4 oracle, the matrix-exponential base flow,
 the central first difference of the residual checks, the node-by-node
-Volterra loops with their long-double twin, and the np.roll upwind loop;
-and the reader of the CLI's tables by column name.
+Volterra loops with their long-double twin, the np.roll upwind loop, and
+the spde Poppe accumulation panel by panel; and the reader of the CLI's
+tables by column name.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,8 @@ from grassflow.core import (DenseSystem, Grid1D, dft_forward,
 from grassflow.errors import BlowupAtTime, SingularSystem
 from grassflow.graphflows import CFL
 from grassflow.integrable import GAUSS_NODES, half_line_grid
+from grassflow.spde import (TWO_PI, Field2D, PoppeResult, exact_base_modes,
+                            mode_numbers)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +329,36 @@ def upwind_roll(pi0_samples, h, t):
         u = u - dt * u * np.where(u > 0, back, fwd)
         elapsed += dt
     return u
+
+
+def spde_poppe_loop(g0, params, sheet, panels):
+    """spde_poppe_run's former accumulation: qhat, its system and the
+    system's determinant rebuilt in each panel."""
+    n = g0.n
+    k = mode_numbers(n)
+    tf = sheet.t_final
+    times = np.linspace(0.0, tf, panels + 1)
+    weights = quadrature_weights(Grid1D(0.0, tf, panels + 1))
+    qhat = np.zeros((n, n), dtype=complex)
+    dets = np.empty(panels + 1)
+    neg = (-np.arange(n)) % n
+    w = sheet.cumulative(panels)
+    for j, s in enumerate(times):
+        p_s = exact_base_modes(g0, params, w[j], s)
+        decay = np.exp(params.beta * k ** 2 * (tf - s))
+        qhat += weights[j] * params.epsilon * decay[:, None] * p_s
+        # p = g o (delta + qhat)  =>  P = G (I + 2 pi J Qhat) in mode matrices
+        system = np.eye(n, dtype=complex) + TWO_PI * qhat[neg, :]
+        dets[j] = abs(np.linalg.det(system))
+    try:
+        g = np.linalg.solve(system.T, p_s.T).T
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"I + qhat solve failed: {exc}") from exc
+    residual = float(np.max(np.abs(g @ system - p_s)))
+    if residual > 1e-10 * max(1.0, float(np.max(np.abs(p_s)))):
+        raise SingularSystem(f"I + qhat solve residual {residual:.3e}")
+    return PoppeResult(g=Field2D(g), det_track=dets,
+                       solve_residual=residual)
 
 
 # ---------------------------------------------------------------------------
