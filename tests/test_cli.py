@@ -210,27 +210,34 @@ def test_write_table_matches_row_wise_writer(tmp_path):
     specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300,
                 1.0 / 3.0, -2.5, 1e16, 123456789.123456789]
     rng = np.random.default_rng(0)
+    distinct = np.vstack([np.reshape(specials, (-1, 3)),
+                          rng.standard_normal((50, 3)) * 10.0 ** rng.integers(
+                              -300, 300, (50, 3))])
     # columns that repeat their values, over more than one CSV_BLOCK: a
-    # plane's x-outer and y-inner nodes beside a constant, then zeros of
-    # both signs beside repeated NaN and +-inf
+    # plane's x-outer and y-inner nodes, then zeros of both signs beside
+    # repeated NaN and +-inf, next to a constant and a column of values
     nodes = 2.0 * np.pi * np.arange(64) / 64
-    plane = np.stack(np.broadcast_arrays(nodes[:, None], nodes, 0.75),
-                     axis=-1).reshape(-1, 3)
+    plane = np.stack(np.broadcast_arrays(nodes[:, None], nodes),
+                     axis=-1).reshape(-1, 2)
     zeros_nonfinite = np.column_stack([
-        np.resize([0.0, -0.0], 4096), np.resize([np.nan, np.inf, -np.inf],
-                                                4096), np.full(4096, 0.75)])
-    rows = np.vstack([np.reshape(specials, (-1, 3)),
-                      rng.standard_normal((50, 3)) * 10.0 ** rng.integers(
-                          -300, 300, (50, 3)),
-                      plane, zeros_nonfinite])
-    # each column holds at most one distinct value in eight rows
-    for bits in rows.view(np.int64).T:
-        assert 8 * len(np.unique(bits)) <= len(rows)
-    header = ("x", "t", "value")
-    write_table(tmp_path / "a.csv", header, rows, "abc")
-    write_table_row_wise(tmp_path / "b.csv", header, rows, "abc")
-    assert (tmp_path / "a.csv").read_bytes() == \
-        (tmp_path / "b.csv").read_bytes()
+        np.resize([0.0, -0.0], 4096),
+        np.resize([np.nan, np.inf, -np.inf], 4096)])
+    values = rng.standard_normal(8192) * 10.0 ** rng.integers(-300, 300, 8192)
+    shared = np.column_stack([np.vstack([plane, zeros_nonfinite]),
+                              np.full(8192, 0.75), values])
+    for name, rows, per_cell in (("distinct", distinct, [0, 1, 2]),
+                                 ("shared", shared, [3])):
+        # the columns written cell by cell; the others are formatted once
+        # per distinct value
+        bits = rows.view(np.int64).T
+        assert [j for j, column in enumerate(bits)
+                if cli._shared_texts(column) is None] == per_cell, name
+        header = tuple(f"c{j}" for j in range(rows.shape[1]))
+        write_table(tmp_path / f"{name}.csv", header, rows, "abc")
+        write_table_row_wise(tmp_path / f"{name}_rows.csv", header, rows,
+                             "abc")
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}_rows.csv").read_bytes(), name
 
 
 def test_plane_tables_are_x_outer_y_inner(tmp_path):
@@ -643,28 +650,22 @@ def test_spde_sidecar_records_the_least_determinant(tmp_path):
         assert "det_track" not in read_columns(tmp_path / f"spde_{name}.csv")
 
 
-@pytest.mark.parametrize("oracle", ["on", "off"])
-def test_spde_compare_oracle_decides_the_direct_scheme(tmp_path, oracle):
+def test_spde_compare_oracle_off_skips_the_direct_scheme(tmp_path):
     # off skips the direct scheme and its tables; the Poppe field and its
     # determinants are those of the run that compares
     argv = ["spde", "--grid-n", "8", "--t-final", "0.004", "--dt", "2e-4",
             "--panels", "16"]
-    assert main(argv + ["--out", str(tmp_path / "on")]) == 0
-    assert main(argv + ["--compare-oracle", oracle,
-                        "--out", str(tmp_path / "run")]) == 0
-    names = sorted(path.name for path in (tmp_path / "run").glob("*.csv"))
-    meta = read_metadata(tmp_path / "run" / "spde_metadata.txt")
-    if oracle == "on":
-        assert names == ["spde_det.csv", "spde_difference.csv",
-                         "spde_direct.csv", "spde_poppe.csv"]
-        assert np.isfinite(float(meta["sup_difference"]))
-    else:
-        assert names == ["spde_det.csv", "spde_poppe.csv"]
-        assert meta["sup_difference"] == "nan"
-    for name in ("spde_det.csv", "spde_poppe.csv"):
+    for oracle in ("on", "off"):
+        assert main(argv + ["--compare-oracle", oracle,
+                            "--out", str(tmp_path / oracle)]) == 0
+    names = sorted(path.name for path in (tmp_path / "off").glob("*.csv"))
+    assert names == ["spde_det.csv", "spde_poppe.csv"]
+    meta = read_metadata(tmp_path / "off" / "spde_metadata.txt")
+    assert meta["sup_difference"] == "nan"
+    for name in names:
         # the hash line differs: compare_oracle is part of the run's identity
         tables = [(tmp_path / d / name).read_text().split("\n", 1)[1]
-                  for d in ("on", "run")]
+                  for d in ("on", "off")]
         assert tables[0] == tables[1], name
 
 
