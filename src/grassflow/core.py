@@ -1,11 +1,15 @@
-"""Grids, quadrature, dense solves, DFT contract, time stepping and RNG
-streams.
+"""Grids, quadrature, dense solves, the BLAS thread policy, DFT contract,
+time stepping and RNG streams.
 
 Everything here is deterministic and pure given its inputs; a random stream
 is the one stateful object and is reproducible from (seed, stream_id) alone.
 """
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -124,6 +128,46 @@ def solve_dense(system: DenseSystem):
                              det_value=det[0])
     x[singular] = np.nan
     return (x[0], det[0]) if lone else (x, det)
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+@functools.cache
+def _blas_thread_setter():
+    """``openblas_set_num_threads_local`` of the OpenBLAS that numpy's wheel
+    ships (already loaded, so CDLL returns its handle), or None where numpy
+    links another BLAS or an OpenBLAS older than 0.3.27."""
+    libs = Path(np.__file__).parent.with_name("numpy.libs")
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block's numpy BLAS and LAPACK calls on one thread, then
+    restore the library's thread count.  At order 128 a second thread buys
+    no wall time, and one thread makes an LU's rounding independent of the
+    thread count.  In the pthreads build numpy's wheels ship, the setting
+    holds for the whole library during the block; scipy's OpenBLAS, behind
+    solve_dense, is another library.  Without numpy's OpenBLAS the block
+    runs unchanged."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        yield
+        return
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
 
 
 # ---------------------------------------------------------------------------

@@ -188,18 +188,26 @@ def upwind_oracle(pi0_samples: np.ndarray, h: float, t: float) -> np.ndarray:
 
     Each step fills one periodic difference array, diff[i] = u_i - u_{i-1}
     with diff[0] = diff[n] = u_0 - u_{n-1}, so the backward difference at
-    node i is diff[i] and the forward one diff[i + 1].
+    node i is diff[i] and the forward one diff[i + 1]; every step works in
+    buffers allocated once.
     """
     u = np.asarray(pi0_samples, dtype=float).copy()
     n = len(u)
     diff = np.empty(n + 1)
+    slope, change = np.empty(n), np.empty(n)
+    upwind_back = np.empty(n, dtype=bool)
     elapsed = 0.0
     while elapsed < t:
-        speed = np.max(np.abs(u))
+        speed = np.max(np.abs(u, out=change))
         dt = min(CFL * h / max(speed, 1e-12), t - elapsed)
         np.subtract(u[1:], u[:-1], out=diff[1:n])
         diff[0] = diff[n] = u[0] - u[-1]
         diff /= h
-        u = u - dt * u * np.where(u > 0, diff[:n], diff[1:])
+        np.greater(u, 0, out=upwind_back)
+        np.copyto(slope, diff[1:])
+        np.copyto(slope, diff[:n], where=upwind_back)
+        np.multiply(u, dt, out=change)
+        change *= slope
+        u -= change
         elapsed += dt
     return u

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Grid1D, gaussian_increments, march, phi1,
+from .core import (Grid1D, gaussian_increments, march, one_blas_thread, phi1,
                    quadrature_weights, random_stream, require_power_of_two)
 from .errors import ConfigError, SingularSystem
 
@@ -174,7 +174,8 @@ def spde_direct_run(g0: Field2D, params: SpdeParams,
         stoch = u + (noise_coef * dws[m])[:, None] * u
         return lin * stoch - eps_phi * composition_product(u, u)
 
-    out = march(advance, g0.modes.copy(), steps, checkpoints)
+    with one_blas_thread():
+        out = march(advance, g0.modes.copy(), steps, checkpoints)
     if checkpoints is None:
         return Field2D(out)
     return {m: Field2D(u) for m, u in out.items()}
@@ -237,18 +238,20 @@ def spde_poppe_run(g0: Field2D, params: SpdeParams,
     a = TWO_PI * g0.modes[neg, :]
     diagonal = np.diag_indices(n)
     dets = np.empty(panels + 1)
-    for j in range(panels + 1):
-        system = c[j, neg, None] * a
-        system[diagonal] += 1.0
-        dets[j] = abs(np.linalg.det(system))
-    # solve at T, the last panel; core.solve_dense's scipy.linalg would add
-    # about 20 MB of resident memory to a run that has no other dense solve
-    p_t = exact_base_modes(g0, params, w[-1], tf)
-    try:
-        g = np.linalg.solve(system.T, p_t.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"I + qhat solve failed: {exc}") from exc
-    residual = float(np.max(np.abs(g @ system - p_t)))
+    with one_blas_thread():
+        for j in range(panels + 1):
+            system = c[j, neg, None] * a
+            system[diagonal] += 1.0
+            dets[j] = abs(np.linalg.det(system))
+        # solve at T, the last panel, by numpy's LAPACK on the same one
+        # thread: core.solve_dense's scipy.linalg would add about 20 MB of
+        # resident memory to a run that has no other dense solve
+        p_t = exact_base_modes(g0, params, w[-1], tf)
+        try:
+            g = np.linalg.solve(system.T, p_t.T).T
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"I + qhat solve failed: {exc}") from exc
+        residual = float(np.max(np.abs(g @ system - p_t)))
     if residual > 1e-10 * max(1.0, float(np.max(np.abs(p_t)))):
         raise SingularSystem(f"I + qhat solve residual {residual:.3e}")
     return PoppeResult(g=Field2D(g), det_track=dets,

@@ -619,6 +619,31 @@ def test_spde_rerun_is_bitwise_identical(tmp_path):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
+def test_spde_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 128 modes OpenBLAS threads each LU when it may, and a threaded
+    # zgetrf rounds otherwise than a one-thread one
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    argv = ["spde", "--preset", "paper", "--grid-n", "128", "--panels", "64"]
+    outs = []
+    for threads in ("1", None):
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                               "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = src
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        outs.append(tmp_path / (threads or "default"))
+        subprocess.run([sys.executable, "-m", "grassflow.cli", *argv,
+                        "--out", str(outs[-1])], env=env, check=True)
+    names = sorted(n for n in os.listdir(outs[0]) if n.endswith(".csv"))
+    assert names == ["spde_det.csv", "spde_difference.csv", "spde_direct.csv",
+                     "spde_poppe.csv"]
+    for name in names:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name,
+                           shallow=False), name
+
+
 @pytest.mark.parametrize("args", [
     ["prelaplace", "--grid-n", "64", "--domain-l", "1.0", "--t-final", "0.5"],
     ["smol-general", "--grid-n", "32", "--t-final", "0.5"],

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grassflow import core
 from grassflow.core import (Grid1D, DenseSystem, central_in_t,
                             dft_forward, dft_frequencies, dft_inverse,
-                            gaussian_increments, march, phi1,
+                            gaussian_increments, march, one_blas_thread, phi1,
                             quadrature_weights, random_stream, rk4_step,
                             solve_dense)
 from grassflow.errors import ConfigError, IntegrationBlowup, SingularSystem
@@ -98,6 +99,50 @@ def test_solve_dense_residual_small(n, seed):
     b = rng.standard_normal(n)
     x, _ = solve_dense(DenseSystem(a, b))
     assert np.max(np.abs(a @ x - b)) < 1e-10 * max(1.0, np.max(np.abs(b)))
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+def blas_threads(setter):
+    """numpy's OpenBLAS thread count, read through the entry point the
+    policy calls: it returns the count it replaces."""
+    count = setter(1)
+    setter(count)
+    return count
+
+
+@pytest.fixture
+def setter():
+    """The policy's setter, with the count at two threads, so that one
+    thread is seen to be set; the count is restored afterwards."""
+    blas = getattr(np.__config__, "CONFIG", {}) \
+        .get("Build Dependencies", {}).get("blas", {})
+    version = tuple(int(v) for v in blas.get("version", "0").split(".")[:3])
+    if blas.get("name") != "scipy-openblas" or version < (0, 3, 27):
+        pytest.skip("numpy links no OpenBLAS with a thread-local setter")
+    setter = core._blas_thread_setter()
+    assert setter is not None, "numpy's OpenBLAS was not found"
+    previous = setter(2)
+    yield setter
+    setter(previous)
+
+
+def test_one_blas_thread_restores_the_count_it_found(setter):
+    with one_blas_thread():
+        assert blas_threads(setter) == 1
+        with one_blas_thread():
+            assert blas_threads(setter) == 1
+        assert blas_threads(setter) == 1  # the outer block's count
+    assert blas_threads(setter) == 2
+
+
+def test_one_blas_thread_restores_the_count_after_an_error(setter):
+    with pytest.raises(ZeroDivisionError):
+        with one_blas_thread():
+            1 / 0
+    assert blas_threads(setter) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grassflow import core
 from grassflow.core import phi1
 from grassflow.errors import ConfigError
 from grassflow.spde import (BrownianSheetModes, Field2D, SpdeParams,
@@ -182,6 +183,21 @@ def test_poppe_run_matches_its_panel_loop(n, panels, beta):
     g, g_ref = res.g.samples, ref.g.samples
     assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
     assert np.max(np.abs(res.det_track / ref.det_track - 1.0)) <= 1e-13
+
+
+def test_poppe_run_without_numpys_openblas(monkeypatch):
+    # MKL, Accelerate or an OpenBLAS before 0.3.27: no thread setter is
+    # found and the schemes run on the library's own threads
+    monkeypatch.setattr(core, "_blas_thread_setter", lambda: None)
+    n, panels = 128, 64
+    params = SpdeParams(gamma=10.0, epsilon=1000.0)
+    fld = sech_ridge_initial(n, 0.001, 1)
+    sheet = BrownianSheetModes.generate(1, n, 0.007, panels)
+    res = spde_poppe_run(fld, params, sheet, panels=panels)
+    ref = spde_poppe_loop(fld, params, sheet, panels)
+    assert np.max(np.abs(res.det_track / ref.det_track - 1.0)) <= 1e-13
+    direct = spde_direct_run(fld, params, sheet, 16)
+    assert np.all(np.isfinite(direct.modes))
 
 
 def test_poppe_run_memory_stays_small():
