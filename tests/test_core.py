@@ -121,7 +121,8 @@ def setter():
         .get("Build Dependencies", {}).get("blas", {})
     version = tuple(int(v) for v in blas.get("version", "0").split(".")[:3])
     if blas.get("name") != "scipy-openblas" or version < (0, 3, 27):
-        pytest.skip("numpy links no OpenBLAS with a thread-local setter")
+        pytest.skip("numpy links no OpenBLAS with "
+                    "openblas_set_num_threads_local")
     setter = core._blas_thread_setter()
     assert setter is not None, "numpy's OpenBLAS was not found"
     previous = setter(2)
