@@ -1,15 +1,16 @@
 """Command-line front end.
 
-One subcommand per equation, shared flags, reproducible runs: every output
-CSV embeds a hash of the full configuration, and a metadata sidecar echoes
-the configuration so a run can be reconstructed from its outputs alone.
+One subcommand per equation, reproducible runs: every output CSV embeds a
+hash of the equation and the settings its run reads (READS), and a metadata
+sidecar echoes them so a run can be reconstructed from its outputs alone.
 """
 
 import argparse
 import hashlib
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,8 +68,7 @@ PRESETS = {
                            profile="kdv-paper", quadrature="gauss-legendre"),
     ("nls", "paper"): dict(grid_n=256, domain_l=40.0, dt=5e-2, t_final=100.0,
                            profile="nls-paper", quadrature="gauss-legendre"),
-    ("spde", "paper"): dict(grid_n=32, domain_l=2.0 * np.pi, t_final=0.007,
-                            dt=0.007 / 256, profile="sech-ridge"),
+    ("spde", "paper"): dict(grid_n=32, t_final=0.007, dt=0.007 / 256),
     ("smol-const", "paper"): dict(grid_n=1024, domain_l=40.0, t_final=2.0,
                                   dt=1e-2, profile="exp"),
     ("smol-general", "constant-kernel"): dict(grid_n=512, domain_l=40.0,
@@ -87,9 +87,13 @@ def apply_preset(config: RunConfig, overridden=()) -> RunConfig:
 
 def validate(config: RunConfig) -> list:
     """Every violated precondition, one human-readable line each."""
-    problems = []
     if config.equation not in EQUATIONS:
-        problems.append(f"unknown equation {config.equation!r}")
+        return [f"unknown equation {config.equation!r}"]
+    # a setting the run does not read would change nothing but the hash
+    problems = [f"{config.equation} does not read --{f.name.replace('_', '-')}"
+                for f in fields(RunConfig)[1:]
+                if f.name not in (*READS[config.equation], "preset", "out")
+                and getattr(config, f.name) != f.default]
     # the smol-general and prelaplace residuals skip 4 and 3 boundary nodes
     least = {"smol-general": 5, "prelaplace": 4}.get(config.equation, 2)
     if config.grid_n < least:
@@ -133,10 +137,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def read_settings(config: RunConfig) -> dict:
+    """The run's identity: its equation, then the settings it reads."""
+    names = ("equation", *sorted(READS[config.equation]))
+    return {name: getattr(config, name) for name in names}
+
+
 def config_hash(config: RunConfig) -> str:
-    # the output location is not part of the run's identity
-    blob = ";".join(f"{k}={_fmt(v)}"
-                    for k, v in sorted(asdict(config).items()) if k != "out")
+    blob = ";".join(f"{k}={_fmt(v)}" for k, v in read_settings(config).items())
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -193,7 +201,7 @@ def write_metadata(config: RunConfig, chash: str, extra=None):
     with open(path, "w", newline="\n") as fh:
         fh.write(f"config_hash = {chash}\n")
         fh.write(f"version = {__version__}\n")
-        for k, v in sorted(asdict(config).items()):
+        for k, v in read_settings(config).items():
             fh.write(f"{k} = {_fmt(v)}\n")
         for k, v in sorted((extra or {}).items()):
             fh.write(f"{k} = {_fmt(v)}\n")
@@ -237,21 +245,20 @@ PROFILES = {
     "smol-const": ("exp", "kdv-paper", "nls-paper", "gaussian"),
     "smol-general": ("exp", "kdv-paper", "nls-paper", "gaussian"),
     "prelaplace": ("exp", "kdv-paper", "nls-paper", "gaussian"),
-    "burgers": tuple(BURGERS_PROFILES), "spde": ("sech-ridge",),
-    "quotient": ("gaussian",), "elliptic": ("reciprocal", "tanh"),
+    "burgers": tuple(BURGERS_PROFILES), "elliptic": ("reciprocal", "tanh"),
 }
 
 
 # ---------------------------------------------------------------------------
 # per-equation runners
 #
-# A runner takes the configuration and write(name, **columns), which keeps
-# the table <equation>_<name>.csv, its columns named and in order, for run
-# to write once the runner has returned, and returns the entries its run
-# adds to the metadata sidecar.  The columns broadcast against each other
-# and become rows in row-major order, so a plane is x-outer, y-inner.  A
-# table has a t column only if it holds more than one time; a one-time
-# table's time is the sidecar's t_final.
+# A runner takes read_settings(config) as attributes and write(name,
+# **columns), which keeps the table <equation>_<name>.csv, its columns named
+# and in order, for run to write once the runner has returned, and returns
+# the entries its run adds to the metadata sidecar.  The columns broadcast
+# against each other and become rows in row-major order, so a plane is
+# x-outer, y-inner.  A table has a t column only if it holds more than one
+# time; a one-time table's time is the sidecar's t_final.
 
 
 def _checkpoint_steps(config: RunConfig):
@@ -460,6 +467,20 @@ RUNNERS = {
     "elliptic": run_elliptic,
 }
 
+# the settings each runner reads, all that run hands it besides the equation
+PROFILE_RUN = ("grid_n", "domain_l", "profile", "t_final")
+READS = {
+    "kdv": PROFILE_RUN + ("dt", "checkpoints", "quadrature", "compare_oracle"),
+    "nls": PROFILE_RUN + ("dt", "checkpoints", "quadrature", "compare_oracle"),
+    "smol-const": PROFILE_RUN + ("dt", "compare_oracle"),
+    "smol-general": PROFILE_RUN + ("preset", "dt"),
+    "prelaplace": PROFILE_RUN + ("nu", "dt"),
+    "burgers": PROFILE_RUN + ("compare_oracle",),
+    "spde": ("grid_n", "seed", "t_final", "dt", "panels", "compare_oracle"),
+    "quotient": ("grid_n", "domain_l", "t_final", "dt"),
+    "elliptic": ("grid_n", "domain_l", "profile"),
+}
+
 
 def run(config: RunConfig) -> int:
     problems = validate(config)
@@ -481,7 +502,8 @@ def run(config: RunConfig) -> int:
 
     try:
         extra = RUNNERS[config.equation](
-            config, lambda name, **columns: tables.append((name, columns)))
+            SimpleNamespace(**read_settings(config)),
+            lambda name, **columns: tables.append((name, columns)))
     except Breakdown as exc:
         # a failed run leaves no tables, except a shock's field, which is
         # whole but for its flagged NaN nodes
@@ -544,7 +566,6 @@ def config_from_args(args) -> RunConfig:
             # compare_oracle, the one bool field, is set by on/off
             setattr(config, f.name, value == "on" if f.type is bool else value)
             overridden.add(f.name)
-    overridden.discard("preset")
     return apply_preset(config, overridden)
 
 

@@ -33,9 +33,11 @@ def base_config(**kw):
 
 
 def test_paper_presets_validate_clean():
-    for eq in ("kdv", "nls", "spde", "smol-const"):
-        config = apply_preset(RunConfig(equation=eq, preset="paper"))
-        assert validate(config) == []
+    # every preset, so one that sets a setting its equation does not read
+    # is refused here
+    for eq, preset in cli.PRESETS:
+        config = apply_preset(RunConfig(equation=eq, preset=preset))
+        assert validate(config) == [], (eq, preset)
         if eq in ("kdv", "nls"):
             assert config.quadrature == "gauss-legendre"
 
@@ -65,7 +67,7 @@ def test_non_power_of_two_modes_flagged():
 
 
 def test_negative_dt_flagged():
-    config = base_config(dt=-1e-3)
+    config = RunConfig(equation="smol-const", dt=-1e-3)
     problems = validate(config)
     assert len(problems) == 1
     assert "dt" in problems[0]
@@ -88,9 +90,84 @@ def test_unknown_equation_flagged():
 def test_hash_ignores_output_location_only():
     a = base_config(out="/tmp/a")
     b = base_config(out="/tmp/b")
-    c = base_config(seed=1)
+    c = base_config(t_final=2.0)
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
+
+
+# a value other than the default, as its flag takes it, for each setting
+# an equation may or may not read
+OTHER_VALUES = {"grid_n": "64", "domain_l": "3", "t_final": "7", "dt": "0.3",
+                "seed": "9", "quadrature": "gauss-legendre",
+                "compare_oracle": "off", "profile": "gaussian", "nu": "2",
+                "checkpoints": "3", "panels": "64"}
+
+
+def test_every_setting_is_read_by_some_equation():
+    # preset and out steer every run; a setting no runner reads is deleted
+    # rather than carried along
+    read = {name for names in cli.READS.values() for name in names}
+    assert set(cli.READS) == set(cli.EQUATIONS)
+    assert read | {"equation", "preset", "out"} == \
+        {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(OTHER_VALUES) == read - {"preset"}
+
+
+@pytest.mark.parametrize("name", OTHER_VALUES)
+@pytest.mark.parametrize("equation", cli.EQUATIONS)
+def test_an_equation_takes_only_the_settings_it_reads(tmp_path, capsys,
+                                                      equation, name):
+    # a read setting is part of the hash; an unread one set away from its
+    # default is refused with one line naming its flag, before any output
+    flag = "--" + name.replace("_", "-")
+    argv = [equation, flag, OTHER_VALUES[name]]
+    config = cli.config_from_args(cli.build_parser().parse_args(argv))
+    if name in cli.READS[equation]:
+        assert config_hash(config) != config_hash(RunConfig(equation))
+        return
+    assert validate(config) == [f"{equation} does not read {flag}"]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"precondition violated: {equation} does not read {flag}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (("kdv", "--panels", "64"), ["--panels"]),
+    (("spde", "--preset", "paper", "--domain-l", "3"), ["--domain-l"]),
+    (("elliptic", "--t-final", "7", "--dt", "0.3"), ["--t-final", "--dt"]),
+], ids=["kdv-panels", "spde-domain-l", "elliptic-t-final-dt"])
+def test_unread_flags_exit_2_without_output(tmp_path, capsys, argv, flags):
+    # flags that once changed only the hash of byte-identical tables
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"precondition violated: {argv[0]} does not read {flag}"
+        for flag in flags]
+    assert not out.exists()
+
+
+def test_sidecar_records_the_equation_and_the_settings_it_reads(tmp_path):
+    assert main(["elliptic", "--grid-n", "64", "--out", str(tmp_path)]) == 0
+    meta = read_metadata(tmp_path / "elliptic_metadata.txt")
+    assert list(meta) == ["config_hash", "version", "equation", "domain_l",
+                          "grid_n", "profile", "ode_residual"]
+
+
+def test_readme_lists_the_flags_each_equation_takes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = {}
+    # one item per line group: "- `eq`[, `eq`]: `--flag`, `--flag`, ..."
+    for names, flags in re.findall(r"^- (`[a-z-]+`(?:, `[a-z-]+`)*): "
+                                   r"(`--[a-z-]+`(?:,\s+`--[a-z-]+`)*)",
+                                   readme, re.MULTILINE):
+        for equation in re.findall(r"`([a-z-]+)`", names):
+            listed[equation] = re.findall(r"`(--[a-z-]+)`", flags)
+    assert listed == {
+        equation: ["--" + name.replace("_", "-") for name in names
+                   if name != "preset"]
+        for equation, names in cli.READS.items()}
 
 
 def test_validate_only_flag(capsys):
@@ -104,7 +181,7 @@ def test_validate_only_flag(capsys):
 
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("grid-n = 64\nt-final = 0.25\nseed = 9\n")
+    cfg.write_text("grid-n = 64\nt-final = 0.25\ndomain-l = 3\n")
     out = tmp_path / "run"
     rc = main(["burgers", "--config", str(cfg), "--profile", "linear",
                "--t-final", "0.5", "--out", str(out)])
@@ -112,7 +189,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     meta = (out / "burgers_metadata.txt").read_text()
     assert "grid_n = 64" in meta          # from the file
     assert "t_final = 0.5" in meta        # flag wins over the file
-    assert "seed = 9" in meta
+    assert "domain_l = 3" in meta
 
 
 def test_parser_flags_are_the_run_config_fields():
@@ -156,7 +233,7 @@ def test_bad_config_value_exits_2_like_a_flag(tmp_path, capsys):
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("equation", ["elliptic", "quotient", "kdv"])
+@pytest.mark.parametrize("equation", ["elliptic", "burgers", "kdv"])
 def test_unknown_profile_exits_2(tmp_path, capsys, equation):
     args = [equation, "--profile", "nonsense"]
     assert main(args + ["--validate-only"]) == 2
@@ -658,10 +735,8 @@ def test_rerun_is_bitwise_identical(tmp_path, args):
     assert names == sorted(os.listdir(b))
     assert [n for n in names if n.endswith(".csv")]
     for name in names:
-        # the sidecars differ only in the out line
-        text = [[line for line in (d / name).read_text().splitlines()
-                 if not line.startswith("out = ")] for d in (a, b)]
-        assert text[0] == text[1], name
+        # the sidecar does not record the output location
+        assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
 def test_spde_sidecar_records_the_least_determinant(tmp_path):

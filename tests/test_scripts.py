@@ -43,3 +43,10 @@ def test_coagulation_moments_study_runs(capsys):
     assert errors["max relative m0 error vs closed form"] < 2e-3
     assert errors["max relative m1 drift"] < 1e-10
     assert len(lines) == 9
+
+
+def test_reference_panels_run(tmp_path, capsys):
+    # every paper preset runs, the seed reaching spde alone
+    script = next(p for p in SCRIPTS if p.stem == "reproduce_reference_panels")
+    assert load(script).run(tmp_path, seed=7) == 0
+    assert "seed = 7" in (tmp_path / "spde" / "spde_metadata.txt").read_text()
