@@ -108,22 +108,22 @@ def validate(config: RunConfig) -> list:
     if config.equation in SPECTRAL_EQUATIONS and \
             (config.grid_n & (config.grid_n - 1)) != 0:
         problems.append("grid-n must be a power of two (DFT restriction)")
-    if config.domain_l <= 0:
-        problems.append("domain-l must be positive")
-    if config.t_final <= 0:
-        problems.append("t-final must be positive")
-    if config.dt <= 0:
-        problems.append("dt must be positive")
-    if config.quadrature not in QUADRATURES:
-        problems.append(f"unknown quadrature {config.quadrature!r}")
-    if config.seed < 0:
-        problems.append("seed must be non-negative")
-    if config.checkpoints < 2:
-        problems.append("checkpoints must be at least 2")
-    if config.panels < 2:
-        problems.append("panels must be at least 2")
-    if config.equation == "prelaplace" and config.nu <= 0:
-        problems.append("nu must be positive")
+    # a setting's value is checked only where it is read: an unread one has
+    # its line above
+    checks = {
+        "domain_l": (config.domain_l > 0, "domain-l must be positive"),
+        "t_final": (config.t_final > 0, "t-final must be positive"),
+        "dt": (config.dt > 0, "dt must be positive"),
+        "quadrature": (config.quadrature in QUADRATURES,
+                       f"unknown quadrature {config.quadrature!r}"),
+        "seed": (config.seed >= 0, "seed must be non-negative"),
+        "checkpoints": (config.checkpoints >= 2,
+                        "checkpoints must be at least 2"),
+        "panels": (config.panels >= 2, "panels must be at least 2"),
+        "nu": (config.nu > 0, "nu must be positive"),
+    }
+    problems += [message for name, (ok, message) in checks.items()
+                 if name in READS[config.equation] and not ok]
     return problems
 
 

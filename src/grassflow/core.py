@@ -101,24 +101,26 @@ def solve_dense(system: DenseSystem):
 
     Each system costs one LAPACK getrf and one getrs; the norms, the floor
     test and the determinants are array operations over the stack."""
-    from scipy.linalg import get_lapack_funcs
-
     a, b = np.asarray(system.coefficients), np.asarray(system.rhs)
     lone = a.ndim == 2
     if lone:
         a, b = a[None], b[None]
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a, b))
-    # LAPACK is column-major: slice j of lu holds A_j^T row-major, so
-    # lu[j].T is A_j, factorised in place
-    lu = np.array(np.swapaxes(a, 1, 2), dtype=getrf.dtype, order="C")
+    dtype = complex if np.iscomplexobj(a) or np.iscomplexobj(b) else float
+    # LAPACK is column-major: slice j of lu holds A_j^T row-major, which is
+    # A_j column-major, factorised in place; x holds the B_j likewise
+    lu = np.array(np.swapaxes(a, 1, 2), dtype=dtype, order="C")
+    x = np.array(np.swapaxes(b.reshape(len(b), b.shape[1], -1), 1, 2),
+                 dtype=dtype, order="C")
     norm = np.max(np.sum(np.abs(lu), axis=1), axis=1)  # A's row sums
-    piv = np.empty(a.shape[:2], dtype=np.int32)
-    x = np.empty(b.shape, dtype=getrf.dtype)
-    for j in range(len(lu)):
-        _, piv[j], _ = getrf(lu[j].T, overwrite_a=True)
-        x[j] = getrs(lu[j].T, piv[j], b[j])[0]
+    piv = np.empty(a.shape[:2], dtype=np.int64)  # 1-based, as LAPACK's
+    lapack = _openblas_getrf_getrs(lu.dtype.char)
+    if lapack is None:
+        _scipy_lu_solve(lu, piv, x)
+    else:
+        _openblas_lu_solve(*lapack, lu, piv, x)
+    x = np.swapaxes(x, 1, 2).reshape(b.shape)
     diag = np.diagonal(lu, axis1=1, axis2=2)
-    swaps = np.count_nonzero(piv != np.arange(piv.shape[1]), axis=1)
+    swaps = np.count_nonzero(piv != np.arange(1, piv.shape[1] + 1), axis=1)
     det = np.prod(diag, axis=1) * (1 - 2 * (swaps % 2))
     pivot = np.min(np.abs(diag), axis=1)
     singular = (norm == 0.0) | (pivot < PIVOT_FLOOR * norm)
@@ -130,35 +132,93 @@ def solve_dense(system: DenseSystem):
     return (x[0], det[0]) if lone else (x, det)
 
 
+def _openblas_lu_solve(getrf, getrs, lu, piv, x):
+    """getrf on each column-major matrix lu[j] in place, its pivots into
+    piv[j], then getrs on the right-hand sides x[j] in place.  The
+    integers go by reference, and slice j's address is an offset from its
+    stack's."""
+    count, n = piv.shape
+    order, nrhs, info = (ctypes.byref(ctypes.c_int64(value))
+                         for value in (n, x.shape[1], 0))
+    a0, p0, x0 = lu.ctypes.data, piv.ctypes.data, x.ctypes.data
+    for j in range(count):
+        a, p = a0 + j * lu.strides[0], p0 + j * piv.strides[0]
+        getrf(order, order, a, order, p, info)
+        getrs(b"N", order, nrhs, a, order, p, x0 + j * x.strides[0], order,
+              info, 1)
+
+
+def _scipy_lu_solve(lu, piv, x):
+    """:func:`_openblas_lu_solve` by scipy's LAPACK, where numpy links no
+    OpenBLAS of its own.  scipy's pivots are 0-based."""
+    from scipy.linalg import get_lapack_funcs
+
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), dtype=lu.dtype)
+    for j in range(len(lu)):
+        _, p, _ = getrf(lu[j].T, overwrite_a=True)
+        x[j] = getrs(lu[j].T, p, x[j].T)[0].T
+        piv[j] = p + 1
+
+
 # ---------------------------------------------------------------------------
-# BLAS threads
+# numpy's OpenBLAS: the LU above and the thread policy
+
+
+@functools.cache
+def _numpy_openblas():
+    """The OpenBLAS that numpy's wheel ships (already loaded, so CDLL
+    returns its handle), or None where numpy links another BLAS."""
+    libs = Path(np.__file__).parent.with_name("numpy.libs")
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            continue
+    return None
+
+
+@functools.cache
+def _openblas_getrf_getrs(kind):
+    """getrf and getrs of numpy's OpenBLAS for the dtype char ``kind``
+    ('d' or 'D'), or None where that library has no ILP64 LAPACK.
+
+    They are Fortran entry points: every argument is a pointer, the
+    integers are int64, and getrs takes the hidden length of its character
+    argument last.  Each pointer is declared, since ctypes would pass an
+    undeclared address as a C int."""
+    prefix = {"d": "d", "D": "z"}[kind]
+    library = _numpy_openblas()
+    try:
+        getrf = getattr(library, f"scipy_{prefix}getrf_64_")
+        getrs = getattr(library, f"scipy_{prefix}getrs_64_")
+    except AttributeError:  # also on None, no library
+        return None
+    address = ctypes.c_void_p
+    getrf.argtypes, getrf.restype = [address] * 6, None
+    getrs.argtypes = [ctypes.c_char_p] + [address] * 8 + [ctypes.c_size_t]
+    getrs.restype = None
+    return getrf, getrs
 
 
 @functools.cache
 def _blas_thread_setter():
-    """``openblas_set_num_threads_local`` of the OpenBLAS that numpy's wheel
-    ships (already loaded, so CDLL returns its handle), or None where numpy
-    links another BLAS or an OpenBLAS older than 0.3.27."""
-    libs = Path(np.__file__).parent.with_name("numpy.libs")
-    for path in sorted(libs.glob("libscipy_openblas*")):
-        try:
-            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
+    """``openblas_set_num_threads_local`` of numpy's OpenBLAS, or None where
+    numpy links another BLAS or an OpenBLAS older than 0.3.27."""
+    setter = getattr(_numpy_openblas(), "openblas_set_num_threads_local",
+                     None)
+    if setter is not None:
         setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-        return setter
-    return None
+    return setter
 
 
 @contextmanager
 def one_blas_thread():
-    """Run the block's numpy BLAS and LAPACK calls on one thread, then
-    restore the library's thread count.  At order 128 a second thread buys
-    no wall time, and one thread makes an LU's rounding independent of the
-    thread count.  In the pthreads build numpy's wheels ship, the setting
-    holds for the whole library during the block; scipy's OpenBLAS, behind
-    solve_dense, is another library.  Without numpy's OpenBLAS the block
-    runs unchanged."""
+    """Run the block's numpy BLAS and LAPACK calls, solve_dense's LU among
+    them, on one thread, then restore the library's thread count.  At
+    order 128 a second thread buys no wall time, and one thread makes an
+    LU's rounding independent of the thread count.  In the pthreads build
+    numpy's wheels ship, the setting holds for the whole library during
+    the block.  Without numpy's OpenBLAS the block runs unchanged."""
     setter = _blas_thread_setter()
     if setter is None:
         yield

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DenseSystem, Grid1D, dft_forward, dft_frequencies,
-                   dft_inverse, march, quadrature_weights, solve_dense)
+                   dft_inverse, march, one_blas_thread, quadrature_weights,
+                   solve_dense)
 from .errors import ConfigError, SymbolError
 
 # the Gauss-Legendre node count of the KdV and NLS Nystrom solves
@@ -168,15 +169,17 @@ def _project_over_x(trace, grid, kernel, quadrature, panels):
     diag = np.arange(size)
     values = np.empty(grid.n, dtype=trace.dtype)
     dets = np.empty(grid.n, dtype=trace.dtype)
-    for lo in range(0, grid.n, chunk):
-        hi = min(lo + chunk, grid.n)
-        h = hankel(lo, hi)
-        # I + K^T W: row i is the equation at z_i, column j weights the
-        # unknown g(0, xi_j)
-        a = np.swapaxes(kernel(h, w), 1, 2) * w
-        a[:, diag, diag] += 1.0
-        g, dets[lo:hi] = solve_dense(DenseSystem(a, h[:, :, -1]))
-        values[lo:hi] = g[:, -1]  # z = 0 sits at the last node
+    # one BLAS thread: the values then do not depend on the thread count
+    with one_blas_thread():
+        for lo in range(0, grid.n, chunk):
+            hi = min(lo + chunk, grid.n)
+            h = hankel(lo, hi)
+            # I + K^T W: row i is the equation at z_i, column j weights the
+            # unknown g(0, xi_j)
+            a = np.swapaxes(kernel(h, w), 1, 2) * w
+            a[:, diag, diag] += 1.0
+            g, dets[lo:hi] = solve_dense(DenseSystem(a, h[:, :, -1]))
+            values[lo:hi] = g[:, -1]  # z = 0 sits at the last node
     broken = np.flatnonzero(np.isnan(values))
     return ProjectionResult(values=values, det_track=dets,
                             breakdown_locations=[(float(grid.nodes[i]),
@@ -200,14 +203,8 @@ def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
 
 
 def nls_gram(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """M^H W M of each matrix M of a stack, one zgemm each in scipy's BLAS,
-    the runtime of the LU.  numpy's matmul would bring its own BLAS, whose
-    threads contend with scipy's for the cores: at 129 x 129 that made
-    the n = 256 grid-rule NLS solve ten times slower."""
-    from scipy.linalg.blas import zgemm
-
-    return np.stack([zgemm(1.0, mj, wmj, trans_a=2)
-                     for mj, wmj in zip(m, weights[:, None] * m)])
+    """M^H W M of each matrix M of a stack."""
+    return np.conj(np.swapaxes(m, 1, 2)) @ (weights[:, None] * m)
 
 
 def nls_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Grid1D, gaussian_increments, march, one_blas_thread, phi1,
-                   quadrature_weights, random_stream, require_power_of_two)
+from .core import (DenseSystem, Grid1D, gaussian_increments, march,
+                   one_blas_thread, phi1, quadrature_weights, random_stream,
+                   require_power_of_two, solve_dense)
 from .errors import ConfigError, SingularSystem
 
 TWO_PI = 2.0 * np.pi
@@ -220,6 +221,8 @@ def spde_poppe_run(g0: Field2D, params: SpdeParams,
     p(s) = diag(e^{expo(s)}) G0 and the decay is diagonal, so the running
     sum is qhat_j = diag(c_j) G0 with c = cumsum(w eps decay e^{expo}) over
     the panels, and the system at panel j is I + diag(c_j[-k]) 2 pi G0[-k].
+    The system at T below solve_dense's pivot floor raises SingularSystem
+    carrying its determinant.
     """
     n = g0.n
     k = mode_numbers(n)
@@ -242,15 +245,13 @@ def spde_poppe_run(g0: Field2D, params: SpdeParams,
         for j in range(panels + 1):
             system = c[j, neg, None] * a
             system[diagonal] += 1.0
-            dets[j] = abs(np.linalg.det(system))
-        # solve at T, the last panel, by numpy's LAPACK on the same one
-        # thread: core.solve_dense's scipy.linalg would add about 20 MB of
-        # resident memory to a run that has no other dense solve
+            if j < panels:
+                dets[j] = abs(np.linalg.det(system))
+        # at T, the last panel, solve_dense's LU gives g and the determinant
+        # under the Fredholm layer's pivot floor
         p_t = exact_base_modes(g0, params, w[-1], tf)
-        try:
-            g = np.linalg.solve(system.T, p_t.T).T
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"I + qhat solve failed: {exc}") from exc
+        gt, det = solve_dense(DenseSystem(system.T, p_t.T))
+        g, dets[-1] = gt.T, abs(det)
         residual = float(np.max(np.abs(g @ system - p_t)))
     if residual > 1e-10 * max(1.0, float(np.max(np.abs(p_t)))):
         raise SingularSystem(f"I + qhat solve residual {residual:.3e}")

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from grassflow import core
 from grassflow.canonical import (CanonicalCoefficients, linear_flow,
                                  riccati_residual)
 from grassflow.core import Grid1D, quadrature_weights, rk4_step
@@ -115,33 +116,34 @@ def test_riccati_project_turns_pivot_floor_into_chart_breakdown():
     lambda: riccati_subflow(np.array([[0.2, 0.1], [0.3, -0.4]]), 0.5),
 ], ids=["riccati_project", "riccati_subflow"])
 def test_riccati_projection_factorises_once(monkeypatch, project):
-    # every LU of solve_dense is a LAPACK getrf it fetches by name
+    # every LU of solve_dense is one getrf: numpy's OpenBLAS's through
+    # core's binding, and scipy's where that binding finds no library
     calls = []
-    get_lapack_funcs = scipy.linalg.get_lapack_funcs
 
-    class Counted:
-        def __init__(self, f):
-            self.f = f
-
-        def __call__(self, *args, **kwargs):
+    def counted(getrf):
+        def call(*args, **kwargs):
             calls.append(1)
-            return self.f(*args, **kwargs)
-
-        def __getattr__(self, name):
-            return getattr(self.f, name)
-
-    def counting(names, arrays=(), **kwargs):
-        funcs = get_lapack_funcs(names, arrays, **kwargs)
-        return [Counted(f) if f.__name__.endswith("getrf") else f
-                for f in funcs]
+            return getrf(*args, **kwargs)
+        return call
 
     def forbidden(*args, **kwargs):
         raise AssertionError("second factorisation")
 
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
     monkeypatch.setattr(scipy.linalg, "lu_factor", forbidden)
     monkeypatch.setattr(np.linalg, "det", forbidden)
     monkeypatch.setattr(np.linalg, "solve", forbidden)
+    binding = core._openblas_getrf_getrs
+    if binding("d") is not None:
+        monkeypatch.setattr(core, "_openblas_getrf_getrs", lambda kind: (
+            counted(binding(kind)[0]), binding(kind)[1]))
+        project()
+        assert len(calls) == 1
+        calls.clear()
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
+    monkeypatch.setattr(core, "_openblas_getrf_getrs", lambda kind: None)
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda *a, **k: [
+        counted(f) if f.__name__.endswith("getrf") else f
+        for f in get_lapack_funcs(*a, **k)])
     project()
     assert len(calls) == 1
 

@@ -148,6 +148,16 @@ def test_unread_flags_exit_2_without_output(tmp_path, capsys, argv, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [("burgers", "--dt", "-1"),
+                                  ("elliptic", "--panels", "1")])
+def test_a_bad_value_of_an_unread_flag_gets_one_line(capsys, argv):
+    # a value is checked only where its setting is read
+    assert main([*argv, "--validate-only"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"precondition violated: {argv[0]} does not read {argv[1]}",
+        "1 violation(s)"]
+
+
 def test_sidecar_records_the_equation_and_the_settings_it_reads(tmp_path):
     assert main(["elliptic", "--grid-n", "64", "--out", str(tmp_path)]) == 0
     meta = read_metadata(tmp_path / "elliptic_metadata.txt")
@@ -607,8 +617,12 @@ def test_cli_import_does_not_load_numpy_polynomial():
     assert not loaded_by_cli_import("numpy.polynomial")
 
 
-# one small job of each equation that has no Fredholm solve
+# one small job of each equation, and the kdv and nls paper presets
 SCIPY_LINALG_FREE_JOBS = (
+    ("kdv", "--grid-n", "32", "--t-final", "0.1", "--dt", "0.01"),
+    ("nls", "--grid-n", "32", "--t-final", "0.1", "--dt", "0.01"),
+    ("kdv", "--preset", "paper"),
+    ("nls", "--preset", "paper"),
     ("spde", "--grid-n", "8", "--t-final", "0.004", "--dt", "2e-4",
      "--panels", "16"),
     ("burgers", "--profile", "sin", "--t-final", "0.5", "--grid-n", "64",
@@ -621,8 +635,13 @@ SCIPY_LINALG_FREE_JOBS = (
 )
 
 
-def test_runs_without_a_fredholm_solve_do_not_load_scipy_linalg(tmp_path):
-    # importing scipy.linalg adds about 20 MB of resident memory to a run
+def test_runs_do_not_load_scipy_linalg(tmp_path):
+    # importing scipy.linalg adds about 20 MB of resident memory to a run;
+    # solve_dense factorises by numpy's own OpenBLAS where numpy has one
+    blas = getattr(np.__config__, "CONFIG", {}) \
+        .get("Build Dependencies", {}).get("blas", {})
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip("numpy links no OpenBLAS of its own")
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -696,12 +715,12 @@ def test_spde_rerun_is_bitwise_identical(tmp_path):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
-def test_spde_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # at 128 modes OpenBLAS threads each LU when it may, and a threaded
-    # zgetrf rounds otherwise than a one-thread one
+def tables_across_blas_thread_counts(tmp_path, argv):
+    """Run ``argv`` in fresh processes under OPENBLAS_NUM_THREADS=1 and
+    with no BLAS thread variable, and compare their tables byte for byte;
+    return the table names."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
-    argv = ["spde", "--preset", "paper", "--grid-n", "128", "--panels", "64"]
     outs = []
     for threads in ("1", None):
         env = {name: value for name, value in os.environ.items()
@@ -710,15 +729,34 @@ def test_spde_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
         env["PYTHONPATH"] = src
         if threads:
             env["OPENBLAS_NUM_THREADS"] = threads
-        outs.append(tmp_path / (threads or "default"))
+        outs.append(tmp_path / argv[0] / (threads or "default"))
         subprocess.run([sys.executable, "-m", "grassflow.cli", *argv,
                         "--out", str(outs[-1])], env=env, check=True)
     names = sorted(n for n in os.listdir(outs[0]) if n.endswith(".csv"))
-    assert names == ["spde_det.csv", "spde_difference.csv", "spde_direct.csv",
-                     "spde_poppe.csv"]
     for name in names:
         assert filecmp.cmp(outs[0] / name, outs[1] / name,
                            shallow=False), name
+    return names
+
+
+def test_spde_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 128 modes OpenBLAS threads each LU when it may, and a threaded
+    # zgetrf rounds otherwise than a one-thread one
+    argv = ["spde", "--preset", "paper", "--grid-n", "128", "--panels", "64"]
+    assert tables_across_blas_thread_counts(
+        tmp_path, argv) == ["spde_det.csv", "spde_difference.csv",
+                            "spde_direct.csv", "spde_poppe.csv"]
+
+
+@pytest.mark.parametrize("equation", ["kdv", "nls"])
+def test_fredholm_tables_do_not_depend_on_the_blas_thread_count(tmp_path,
+                                                                 equation):
+    # the NLS Gram and the LU run on one thread: a threaded zgemm or getrf
+    # rounds otherwise, which reaches the n = 64 nls tables
+    assert tables_across_blas_thread_counts(
+        tmp_path, [equation, "--grid-n", "64"]) == [
+        f"{equation}_{name}.csv"
+        for name in ("det", "difference", "direct", "poppe")]
 
 
 @pytest.mark.parametrize("args", [

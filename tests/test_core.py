@@ -74,8 +74,8 @@ def test_solve_dense_matches_hand_inverse():
 
 
 def test_solve_dense_raises_on_singular_matrix():
-    # the pivot floor reports the breakdown; scipy's LinAlgWarning about
-    # the exactly zero pivot must not reach stderr before it
+    # the pivot floor reports the breakdown; no warning about the exactly
+    # zero pivot may reach stderr before it
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -99,6 +99,43 @@ def test_solve_dense_residual_small(n, seed):
     b = rng.standard_normal(n)
     x, _ = solve_dense(DenseSystem(a, b))
     assert np.max(np.abs(a @ x - b)) < 1e-10 * max(1.0, np.max(np.abs(b)))
+
+
+# below the pivot floor: an exactly singular system, and a 1e-10 pivot
+# under a norm of 1e20 (|det| = 1e10)
+FLOOR_CASES = (np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1e20, 1e-10]))
+
+
+def test_scipy_fallback_agrees_with_numpys_openblas(monkeypatch):
+    # where numpy links no OpenBLAS of its own, solve_dense factorises by
+    # scipy's LAPACK under the same contract
+    if core._openblas_getrf_getrs("d") is None:
+        pytest.skip("numpy links no OpenBLAS with ILP64 LAPACK")
+    rng = np.random.default_rng(5)  # systems whose LUs swap rows
+    a = rng.standard_normal((4, 9, 9))
+    z = a + 1j * rng.standard_normal((4, 9, 9))
+    systems = [DenseSystem(a, rng.standard_normal((4, 9))),
+               DenseSystem(z, rng.standard_normal((4, 9, 3))),
+               DenseSystem(a[0], rng.standard_normal(9)),
+               DenseSystem(np.stack(FLOOR_CASES + (np.eye(2),)),
+                           np.ones((3, 2)))]
+
+    def solve_all():
+        solved = [solve_dense(system) for system in systems]
+        for floor in FLOOR_CASES:
+            with pytest.raises(SingularSystem) as exc:
+                solve_dense(DenseSystem(floor, np.ones(2)))
+            solved.append((str(exc.value), exc.value.det_value))
+        return solved
+
+    openblas = solve_all()
+    assert np.isnan(openblas[3][0][:2]).all()  # the stack's singular two
+    monkeypatch.setattr(core, "_openblas_getrf_getrs", lambda kind: None)
+    fallback = solve_all()
+    for (x, det), (y, d) in zip(openblas[:4], fallback[:4]):
+        np.testing.assert_allclose(y, x, rtol=1e-13)
+        np.testing.assert_allclose(d, det, rtol=1e-13)
+    assert fallback[4:] == openblas[4:]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The package keeps only what its pipelines run, and the benchmark's
-tracer still finds what it times.
+"""The package keeps only what its pipelines run, imports scipy in one
+place, and the benchmark's tracer still finds what it times.
 
 Every public top-level function and class of ``src/grassflow`` and
 ``scripts`` must be named somewhere in those two trees outside its own
@@ -54,6 +54,31 @@ def test_every_public_name_has_a_caller():
     # exactly the listed names, each still defined and still uncalled
     assert orphans == sorted(f"{defined[name]}: {name}"
                              for name in WITHOUT_CALLER)
+
+
+def _scipy_imports(node, scope):
+    """The dotted scope of each import of scipy under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _scipy_imports(child, f"{scope}.{child.name}")
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            # an ImportFrom's module, or an Import's names
+            modules = [getattr(child, "module", None) or alias.name
+                       for alias in child.names]
+            if any(m.partition(".")[0] == "scipy" for m in modules):
+                yield scope
+        else:
+            yield from _scipy_imports(child, scope)
+
+
+def test_only_the_dense_fallback_imports_scipy():
+    # scipy.linalg adds about 20 MB to a run's resident memory; a lazy
+    # import on a path that no run test reaches would bring it back
+    found = [scope for path in sorted((ROOT / "src" / "grassflow")
+                                      .glob("*.py"))
+             for scope in _scipy_imports(ast.parse(path.read_text()),
+                                         path.stem)]
+    assert found == ["core._scipy_lu_solve"]
 
 
 # tracer targets already gone from the package; the tracer skips them and
