@@ -13,7 +13,7 @@ import numpy as np
 
 from grassflow.core import Grid1D
 from grassflow.smoluchowski import (constant_kernel_solve, direct_smol_oracle,
-                                    exponential_density, m0_constant_kernel)
+                                    exponential_density, m0_closed_form)
 
 
 def study(upper: float, n: int, t: float, dt: float):
@@ -29,7 +29,8 @@ def study(upper: float, n: int, t: float, dt: float):
                                                  track_moments=True)
     print(f"sup|projected - direct oracle| = "
           f"{np.max(np.abs(proj.values - direct.values)):.3e}")
-    expected = np.array([m0_constant_kernel(m0s[0], s) for s in times])
+    # m0' = -m0^2 / 2 for the constant kernel
+    expected = np.array([m0_closed_form(0.0, -0.5, m0s[0], s) for s in times])
     print(f"max relative m0 error vs closed form = "
           f"{np.max(np.abs(m0s - expected) / expected):.3e}")
     print(f"max relative m1 drift = "

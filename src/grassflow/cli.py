@@ -25,8 +25,8 @@ from .quotient import (EllipticCoefficients, QuotientCoefficients,
                        elliptic_quotient_solve, quotient_residual)
 from .smoluchowski import (MassDensity, SmolCoefficients, direct_smol_oracle,
                            constant_kernel_solve, exponential_density,
-                           general_smol_residual,
-                           m0_constant_kernel, pre_laplace_burgers_residual,
+                           general_smol_residual, m0_closed_form,
+                           pre_laplace_burgers_residual,
                            pre_laplace_burgers_solve)
 from .spde import (BrownianSheetModes, SpdeParams, sech_ridge_initial,
                    spde_direct_run, spde_poppe_run)
@@ -338,7 +338,7 @@ def run_smol_const(config: RunConfig, write) -> dict:
     gt = constant_kernel_solve(g0, t)
     write("poppe", x=nodes, **_value(gt.values))
     extra = {"m0": gt.m0, "m1": gt.m1,
-             "m0_closed_form": m0_constant_kernel(g0.m0, t)}
+             "m0_closed_form": m0_closed_form(0.0, -0.5, g0.m0, t)}
     if config.compare_oracle:
         direct = direct_smol_oracle(g0, t, config.dt)
         gap = np.abs(gt.values - direct.values)

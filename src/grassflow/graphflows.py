@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import linear_flow
-from .errors import ConfigError, NewtonDivergence
+from .errors import NewtonDivergence
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -143,35 +143,27 @@ def inviscid_burgers_eval(x_nodes, t: float, profile: InitialProfile,
 # generalised first-order models
 
 
-def _as_coeff(c, n):
-    if c is None:
-        return lambda s: np.zeros((n, n))
-    if callable(c):
-        return lambda s: np.atleast_2d(np.asarray(c(s), dtype=float))
-    cmat = np.atleast_2d(np.asarray(c, dtype=float))
-    return lambda s: cmat
-
-
 def fundamental_matrix(coeffs, t: float, n: int) -> np.ndarray:
-    """Phi(t) of d/ds [q; p] = [[A, B], [C, D]] [q; p], FLOW_STEPS of RK4."""
-    A, B, C, D = (_as_coeff(c, n) for c in coeffs)
-    return linear_flow(lambda s: np.block([[A(s), B(s)], [C(s), D(s)]]),
-                       np.eye(2 * n), 0.0, t / FLOW_STEPS, FLOW_STEPS)[-1]
+    """Phi(t) of d/ds [q; p] = [[A, B], [C, D]] [q; p] for constant (n, n)
+    blocks, None for a zero block, by FLOW_STEPS of RK4."""
+    blocks = [np.zeros((n, n)) if c is None
+              else np.atleast_2d(np.asarray(c, dtype=float)) for c in coeffs]
+    generator = np.block([blocks[:2], blocks[2:]])
+    return linear_flow(lambda s: generator, np.eye(2 * n), 0.0,
+                       t / FLOW_STEPS, FLOW_STEPS)[-1]
 
 
 def generalized_flow_eval(x_nodes, t: float, profile: InitialProfile,
-                          coeffs=None, modifier=None) -> GraphField:
-    """Graph flow under q' = Aq + Bp, p' = Cq + Dp (or the f(|p|^2) model).
+                          coeffs) -> GraphField:
+    """Graph flow under q' = Aq + Bp, p' = Cq + Dp, ``coeffs`` = (A, B, C, D)
+    constant scalars (None for zero).  The f(|p|^2) model is
+    :func:`inviscid_burgers_eval` with a modifier.
 
     The linear base pair is reduced to its scalar fundamental matrix, so
     q(a, t) = Phi_qq a + Phi_qp pi0(a) and p(a, t) = Phi_pq a + Phi_pp pi0(a),
     and the inversion is the inviscid one with Jacobian
     Phi_qq + Phi_qp pi0'(a), under the same shock rule.
     """
-    if coeffs is None:
-        return inviscid_burgers_eval(x_nodes, t, profile, modifier=modifier)
-    if modifier is not None:
-        raise ConfigError("modifier applies only without coeffs")
     x_nodes = np.asarray(x_nodes, dtype=float)
     (qq, qp), (pq, pp) = fundamental_matrix(coeffs, t, 1)
     a, shock, flagged = _solve_characteristic(x_nodes, qq, qp, profile)

@@ -86,13 +86,12 @@ def quotient_solve(g0: np.ndarray, grid: Grid1D,
     p = dft_inverse(np.exp(d * t)[:, None] * p0_hat, grid)
     if coeffs.f_coeffs:
         # pbar(s)_j = sum_k B[j, k] e^{d_k s} p0_hat[k, j] with B the
-        # inverse-DFT matrix: one O(n^2) product per quadrature time
+        # inverse-DFT matrix: one product gives every quadrature time
         weights = dft_inverse(np.eye(grid.n), grid) * p0_hat.T
-        exponent = np.zeros(grid.n, dtype=complex)
         ds = t / PHASE_STEPS
-        for m in range(PHASE_STEPS + 1):
-            rate = coeffs.f_value(np.abs(weights @ np.exp(d * (m * ds))) ** 2)
-            exponent += (0.5 * ds if m in (0, PHASE_STEPS) else ds) * rate
+        pbar = weights @ np.exp(np.outer(d, ds * np.arange(PHASE_STEPS + 1)))
+        exponent = np.trapezoid(coeffs.f_value(np.abs(pbar) ** 2), dx=ds,
+                                axis=1)
         if np.max(np.abs(exponent.real)) > 1e-6:
             raise IntegrationBlowup("unit-modulus weight drifted off the "
                                     "circle")

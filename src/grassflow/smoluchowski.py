@@ -3,18 +3,20 @@
 Constant-kernel coagulation is solved through its scalar Laplace-space base
 flow; the general Smoluchowski-type equation through mass-space linear base
 PDEs followed by a Volterra projection p = g * q (a power-series quotient,
-the delta part of q handled analytically as the identity).  A direct
+the delta part of q handled analytically as the identity); its loss term
+takes m0 from the scalar Riccati in closed form.  A direct
 integro-differential RK4 integrator of the constant-kernel equation
 provides the cross-validation oracle.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Grid1D, central_in_t, march, quadrature_weights, rk4_step,
-                   uniform_steps)
-from .errors import BlowupAtTime, ConfigError, IntegrationBlowup
+from .core import (Grid1D, central_in_t, march, phi1, quadrature_weights,
+                   rk4_step, uniform_steps)
+from .errors import BlowupAtTime, ConfigError
 
 
 @dataclass
@@ -44,15 +46,6 @@ def exponential_density(grid: Grid1D, amplitude: float, rate: float) -> MassDens
 
 # ---------------------------------------------------------------------------
 # constant kernel K = 1
-
-
-def m0_constant_kernel(m00: float, t: float) -> float:
-    """m0(t) = m0(0) / (1 + t m0(0)/2) while the denominator is positive."""
-    denom = 1.0 + 0.5 * t * m00
-    if denom <= 0:
-        raise BlowupAtTime("closed-form m0 denominator crossed zero",
-                           det_value=denom, t=t)
-    return m00 / denom
 
 
 def constant_kernel_scalars(mu: float, t: float):
@@ -206,29 +199,30 @@ def _poly_ddx(poly, u: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def integrate_m0_riccati(coeffs: SmolCoefficients, m00: float, t: float,
-                         grid: Grid1D, steps: int = 1024) -> np.ndarray:
-    """RK4 track of m0' = (D0 - abar) m0 + (B0 - b0bar - 1) m0^2.
-
-    abar / b0bar are the [0, X] integrals of a and b0 (plus the delta
-    coefficient).  Returns m0 at the steps+1 equispaced times in [0, t].
-    """
+def m0_rates(coeffs: SmolCoefficients, grid: Grid1D):
+    """(lin, quad) of the preprocessing Riccati m0' = lin m0 + quad m0^2:
+    lin = D0 - abar and quad = B0 - b0bar - 1, where abar and b0bar are the
+    [0, X] integrals of a and b0 (plus the delta coefficient)."""
     w = quadrature_weights(grid)
     abar = float(np.sum(w * coeffs.a)) if coeffs.a is not None else 0.0
     b0bar = coeffs.b0_delta
     if coeffs.b0 is not None:
         b0bar += float(np.sum(w * coeffs.b0))
-    d0, b0c = coeffs.d_poly[0], coeffs.b_poly[0]
-    lin, quad = d0 - abar, b0c - b0bar - 1.0
-    dt = t / steps
-    rate = lambda s, m: lin * m + quad * m * m
-    try:
-        track = march(lambda i, m: rk4_step(rate, m, i * dt, dt), m00,
-                      steps, range(steps + 1))
-    except IntegrationBlowup as exc:
+    return coeffs.d_poly[0] - abar, coeffs.b_poly[0] - b0bar - 1.0
+
+
+def m0_closed_form(lin: float, quad: float, m00: float, t: float) -> float:
+    """m0(t) of m0' = lin m0 + quad m0^2 from m0(0) = m00: 1/m0 obeys a
+    linear ODE, so m0(t) = m00 e^{lin t} / (1 - quad m00 phi1(lin, t)) while
+    the denominator stays positive.  BlowupAtTime reports its pole
+    t* = log1p(lin / (quad m00)) / lin, or 1 / (quad m00) at lin = 0."""
+    denom = 1.0 - quad * m00 * float(phi1(lin, t))
+    if denom <= 0:
+        pole = 1.0 / (quad * m00) if lin == 0 \
+            else math.log1p(lin / (quad * m00)) / lin
         raise BlowupAtTime("m0 preprocessing Riccati blew up",
-                           t=exc.step * dt) from exc
-    return np.array(list(track.values()))
+                           det_value=denom, t=pole)
+    return m00 * math.exp(lin * t) / denom
 
 
 def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity, t: float,
@@ -237,19 +231,20 @@ def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity, t: float,
 
         dp/dt = d(dx) p [- m0(t) p],    dqhat/dt = a + a*qhat + b0*p
                                                    + b0_delta p - b(dx) p,
-        p = g * (delta + qhat).
+        p = g * (delta + qhat),
+
+    m0(t) read from :func:`m0_closed_form` at each RK4 stage time.
     """
     grid = g0.grid
     _check_uniform(grid)
     h = grid.spacing
     dt = t / steps
-    # m0 at every half step, so at each RK4 stage time
-    m0_track = (integrate_m0_riccati(coeffs, g0.m0, t, grid, steps=2 * steps)
-                if coeffs.include_loss else np.zeros(2 * steps + 1))
+    lin, quad = m0_rates(coeffs, grid)
+    m00 = g0.m0
 
     def rhs(s, state):
         p, qhat = state
-        m0 = m0_track[round(2 * s / dt)] if dt else m0_track[0]
+        m0 = m0_closed_form(lin, quad, m00, s) if coeffs.include_loss else 0.0
         dp = _poly_ddx(coeffs.d_poly, p, h) - m0 * p
         dq = coeffs.b0_delta * p - _poly_ddx(coeffs.b_poly, p, h)
         if coeffs.a is not None:

@@ -85,17 +85,15 @@ class BrownianSheetModes:
     """Per-mode Brownian increments, drawn once and shared by both schemes.
 
     ``increments[m, j]`` is the increment of mode k_j over the m-th of
-    ``resolution`` equal slices of [0, t_final]; each is a real Gaussian of
-    variance dt (the real compensator -(t/2) c^2 of the exact exponential
-    martingale matches the direct scheme's per-step geometric update only
-    for real per-mode noise).  Coarser schemes aggregate contiguous slices
-    so every consumer sees the same underlying path.
+    ``len(increments)`` equal slices of [0, t_final]; each is a real
+    Gaussian of variance dt (the real compensator -(t/2) c^2 of the exact
+    exponential martingale matches the direct scheme's per-step geometric
+    update only for real per-mode noise).  Coarser schemes aggregate
+    contiguous slices so every consumer sees the same underlying path.
     """
 
-    n_modes: int
     t_final: float
-    resolution: int
-    increments: np.ndarray = field(repr=False, default=None)
+    increments: np.ndarray = field(repr=False)
 
     @staticmethod
     def generate(seed: int, n_modes: int, t_final: float,
@@ -106,26 +104,25 @@ class BrownianSheetModes:
         stream = random_stream(seed, stream_id=1)
         flat = gaussian_increments(stream, resolution * n_modes, dt,
                                    complex_valued=False)
-        return BrownianSheetModes(n_modes=n_modes, t_final=t_final,
-                                  resolution=resolution,
+        return BrownianSheetModes(t_final=t_final,
                                   increments=flat.reshape(resolution, n_modes))
 
     def _slices(self, steps: int) -> int:
         """Slices per interval of ``steps`` equal intervals."""
-        if self.resolution % steps != 0:
+        if len(self.increments) % steps != 0:
             raise ConfigError("steps must divide the sheet resolution")
-        return self.resolution // steps
+        return len(self.increments) // steps
 
     def aggregated(self, steps: int) -> np.ndarray:
         """Increments over ``steps`` equal intervals."""
         g = self._slices(steps)
-        return self.increments.reshape(steps, g, self.n_modes).sum(axis=1)
+        return self.increments.reshape(steps, g, -1).sum(axis=1)
 
     def cumulative(self, steps: int) -> np.ndarray:
         """W at the steps + 1 boundaries of ``steps`` equal intervals (row 0
         is zero), read from the running sum of the slices."""
         g = self._slices(steps)
-        out = np.zeros((steps + 1, self.n_modes))
+        out = np.zeros((steps + 1, self.increments.shape[1]))
         out[1:] = np.cumsum(self.increments, axis=0)[g - 1::g]
         return out
 
@@ -154,8 +151,7 @@ def k0_mode_policy(params: SpdeParams, k: np.ndarray):
 
 
 def spde_direct_run(g0: Field2D, params: SpdeParams,
-                    sheet: BrownianSheetModes, steps: int,
-                    checkpoints=None):
+                    sheet: BrownianSheetModes, steps: int) -> Field2D:
     """Exponential-integrator time stepping in mode space.
 
     u <- exp(-dt L)(u + noise_coef dW u) - eps dt phi1(-dt L) (u o u),
@@ -176,10 +172,7 @@ def spde_direct_run(g0: Field2D, params: SpdeParams,
         return lin * stoch - eps_phi * composition_product(u, u)
 
     with one_blas_thread():
-        out = march(advance, g0.modes.copy(), steps, checkpoints)
-    if checkpoints is None:
-        return Field2D(out)
-    return {m: Field2D(u) for m, u in out.items()}
+        return Field2D(march(advance, g0.modes.copy(), steps))
 
 
 def _martingale_exponent(params: SpdeParams, k: np.ndarray, w: np.ndarray,

@@ -4,7 +4,8 @@ None of it runs in a pipeline: the generic, callable-driven Fredholm
 solver the KdV/NLS projections are checked against, with the left-endpoint
 weights its hand-solved systems are built on, the same projection
 one x at a time, the Nystrom solve on Gauss-Legendre nodes written out
-point by point, the graph G = P Q^{-1} of a base pair with the Riccati
+point by point, the first-order KdV split step that ETDRK4 is held to,
+the graph G = P Q^{-1} of a base pair with the Riccati
 subflow built on it and its RK4 oracle, the matrix-exponential base flow,
 the central first difference of the residual checks, the node-by-node
 Volterra loops with their long-double twin, the np.roll upwind loop, and
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from grassflow.core import (DenseSystem, Grid1D, dft_forward,
+from grassflow.core import (DenseSystem, Grid1D, dft_forward, march,
                             quadrature_weights, solve_dense)
-from grassflow.errors import BlowupAtTime, SingularSystem
+from grassflow.errors import BlowupAtTime, ConfigError, SingularSystem
 from grassflow.graphflows import CFL
 from grassflow.integrable import GAUSS_NODES, half_line_grid
 from grassflow.spde import (TWO_PI, Field2D, PoppeResult, exact_base_modes,
@@ -211,6 +212,37 @@ def nystrom_fredholm(samples, grid: Grid1D, m: int, quadratic=False):
         values.append(p(x) - np.sum(w * g * kmat[:m, m]))
         dets.append(np.linalg.det(a))
     return np.array(values), np.array(dets)
+
+
+# ---------------------------------------------------------------------------
+# the independent KdV oracle
+
+
+def split_step_kdv(u0, grid: Grid1D, dt: float, steps: int, checkpoints=None):
+    """First-order split step of u_t = u_xxx + 3 (u_x)^2:
+    v = exp(dt K^3) u;  u <- v + 3 dt F((F^-1 K v)^2),  K = 2 pi i k.
+
+    Real field on its rfft half-spectrum, K = 0 at an even grid's Nyquist
+    mode.  The spectrum is written out here, apart from etdrk4_kdv's, so
+    that a fault in either shows when the two are compared.  Returns the
+    final samples, or a dict {step: samples} when ``checkpoints`` (an
+    iterable of step indices) is given.
+    """
+    if dt <= 0:
+        raise ConfigError("dt must be positive")
+    n = grid.n
+    kmat = 2j * np.pi * np.fft.rfftfreq(n, d=grid.spacing)
+    if n % 2 == 0:
+        kmat[-1] = 0.0
+    e = np.exp(dt * kmat ** 3)
+
+    def advance(m, uhat):
+        v = e * uhat
+        ux = np.fft.irfft(kmat * v, n)
+        return v + dt * (3.0 * np.fft.rfft(ux * ux))
+
+    return march(advance, np.fft.rfft(np.asarray(u0, dtype=float)), steps,
+                 checkpoints, lambda v: np.fft.irfft(v, n))
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,17 @@ from grassflow.graphflows import (InitialProfile, inviscid_burgers_eval,
 from grassflow.integrable import (GAUSS_NODES, cubic_kdv_symbol, etdrk4_kdv,
                                   kdv_fredholm_solve, nls_fredholm_solve,
                                   propagate_dispersive, schrodinger_symbol,
-                                  split_step_kdv, split_step_nls)
+                                  split_step_nls)
 from grassflow.quotient import (EllipticCoefficients, QuotientCoefficients,
                                 elliptic_quotient_solve, quotient_residual,
                                 quotient_solve)
 from grassflow.smoluchowski import (constant_kernel_solve, direct_smol_oracle,
-                                    exponential_density, m0_constant_kernel)
+                                    exponential_density, m0_closed_form)
 from grassflow.spde import (BrownianSheetModes, SpdeParams,
                             sech_ridge_initial, spde_direct_run,
                             spde_poppe_run)
 from reference import (graph_solve, integrate_base_exact, read_columns,
-                       riccati_rk4, riccati_subflow)
+                       riccati_rk4, riccati_subflow, split_step_kdv)
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -234,7 +234,8 @@ def test_criterion_4_smoluchowski_constant_kernel():
     direct, times, m0s, m1s = direct_smol_oracle(g0, t, 1e-3,
                                                  track_moments=True)
     err_direct = float(np.max(np.abs(proj.values - direct.values)))
-    m0_expected = np.array([m0_constant_kernel(m0s[0], s) for s in times])
+    m0_expected = np.array([m0_closed_form(0.0, -0.5, m0s[0], s)
+                            for s in times])
     err_m0 = float(np.max(np.abs(m0s - m0_expected) / m0_expected))
     err_m1 = float(np.max(np.abs(m1s - m1s[0]) / abs(m1s[0])))
     ok = err_closed <= 1e-6 and err_direct <= 1e-3 \

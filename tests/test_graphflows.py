@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from grassflow import graphflows
 from grassflow.core import central_in_t
-from grassflow.errors import BlowupAtTime, ConfigError
+from grassflow.errors import BlowupAtTime
 from grassflow.graphflows import (FD_STEP, JACOBIAN_FLOOR, NEWTON_MAX_ITER,
                                   NEWTON_TOL, GraphField, InitialProfile,
-                                  _as_coeff, _bisect_scalar,
+                                  _bisect_scalar,
                                   _modified_profile, _solve_characteristic,
                                   fundamental_matrix, generalized_flow_eval,
                                   inviscid_burgers_eval, upwind_oracle)
@@ -244,6 +244,15 @@ def test_bisection_fallback_matches_newton(monkeypatch):
     assert np.max(np.abs(bisected - newton)) < 1e-10
 
 
+def test_bisection_grows_its_bracket(monkeypatch):
+    # a + 0.5 * 5 = 0 has its root at -2.5, outside the first bracket
+    # [-1, 1], so the bracket doubles twice before the bisection starts
+    monkeypatch.setattr(graphflows, "NEWTON_MAX_ITER", 0)
+    prof = InitialProfile(lambda a: np.full_like(a, 5.0))
+    a, flagged = label(0.0, 0.5, prof)
+    assert a == -2.5 and flagged == []
+
+
 def test_evaluator_calls_do_not_grow_with_nodes():
     counts = []
     for n in (64, 4096):
@@ -290,14 +299,6 @@ def test_generalized_flow_applies_inviscid_shock_rule(t):
     assert np.max(np.abs(gen.values[ok] - plain.values[ok])) < 1e-9
 
 
-def test_generalized_flow_rejects_modifier_with_coeffs():
-    # the modifier belongs to the inviscid model only
-    with pytest.raises(ConfigError):
-        generalized_flow_eval(PROBE, 0.5, NEG_TANH,
-                              coeffs=(None, np.array([[1.0]]), None, None),
-                              modifier=lambda u: 1.0 + u)
-
-
 def test_generalized_flow_with_decay_matches_closed_form():
     # q' = p, p' = -p: p(t) = e^{-t} pi0, q(t) = a + (1 - e^{-t}) pi0
     prof = InitialProfile(evaluator=lambda a: 0.5 * np.atleast_1d(a))
@@ -318,7 +319,7 @@ def generalized_residual(profile, coeffs, x_nodes, t, dt):
     pi, pt = central_in_t(
         lambda s: generalized_flow_eval(x, s, profile, coeffs=coeffs).values,
         t, dt)
-    A, B, C, D = (float(np.atleast_2d(_as_coeff(c, 1)(t))[0, 0])
+    A, B, C, D = (0.0 if c is None else float(np.ravel(c)[0])
                   for c in coeffs)
     res = pt + ddx(pi, x[1] - x[0]) * (A * x + B * pi) - (C * x + D * pi)
     return pi, float(np.max(np.abs(res[1:-1])))

@@ -13,10 +13,10 @@ from grassflow.integrable import (CHUNK_BYTES, GAUSS_NODES, _project_over_x,
                                   half_line_grid, kdv_fredholm_solve,
                                   nls_fredholm_solve, nls_gram,
                                   propagate_dispersive, schrodinger_symbol,
-                                  split_step_kdv, split_step_nls)
+                                  split_step_nls)
 from reference import (AdditiveKernelTrace, ddx, nystrom_fredholm,
                        one_x_hankel, project_one_x_at_a_time,
-                       solve_additive_fredholm)
+                       solve_additive_fredholm, split_step_kdv)
 
 RULES = ("trapezoid", "gauss-legendre")
 

@@ -23,8 +23,6 @@ SOURCES = sorted((ROOT / "src" / "grassflow").glob("*.py")) \
 WITHOUT_CALLER = {
     "generalized_flow_eval": "the paper's generalised graph flow; it shares "
                              "the characteristic solve with burgers",
-    "split_step_kdv": "the independent KdV reference oracle; it shares "
-                      "_kdv_spectrum with etdrk4_kdv",
 }
 
 
@@ -88,6 +86,7 @@ STALE_TARGETS = {
     "canonical.AdditiveKernelTrace.__call__", "integrable.additive_trace",
     "integrable.nls_assemble_qhat", "graphflows.invert_characteristic",
     "quotient.EllipticCoefficients.at", "spde.BrownianSheetModes.at_time",
+    "integrable.split_step_kdv",
 }
 
 

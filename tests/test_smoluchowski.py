@@ -14,7 +14,7 @@ from grassflow.smoluchowski import (MassDensity, SmolCoefficients,
                                     constant_kernel_solve, deconvolve,
                                     direct_smol_oracle, exponential_density,
                                     general_smol_residual, general_smol_solve,
-                                    integrate_m0_riccati, m0_constant_kernel,
+                                    m0_closed_form, m0_rates,
                                     pre_laplace_burgers_residual,
                                     pre_laplace_burgers_solve, riemann_conv,
                                     volterra_project)
@@ -31,13 +31,15 @@ def mass_grid(upper, n):
 
 
 def test_m0_closed_form():
-    assert m0_constant_kernel(1.0, 0.0) == pytest.approx(1.0)
-    assert m0_constant_kernel(1.0, 2.0) == pytest.approx(0.5)
+    # the constant kernel: m0' = -m0^2 / 2, m0(t) = m0(0) / (1 + t m0(0)/2)
+    assert m0_closed_form(0.0, -0.5, 1.0, 0.0) == pytest.approx(1.0)
+    assert m0_closed_form(0.0, -0.5, 1.0, 2.0) == pytest.approx(0.5)
     # a negative initial mass is finite while 1 + t m0(0)/2 > 0
-    assert m0_constant_kernel(-1.0, 1.0) == -2.0
+    assert m0_closed_form(0.0, -0.5, -1.0, 1.0) == -2.0
     with pytest.raises(BlowupAtTime) as exc:
-        m0_constant_kernel(1.0, -4.0)
+        m0_closed_form(0.0, -0.5, 1.0, -4.0)
     assert exc.value.det_value == -1.0
+    assert exc.value.t == -2.0
 
 
 def test_scalar_base_flow_values():
@@ -112,7 +114,7 @@ def test_moments_track_conservation_laws():
     _, times, m0s, m1s = direct_smol_oracle(g0, 2.0, 1e-3,
                                             track_moments=True)
     # m0 follows the closed form; m1 (total mass) is conserved
-    expected = np.array([m0_constant_kernel(m0s[0], s) for s in times])
+    expected = np.array([m0_closed_form(0.0, -0.5, m0s[0], s) for s in times])
     assert np.max(np.abs(m0s - expected)) < 1e-3
     assert np.max(np.abs(m1s - m1s[0])) < 1e-3 * abs(m1s[0])
 
@@ -249,10 +251,37 @@ def test_poly_ddx_matches_dense_derivative_matrix():
 
 
 def test_m0_riccati_matches_closed_form():
-    g = mass_grid(60.0, 128)
-    coeffs = SmolCoefficients(b0_delta=-0.5, include_loss=True)
-    track = integrate_m0_riccati(coeffs, 1.0, 2.0, g)
-    assert track[-1] == pytest.approx(m0_constant_kernel(1.0, 2.0), abs=1e-10)
+    # lin != 0, and a, b0, the delta gain and B0 all enter the rates; the
+    # RK4 loop converges to the closed form at fourth order
+    g = mass_grid(20.0, 201)
+    x = g.nodes
+    a, b0 = 0.2 * np.exp(-x), -0.1 * np.exp(-0.5 * x)
+    coeffs = SmolCoefficients(d_poly=(0.3,), b_poly=(0.1,), a=a, b0=b0,
+                              b0_delta=-0.4, include_loss=True)
+    lin, quad = m0_rates(coeffs, g)
+    assert lin == pytest.approx(0.3 - np.trapezoid(a, x), abs=1e-15)
+    assert quad == pytest.approx(0.1 + 0.4 - np.trapezoid(b0, x) - 1.0,
+                                 abs=1e-15)
+    exact = m0_closed_form(lin, quad, 1.5, 2.0)
+    errs = [abs(_m0_riccati_loop(lin, quad, 1.5, 2.0, steps) - exact)
+            for steps in (8, 16, 32)]
+    # measured 15.9 and 16.0
+    assert errs[0] / errs[1] > 14 and errs[1] / errs[2] > 14
+
+
+def test_m0_riccati_blowup_with_growth_reports_its_pole():
+    # lin = -0.2, quad = 1: 1/m0 reaches 0 at e^{-t/5} = 1 - 1/(5 m0(0))
+    g = mass_grid(10.0, 64)
+    g0 = exponential_density(g, 2.0, 1.0)
+    coeffs = SmolCoefficients(d_poly=(-0.2,), b0_delta=-2.0,
+                              include_loss=True)
+    lin, quad = m0_rates(coeffs, g)
+    assert (lin, quad) == (-0.2, 1.0)
+    pole = -5.0 * np.log(1.0 - 1.0 / (5.0 * g0.m0))
+    with pytest.raises(BlowupAtTime, match="m0 preprocessing Riccati") as exc:
+        general_smol_solve(coeffs, g0, 1.0, steps=64)
+    assert abs(exc.value.t - pole) <= 1e-12
+    assert np.isfinite(m0_closed_form(lin, quad, g0.m0, pole * (1 - 1e-9)))
 
 
 def test_general_residual_shrinks_under_simultaneous_refinement():
@@ -286,15 +315,14 @@ def test_general_solver_with_sampled_interaction_terms():
 
 
 def _m0_riccati_loop(lin, quad, m00, t, steps):
-    """The reference: integrate_m0_riccati's own loop before it went
-    through core.march."""
+    """The reference: the RK4 loop that stepped the m0 Riccati to t before
+    its closed form."""
     dt = t / steps
-    track = np.empty(steps + 1)
-    track[0] = m00
     rate = lambda s, m: lin * m + quad * m * m
+    m0 = m00
     for i in range(steps):
-        track[i + 1] = rk4_step(rate, track[i], i * dt, dt)
-    return track
+        m0 = rk4_step(rate, m0, i * dt, dt)
+    return m0
 
 
 def _general_smol_loop(coeffs, g0, t, steps):
@@ -303,12 +331,11 @@ def _general_smol_loop(coeffs, g0, t, steps):
     loss term, as in the constant-kernel preset."""
     grid, h, dt = g0.grid, g0.grid.spacing, t / steps
     # d0 = abar = b0c = 0, so lin = 0 and quad = -b0_delta - 1
-    m0_track = _m0_riccati_loop(0.0, -coeffs.b0_delta - 1.0, g0.m0, t,
-                                2 * steps)
+    quad = -coeffs.b0_delta - 1.0
 
     def rhs(s, state):
         p, qhat = state
-        m0 = m0_track[round(2 * s / dt)]
+        m0 = m0_closed_form(0.0, quad, g0.m0, s)
         dp = _poly_ddx(coeffs.d_poly, p, h) - m0 * p
         dq = coeffs.b0_delta * p - _poly_ddx(coeffs.b_poly, p, h)
         return np.array([dp, dq])
@@ -325,8 +352,6 @@ def test_general_solver_equals_its_loop_bitwise():
     coeffs = SmolCoefficients(b0_delta=-0.5, include_loss=True)
     out = general_smol_solve(coeffs, g0, 0.7, steps=96)
     assert np.array_equal(out.values, _general_smol_loop(coeffs, g0, 0.7, 96))
-    assert np.array_equal(integrate_m0_riccati(coeffs, 1.3, 0.7, g, 96),
-                          _m0_riccati_loop(0.0, -0.5, 1.3, 0.7, 96))
 
 
 def test_m0_riccati_blowup_reports_its_time():
@@ -334,8 +359,8 @@ def test_m0_riccati_blowup_reports_its_time():
     g = mass_grid(10.0, 32)
     coeffs = SmolCoefficients(b0_delta=-0.5, include_loss=True)
     with pytest.raises(BlowupAtTime) as exc:
-        integrate_m0_riccati(coeffs, -4.0, 1.0, g, 1024)
-    assert 0.5 <= exc.value.t < 0.55
+        m0_closed_form(*m0_rates(coeffs, g), -4.0, 1.0)
+    assert exc.value.t == 0.5
 
 
 # ---------------------------------------------------------------------------
