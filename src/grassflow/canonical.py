@@ -4,15 +4,14 @@ The canonical linear system
 
     Qdot = A Q + B P,     Pdot = C Q + D P,     P = G Q
 
-is integrated here at matrix scale, and the Riccati defect of its graph
-G is measured.
+has its coefficient blocks here, and the Riccati defect of its graph G
+is measured.  Each pipeline evolves its own base flow in closed form.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import march, rk4_step
 from .errors import ConfigError
 
 
@@ -30,18 +29,6 @@ class CanonicalCoefficients:
         for m in (self.A, self.B, self.C, self.D):
             if not np.all(np.isfinite(np.asarray(m, dtype=complex))):
                 raise ConfigError("coefficient blocks must be finite")
-
-
-def linear_flow(generator, y0, s0: float, ds: float, steps: int) -> np.ndarray:
-    """RK4 trajectory, shape (steps + 1, *y0.shape), of the linear flow
-    y' = generator(s) y from y0 at s0 in steps of ds, marched by
-    core.march, which raises IntegrationBlowup on a non-finite state."""
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
-    rhs = lambda s, y: generator(s) @ y
-    ys = march(lambda m, y: rk4_step(rhs, y, s0 + m * ds, ds),
-               np.asarray(y0), steps, range(steps + 1))
-    return np.stack(list(ys.values()))
 
 
 def riccati_residual(coeffs: CanonicalCoefficients, g_samples, dt: float) -> float:

@@ -1,5 +1,5 @@
 """Grids, quadrature, dense solves, the BLAS thread policy, DFT contract,
-time stepping and RNG streams.
+time stepping, closed-form 2x2 exponentials and RNG streams.
 
 Everything here is deterministic and pure given its inputs; a random stream
 is the one stateful object and is reproducible from (seed, stream_id) alone.
@@ -310,6 +310,32 @@ def phi1(d, t=1.0):
     d = np.asarray(d)
     nonzero = d != 0
     return np.where(nonzero, np.expm1(d * t) / np.where(nonzero, d, 1), t)
+
+
+def expm_2x2(omega):
+    """e^Omega for each real 2x2 matrix of a stack (..., 2, 2), in closed
+    form.  With s = tr/2 and M = Omega - s I, M^2 = delta^2 I for
+    delta^2 = -det M, so e^Omega = e^s (cosh delta I + sinh(delta)/delta M):
+    cos and sin of |delta| where delta^2 < 0, and sinh(delta)/delta = 1 at
+    delta = 0.  Where delta > 1 the same matrix is taken as
+    e^{s + delta} P + e^{s - delta} (I - P), P = (I + M/delta)/2, which
+    keeps the smaller exponential from cancelling in the larger one (and
+    e^s cosh delta from reading 0 inf).  Entries past the float range come
+    out non-finite."""
+    omega = np.asarray(omega, dtype=float)
+    s = 0.5 * np.trace(omega, axis1=-2, axis2=-1)[..., None, None]
+    m = omega - s * np.eye(2)
+    delta2 = (m[..., 0, 0] ** 2 + m[..., 0, 1] * m[..., 1, 0])[..., None, None]
+    delta = np.sqrt(np.abs(delta2))
+    split = delta2 > 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        even = np.where(delta2 < 0, np.cos(delta), np.cosh(delta))
+        odd = np.where(delta2 < 0, np.sin(delta), np.sinh(delta))
+        odd = np.where(delta > 0, odd / np.where(delta > 0, delta, 1.0), 1.0)
+        upper = 0.5 * (np.eye(2) + m / np.where(split, delta, 1.0))
+        return np.where(split, np.exp(s + delta) * upper
+                        + np.exp(s - delta) * (np.eye(2) - upper),
+                        np.exp(s) * (even * np.eye(2) + odd * m))
 
 
 # march checks its state every CHECK_EVERY steps and at the last step; a

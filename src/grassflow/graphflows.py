@@ -4,22 +4,21 @@ Inviscid Burgers and its generalisations are solved by inverting the
 characteristic map q(a, t) = a + t * pi0(a) (one Newton over every node
 at once, with a per-node bisection fallback) and reading the momentum off
 the initial profile.  The generalised graph flow reduces its linear base
-pair to a fundamental matrix and shares that inversion; a first-order
-upwind integrator is the direct oracle.
+pair to its fundamental matrix, a closed-form 2x2 exponential, and shares
+that inversion; a first-order upwind integrator is the direct oracle.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import linear_flow
+from .core import expm_2x2
 from .errors import NewtonDivergence
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 JACOBIAN_FLOOR = 1e-8
 FD_STEP = 1e-6
-FLOW_STEPS = 256  # RK4 steps of fundamental_matrix over [0, t]
 CFL = 0.4  # Courant number of upwind_oracle's adaptive step
 
 
@@ -143,14 +142,12 @@ def inviscid_burgers_eval(x_nodes, t: float, profile: InitialProfile,
 # generalised first-order models
 
 
-def fundamental_matrix(coeffs, t: float, n: int) -> np.ndarray:
-    """Phi(t) of d/ds [q; p] = [[A, B], [C, D]] [q; p] for constant (n, n)
-    blocks, None for a zero block, by FLOW_STEPS of RK4."""
-    blocks = [np.zeros((n, n)) if c is None
-              else np.atleast_2d(np.asarray(c, dtype=float)) for c in coeffs]
-    generator = np.block([blocks[:2], blocks[2:]])
-    return linear_flow(lambda s: generator, np.eye(2 * n), 0.0,
-                       t / FLOW_STEPS, FLOW_STEPS)[-1]
+def fundamental_matrix(coeffs, t: float) -> np.ndarray:
+    """Phi(t) = e^{tG} of d/ds [q; p] = G [q; p], G = [[A, B], [C, D]] for
+    constant scalars (None for zero), in closed form."""
+    generator = [0.0 if c is None else np.asarray(c, dtype=float).item()
+                 for c in coeffs]
+    return expm_2x2(t * np.reshape(generator, (2, 2)))
 
 
 def generalized_flow_eval(x_nodes, t: float, profile: InitialProfile,
@@ -165,7 +162,7 @@ def generalized_flow_eval(x_nodes, t: float, profile: InitialProfile,
     Phi_qq + Phi_qp pi0'(a), under the same shock rule.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
-    (qq, qp), (pq, pp) = fundamental_matrix(coeffs, t, 1)
+    (qq, qp), (pq, pp) = fundamental_matrix(coeffs, t)
     a, shock, flagged = _solve_characteristic(x_nodes, qq, qp, profile)
     values = np.where(shock, np.nan, pq * a + pp * profile(a))
     return GraphField(values=values, flagged=flagged)

@@ -5,17 +5,18 @@ admits explicit solutions: p evolves by the linear symbol in x alone, q is
 a scalar weight per y-node accumulated from p, and g = p / q.  The
 odd-degree variant, dg/dt = D_x g - g F(|gbar|^2), replaces the q equation
 by a purely imaginary phase flow, so |q| = 1 along the run.  The elliptic
-construction integrates the first-order linear pair q' = aq + bp,
-p' = cq + dp and projects g = p / q.
+construction evolves the first-order linear pair q' = aq + bp,
+p' = cq + dp by one closed-form 2x2 exponential per interval and
+projects g = p / q.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalCoefficients, linear_flow, riccati_residual
+from .canonical import CanonicalCoefficients, riccati_residual
 from .core import (Grid1D, central_in_t, dft_forward, dft_frequencies,
-                   dft_inverse, phi1)
+                   dft_inverse, expm_2x2, phi1)
 from .errors import (BlowupAtTime, ChartBreakdown, ConfigError,
                      IntegrationBlowup, SymbolError)
 
@@ -160,25 +161,39 @@ class EllipticSolution:
 
 def elliptic_quotient_solve(coeffs: EllipticCoefficients, q0: float,
                             p0: float) -> EllipticSolution:
-    """Integrate q' = aq + bp, p' = cq + dp by RK4 and project g = p/q.
+    """Evolve q' = aq + bp, p' = cq + dp exactly between nodes and project
+    g = p/q.
 
-    The coefficients are linear between nodes, so RK4 reads them at the
-    nodes and at the midpoint averages.  The reported residual is the
-    interior sup-norm defect of the projected Riccati equation
+    The coefficients are linear between nodes, so the two-point Gauss
+    Magnus step over [x_i, x_i + h] reads
+    Omega_i = h (A_i + A_{i+1}) / 2 + h^2 [A_{i+1}, A_i] / 12 in the node
+    blocks A_i = [[a, b], [c, d]]: fourth order in h, and exact for
+    constant coefficients.  The propagators e^{Omega_i} are chained by a
+    log-depth prefix product.  The reported residual is the interior
+    sup-norm defect of the projected Riccati equation
     g' = c + dg - ga - gbg under central differences.
     """
     grid = coeffs.grid
     h = grid.spacing
     nodes = grid.nodes
     abcd = (coeffs.a, coeffs.b, coeffs.c, coeffs.d)
-    # [[a, b], [c, d]] at x_0 + k h / 2, block k
-    half = np.empty((2 * grid.n - 1, 4))
-    half[::2] = np.column_stack(abcd)
-    half[1::2] = 0.5 * (half[:-2:2] + half[2::2])
-    blocks = half.reshape(-1, 2, 2)
-    q, p = linear_flow(lambda x: blocks[round(2 * (x - grid.lower) / h)],
-                       np.array([q0, p0], dtype=float), grid.lower, h,
-                       grid.n - 1).T
+    blocks = np.column_stack(abcd).reshape(-1, 2, 2)
+    left, right = blocks[:-1], blocks[1:]
+    prefix = expm_2x2(0.5 * h * (left + right)
+                      + h * h / 12 * (right @ left - left @ right))
+    # Hillis-Steele scan: prefix[k] becomes e^{Omega_k} ... e^{Omega_0}
+    shift = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while shift < len(prefix):
+            prefix[shift:] = prefix[shift:] @ prefix[:-shift]
+            shift *= 2
+        y0 = np.array([q0, p0], dtype=float)
+        states = np.vstack((y0, prefix @ y0))
+    blowup = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if blowup.size:
+        raise IntegrationBlowup(f"state non-finite at node {blowup[0]}",
+                                step=int(blowup[0]))
+    q, p = states.T
     crossings = np.nonzero(q[:-1] * q[1:] <= 0)[0]
     if crossings.size or np.min(np.abs(q)) < 1e-10:
         idx = int(crossings[0]) if crossings.size \

@@ -4,7 +4,8 @@ Constant-kernel coagulation is solved through its scalar Laplace-space base
 flow; the general Smoluchowski-type equation through mass-space linear base
 PDEs followed by a Volterra projection p = g * q (a power-series quotient,
 the delta part of q handled analytically as the identity); its loss term
-takes m0 from the scalar Riccati in closed form.  A direct
+takes m0 from the scalar Riccati in closed form, and with constant
+coefficients the base pair is a closed form too.  A direct
 integro-differential RK4 integrator of the constant-kernel equation
 provides the cross-validation oracle.
 """
@@ -225,26 +226,52 @@ def m0_closed_form(lin: float, quad: float, m00: float, t: float) -> float:
     return m00 * math.exp(lin * t) / denom
 
 
+def _base_pair_scalars(lin: float, quad: float, m00: float, t: float):
+    """(alpha(t), int_0^t alpha) for alpha' = (lin - m0) alpha, alpha(0) = 1,
+    m0 from :func:`m0_closed_form`.  As int m0 = -log(den) / quad for its
+    denominator den, alpha = e^{lin t} den^{1/quad} and int alpha =
+    (1 - den^{1 + 1/quad}) / ((1 + quad) m00), written through phi1 so
+    that quad = -1 is its limit.  At quad = 0 (or m00 = 0) m0 is
+    m00 e^{lin s}, and alpha = e^{lin t - m00 phi1(lin, t)}."""
+    phi = float(phi1(lin, t))
+    if quad == 0 or m00 == 0:
+        return math.exp(lin * t - m00 * phi), float(phi1(-m00, phi))
+    m0_closed_form(lin, quad, m00, t)  # BlowupAtTime past m0's pole
+    log_den = math.log1p(-quad * m00 * phi)
+    return (math.exp(lin * t + log_den / quad),
+            -float(phi1(1.0 + 1.0 / quad, log_den)) / (quad * m00))
+
+
 def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity, t: float,
                        steps: int = 512) -> MassDensity:
-    """Integrate the linear base pair in mass space, then Volterra-project.
+    """Solve the linear base pair in mass space, then Volterra-project.
 
         dp/dt = d(dx) p [- m0(t) p],    dqhat/dt = a + a*qhat + b0*p
                                                    + b0_delta p - b(dx) p,
         p = g * (delta + qhat),
 
-    m0(t) read from :func:`m0_closed_form` at each RK4 stage time.
+    with m0(t) from :func:`m0_closed_form`.  Without ``a`` and ``b0``, and
+    with d constant (so b is too, deg b < deg d), the pair is
+    p = alpha p0, qhat = (b0_delta - b) (int alpha) p0 in closed form.
+    Otherwise ``steps`` RK4 steps march it, reading m0 at each stage time.
     """
     grid = g0.grid
     _check_uniform(grid)
     h = grid.spacing
-    dt = t / steps
     lin, quad = m0_rates(coeffs, grid)
-    m00 = g0.m0
+    m00 = g0.m0 if coeffs.include_loss else 0.0
+    p0 = g0.values.astype(float)
+    if coeffs.a is None and coeffs.b0 is None \
+            and coeffs._degree(coeffs.d_poly) == 0:
+        alpha, integral = _base_pair_scalars(lin, quad, m00, t)
+        gain = coeffs.b0_delta - coeffs.b_poly[0]
+        return MassDensity(grid=grid, values=volterra_project(
+            alpha * p0, gain * integral * p0, grid))
+    dt = t / steps
 
     def rhs(s, state):
         p, qhat = state
-        m0 = m0_closed_form(lin, quad, m00, s) if coeffs.include_loss else 0.0
+        m0 = m0_closed_form(lin, quad, m00, s)
         dp = _poly_ddx(coeffs.d_poly, p, h) - m0 * p
         dq = coeffs.b0_delta * p - _poly_ddx(coeffs.b_poly, p, h)
         if coeffs.a is not None:
@@ -253,7 +280,7 @@ def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity, t: float,
             dq = dq + riemann_conv(coeffs.b0, p, h)
         return np.array([dp, dq])
 
-    state = np.array([g0.values.astype(float), np.zeros(grid.n)])
+    state = np.array([p0, np.zeros(grid.n)])
     p, qhat = march(lambda m, y: rk4_step(rhs, y, m * dt, dt), state, steps)
     g = volterra_project(p, qhat, grid)
     return MassDensity(grid=grid, values=g)

@@ -5,8 +5,9 @@ solver the KdV/NLS projections are checked against, with the left-endpoint
 weights its hand-solved systems are built on, the same projection
 one x at a time, the Nystrom solve on Gauss-Legendre nodes written out
 point by point, the first-order KdV split step that ETDRK4 is held to,
-the graph G = P Q^{-1} of a base pair with the Riccati
-subflow built on it and its RK4 oracle, the matrix-exponential base flow,
+the RK4 march of a linear flow, the graph G = P Q^{-1} of a base pair
+with the Riccati subflow built on it and its RK4 oracle, the
+matrix-exponential base flow,
 the central first difference of the residual checks, the node-by-node
 Volterra loops with their long-double twin, the np.roll upwind loop, and
 the spde Poppe accumulation panel by panel; and the reader of the CLI's
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from grassflow.core import (DenseSystem, Grid1D, dft_forward, march,
-                            quadrature_weights, solve_dense)
+                            quadrature_weights, rk4_step, solve_dense)
 from grassflow.errors import BlowupAtTime, ConfigError, SingularSystem
 from grassflow.graphflows import CFL
 from grassflow.integrable import GAUSS_NODES, half_line_grid
@@ -247,6 +248,18 @@ def split_step_kdv(u0, grid: Grid1D, dt: float, steps: int, checkpoints=None):
 
 # ---------------------------------------------------------------------------
 # the Grassmannian step at matrix scale
+
+
+def linear_flow(generator, y0, s0: float, ds: float, steps: int) -> np.ndarray:
+    """RK4 trajectory, shape (steps + 1, *y0.shape), of the linear flow
+    y' = generator(s) y from y0 at s0 in steps of ds, marched by
+    core.march, which raises IntegrationBlowup on a non-finite state."""
+    if steps < 1:
+        raise ConfigError("steps must be >= 1")
+    rhs = lambda s, y: generator(s) @ y
+    ys = march(lambda m, y: rk4_step(rhs, y, s0 + m * ds, ds),
+               np.asarray(y0), steps, range(steps + 1))
+    return np.stack(list(ys.values()))
 
 
 def integrate_base_exact(coeffs, q, p, t: float):

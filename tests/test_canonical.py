@@ -3,18 +3,16 @@ Fredholm solver and product rule on additive traces."""
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from grassflow import core
-from grassflow.canonical import (CanonicalCoefficients, linear_flow,
-                                 riccati_residual)
+from grassflow.canonical import CanonicalCoefficients, riccati_residual
 from grassflow.core import Grid1D, quadrature_weights, rk4_step
 from grassflow.errors import (ChartBreakdown, ConfigError, IntegrationBlowup,
                              SingularSystem)
 from reference import (AdditiveKernelTrace, graph_solve,
                        integrate_base_exact, left_endpoint_weights,
-                       riccati_subflow, solve_additive_fredholm)
+                       linear_flow, riccati_subflow, solve_additive_fredholm)
 
 
 def random_coeffs(rng, n):
@@ -129,16 +127,20 @@ def test_riccati_projection_factorises_once(monkeypatch, project):
     def forbidden(*args, **kwargs):
         raise AssertionError("second factorisation")
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", forbidden)
     monkeypatch.setattr(np.linalg, "det", forbidden)
     monkeypatch.setattr(np.linalg, "solve", forbidden)
     binding = core._openblas_getrf_getrs
     if binding("d") is not None:
+        # src/ imports scipy only in core._scipy_lu_solve (test_layout),
+        # so this path cannot reach scipy's lu_factor
         monkeypatch.setattr(core, "_openblas_getrf_getrs", lambda kind: (
             counted(binding(kind)[0]), binding(kind)[1]))
         project()
         assert len(calls) == 1
         calls.clear()
+    import scipy.linalg
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", forbidden)
     get_lapack_funcs = scipy.linalg.get_lapack_funcs
     monkeypatch.setattr(core, "_openblas_getrf_getrs", lambda kind: None)
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda *a, **k: [

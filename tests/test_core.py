@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from grassflow import core
 from grassflow.core import (Grid1D, DenseSystem, central_in_t,
                             dft_forward, dft_frequencies, dft_inverse,
-                            gaussian_increments, march, one_blas_thread, phi1,
+                            expm_2x2, gaussian_increments, march,
+                            one_blas_thread, phi1,
                             quadrature_weights, random_stream, rk4_step,
                             solve_dense)
 from grassflow.errors import ConfigError, IntegrationBlowup, SingularSystem
@@ -328,6 +329,34 @@ def test_phi1_gives_the_growth_factor_to_round_off(z):
     assert np.max(rel) <= 1e-15
     assert np.array_equal(phi1(np.array([0.0, 0j]), t), [t, t])
     assert np.array_equal(phi1(np.array([0.0, 0j])), [1.0, 1.0])
+
+
+def test_expm_2x2_takes_each_branch_in_closed_form():
+    # a rotation (delta^2 < 0), a shear (delta = 0) and a boost
+    # (delta^2 > 0), each shifted by 0.5 I, two stiff cases, then a random
+    # stack against scipy's Pade exponential (measured 5.3e-14 of each
+    # matrix's largest entry, most of it scipy's)
+    from scipy.linalg import expm
+
+    c, s = np.cos(0.7), np.sin(0.7)
+    ch, sh = np.cosh(0.7), np.sinh(0.7)
+    omega = np.array([[[0.5, 0.7], [-0.7, 0.5]], [[0.5, 0.7], [0.0, 0.5]],
+                      [[0.5, 0.7], [0.7, 0.5]]])
+    exact = np.exp(0.5) * np.array([[[c, s], [-s, c]],
+                                    [[1.0, 0.7], [0.0, 1.0]],
+                                    [[ch, sh], [sh, ch]]])
+    assert np.max(np.abs(expm_2x2(omega) - exact)) <= 1e-15
+    # stiff: e^{-1600} underflows, and e^{40} must not swamp the 1 beside it
+    stiff = expm_2x2(np.array([[[40.0, 0.0], [0.0, 0.0]],
+                               [[-1600.0, 1.0], [0.0, 0.0]]]))
+    exact = np.array([[[np.exp(40.0), 0.0], [0.0, 1.0]],
+                      [[0.0, 1.0 / 1600.0], [0.0, 1.0]]])
+    assert np.allclose(stiff, exact, rtol=1e-15, atol=0.0)
+    omega = np.random.default_rng(7).standard_normal((4, 50, 2, 2))
+    exact = np.array([expm(w) for w in omega.reshape(-1, 2, 2)])
+    gap = np.abs(expm_2x2(omega).reshape(-1, 2, 2) - exact)
+    assert np.max(gap.max(axis=(1, 2)) / np.abs(exact).max(axis=(1, 2))) \
+        <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,7 @@ def test_evaluator_calls_do_not_grow_with_nodes():
 
 def test_fundamental_matrix_of_constant_system():
     # A=0, B=1, C=0, D=0: Phi = [[1, t], [0, 1]]
-    phi = fundamental_matrix((None, np.array([[1.0]]), None, None), 2.0, 1)
+    phi = fundamental_matrix((None, np.array([[1.0]]), None, None), 2.0)
     assert np.allclose(phi, [[1.0, 2.0], [0.0, 1.0]], atol=1e-12)
 
 

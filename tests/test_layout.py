@@ -1,5 +1,6 @@
 """The package keeps only what its pipelines run, imports scipy in one
-place, and the benchmark's tracer still finds what it times.
+place, steps no linear base flow by RK4, and the benchmark's tracer still
+finds what it times.
 
 Every public top-level function and class of ``src/grassflow`` and
 ``scripts`` must be named somewhere in those two trees outside its own
@@ -54,29 +55,54 @@ def test_every_public_name_has_a_caller():
                              for name in WITHOUT_CALLER)
 
 
-def _scipy_imports(node, scope):
-    """The dotted scope of each import of scipy under ``node``."""
+def _scopes(node, scope, hit):
+    """The dotted scope of each statement or expression under ``node`` for
+    which ``hit`` holds."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield from _scipy_imports(child, f"{scope}.{child.name}")
-        elif isinstance(child, (ast.Import, ast.ImportFrom)):
-            # an ImportFrom's module, or an Import's names
-            modules = [getattr(child, "module", None) or alias.name
-                       for alias in child.names]
-            if any(m.partition(".")[0] == "scipy" for m in modules):
-                yield scope
+            yield from _scopes(child, f"{scope}.{child.name}", hit)
+        elif hit(child):
+            yield scope
         else:
-            yield from _scipy_imports(child, scope)
+            yield from _scopes(child, scope, hit)
+
+
+def _package_scopes(hit):
+    return [scope for path in sorted((ROOT / "src" / "grassflow")
+                                     .glob("*.py"))
+            for scope in _scopes(ast.parse(path.read_text()), path.stem, hit)]
+
+
+def _imports_scipy(node):
+    if not isinstance(node, (ast.Import, ast.ImportFrom)):
+        return False
+    # an ImportFrom's module, or an Import's names
+    modules = [getattr(node, "module", None) or alias.name
+               for alias in node.names]
+    return any(m.partition(".")[0] == "scipy" for m in modules)
 
 
 def test_only_the_dense_fallback_imports_scipy():
     # scipy.linalg adds about 20 MB to a run's resident memory; a lazy
     # import on a path that no run test reaches would bring it back
-    found = [scope for path in sorted((ROOT / "src" / "grassflow")
-                                      .glob("*.py"))
-             for scope in _scipy_imports(ast.parse(path.read_text()),
-                                         path.stem)]
-    assert found == ["core._scipy_lu_solve"]
+    assert _package_scopes(_imports_scipy) == ["core._scipy_lu_solve"]
+
+
+def test_linear_base_flows_are_not_stepped():
+    # each pipeline evolves its linear base flow exactly: the RK4 march of
+    # a linear flow is test reference code, and rk4_step serves only the
+    # coagulation oracle and the general solver's a/b0 path
+    def refers_to(name, *kinds):
+        return lambda node: isinstance(node, kinds) \
+            and name in set(_names(node))
+
+    assert _package_scopes(refers_to("linear_flow", ast.Name, ast.Attribute,
+                                     ast.alias)) == []
+    # the import of rk4_step aside
+    assert set(_package_scopes(refers_to("rk4_step", ast.Name,
+                                         ast.Attribute))) \
+        == {"smoluchowski.direct_smol_oracle",
+            "smoluchowski.general_smol_solve"}
 
 
 # tracer targets already gone from the package; the tracer skips them and

@@ -10,6 +10,7 @@ from grassflow.errors import (BlowupAtTime, ChartBreakdown, ConfigError,
 from grassflow.quotient import (PHASE_STEPS, EllipticCoefficients,
                                 QuotientCoefficients, elliptic_quotient_solve,
                                 quotient_residual, quotient_solve)
+from reference import linear_flow
 
 
 def periodic_grid(l, n):
@@ -211,30 +212,42 @@ def test_elliptic_residual_at_least_second_order():
 
 
 def test_elliptic_varying_coefficients_match_interpolating_rk4():
-    # reference: classical RK4 with the coefficients linearly interpolated
-    # at every stage point
-    g = closed_unit_grid(65)
-    x, h = g.nodes, g.spacing
-    a, b, c, d = 0.3 * x, 1.0 + x ** 2, np.sin(3.0 * x), -0.2 * np.cos(x)
-    sol = elliptic_quotient_solve(EllipticCoefficients(g, a, b, c, d),
-                                  1.0, 0.2)
+    # reference: RK4 of the same ODE, its coefficients linearly
+    # interpolated, with 64 steps per interval; the Magnus step is fourth
+    # order (measured 7.7e-8, 4.8e-9, 3.0e-10, 1.9e-11 at n = 33..257)
+    def gap(n, substeps=64):
+        g = closed_unit_grid(n)
+        x, h = g.nodes, g.spacing
+        abcd = 0.3 * x, 1.0 + x ** 2, np.sin(3.0 * x), -0.2 * np.cos(x)
+        sol = elliptic_quotient_solve(EllipticCoefficients(g, *abcd),
+                                      1.0, 0.2)
+        # the blocks at every half step, read by the stage point's index
+        half = np.linspace(0.0, 1.0, 2 * substeps * (n - 1) + 1)
+        blocks = np.stack([np.interp(half, x, v) for v in abcd],
+                          axis=1).reshape(-1, 2, 2)
+        ds = h / substeps
+        ref = linear_flow(lambda s: blocks[round(2 * s / ds)],
+                          np.array([1.0, 0.2]), 0.0, ds,
+                          substeps * (n - 1))[::substeps]
+        return max(np.max(np.abs(sol.q - ref[:, 0])),
+                   np.max(np.abs(sol.p - ref[:, 1])))
 
-    def rhs(s, y):
-        aa, bb, cc, dd = (np.interp(s, x, arr) for arr in (a, b, c, d))
-        return np.array([aa * y[0] + bb * y[1], cc * y[0] + dd * y[1]])
+    gaps = [gap(n) for n in (33, 65, 129, 257)]
+    assert gaps[1] <= 5e-9
+    assert all(coarse / fine >= 15 for coarse, fine in zip(gaps, gaps[1:]))
 
-    y = np.array([1.0, 0.2])
-    ref = [y]
-    for i in range(g.n - 1):
-        k1 = rhs(x[i], y)
-        k2 = rhs(x[i] + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(x[i] + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(x[i] + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ref.append(y)
-    ref = np.array(ref)
-    assert np.max(np.abs(sol.q - ref[:, 0])) < 1e-13
-    assert np.max(np.abs(sol.p - ref[:, 1])) < 1e-13
+
+def test_elliptic_benchmark_grid_is_exact_to_round_off():
+    # the elliptic job's grid: constant coefficients make each interval's
+    # exponential exact (measured 2.3e-14 and 1.1e-16)
+    g = Grid1D(0.0, 10.0, 8192, kind="closed")
+    zeros, ones = np.zeros(g.n), np.ones(g.n)
+    tanh = elliptic_quotient_solve(
+        EllipticCoefficients(g, zeros, ones, ones, zeros), 1.0, 0.0)
+    assert np.max(np.abs(tanh.g - np.tanh(g.nodes))) <= 1e-13
+    reciprocal = elliptic_quotient_solve(
+        EllipticCoefficients(g, zeros, ones, zeros, zeros), 1.0, 1.0)
+    assert np.max(np.abs(reciprocal.g - 1.0 / (1.0 + g.nodes))) <= 1e-13
 
 
 def test_elliptic_chart_breakdown():
@@ -247,13 +260,15 @@ def test_elliptic_chart_breakdown():
 
 
 def test_elliptic_non_finite_run_raises():
-    # q' = 1000 q + p overflows long before x = 10
+    # q' = 1000 q + p overflows long before x = 10: q ~ e^{1000 x} first
+    # exceeds the largest float (e^{709.8}) at node 5, x = 0.78
     g = Grid1D(0.0, 10.0, 65, kind="closed")
     zeros, ones = np.zeros(g.n), np.ones(g.n)
     coeffs = EllipticCoefficients(g, 1000.0 * ones, ones, zeros, zeros)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(IntegrationBlowup):
+            pytest.raises(IntegrationBlowup) as exc:
         elliptic_quotient_solve(coeffs, 1.0, 1.0)
+    assert exc.value.step == 5
 
 
 def test_elliptic_solve_reads_grid_nodes_a_fixed_number_of_times(
