@@ -94,8 +94,8 @@ def validate(config: RunConfig) -> list:
                 for f in fields(RunConfig)[1:]
                 if f.name not in (*READS[config.equation], "preset", "out")
                 and getattr(config, f.name) != f.default]
-    # the smol-general and prelaplace residuals skip 4 and 3 boundary nodes
-    least = {"smol-general": 5, "prelaplace": 4}.get(config.equation, 2)
+    # the prelaplace residual skips 3 boundary nodes
+    least = 4 if config.equation == "prelaplace" else 2
     if config.grid_n < least:
         problems.append(f"grid-n must be at least {least}")
     if config.preset and (config.equation, config.preset) not in PRESETS:
@@ -356,7 +356,7 @@ def run_smol_general(config: RunConfig, write) -> dict:
     if config.preset == "constant-kernel":
         coeffs = SmolCoefficients(b0_delta=-0.5, include_loss=True)
     else:
-        coeffs = SmolCoefficients(d_poly=(-1.0,))
+        coeffs = SmolCoefficients(d=-1.0)
     g, residual = general_smol_residual(coeffs, g0, config.t_final,
                                         dt=config.dt)
     gt = MassDensity(grid=grid, values=g)

@@ -1,13 +1,13 @@
 """Coagulation solvers.
 
-Constant-kernel coagulation is solved through its scalar Laplace-space base
-flow; the general Smoluchowski-type equation through mass-space linear base
-PDEs followed by a Volterra projection p = g * q (a power-series quotient,
-the delta part of q handled analytically as the identity); its loss term
-takes m0 from the scalar Riccati in closed form, and with constant
-coefficients the base pair is a closed form too.  A direct
-integro-differential RK4 integrator of the constant-kernel equation
-provides the cross-validation oracle.
+Constant-kernel coagulation and the general Smoluchowski-type equation
+share one linear mass-space base pair, solved in closed form: p is a scalar
+multiple alpha(t) of the data and qhat is linear in p.  A Volterra
+projection p = g * q (a power-series quotient, the delta part of q handled
+analytically as the identity) maps the pair back; the loss term takes m0
+from the scalar Riccati in closed form.  A direct integro-differential RK4
+integrator of the constant-kernel equation provides the cross-validation
+oracle.
 """
 
 import math
@@ -49,32 +49,28 @@ def exponential_density(grid: Grid1D, amplitude: float, rate: float) -> MassDens
 # constant kernel K = 1
 
 
-def constant_kernel_scalars(mu: float, t: float):
-    """(c, lam) with p(t) = c g0 and qhat(t) = lam g0 in mass space."""
-    denom = 1.0 + 0.5 * t * mu
-    if denom <= 0:
-        raise BlowupAtTime("base flow denominator crossed zero",
-                           det_value=denom, t=t)
-    return 1.0 / denom ** 2, -0.5 * t / denom
-
-
 def constant_kernel_solve(g0: MassDensity, t: float) -> MassDensity:
     """Project the Laplace-space base flow back to mass space.
 
-    Exponential data A exp(-beta x) inverts analytically:
-    g(x, t) = c A exp(-(beta + lam A) x).  General sampled data goes through
-    the discrete Volterra projection (first-order in the grid spacing).
+    The base pair is the general one at (lin, quad) = (0, -1/2):
+    p(t) = c g0 and qhat(t) = lam g0 with (c, lam) = (alpha, -int alpha / 2)
+    from :func:`_base_pair_scalars`.  Exponential data A exp(-beta x)
+    inverts analytically: g(x, t) = c A exp(-(beta + lam A) x).  General
+    sampled data goes through the discrete Volterra projection (first-order
+    in the grid spacing).
     """
-    if g0.exponential is not None:
-        amp, rate = g0.exponential
-        c, lam = constant_kernel_scalars(amp / rate, t)
+    exponential = g0.exponential
+    mu = g0.m0 if exponential is None else exponential[0] / exponential[1]
+    c, integral = _base_pair_scalars(0.0, -0.5, mu, t)
+    lam = -0.5 * integral
+    if exponential is not None:
+        amp, rate = exponential
         new_rate = rate + lam * amp
         if new_rate <= 0:
             raise BlowupAtTime("inverted exponential no longer decays")
         return MassDensity(grid=g0.grid,
                            values=c * amp * np.exp(-new_rate * g0.grid.nodes),
                            exponential=(c * amp, new_rate))
-    c, lam = constant_kernel_scalars(g0.m0, t)
     p = c * g0.values
     qhat = lam * g0.values
     g = volterra_project(p, qhat, g0.grid)
@@ -162,54 +158,30 @@ def deconvolve(p: np.ndarray, q: np.ndarray, grid: Grid1D) -> np.ndarray:
 class SmolCoefficients:
     """Coefficients of the general equation
 
-        dg/dt = d(dx) g + g*(b(dx) g) - g*a - g*b0*g
+        dg/dt = d g + b g*g - g*b0*g [- g m0(t)]
 
-    ``d_poly`` and ``b_poly`` are ascending polynomial coefficients with
-    deg b < deg d enforced; ``a`` and ``b0`` are sampled functions on the
-    mass grid; ``b0_delta`` adds a Dirac component to b0 (the constant
+    ``d`` and ``b`` are constants; ``b0`` is a sampled function on the mass
+    grid, and ``b0_delta`` adds a Dirac component to it (the constant
     kernel's gain term is b0 = -1/2 delta).  ``include_loss`` switches on
-    the loss term -g m0(t), absorbed into d's zero-degree coefficient via
-    the preprocessing Riccati for m0.
+    the loss term -g m0(t), absorbed into d via the preprocessing Riccati
+    for m0.
     """
 
-    d_poly: tuple = (0.0,)
-    b_poly: tuple = (0.0,)
-    a: np.ndarray | None = None
+    d: float = 0.0
+    b: float = 0.0
     b0: np.ndarray | None = None
     b0_delta: float = 0.0
     include_loss: bool = False
 
-    def __post_init__(self):
-        if self._degree(self.b_poly) >= self._degree(self.d_poly) and \
-                self._degree(self.b_poly) > 0:
-            raise ConfigError("deg b must be strictly less than deg d")
-
-    @staticmethod
-    def _degree(poly):
-        nz = [i for i, c in enumerate(poly) if c != 0]
-        return max(nz) if nz else 0
-
-
-def _poly_ddx(poly, u: np.ndarray, h: float) -> np.ndarray:
-    """sum_k poly[k] d^k u / dx^k, each d/dx the second-order central stencil
-    with second-order one-sided ends (np.gradient, edge_order=2)."""
-    out = poly[0] * u
-    for c in poly[1:]:
-        u = np.gradient(u, h, edge_order=2)
-        out = out + c * u
-    return out
-
 
 def m0_rates(coeffs: SmolCoefficients, grid: Grid1D):
     """(lin, quad) of the preprocessing Riccati m0' = lin m0 + quad m0^2:
-    lin = D0 - abar and quad = B0 - b0bar - 1, where abar and b0bar are the
-    [0, X] integrals of a and b0 (plus the delta coefficient)."""
-    w = quadrature_weights(grid)
-    abar = float(np.sum(w * coeffs.a)) if coeffs.a is not None else 0.0
+    lin = d and quad = b - b0bar - 1, where b0bar is the [0, X] integral
+    of b0 (plus the delta coefficient)."""
     b0bar = coeffs.b0_delta
     if coeffs.b0 is not None:
-        b0bar += float(np.sum(w * coeffs.b0))
-    return coeffs.d_poly[0] - abar, coeffs.b_poly[0] - b0bar - 1.0
+        b0bar += float(np.sum(quadrature_weights(grid) * coeffs.b0))
+    return coeffs.d, coeffs.b - b0bar - 1.0
 
 
 def m0_closed_form(lin: float, quad: float, m00: float, t: float) -> float:
@@ -242,72 +214,51 @@ def _base_pair_scalars(lin: float, quad: float, m00: float, t: float):
             -float(phi1(1.0 + 1.0 / quad, log_den)) / (quad * m00))
 
 
-def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity, t: float,
-                       steps: int = 512) -> MassDensity:
+def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity,
+                       t: float) -> MassDensity:
     """Solve the linear base pair in mass space, then Volterra-project.
 
-        dp/dt = d(dx) p [- m0(t) p],    dqhat/dt = a + a*qhat + b0*p
-                                                   + b0_delta p - b(dx) p,
+        dp/dt = d p [- m0(t) p],    dqhat/dt = b0*p + (b0_delta - b) p,
         p = g * (delta + qhat),
 
-    with m0(t) from :func:`m0_closed_form`.  Without ``a`` and ``b0``, and
-    with d constant (so b is too, deg b < deg d), the pair is
-    p = alpha p0, qhat = (b0_delta - b) (int alpha) p0 in closed form.
-    Otherwise ``steps`` RK4 steps march it, reading m0 at each stage time.
+    with m0(t) from :func:`m0_closed_form`.  The pair is a closed form:
+    p = alpha p0 for the scalar alpha of :func:`_base_pair_scalars`, and
+    qhat, linear in p, is (int alpha) ((b0_delta - b) p0 + b0*p0).
     """
     grid = g0.grid
     _check_uniform(grid)
-    h = grid.spacing
     lin, quad = m0_rates(coeffs, grid)
     m00 = g0.m0 if coeffs.include_loss else 0.0
     p0 = g0.values.astype(float)
-    if coeffs.a is None and coeffs.b0 is None \
-            and coeffs._degree(coeffs.d_poly) == 0:
-        alpha, integral = _base_pair_scalars(lin, quad, m00, t)
-        gain = coeffs.b0_delta - coeffs.b_poly[0]
-        return MassDensity(grid=grid, values=volterra_project(
-            alpha * p0, gain * integral * p0, grid))
-    dt = t / steps
-
-    def rhs(s, state):
-        p, qhat = state
-        m0 = m0_closed_form(lin, quad, m00, s)
-        dp = _poly_ddx(coeffs.d_poly, p, h) - m0 * p
-        dq = coeffs.b0_delta * p - _poly_ddx(coeffs.b_poly, p, h)
-        if coeffs.a is not None:
-            dq = dq + coeffs.a + riemann_conv(coeffs.a, qhat, h)
-        if coeffs.b0 is not None:
-            dq = dq + riemann_conv(coeffs.b0, p, h)
-        return np.array([dp, dq])
-
-    state = np.array([p0, np.zeros(grid.n)])
-    p, qhat = march(lambda m, y: rk4_step(rhs, y, m * dt, dt), state, steps)
-    g = volterra_project(p, qhat, grid)
-    return MassDensity(grid=grid, values=g)
+    alpha, integral = _base_pair_scalars(lin, quad, m00, t)
+    gain = coeffs.b0_delta - coeffs.b
+    if coeffs.b0 is None:
+        qhat = gain * integral * p0
+    else:
+        qhat = integral * (gain * p0
+                           + riemann_conv(coeffs.b0, p0, grid.spacing))
+    return MassDensity(grid=grid,
+                       values=volterra_project(alpha * p0, qhat, grid))
 
 
 def general_smol_residual(coeffs: SmolCoefficients, g0: MassDensity, t: float,
-                          dt: float, steps: int = 512):
-    """(g at t, finite-difference defect of the target equation at t).
+                          dt: float):
+    """(g at t, finite-difference defect of the target equation at t, over
+    every node).
 
     The loss term uses the solved density's own m0 so the residual is of the
     full equation including -g m0 when include_loss is set.
     """
     h = g0.grid.spacing
     g, gt = central_in_t(
-        lambda s: general_smol_solve(coeffs, g0, s, steps=steps).values,
-        t, dt)
-    res = gt - _poly_ddx(coeffs.d_poly, g, h)
-    res = res - riemann_conv(g, _poly_ddx(coeffs.b_poly, g, h), h)
-    if coeffs.a is not None:
-        res = res + riemann_conv(g, coeffs.a, h)
+        lambda s: general_smol_solve(coeffs, g0, s).values, t, dt)
+    res = gt - coeffs.d * g
     if coeffs.b0 is not None:
         res = res + riemann_conv(g, riemann_conv(coeffs.b0, g, h), h)
-    res = res + coeffs.b0_delta * riemann_conv(g, g, h)
+    res = res + (coeffs.b0_delta - coeffs.b) * riemann_conv(g, g, h)
     if coeffs.include_loss:
         res = res + g * MassDensity(g0.grid, g).m0
-    # skip the one-sided boundary stencils
-    return g, float(np.max(np.abs(res[2:-2])))
+    return g, float(np.max(np.abs(res)))
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,9 @@ class BrownianSheetModes:
 
     ``increments[m, j]`` is the increment of mode k_j over the m-th of
     ``len(increments)`` equal slices of [0, t_final]; each is a real
-    Gaussian of variance dt (the real compensator -(t/2) c^2 of the exact
-    exponential martingale matches the direct scheme's per-step geometric
-    update only for real per-mode noise).  Coarser schemes aggregate
+    Gaussian of variance dt (the real compensator -(t/2) c^2 of the
+    exponential martingale, which both schemes take, is the Ito correction
+    only for real per-mode noise).  Coarser schemes aggregate
     contiguous slices so every consumer sees the same underlying path.
     """
 
@@ -154,9 +154,10 @@ def spde_direct_run(g0: Field2D, params: SpdeParams,
                     sheet: BrownianSheetModes, steps: int) -> Field2D:
     """Exponential-integrator time stepping in mode space.
 
-    u <- exp(-dt L)(u + noise_coef dW u) - eps dt phi1(-dt L) (u o u),
-    with L = alpha k^2 + beta kappa^2 acting diagonally and the noise
-    coupling applied row-wise (it multiplies along the first argument).
+    u <- exp(-dt L)(E u) - eps dt phi1(-dt L) (u o u), with
+    L = alpha k^2 + beta kappa^2 acting diagonally and the noise factor
+    E = exp(noise_coef dW - ito_coef dt), the exact per-step martingale,
+    applied row-wise (it multiplies along the first argument).
     """
     n = g0.n
     k = mode_numbers(n)
@@ -164,12 +165,12 @@ def spde_direct_run(g0: Field2D, params: SpdeParams,
     lam = -dt * (params.alpha * k[:, None] ** 2 + params.beta * k[None, :] ** 2)
     lin = np.exp(lam)
     eps_phi = params.epsilon * dt * phi1(lam)
-    noise_coef, _ = k0_mode_policy(params, k)
-    dws = sheet.aggregated(steps)
+    noise_coef, ito_coef = k0_mode_policy(params, k)
+    factors = np.exp(noise_coef * sheet.aggregated(steps) - ito_coef * dt)
 
     def advance(m, u):
-        stoch = u + (noise_coef * dws[m])[:, None] * u
-        return lin * stoch - eps_phi * composition_product(u, u)
+        return lin * (factors[m][:, None] * u) \
+            - eps_phi * composition_product(u, u)
 
     with one_blas_thread():
         return Field2D(march(advance, g0.modes.copy(), steps))

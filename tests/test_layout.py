@@ -1,5 +1,6 @@
 """The package keeps only what its pipelines run, imports scipy in one
-place, steps no linear base flow by RK4, and the benchmark's tracer still
+place, steps no linear base flow by RK4 (only the constant-kernel
+coagulation oracle takes RK4 steps), and the benchmark's tracer still
 finds what it times.
 
 Every public top-level function and class of ``src/grassflow`` and
@@ -91,7 +92,7 @@ def test_only_the_dense_fallback_imports_scipy():
 def test_linear_base_flows_are_not_stepped():
     # each pipeline evolves its linear base flow exactly: the RK4 march of
     # a linear flow is test reference code, and rk4_step serves only the
-    # coagulation oracle and the general solver's a/b0 path
+    # constant-kernel coagulation oracle
     def refers_to(name, *kinds):
         return lambda node: isinstance(node, kinds) \
             and name in set(_names(node))
@@ -99,10 +100,8 @@ def test_linear_base_flows_are_not_stepped():
     assert _package_scopes(refers_to("linear_flow", ast.Name, ast.Attribute,
                                      ast.alias)) == []
     # the import of rk4_step aside
-    assert set(_package_scopes(refers_to("rk4_step", ast.Name,
-                                         ast.Attribute))) \
-        == {"smoluchowski.direct_smol_oracle",
-            "smoluchowski.general_smol_solve"}
+    assert _package_scopes(refers_to("rk4_step", ast.Name, ast.Attribute)) \
+        == ["smoluchowski.direct_smol_oracle"]
 
 
 # tracer targets already gone from the package; the tracer skips them and

@@ -9,8 +9,7 @@ from grassflow.cli import profile_samples
 from grassflow.core import Grid1D, march, rk4_step
 from grassflow.errors import BlowupAtTime, ConfigError
 from grassflow.smoluchowski import (MassDensity, SmolCoefficients,
-                                    _check_uniform, _poly_ddx,
-                                    constant_kernel_scalars,
+                                    _base_pair_scalars, _check_uniform,
                                     constant_kernel_solve, deconvolve,
                                     direct_smol_oracle, exponential_density,
                                     general_smol_residual, general_smol_solve,
@@ -42,12 +41,20 @@ def test_m0_closed_form():
     assert exc.value.t == -2.0
 
 
+def constant_kernel_pair(mu, t):
+    """(c, lam) with p(t) = c g0 and qhat(t) = lam g0: the base pair at
+    (lin, quad) = (0, -1/2), as constant_kernel_solve takes it."""
+    c, integral = _base_pair_scalars(0.0, -0.5, mu, t)
+    return c, -0.5 * integral
+
+
 def test_scalar_base_flow_values():
-    c, lam = constant_kernel_scalars(1.0, 2.0)
+    # c = 1 / (1 + t mu / 2)^2 and lam = -(t / 2) / (1 + t mu / 2)
+    c, lam = constant_kernel_pair(1.0, 2.0)
     assert c == pytest.approx(0.25)
     assert lam == pytest.approx(-0.5)
     with pytest.raises(BlowupAtTime) as exc:
-        constant_kernel_scalars(1.0, -2.0)
+        constant_kernel_pair(1.0, -2.0)
     assert (exc.value.t, exc.value.det_value) == (-2.0, 0.0)
 
 
@@ -78,7 +85,7 @@ def negative_exponential():
 
 def test_exponential_just_before_blowup_is_the_closed_form():
     g0, t = negative_exponential(), 1.9999
-    c, lam = constant_kernel_scalars(-1.0, t)
+    c, lam = constant_kernel_pair(-1.0, t)
     out = constant_kernel_solve(g0, t)
     expected = c * -1.0 * np.exp(-(1.0 + lam * -1.0) * g0.grid.nodes)
     assert np.array_equal(out.values, expected)
@@ -229,37 +236,16 @@ def test_general_solver_reduces_to_constant_kernel():
     assert np.max(np.abs(out.values - closed.values)) < 5e-3
 
 
-def test_degree_ordering_enforced():
-    with pytest.raises(ConfigError):
-        SmolCoefficients(d_poly=(0.0, 1.0), b_poly=(0.0, 0.0, 1.0))
-
-
-def test_poly_ddx_matches_dense_derivative_matrix():
-    # reference: the dense three-point first-derivative matrix, one-sided
-    # second order at the ends, raised to powers
-    g = mass_grid(3.0, 41)
-    n, h = g.n, g.spacing
-    dmat = np.zeros((n, n))
-    for i in range(1, n - 1):
-        dmat[i, i - 1], dmat[i, i + 1] = -0.5 / h, 0.5 / h
-    dmat[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-    dmat[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
-    poly = (-0.5, 0.3, 0.1)
-    ref = poly[0] * np.eye(n) + poly[1] * dmat + poly[2] * dmat @ dmat
-    u = np.exp(-g.nodes) * np.cos(2.0 * g.nodes)
-    assert np.max(np.abs(_poly_ddx(poly, u, h) - ref @ u)) < 1e-12
-
-
 def test_m0_riccati_matches_closed_form():
-    # lin != 0, and a, b0, the delta gain and B0 all enter the rates; the
-    # RK4 loop converges to the closed form at fourth order
+    # lin != 0, and b0, the delta gain and b all enter the rates; the RK4
+    # loop converges to the closed form at fourth order
     g = mass_grid(20.0, 201)
     x = g.nodes
-    a, b0 = 0.2 * np.exp(-x), -0.1 * np.exp(-0.5 * x)
-    coeffs = SmolCoefficients(d_poly=(0.3,), b_poly=(0.1,), a=a, b0=b0,
-                              b0_delta=-0.4, include_loss=True)
+    b0 = -0.1 * np.exp(-0.5 * x)
+    coeffs = SmolCoefficients(d=0.3, b=0.1, b0=b0, b0_delta=-0.4,
+                              include_loss=True)
     lin, quad = m0_rates(coeffs, g)
-    assert lin == pytest.approx(0.3 - np.trapezoid(a, x), abs=1e-15)
+    assert lin == 0.3
     assert quad == pytest.approx(0.1 + 0.4 - np.trapezoid(b0, x) - 1.0,
                                  abs=1e-15)
     exact = m0_closed_form(lin, quad, 1.5, 2.0)
@@ -273,8 +259,7 @@ def test_m0_riccati_blowup_with_growth_reports_its_pole():
     # lin = -0.2, quad = 1: 1/m0 reaches 0 at e^{-t/5} = 1 - 1/(5 m0(0))
     g = mass_grid(10.0, 64)
     g0 = exponential_density(g, 2.0, 1.0)
-    coeffs = SmolCoefficients(d_poly=(-0.2,), b0_delta=-2.0,
-                              include_loss=True)
+    coeffs = SmolCoefficients(d=-0.2, b0_delta=-2.0, include_loss=True)
     lin, quad = m0_rates(coeffs, g)
     assert (lin, quad) == (-0.2, 1.0)
     pole = -5.0 * np.log(1.0 - 1.0 / (5.0 * g0.m0))
@@ -285,9 +270,10 @@ def test_m0_riccati_blowup_with_growth_reports_its_pole():
 
 
 def test_general_residual_shrinks_under_simultaneous_refinement():
-    # the residual floor is first order in the spacing, so grid and stencil
-    # must refine together
-    coeffs = SmolCoefficients(d_poly=(-0.2,), b0_delta=-0.4)
+    # the residual floor is first order in the spacing, so grid and time
+    # step must refine together; b enters the solve and the residual alike
+    # (measured ratio 1.94)
+    coeffs = SmolCoefficients(d=-0.2, b=0.1, b0_delta=-0.4)
 
     def residual(n, dt):
         g = mass_grid(30.0, n)
@@ -303,13 +289,13 @@ def test_general_residual_shrinks_under_simultaneous_refinement():
 def test_general_solver_with_sampled_interaction_terms():
     g = mass_grid(20.0, 128)
     g0 = exponential_density(g, 0.5, 1.0)
-    a = 0.1 * np.exp(-2.0 * g.nodes)
     b0 = -0.05 * np.exp(-g.nodes)
-    coeffs = SmolCoefficients(d_poly=(-0.1,), a=a, b0=b0)
-    out = general_smol_solve(coeffs, g0, 0.5, steps=256)
+    coeffs = SmolCoefficients(d=-0.1, b0=b0)
+    out = general_smol_solve(coeffs, g0, 0.5)
     assert np.all(np.isfinite(out.values))
-    mid, res = general_smol_residual(coeffs, g0, 0.5, 1e-2, steps=256)
-    assert res < 1e-2
+    # over every node (measured 5.7e-6)
+    mid, res = general_smol_residual(coeffs, g0, 0.5, 1e-2)
+    assert res < 1e-5
     # the residual's middle solve is the solve at t itself
     assert np.array_equal(mid, out.values)
 
@@ -326,9 +312,8 @@ def _m0_riccati_loop(lin, quad, m00, t, steps):
 
 
 def _general_smol_loop(coeffs, g0, t, steps):
-    """The reference: general_smol_solve's RK4 loop on its linear base
-    pair, for constant d and b and neither a nor b0, with m0 from its
-    closed form."""
+    """The reference: the RK4 loop that stepped general_smol_solve's linear
+    base pair before its closed form, with m0 from its closed form."""
     grid, h, dt = g0.grid, g0.grid.spacing, t / steps
     lin, quad = m0_rates(coeffs, grid)
     m00 = g0.m0 if coeffs.include_loss else 0.0
@@ -336,8 +321,10 @@ def _general_smol_loop(coeffs, g0, t, steps):
     def rhs(s, state):
         p, qhat = state
         m0 = m0_closed_form(lin, quad, m00, s)
-        dp = _poly_ddx(coeffs.d_poly, p, h) - m0 * p
-        dq = coeffs.b0_delta * p - _poly_ddx(coeffs.b_poly, p, h)
+        dp = coeffs.d * p - m0 * p
+        dq = coeffs.b0_delta * p - coeffs.b * p
+        if coeffs.b0 is not None:
+            dq = dq + riemann_conv(coeffs.b0, p, h)
         return np.array([dp, dq])
 
     state = np.array([g0.values.astype(float), np.zeros(grid.n)])
@@ -362,22 +349,31 @@ def test_general_solver_closed_form_matches_its_loop_and_constant_kernel():
     coeffs = SmolCoefficients(b0_delta=-0.5, include_loss=True)
     gaps = _loop_gaps(coeffs, g0, 0.7)
     assert gaps[0] / gaps[1] >= 14 and gaps[2] <= 1e-13
-    # and it is constant_kernel_solve's projection on sampled data
-    # (measured 0)
+    # and it is constant_kernel_solve's projection on sampled data, from
+    # the same scalars
     g = mass_grid(40.0, 512)
     g0 = MassDensity(grid=g, values=profile_samples("gaussian", g.nodes))
     out = general_smol_solve(coeffs, g0, 1.0).values
-    assert np.max(np.abs(out - constant_kernel_solve(g0, 1.0).values)) <= 1e-14
+    assert np.array_equal(out, constant_kernel_solve(g0, 1.0).values)
+
+
+# a sampled b0 on the loss-term tests' grid
+B0 = -0.1 * np.exp(-0.5 * mass_grid(40.0, 128).nodes)
 
 
 @pytest.mark.parametrize("rates, coeffs", [
-    ((0.3, -0.3), SmolCoefficients(d_poly=(0.3,), b_poly=(0.2,),
-                                   b0_delta=-0.5, include_loss=True)),
-    ((-0.2, 0.0), SmolCoefficients(d_poly=(-0.2,), b0_delta=-1.0,
+    ((0.3, -0.3), SmolCoefficients(d=0.3, b=0.2, b0_delta=-0.5,
+                                   include_loss=True)),
+    ((-0.2, 0.0), SmolCoefficients(d=-0.2, b0_delta=-1.0,
                                    include_loss=True)),
     # the gain b0_delta - b = -(1 + quad) vanishes here, so qhat = 0
-    ((-0.2, -1.0), SmolCoefficients(d_poly=(-0.2,), include_loss=True)),
-], ids=["lin", "quad0", "quad-1"])
+    ((-0.2, -1.0), SmolCoefficients(d=-0.2, include_loss=True)),
+    # qhat = (int alpha) ((b0_delta - b) p0 + b0*p0) (measured 2.9e-12,
+    # 1.8e-13, 1.2e-14)
+    ((0.3, -0.3 - np.trapezoid(B0, dx=40.0 / 127)),
+     SmolCoefficients(d=0.3, b=0.2, b0=B0, b0_delta=-0.5,
+                      include_loss=True)),
+], ids=["lin", "quad0", "quad-1", "b0"])
 def test_general_solver_loss_term_matches_its_loop(rates, coeffs):
     g = mass_grid(40.0, 128)
     g0 = MassDensity(grid=g, values=np.exp(-g.nodes))
@@ -386,12 +382,23 @@ def test_general_solver_loss_term_matches_its_loop(rates, coeffs):
     assert gaps[0] / gaps[1] >= 14 and gaps[2] <= 1e-13
 
 
+def test_general_solver_sampled_b0_without_loss_matches_its_loop():
+    # alpha = e^{d t}: 96 steps of the loop reach round-off (measured
+    # 6.7e-16)
+    g = mass_grid(40.0, 128)
+    g0 = MassDensity(grid=g, values=np.exp(-g.nodes))
+    coeffs = SmolCoefficients(d=-0.1, b=0.1, b0=B0)
+    out = general_smol_solve(coeffs, g0, 0.7).values
+    loop = _general_smol_loop(coeffs, g0, 0.7, 96)
+    assert np.max(np.abs(out - loop)) <= 1e-14
+
+
 def test_general_solver_decay_is_exact():
     # the CLI's default coefficients, d = -1: g = e^{-t} g0 (measured 9.8e-17
     # relative)
     g = mass_grid(40.0, 512)
     g0 = exponential_density(g, 1.0, 1.0)
-    out = general_smol_solve(SmolCoefficients(d_poly=(-1.0,)), g0, 1.0)
+    out = general_smol_solve(SmolCoefficients(d=-1.0), g0, 1.0)
     exact = np.exp(-1.0) * g0.values
     assert np.max(np.abs(out.values - exact)) <= 1e-14 * np.max(exact)
 
