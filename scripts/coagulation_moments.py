@@ -12,8 +12,9 @@ import argparse
 import numpy as np
 
 from grassflow.core import Grid1D
-from grassflow.smoluchowski import (constant_kernel_solve, direct_smol_oracle,
-                                    exponential_density, m0_closed_form)
+from grassflow.smoluchowski import (CONSTANT_KERNEL, constant_kernel_solve,
+                                    direct_smol_oracle, exponential_density,
+                                    m0_closed_form, m0_rates)
 
 
 def study(upper: float, n: int, t: float, dt: float):
@@ -30,7 +31,8 @@ def study(upper: float, n: int, t: float, dt: float):
     print(f"sup|projected - direct oracle| = "
           f"{np.max(np.abs(proj.values - direct.values)):.3e}")
     # m0' = -m0^2 / 2 for the constant kernel
-    expected = np.array([m0_closed_form(0.0, -0.5, m0s[0], s) for s in times])
+    rates = m0_rates(CONSTANT_KERNEL, grid)
+    expected = np.array([m0_closed_form(*rates, m0s[0], s) for s in times])
     print(f"max relative m0 error vs closed form = "
           f"{np.max(np.abs(m0s - expected) / expected):.3e}")
     print(f"max relative m1 drift = "

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .core import Grid1D, dft_forward, dft_inverse, uniform_steps
+from .core import Grid1D, uniform_steps
 from .errors import Breakdown, ChartBreakdown, GrassflowError, ShockProximity
 from .graphflows import InitialProfile, inviscid_burgers_eval, upwind_oracle
 from .integrable import (cubic_kdv_symbol, etdrk4_kdv, kdv_fredholm_solve,
@@ -23,9 +23,10 @@ from .integrable import (cubic_kdv_symbol, etdrk4_kdv, kdv_fredholm_solve,
                          schrodinger_symbol, split_step_nls)
 from .quotient import (EllipticCoefficients, QuotientCoefficients,
                        elliptic_quotient_solve, quotient_residual)
-from .smoluchowski import (MassDensity, SmolCoefficients, direct_smol_oracle,
-                           constant_kernel_solve, exponential_density,
-                           general_smol_residual, m0_closed_form,
+from .smoluchowski import (CONSTANT_KERNEL, MassDensity, SmolCoefficients,
+                           direct_smol_oracle, constant_kernel_solve,
+                           exponential_density, general_smol_residual,
+                           m0_closed_form, m0_rates,
                            pre_laplace_burgers_residual,
                            pre_laplace_burgers_solve)
 from .spde import (BrownianSheetModes, SpdeParams, sech_ridge_initial,
@@ -306,9 +307,8 @@ def _run_fredholm(config: RunConfig, write, solve, stepper, readout,
         u0 = readout(values[0])
         direct = stepper(u0, grid, dt, total, checkpoints=idx)
         direct = np.array([direct[m] for m in idx])
-        u0_modes = dft_forward(u0, grid)
-        linear = np.array([readout(dft_inverse(propagate_dispersive(
-            u0_modes, grid, symbol, tm), grid)) for tm in times])
+        linear = np.array([readout(propagate_dispersive(u0, grid, symbol, tm))
+                           for tm in times])
         gap = np.abs(readout(values) - direct)
         write("direct", x=nodes, t=t, **_value(direct))
         write("difference", x=nodes, t=t, difference=gap)
@@ -338,7 +338,8 @@ def run_smol_const(config: RunConfig, write) -> dict:
     gt = constant_kernel_solve(g0, t)
     write("poppe", x=nodes, **_value(gt.values))
     extra = {"m0": gt.m0, "m1": gt.m1,
-             "m0_closed_form": m0_closed_form(0.0, -0.5, g0.m0, t)}
+             "m0_closed_form": m0_closed_form(*m0_rates(CONSTANT_KERNEL, grid),
+                                              g0.m0, t)}
     if config.compare_oracle:
         direct = direct_smol_oracle(g0, t, config.dt)
         gap = np.abs(gt.values - direct.values)
@@ -354,7 +355,7 @@ def run_smol_general(config: RunConfig, write) -> dict:
     nodes = grid.nodes
     g0 = MassDensity(grid=grid, values=profile_samples(config.profile, nodes))
     if config.preset == "constant-kernel":
-        coeffs = SmolCoefficients(b0_delta=-0.5, include_loss=True)
+        coeffs = CONSTANT_KERNEL
     else:
         coeffs = SmolCoefficients(d=-1.0)
     g, residual = general_smol_residual(coeffs, g0, config.t_final,

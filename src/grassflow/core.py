@@ -1,5 +1,5 @@
-"""Grids, quadrature, dense solves, the BLAS thread policy, DFT contract,
-time stepping, closed-form 2x2 exponentials and RNG streams.
+"""Grids, quadrature, dense solves, the BLAS thread policy, FFT
+frequencies, time stepping, closed-form 2x2 exponentials and RNG streams.
 
 Everything here is deterministic and pure given its inputs; a random stream
 is the one stateful object and is reproducible from (seed, stream_id) alone.
@@ -231,12 +231,7 @@ def one_blas_thread():
 
 
 # ---------------------------------------------------------------------------
-# discrete Fourier transform contract
-#
-# Forward convention  f~(k) = integral f(x) e^{+2 pi i k x} dx, frequencies
-# k = j/L for j in {0,..,n/2-1, -n/2,..,-1}; the inverse carries e^{-2 pi i k x}
-# and a 1/L factor.  A constant c on [lo, lo+L) therefore maps to c*L in mode
-# zero, and Parseval reads  sum |f|^2 h = sum |f~|^2 / L.
+# Fourier modes: numpy's np.fft convention, mode k carries e^{+2 pi i k x}
 
 
 def require_power_of_two(n: int):
@@ -247,40 +242,6 @@ def require_power_of_two(n: int):
 def dft_frequencies(grid: Grid1D) -> np.ndarray:
     """Frequencies k (cycles per unit length) in FFT ordering."""
     return np.fft.fftfreq(grid.n, d=grid.spacing)
-
-
-def _grid_phase(grid: Grid1D) -> np.ndarray:
-    # e^{2 pi i k x_j} factorises as e^{2 pi i k lo} * e^{2 pi i m j / n};
-    # this is the per-mode offset factor for the grid origin.
-    k = dft_frequencies(grid)
-    return np.exp(2j * np.pi * k * grid.lower)
-
-
-def _axis0(v: np.ndarray, ndim: int) -> np.ndarray:
-    """A per-mode vector shaped to broadcast along axis 0 of ndim axes."""
-    return v.reshape(v.shape + (1,) * (ndim - 1))
-
-
-def dft_forward(samples: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """The modes of ``samples`` on the periodic ``grid``, transformed along
-    axis 0 (trailing axes are independent columns): ``modes[j]`` is f~(k_j)
-    in FFT ordering."""
-    if grid.kind != "periodic":
-        raise ConfigError("dft_forward needs a periodic grid")
-    require_power_of_two(grid.n)
-    samples = np.asarray(samples, dtype=complex)
-    if samples.shape[0] != grid.n:
-        raise ConfigError("sample count does not match grid")
-    # numpy ifft carries e^{+2 pi i jm/n} and a 1/n factor
-    return grid.n * np.fft.ifft(samples, axis=0) * grid.spacing \
-        * _axis0(_grid_phase(grid), samples.ndim)
-
-
-def dft_inverse(modes: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Inverse of :func:`dft_forward`, along axis 0."""
-    modes = np.asarray(modes, dtype=complex)
-    phase = _axis0(np.conj(_grid_phase(grid)), modes.ndim)
-    return np.fft.fft(modes * phase, axis=0) / grid.length
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DenseSystem, Grid1D, dft_forward, dft_frequencies,
-                   dft_inverse, march, one_blas_thread, quadrature_weights,
+from .core import (DenseSystem, Grid1D, dft_frequencies, march,
+                   one_blas_thread, quadrature_weights, require_power_of_two,
                    solve_dense)
 from .errors import ConfigError, SymbolError
 
@@ -31,29 +31,30 @@ def schrodinger_symbol(k):
     return -1j * (2j * np.pi * np.asarray(k, dtype=float)) ** 2
 
 
-def propagate_dispersive(modes: np.ndarray, grid: Grid1D, symbol,
+def propagate_dispersive(samples: np.ndarray, grid: Grid1D, symbol,
                          t: float) -> np.ndarray:
-    """The modes on ``grid`` propagated from time 0 to ``t``: exact per-mode
-    dispersive propagation under ``symbol``, the map k -> d(2 pi i k) of a
-    skew polynomial symbol d.
+    """The samples on the periodic ``grid`` carried from time 0 to ``t``:
+    exact per-mode dispersive propagation under ``symbol``, the map
+    k -> d(2 pi i k) of a skew polynomial symbol d.
 
-    The forward transform uses the kernel e^{+2 pi i k x}, so the mode stored
-    at index k carries the physical harmonic e^{-2 pi i k x} and d/dx acts on
-    it as multiplication by -2 pi i k.  The symbol is therefore evaluated at
-    -k: the harmonic e^{+2 pi i k x} (stored at index -k) picks up the phase
-    exp(t d(2 pi i k)).  On an even grid the Nyquist mode gets the even part
-    (d(2 pi i k_N) + d(-2 pi i k_N)) / 2, so a real field stays real.
+    In numpy's convention mode k of ``np.fft.fft`` carries the harmonic
+    e^{+2 pi i k x}, on which d/dx acts as 2 pi i k, so the mode takes the
+    factor exp(t d(2 pi i k)).  The Nyquist mode stands for both +-k_N and
+    gets the even part (d(2 pi i k_N) + d(-2 pi i k_N)) / 2, so a real
+    field stays real.
     """
+    if grid.kind != "periodic":
+        raise ConfigError("dispersive propagation needs a periodic grid")
+    require_power_of_two(grid.n)
     k = dft_frequencies(grid)
-    d = symbol(-k)
-    if grid.n % 2 == 0:
-        nyq = grid.n // 2
-        d[nyq] = 0.5 * (d[nyq] + symbol(k[nyq]))
+    d = symbol(k)
+    nyq = grid.n // 2
+    d[nyq] = 0.5 * (d[nyq] + symbol(-k[nyq]))
     scale = np.max(np.abs(d)) or 1.0
     if np.max(np.abs(d.real)) > 1e-12 * scale:
         raise SymbolError(f"symbol {symbol.__name__!r} is not skew on this "
                           "grid")
-    return modes * np.exp(t * d)
+    return np.fft.ifft(np.fft.fft(samples) * np.exp(t * d))
 
 
 def half_line_grid(domain: Grid1D) -> Grid1D:
@@ -97,12 +98,12 @@ def _nystrom_hankel(trace, grid, m):
     lo <= i < hi as a function of (lo, hi).
 
     The trace is read off its trigonometric interpolant
-    p(y) = sum_k c_k e^{-2 pi i k y}, c = dft_forward / L, so with
-    E[a, k] = e^{-2 pi i k eta_a} x's matrix is
+    p(y) = sum_k c_k e^{-2 pi i k y}, c_k = d_k e^{2 pi i k lower} for
+    d = ifft(trace), so with E[a, k] = e^{-2 pi i k eta_a} x's matrix is
     H(x)[a, b] = sum_k E[a, k] E[b, k] c_k e^{-2 pi i k x}.  On the node
-    x_j = lower + j h the phase is e^{-2 pi i k lower} times the DFT
-    kernel, and d = ifft(trace) is c e^{-2 pi i k lower}, so every
-    x's matrix comes from one FFT along x of the per-mode E[a] E[b] d.
+    x_j = lower + j h, c_k e^{-2 pi i k x_j} is d_k times the DFT kernel
+    e^{-2 pi i k j h}, so every x's matrix comes from one FFT along x of
+    the per-mode E[a] E[b] d.
     On an even grid the Nyquist mode is split into half-modes at +-k_N;
     on a domain symmetric about 0 both fall in bin n/2, where they add to
     d_N Re(E[a] E[b]).  H is symmetric, so only its upper triangle is
@@ -197,10 +198,8 @@ def kdv_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
     The propagated trace is real to rounding (the Nyquist mode takes no
     phase), so the x-systems are solved in float64 and the values are
     float64."""
-    modes = propagate_dispersive(dft_forward(p0, grid), grid,
-                                 cubic_kdv_symbol, t)
-    return _project_over_x(dft_inverse(modes, grid).real, grid,
-                           lambda h, w: h, quadrature, panels)
+    p = propagate_dispersive(p0, grid, cubic_kdv_symbol, t)
+    return _project_over_x(p.real, grid, lambda h, w: h, quadrature, panels)
 
 
 def nls_gram(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -213,10 +212,8 @@ def nls_fredholm_solve(p0: np.ndarray, grid: Grid1D, t: float,
                        panels: int = GAUSS_NODES) -> ProjectionResult:
     """NLS via the quadratic prescription qhat = P^dag P (on ``panels``
     nodes under ``gauss-legendre``)."""
-    modes = propagate_dispersive(dft_forward(p0, grid), grid,
-                                 schrodinger_symbol, t)
-    return _project_over_x(dft_inverse(modes, grid), grid, nls_gram,
-                           quadrature, panels)
+    p = propagate_dispersive(p0, grid, schrodinger_symbol, t)
+    return _project_over_x(p, grid, nls_gram, quadrature, panels)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalCoefficients, riccati_residual
-from .core import (Grid1D, central_in_t, dft_forward, dft_frequencies,
-                   dft_inverse, expm_2x2, phi1)
+from .core import Grid1D, central_in_t, dft_frequencies, expm_2x2, phi1
 from .errors import (BlowupAtTime, ChartBreakdown, ConfigError,
                      IntegrationBlowup, SymbolError)
 
@@ -82,13 +81,14 @@ def quotient_solve(g0: np.ndarray, grid: Grid1D,
     if g0.shape != (grid.n, grid.n):
         raise ConfigError("initial data must be square on the grid")
     d = coeffs.symbol(dft_frequencies(grid))
-    # per-column transforms in x: p0_hat[k, j] = sum_i g0[i, j] e^{+2pi i k x_i} h
-    p0_hat = dft_forward(g0, grid)
-    p = dft_inverse(np.exp(d * t)[:, None] * p0_hat, grid)
+    # per-column transforms in x; d is even in k, so either sign convention
+    # of the transform pairs each mode with the same d
+    p0_hat = np.fft.fft(g0, axis=0)
+    p = np.fft.ifft(np.exp(d * t)[:, None] * p0_hat, axis=0)
     if coeffs.f_coeffs:
         # pbar(s)_j = sum_k B[j, k] e^{d_k s} p0_hat[k, j] with B the
         # inverse-DFT matrix: one product gives every quadrature time
-        weights = dft_inverse(np.eye(grid.n), grid) * p0_hat.T
+        weights = np.fft.ifft(np.eye(grid.n), axis=0) * p0_hat.T
         ds = t / PHASE_STEPS
         pbar = weights @ np.exp(np.outer(d, ds * np.arange(PHASE_STEPS + 1)))
         exponent = np.trapezoid(coeffs.f_value(np.abs(pbar) ** 2), dx=ds,
@@ -101,7 +101,7 @@ def quotient_solve(g0: np.ndarray, grid: Grid1D,
         q = np.ones(grid.n, dtype=complex)
     else:
         # time-integrated p, inverse-transformed and read on the diagonal
-        integral = np.diag(dft_inverse(phi1(d, t)[:, None] * p0_hat, grid))
+        integral = np.diag(np.fft.ifft(phi1(d, t)[:, None] * p0_hat, axis=0))
         q = 1.0 + np.asarray(coeffs.b(grid.nodes), dtype=complex) * integral
     j = int(np.argmin(np.abs(q)))
     if abs(q[j]) < 1e-10:
@@ -117,7 +117,7 @@ def quotient_residual(g0, grid: Grid1D, coeffs: QuotientCoefficients,
     g, gt = central_in_t(lambda s: quotient_solve(g0, grid, coeffs, s).values,
                          t, dt)
     d = coeffs.symbol(dft_frequencies(grid))
-    dxg = dft_inverse(d[:, None] * dft_forward(g, grid), grid)
+    dxg = np.fft.ifft(d[:, None] * np.fft.fft(g, axis=0), axis=0)
     gbar = np.diag(g)
     if coeffs.f_coeffs:
         nonlin = g * coeffs.f_value(np.abs(gbar) ** 2)[None, :]

@@ -50,31 +50,27 @@ def exponential_density(grid: Grid1D, amplitude: float, rate: float) -> MassDens
 
 
 def constant_kernel_solve(g0: MassDensity, t: float) -> MassDensity:
-    """Project the Laplace-space base flow back to mass space.
+    """The general equation at :data:`CONSTANT_KERNEL`,
+    dg/dt = (1/2) g*g - g m0(t).
 
-    The base pair is the general one at (lin, quad) = (0, -1/2):
+    Exponential data A exp(-beta x) inverts analytically: the base pair is
     p(t) = c g0 and qhat(t) = lam g0 with (c, lam) = (alpha, -int alpha / 2)
-    from :func:`_base_pair_scalars`.  Exponential data A exp(-beta x)
-    inverts analytically: g(x, t) = c A exp(-(beta + lam A) x).  General
-    sampled data goes through the discrete Volterra projection (first-order
-    in the grid spacing).
+    from :func:`_base_pair_scalars` at m0(0) = A / beta, so
+    g(x, t) = c A exp(-(beta + lam A) x).  General sampled data goes
+    through :func:`general_smol_solve`'s discrete Volterra projection
+    (first-order in the grid spacing).
     """
-    exponential = g0.exponential
-    mu = g0.m0 if exponential is None else exponential[0] / exponential[1]
-    c, integral = _base_pair_scalars(0.0, -0.5, mu, t)
-    lam = -0.5 * integral
-    if exponential is not None:
-        amp, rate = exponential
-        new_rate = rate + lam * amp
-        if new_rate <= 0:
-            raise BlowupAtTime("inverted exponential no longer decays")
-        return MassDensity(grid=g0.grid,
-                           values=c * amp * np.exp(-new_rate * g0.grid.nodes),
-                           exponential=(c * amp, new_rate))
-    p = c * g0.values
-    qhat = lam * g0.values
-    g = volterra_project(p, qhat, g0.grid)
-    return MassDensity(grid=g0.grid, values=g)
+    if g0.exponential is None:
+        return general_smol_solve(CONSTANT_KERNEL, g0, t)
+    amp, rate = g0.exponential
+    c, integral = _base_pair_scalars(*m0_rates(CONSTANT_KERNEL, g0.grid),
+                                     amp / rate, t)
+    new_rate = rate + CONSTANT_KERNEL.b0_delta * integral * amp
+    if new_rate <= 0:
+        raise BlowupAtTime("inverted exponential no longer decays")
+    return MassDensity(grid=g0.grid,
+                       values=c * amp * np.exp(-new_rate * g0.grid.nodes),
+                       exponential=(c * amp, new_rate))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +150,7 @@ def deconvolve(p: np.ndarray, q: np.ndarray, grid: Grid1D) -> np.ndarray:
 # general Smoluchowski-type equation
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmolCoefficients:
     """Coefficients of the general equation
 
@@ -172,6 +168,10 @@ class SmolCoefficients:
     b0: np.ndarray | None = None
     b0_delta: float = 0.0
     include_loss: bool = False
+
+
+# the constant kernel K = 1: dg/dt = (1/2) g*g - g m0(t)
+CONSTANT_KERNEL = SmolCoefficients(b0_delta=-0.5, include_loss=True)
 
 
 def m0_rates(coeffs: SmolCoefficients, grid: Grid1D):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from grassflow.core import (DenseSystem, Grid1D, dft_forward, march,
-                            quadrature_weights, rk4_step, solve_dense)
+from grassflow.core import (DenseSystem, Grid1D, march, quadrature_weights,
+                            rk4_step, solve_dense)
 from grassflow.errors import BlowupAtTime, ConfigError, SingularSystem
 from grassflow.graphflows import CFL
 from grassflow.integrable import GAUSS_NODES, half_line_grid
@@ -123,7 +123,8 @@ def one_x_hankel(samples, grid: Grid1D, quadrature: str,
     quarter = grid.length / 4
     eta = np.append(quarter * (nodes - 1.0), 0.0)
     k = np.fft.fftfreq(grid.n, d=grid.spacing)
-    c = dft_forward(samples, grid) / grid.length
+    # the interpolant sum_k c_k e^{-2 pi i k x} through the samples
+    c = np.fft.ifft(samples) * np.exp(2j * np.pi * k * grid.lower)
     nyq = grid.n // 2
     c[nyq] *= 0.5
     k, c = np.append(k, -k[nyq]), np.append(c, c[nyq])

@@ -1,5 +1,5 @@
-"""Grids, quadrature, dense solves, the DFT contract, RK4 stepping, the
-fixed-step march, RNG."""
+"""Grids, quadrature, dense solves, the FFT's restriction, RK4 stepping,
+the fixed-step march, RNG."""
 
 import warnings
 
@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassflow import core
-from grassflow.core import (Grid1D, DenseSystem, central_in_t,
-                            dft_forward, dft_frequencies, dft_inverse,
-                            expm_2x2, gaussian_increments, march,
-                            one_blas_thread, phi1,
-                            quadrature_weights, random_stream, rk4_step,
-                            solve_dense)
+from grassflow.core import (Grid1D, DenseSystem, central_in_t, expm_2x2,
+                            gaussian_increments, march, one_blas_thread,
+                            phi1, quadrature_weights, random_stream,
+                            rk4_step, solve_dense)
 from grassflow.errors import ConfigError, IntegrationBlowup, SingularSystem
+from grassflow.integrable import cubic_kdv_symbol, propagate_dispersive
 
 
 # ---------------------------------------------------------------------------
@@ -185,71 +184,18 @@ def test_one_blas_thread_restores_the_count_after_an_error(setter):
 
 
 # ---------------------------------------------------------------------------
-# DFT contract
+# the FFT's restriction
 
 
 def test_dft_requires_periodic_power_of_two():
-    with pytest.raises(ConfigError):
-        dft_forward(np.zeros(8), Grid1D(0.0, 1.0, 8, kind="closed"))
-    with pytest.raises(ConfigError):
-        dft_forward(np.zeros(12), Grid1D(0.0, 1.0, 12, kind="periodic"))
-
-
-def test_constant_maps_to_mode_zero_times_length():
-    g = Grid1D(-3.0, 5.0, 16, kind="periodic")
-    modes = dft_forward(np.full(16, 2.5), g)
-    assert modes[0] == pytest.approx(2.5 * g.length)
-    assert np.max(np.abs(modes[1:])) < 1e-12
-
-
-def test_single_harmonic_lands_in_one_mode():
-    g = Grid1D(0.0, 2.0, 32, kind="periodic")
-    k1 = 1.0 / g.length
-    # forward kernel is e^{+2 pi i k x}, so e^{-2 pi i k1 x} fills mode +k1
-    modes = dft_forward(np.exp(-2j * np.pi * k1 * g.nodes), g)
-    k = dft_frequencies(g)
-    idx = int(np.argmin(np.abs(k - k1)))
-    assert abs(modes[idx] - g.length) < 1e-10
-    mask = np.ones(32, dtype=bool)
-    mask[idx] = False
-    assert np.max(np.abs(modes[mask])) < 1e-10
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 31), st.sampled_from([8, 16, 64]))
-def test_dft_round_trip(seed, n):
-    rng = np.random.default_rng(seed)
-    g = Grid1D(-2.0, 2.0, n, kind="periodic")
-    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    back = dft_inverse(dft_forward(f, g), g)
-    assert np.max(np.abs(back - f)) < 1e-12
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 31), st.sampled_from([8, 32]))
-def test_parseval_identity(seed, n):
-    rng = np.random.default_rng(seed)
-    g = Grid1D(0.0, 3.0, n, kind="periodic")
-    f = rng.standard_normal(n)
-    modes = dft_forward(f, g)
-    lhs = np.sum(np.abs(f) ** 2) * g.spacing
-    rhs = np.sum(np.abs(modes) ** 2) / g.length
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_dft_transforms_2d_samples_column_by_column():
-    rng = np.random.default_rng(5)
-    g = Grid1D(-1.5, 2.5, 16, kind="periodic")
-    f = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-    modes = dft_forward(f, g)
-    samples = dft_inverse(modes, g)
-    for j in range(3):
-        column = dft_forward(f[:, j], g)
-        assert np.max(np.abs(modes[:, j] - column)) < 1e-14
-        back = dft_inverse(column, g)
-        assert np.max(np.abs(samples[:, j] - back)) < 1e-14
-    with pytest.raises(ConfigError):
-        dft_forward(f.T, g)
+    # the KdV and NLS base flows propagate on a periodic power-of-two grid
+    with pytest.raises(ConfigError, match="periodic"):
+        propagate_dispersive(np.zeros(8), Grid1D(0.0, 1.0, 8, kind="closed"),
+                             cubic_kdv_symbol, 0.1)
+    with pytest.raises(ConfigError, match="power of two"):
+        propagate_dispersive(np.zeros(12),
+                             Grid1D(0.0, 1.0, 12, kind="periodic"),
+                             cubic_kdv_symbol, 0.1)
 
 
 # ---------------------------------------------------------------------------

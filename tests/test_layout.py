@@ -111,7 +111,7 @@ STALE_TARGETS = {
     "canonical.AdditiveKernelTrace.__call__", "integrable.additive_trace",
     "integrable.nls_assemble_qhat", "graphflows.invert_characteristic",
     "quotient.EllipticCoefficients.at", "spde.BrownianSheetModes.at_time",
-    "integrable.split_step_kdv",
+    "integrable.split_step_kdv", "core.dft_forward", "core.dft_inverse",
 }
 
 
