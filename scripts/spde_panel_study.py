@@ -16,7 +16,7 @@ from grassflow.spde import (BrownianSheetModes, SpdeParams,
 
 
 def study(seed: int, n: int, steps: int, t_final: float, panel_range):
-    params = SpdeParams(alpha=1.0, beta=0.0, gamma=10.0, epsilon=1000.0)
+    params = SpdeParams()
     resolution = max(max(panel_range), steps)
     sheet = BrownianSheetModes.generate(seed, n, t_final, resolution)
     g0 = sech_ridge_initial(n, 0.001, seed)

@@ -125,6 +125,13 @@ def validate(config: RunConfig) -> list:
     }
     problems += [message for name, (ok, message) in checks.items()
                  if name in READS[config.equation] and not ok]
+    # at most one checkpoint per step and one at t = 0 keeps them distinct
+    if "checkpoints" in READS[config.equation] and config.t_final > 0 \
+            and config.dt > 0:
+        most = uniform_steps(config.t_final, config.dt)[0] + 1
+        if config.checkpoints > most:
+            problems.append(f"checkpoints must be at most {most}, the step "
+                            "count round(t-final / dt) plus one")
     return problems
 
 
@@ -264,10 +271,10 @@ PROFILES = {
 
 def _checkpoint_steps(config: RunConfig):
     """The step count, the step t_final / total, which ends the last step at
-    t_final, and the checkpoint steps."""
+    t_final, and the checkpoint steps, distinct under validate's bound."""
     total, dt = uniform_steps(config.t_final, config.dt)
-    idx = sorted({int(round(j * total / (config.checkpoints - 1)))
-                  for j in range(config.checkpoints)})
+    idx = [round(j * total / (config.checkpoints - 1))
+           for j in range(config.checkpoints)]
     return total, dt, idx
 
 
@@ -402,7 +409,7 @@ def run_burgers(config: RunConfig, write) -> dict:
 
 
 def run_spde(config: RunConfig, write) -> dict:
-    params = SpdeParams(alpha=1.0, beta=0.0, gamma=10.0, epsilon=1000.0)
+    params = SpdeParams()
     t = config.t_final
     steps, step = uniform_steps(t, config.dt, least=2)
     # one sheet serves both schemes: its resolution must subdivide into the

@@ -144,16 +144,14 @@ def inviscid_burgers_eval(x_nodes, t: float, profile: InitialProfile,
 
 def fundamental_matrix(coeffs, t: float) -> np.ndarray:
     """Phi(t) = e^{tG} of d/ds [q; p] = G [q; p], G = [[A, B], [C, D]] for
-    constant scalars (None for zero), in closed form."""
-    generator = [0.0 if c is None else np.asarray(c, dtype=float).item()
-                 for c in coeffs]
-    return expm_2x2(t * np.reshape(generator, (2, 2)))
+    ``coeffs`` = (A, B, C, D), four floats, in closed form."""
+    return expm_2x2(t * np.reshape([float(c) for c in coeffs], (2, 2)))
 
 
 def generalized_flow_eval(x_nodes, t: float, profile: InitialProfile,
                           coeffs) -> GraphField:
-    """Graph flow under q' = Aq + Bp, p' = Cq + Dp, ``coeffs`` = (A, B, C, D)
-    constant scalars (None for zero).  The f(|p|^2) model is
+    """Graph flow under q' = Aq + Bp, p' = Cq + Dp, ``coeffs`` = (A, B, C, D),
+    four floats.  The f(|p|^2) model is
     :func:`inviscid_burgers_eval` with a modifier.
 
     The linear base pair is reduced to its scalar fundamental matrix, so

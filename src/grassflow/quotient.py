@@ -23,19 +23,23 @@ from .errors import (BlowupAtTime, ChartBreakdown, ConfigError,
 PHASE_STEPS = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuotientCoefficients:
     """Scalar-scale coefficients of the quotient family.
 
     ``dispersion`` maps 2 pi |k| to d(2 pi |k|) (Re d <= 0 enforced); ``b``
     is callable b(y); ``f_coeffs`` are the alpha_m of F(u) = i sum alpha_m
     u^m for the odd-degree variant (real alpha_m so F stays purely
-    imaginary).  At most one of ``b`` and ``f_coeffs`` is set.
+    imaginary).  Exactly one of ``b`` and ``f_coeffs`` is set.
     """
 
     dispersion: callable
     b: callable = None
     f_coeffs: tuple = ()
+
+    def __post_init__(self):
+        if (self.b is None) == (not self.f_coeffs):
+            raise ConfigError("set exactly one of b and f_coeffs")
 
     def symbol(self, k):
         d = np.asarray(self.dispersion(2.0 * np.pi * np.abs(np.asarray(k))),
@@ -70,13 +74,10 @@ def quotient_solve(g0: np.ndarray, grid: Grid1D,
     - ``f_coeffs`` set (the odd-degree variant):
       q(y; t) = exp(int_0^t F(|p(y, y; s)|^2) ds), an exact unit-modulus
       phase since F is purely imaginary; the time integral is a trapezoid
-      over PHASE_STEPS panels of the exact diagonal path;
-    - neither: q = 1.
+      over PHASE_STEPS panels of the exact diagonal path.
     """
     if grid.kind != "periodic":
         raise ConfigError("quotient solver works on a periodic grid")
-    if coeffs.b is not None and coeffs.f_coeffs:
-        raise ConfigError("set at most one of b and f_coeffs")
     g0 = np.asarray(g0, dtype=complex)
     if g0.shape != (grid.n, grid.n):
         raise ConfigError("initial data must be square on the grid")
@@ -97,8 +98,6 @@ def quotient_solve(g0: np.ndarray, grid: Grid1D,
             raise IntegrationBlowup("unit-modulus weight drifted off the "
                                     "circle")
         q = np.exp(exponent)
-    elif coeffs.b is None:
-        q = np.ones(grid.n, dtype=complex)
     else:
         # time-integrated p, inverse-transformed and read on the diagonal
         integral = np.diag(np.fft.ifft(phi1(d, t)[:, None] * p0_hat, axis=0))
@@ -122,8 +121,7 @@ def quotient_residual(g0, grid: Grid1D, coeffs: QuotientCoefficients,
     if coeffs.f_coeffs:
         nonlin = g * coeffs.f_value(np.abs(gbar) ** 2)[None, :]
     else:
-        b = coeffs.b(grid.nodes) if coeffs.b is not None else np.zeros(grid.n)
-        nonlin = g * (np.asarray(b) * gbar)[None, :]
+        nonlin = g * (np.asarray(coeffs.b(grid.nodes)) * gbar)[None, :]
     return g, float(np.max(np.abs(gt - dxg + nonlin)))
 
 

@@ -154,17 +154,16 @@ def deconvolve(p: np.ndarray, q: np.ndarray, grid: Grid1D) -> np.ndarray:
 class SmolCoefficients:
     """Coefficients of the general equation
 
-        dg/dt = d g + b g*g - g*b0*g [- g m0(t)]
+        dg/dt = d g - g*b0*g [- g m0(t)]
 
-    ``d`` and ``b`` are constants; ``b0`` is a sampled function on the mass
-    grid, and ``b0_delta`` adds a Dirac component to it (the constant
-    kernel's gain term is b0 = -1/2 delta).  ``include_loss`` switches on
-    the loss term -g m0(t), absorbed into d via the preprocessing Riccati
-    for m0.
+    ``d`` is a constant; ``b0`` is a sampled function on the mass grid, and
+    ``b0_delta`` adds a Dirac component to it (the constant kernel's gain
+    term is b0 = -1/2 delta, and a gain b g*g is b0_delta = -b).
+    ``include_loss`` switches on the loss term -g m0(t), absorbed into d
+    via the preprocessing Riccati for m0.
     """
 
     d: float = 0.0
-    b: float = 0.0
     b0: np.ndarray | None = None
     b0_delta: float = 0.0
     include_loss: bool = False
@@ -176,12 +175,12 @@ CONSTANT_KERNEL = SmolCoefficients(b0_delta=-0.5, include_loss=True)
 
 def m0_rates(coeffs: SmolCoefficients, grid: Grid1D):
     """(lin, quad) of the preprocessing Riccati m0' = lin m0 + quad m0^2:
-    lin = d and quad = b - b0bar - 1, where b0bar is the [0, X] integral
-    of b0 (plus the delta coefficient)."""
+    lin = d and quad = -b0bar - 1, where b0bar is the [0, X] integral of b0
+    (plus the delta coefficient)."""
     b0bar = coeffs.b0_delta
     if coeffs.b0 is not None:
         b0bar += float(np.sum(quadrature_weights(grid) * coeffs.b0))
-    return coeffs.d, coeffs.b - b0bar - 1.0
+    return coeffs.d, -b0bar - 1.0
 
 
 def m0_closed_form(lin: float, quad: float, m00: float, t: float) -> float:
@@ -218,12 +217,12 @@ def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity,
                        t: float) -> MassDensity:
     """Solve the linear base pair in mass space, then Volterra-project.
 
-        dp/dt = d p [- m0(t) p],    dqhat/dt = b0*p + (b0_delta - b) p,
+        dp/dt = d p [- m0(t) p],    dqhat/dt = b0*p + b0_delta p,
         p = g * (delta + qhat),
 
     with m0(t) from :func:`m0_closed_form`.  The pair is a closed form:
     p = alpha p0 for the scalar alpha of :func:`_base_pair_scalars`, and
-    qhat, linear in p, is (int alpha) ((b0_delta - b) p0 + b0*p0).
+    qhat, linear in p, is (int alpha) (b0_delta p0 + b0*p0).
     """
     grid = g0.grid
     _check_uniform(grid)
@@ -231,11 +230,10 @@ def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity,
     m00 = g0.m0 if coeffs.include_loss else 0.0
     p0 = g0.values.astype(float)
     alpha, integral = _base_pair_scalars(lin, quad, m00, t)
-    gain = coeffs.b0_delta - coeffs.b
     if coeffs.b0 is None:
-        qhat = gain * integral * p0
+        qhat = coeffs.b0_delta * integral * p0
     else:
-        qhat = integral * (gain * p0
+        qhat = integral * (coeffs.b0_delta * p0
                            + riemann_conv(coeffs.b0, p0, grid.spacing))
     return MassDensity(grid=grid,
                        values=volterra_project(alpha * p0, qhat, grid))
@@ -255,7 +253,7 @@ def general_smol_residual(coeffs: SmolCoefficients, g0: MassDensity, t: float,
     res = gt - coeffs.d * g
     if coeffs.b0 is not None:
         res = res + riemann_conv(g, riemann_conv(coeffs.b0, g, h), h)
-    res = res + (coeffs.b0_delta - coeffs.b) * riemann_conv(g, g, h)
+    res = res + coeffs.b0_delta * riemann_conv(g, g, h)
     if coeffs.include_loss:
         res = res + g * MassDensity(g0.grid, g).m0
     return g, float(np.max(np.abs(res)))

@@ -22,8 +22,10 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class SpdeParams:
+    """Diffusion rate alpha (the linear part alpha k^2 on the row mode k),
+    noise strength gamma and weight epsilon of the quadratic term."""
+
     alpha: float = 1.0
-    beta: float = 0.0
     gamma: float = 10.0
     epsilon: float = 1000.0
 
@@ -155,14 +157,13 @@ def spde_direct_run(g0: Field2D, params: SpdeParams,
     """Exponential-integrator time stepping in mode space.
 
     u <- exp(-dt L)(E u) - eps dt phi1(-dt L) (u o u), with
-    L = alpha k^2 + beta kappa^2 acting diagonally and the noise factor
-    E = exp(noise_coef dW - ito_coef dt), the exact per-step martingale,
-    applied row-wise (it multiplies along the first argument).
+    L = alpha k^2 and the noise factor E = exp(noise_coef dW - ito_coef dt),
+    the exact per-step martingale, both acting on the row mode k alone (they
+    multiply along the first argument).
     """
-    n = g0.n
-    k = mode_numbers(n)
+    k = mode_numbers(g0.n)
     dt = sheet.t_final / steps
-    lam = -dt * (params.alpha * k[:, None] ** 2 + params.beta * k[None, :] ** 2)
+    lam = -dt * (params.alpha * k[:, None] ** 2)
     lin = np.exp(lam)
     eps_phi = params.epsilon * dt * phi1(lam)
     noise_coef, ito_coef = k0_mode_policy(params, k)
@@ -208,25 +209,22 @@ def spde_poppe_run(g0: Field2D, params: SpdeParams,
                    sheet: BrownianSheetModes, panels: int = 256) -> PoppeResult:
     """Exact propagation of p, trapezoid accumulation of qhat, dense solve.
 
-    qhat(T) = eps int_0^T e^{beta k^2 (T - s)} p(s) ds over ``panels``
-    trapezoid panels, then g solves p = g o (delta + qhat); the absolute
-    determinant of the system matrix is tracked panel by panel.
+    qhat(T) = eps int_0^T p(s) ds over ``panels`` trapezoid panels, then g
+    solves p = g o (delta + qhat); the absolute determinant of the system
+    matrix is tracked panel by panel.
 
-    p(s) = diag(e^{expo(s)}) G0 and the decay is diagonal, so the running
-    sum is qhat_j = diag(c_j) G0 with c = cumsum(w eps decay e^{expo}) over
-    the panels, and the system at panel j is I + diag(c_j[-k]) 2 pi G0[-k].
+    p(s) = diag(e^{expo(s)}) G0, so the running sum is
+    qhat_j = diag(c_j) G0 with c = cumsum(w eps e^{expo}) over the panels,
+    and the system at panel j is I + diag(c_j[-k]) 2 pi G0[-k].
     The system at T below solve_dense's pivot floor raises SingularSystem
     carrying its determinant.
     """
     n = g0.n
-    k = mode_numbers(n)
     tf = sheet.t_final
     times = np.linspace(0.0, tf, panels + 1)[:, None]
     weights = quadrature_weights(Grid1D(0.0, tf, panels + 1))[:, None]
     w = sheet.cumulative(panels)
-    # the decay e^{beta k^2 (T - s)} joins the exponent: one exp in all
-    c = _martingale_exponent(params, k, w, times)
-    c += params.beta * k ** 2 * (tf - times)
+    c = _martingale_exponent(params, mode_numbers(n), w, times)
     np.exp(c, out=c)
     c *= weights * params.epsilon
     np.cumsum(c, axis=0, out=c)

@@ -4,7 +4,8 @@ None of it runs in a pipeline: the generic, callable-driven Fredholm
 solver the KdV/NLS projections are checked against, with the left-endpoint
 weights its hand-solved systems are built on, the same projection
 one x at a time, the Nystrom solve on Gauss-Legendre nodes written out
-point by point, the first-order KdV split step that ETDRK4 is held to,
+point by point, the first-order KdV split step that ETDRK4 is held to
+(with its paper-preset run, stepped once for the tests that share it),
 the RK4 march of a linear flow, the graph G = P Q^{-1} of a base pair
 with the Riccati subflow built on it and its RK4 oracle, the
 matrix-exponential base flow,
@@ -14,6 +15,7 @@ the spde Poppe accumulation panel by panel; and the reader of the CLI's
 tables by column name.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +24,9 @@ from grassflow.core import (DenseSystem, Grid1D, march, quadrature_weights,
                             rk4_step, solve_dense)
 from grassflow.errors import BlowupAtTime, ConfigError, SingularSystem
 from grassflow.graphflows import CFL
-from grassflow.integrable import GAUSS_NODES, half_line_grid
-from grassflow.spde import (TWO_PI, Field2D, PoppeResult, exact_base_modes,
-                            mode_numbers)
+from grassflow.integrable import (GAUSS_NODES, half_line_grid,
+                                  kdv_fredholm_solve)
+from grassflow.spde import TWO_PI, Field2D, PoppeResult, exact_base_modes
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +249,21 @@ def split_step_kdv(u0, grid: Grid1D, dt: float, steps: int, checkpoints=None):
                  checkpoints, lambda v: np.fft.irfft(v, n))
 
 
+@functools.cache
+def kdv_paper_split_step(dt: float) -> dict:
+    """{f: samples at f t} for f in 0.2, 0.5 and 1.0 of the split step in
+    steps of ``dt`` to t = 15 from the KdV paper preset's data on [-5, 5)
+    (256 nodes), projected at t = 0.  Each dt is stepped once, for every
+    test that holds a method to it."""
+    grid = Grid1D(-5.0, 5.0, 256, kind="periodic")
+    u0 = kdv_fredholm_solve(-0.5 * np.cosh(grid.nodes / 20.0), grid,
+                            0.0).values
+    kept = {f: int(round(f * 15.0 / dt)) for f in (0.2, 0.5, 1.0)}
+    direct = split_step_kdv(u0, grid, dt, int(round(15.0 / dt)),
+                            checkpoints=kept.values())
+    return {f: direct[m] for f, m in kept.items()}
+
+
 # ---------------------------------------------------------------------------
 # the Grassmannian step at matrix scale
 
@@ -381,7 +398,6 @@ def spde_poppe_loop(g0, params, sheet, panels):
     """spde_poppe_run's former accumulation: qhat, its system and the
     system's determinant rebuilt in each panel."""
     n = g0.n
-    k = mode_numbers(n)
     tf = sheet.t_final
     times = np.linspace(0.0, tf, panels + 1)
     weights = quadrature_weights(Grid1D(0.0, tf, panels + 1))
@@ -391,8 +407,7 @@ def spde_poppe_loop(g0, params, sheet, panels):
     w = sheet.cumulative(panels)
     for j, s in enumerate(times):
         p_s = exact_base_modes(g0, params, w[j], s)
-        decay = np.exp(params.beta * k ** 2 * (tf - s))
-        qhat += weights[j] * params.epsilon * decay[:, None] * p_s
+        qhat += weights[j] * params.epsilon * p_s
         # p = g o (delta + qhat)  =>  P = G (I + 2 pi J Qhat) in mode matrices
         system = np.eye(n, dtype=complex) + TWO_PI * qhat[neg, :]
         dets[j] = abs(np.linalg.det(system))

@@ -31,7 +31,7 @@ from grassflow.spde import (BrownianSheetModes, SpdeParams,
                             sech_ridge_initial, spde_direct_run,
                             spde_poppe_run)
 from reference import (graph_solve, integrate_base_exact, read_columns,
-                       riccati_rk4, riccati_subflow, split_step_kdv)
+                       kdv_paper_split_step, riccati_rk4, riccati_subflow)
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -52,14 +52,12 @@ def test_criterion_1_kdv_cross_validation():
     fracs = (0.2, 0.5, 1.0)
     proj = {f: np.real(kdv_fredholm_solve(p0, grid, f * t_final).values)
             for f in fracs}
-    u0 = np.real(kdv_fredholm_solve(p0, grid, 0.0).values)
     sups = []
     for dt in (1e-4, 5e-5):
-        steps = int(round(t_final / dt))
-        cps = [int(round(f * t_final / dt)) for f in fracs]
-        direct = split_step_kdv(u0, grid, dt, steps, checkpoints=cps)
-        sups.append(max(float(np.max(np.abs(proj[f] - direct[c])))
-                        for f, c in zip(fracs, cps)))
+        # the split step from the projection at t = 0, kept at fracs
+        direct = kdv_paper_split_step(dt)
+        sups.append(max(float(np.max(np.abs(proj[f] - direct[f])))
+                        for f in fracs))
     finite = all(np.isfinite(s) for s in sups)
     decreasing = sups[1] < sups[0]
     report(1, "kdv cross-validation", finite and decreasing,
@@ -301,7 +299,7 @@ def test_criterion_7_spde():
     n = 32
     t_final = 0.007
     steps = 256
-    params = SpdeParams(alpha=1.0, beta=0.0, gamma=10.0, epsilon=1000.0)
+    params = SpdeParams()
     sheet = BrownianSheetModes.generate(0, n, t_final, 512)
     g0 = sech_ridge_initial(n, 0.001, 0)
     direct = spde_direct_run(g0, params, sheet, steps)
@@ -311,7 +309,7 @@ def test_criterion_7_spde():
         gaps[panels] = float(np.max(np.abs(direct.samples
                                            - poppe.g.samples)))
     # deterministic heat limit
-    quiet = SpdeParams(alpha=1.0, beta=0.0, gamma=0.0, epsilon=0.0)
+    quiet = SpdeParams(gamma=0.0, epsilon=0.0)
     calm = sech_ridge_initial(n, 0.0, 0)
     heat = spde_direct_run(calm, quiet, sheet, steps)
     k = np.fft.fftfreq(n, d=1.0 / n)

@@ -468,6 +468,24 @@ def test_fredholm_run_ends_at_t_final(tmp_path, argv):
         assert float(rows[-1][1]) == t_final
 
 
+@pytest.mark.parametrize("equation", ["kdv", "nls"])
+def test_more_checkpoints_than_steps_exit_2(tmp_path, capsys, equation):
+    # one step holds two distinct checkpoints: eleven would be written as
+    # two under a sidecar that said eleven
+    out = tmp_path / "out"
+    assert main([equation, "--grid-n", "32", "--t-final", "0.01", "--dt",
+                 "0.01", "--checkpoints", "11", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "precondition violated: checkpoints must be at most 2, the step "
+        "count round(t-final / dt) plus one\n")
+    assert not out.exists()
+    # a checkpoint at every step, the tightest of the presets' and
+    # benchmark's runs
+    config = RunConfig(equation, t_final=0.1, dt=0.01, checkpoints=11)
+    assert validate(config) == []
+    assert cli._checkpoint_steps(config)[2] == list(range(11))
+
+
 def read_metadata(path):
     return dict(line.split(" = ", 1)
                 for line in path.read_text().splitlines())

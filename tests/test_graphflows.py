@@ -274,15 +274,18 @@ def test_evaluator_calls_do_not_grow_with_nodes():
 
 def test_fundamental_matrix_of_constant_system():
     # A=0, B=1, C=0, D=0: Phi = [[1, t], [0, 1]]
-    phi = fundamental_matrix((None, np.array([[1.0]]), None, None), 2.0)
+    phi = fundamental_matrix((0.0, 1.0, 0.0, 0.0), 2.0)
     assert np.allclose(phi, [[1.0, 2.0], [0.0, 1.0]], atol=1e-12)
+    # zero is spelt 0.0, not None
+    with pytest.raises(TypeError):
+        fundamental_matrix((None, 1.0, None, None), 2.0)
 
 
 def test_generalized_flow_reduces_to_inviscid_burgers():
     prof = InitialProfile(evaluator=lambda a: 0.3 * np.sin(np.atleast_1d(a)))
     x = np.linspace(-2, 2, 33)
     plain = inviscid_burgers_eval(x, 0.6, prof)
-    coeffs = (None, np.array([[1.0]]), None, None)
+    coeffs = (0.0, 1.0, 0.0, 0.0)
     gen = generalized_flow_eval(x, 0.6, prof, coeffs=coeffs)
     assert np.max(np.abs(plain.values - gen.values)) < 1e-9
 
@@ -292,7 +295,7 @@ def test_generalized_flow_applies_inviscid_shock_rule(t):
     # A = C = D = 0, B = 1 is inviscid Burgers, shocks included
     plain = inviscid_burgers_eval(PROBE, t, NEG_TANH)
     gen = generalized_flow_eval(PROBE, t, NEG_TANH,
-                                coeffs=(None, np.array([[1.0]]), None, None))
+                                coeffs=(0.0, 1.0, 0.0, 0.0))
     assert [i for i, _, _ in gen.flagged] == [i for i, _, _ in plain.flagged]
     assert np.array_equal(np.isnan(gen.values), np.isnan(plain.values))
     ok = ~np.isnan(plain.values)
@@ -302,7 +305,7 @@ def test_generalized_flow_applies_inviscid_shock_rule(t):
 def test_generalized_flow_with_decay_matches_closed_form():
     # q' = p, p' = -p: p(t) = e^{-t} pi0, q(t) = a + (1 - e^{-t}) pi0
     prof = InitialProfile(evaluator=lambda a: 0.5 * np.atleast_1d(a))
-    coeffs = (None, np.array([[1.0]]), None, np.array([[-1.0]]))
+    coeffs = (0.0, 1.0, 0.0, -1.0)
     t = 1.2
     x = np.linspace(-1, 1, 11)
     field = generalized_flow_eval(x, t, prof, coeffs=coeffs)
@@ -319,15 +322,14 @@ def generalized_residual(profile, coeffs, x_nodes, t, dt):
     pi, pt = central_in_t(
         lambda s: generalized_flow_eval(x, s, profile, coeffs=coeffs).values,
         t, dt)
-    A, B, C, D = (0.0 if c is None else float(np.ravel(c)[0])
-                  for c in coeffs)
+    A, B, C, D = coeffs
     res = pt + ddx(pi, x[1] - x[0]) * (A * x + B * pi) - (C * x + D * pi)
     return pi, float(np.max(np.abs(res[1:-1])))
 
 
 def test_generalized_residual_decreases_with_stencil():
     prof = InitialProfile(evaluator=lambda a: 0.2 * np.sin(np.atleast_1d(a)))
-    coeffs = (None, np.array([[1.0]]), None, np.array([[-0.5]]))
+    coeffs = (0.0, 1.0, 0.0, -0.5)
     x = np.linspace(-np.pi, np.pi, 65)
     _, coarse = generalized_residual(prof, coeffs, x, 0.4, 4e-2)
     _, fine = generalized_residual(prof, coeffs, x, 0.4, 2e-2)

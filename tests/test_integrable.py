@@ -13,8 +13,8 @@ from grassflow.integrable import (CHUNK_BYTES, GAUSS_NODES, _project_over_x,
                                   nls_fredholm_solve, nls_gram,
                                   propagate_dispersive, schrodinger_symbol,
                                   split_step_nls)
-from reference import (AdditiveKernelTrace, ddx, nystrom_fredholm,
-                       one_x_hankel, project_one_x_at_a_time,
+from reference import (AdditiveKernelTrace, ddx, kdv_paper_split_step,
+                       nystrom_fredholm, one_x_hankel, project_one_x_at_a_time,
                        solve_additive_fredholm, split_step_kdv)
 
 RULES = ("trapezoid", "gauss-legendre")
@@ -534,5 +534,5 @@ def test_etdrk4_kdv_matches_split_step_on_paper_preset():
     # same equation (measured 9.3e-7 apart)
     g = periodic_grid(-5.0, 5.0, 256)
     u0 = kdv_fredholm_solve(-0.5 * np.cosh(g.nodes / 20.0), g, 0.0).values
-    fine = split_step_kdv(u0, g, 1e-4, 150000)
+    fine = kdv_paper_split_step(1e-4)[1.0]
     assert np.max(np.abs(etdrk4_kdv(u0, g, 1e-2, 1500) - fine)) < 2e-6

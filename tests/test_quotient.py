@@ -1,5 +1,7 @@
 """Quotient-solution family and the elliptic first-order construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +36,7 @@ def heat_coeffs(b=None, f=()):
 
 def test_b_zero_is_exact_per_mode_propagation():
     g = periodic_grid(2.0 * np.pi, 32)
-    coeffs = heat_coeffs()
+    coeffs = heat_coeffs(b=np.zeros_like)
     xx, yy = np.meshgrid(g.nodes, g.nodes, indexing="ij")
     g0 = np.sin(xx) * np.cos(2 * yy)
     t = 0.3
@@ -54,7 +56,7 @@ def test_t_zero_is_identity():
 
 def test_growing_dispersion_rejected():
     g = periodic_grid(4.0, 16)
-    coeffs = QuotientCoefficients(dispersion=lambda s: s ** 2)
+    coeffs = QuotientCoefficients(dispersion=lambda s: s ** 2, b=np.ones_like)
     with pytest.raises(SymbolError):
         quotient_solve(gaussian_sheet(g), g, coeffs, 0.1)
 
@@ -62,10 +64,11 @@ def test_growing_dispersion_rejected():
 def test_shape_and_grid_validation():
     g = periodic_grid(4.0, 16)
     with pytest.raises(ConfigError):
-        quotient_solve(np.zeros((8, 8)), g, heat_coeffs(), 0.1)
+        quotient_solve(np.zeros((8, 8)), g, heat_coeffs(b=np.ones_like), 0.1)
     closed = Grid1D(0.0, 4.0, 16, kind="closed")
     with pytest.raises(ConfigError):
-        quotient_solve(np.zeros((16, 16)), closed, heat_coeffs(), 0.1)
+        quotient_solve(np.zeros((16, 16)), closed, heat_coeffs(b=np.ones_like),
+                       0.1)
 
 
 def test_q_accumulates_diagonal_integral():
@@ -124,21 +127,18 @@ def test_odd_degree_weight_is_unimodular():
     assert np.max(np.abs(np.abs(out.q) - 1.0)) < 1e-8
 
 
-def test_odd_degree_empty_f_falls_back_to_linear():
-    # neither b nor f_coeffs set: q = 1, the solve with b = 0
-    g = periodic_grid(4.0, 16)
-    g0 = gaussian_sheet(g)
-    a = quotient_solve(g0, g, heat_coeffs(), 0.3)
-    b = quotient_solve(g0, g, heat_coeffs(b=np.zeros_like), 0.3)
-    assert np.array_equal(a.q, np.ones(g.n))
-    assert np.max(np.abs(a.values - b.values)) < 1e-12
+def test_neither_b_nor_f_coeffs_rejected():
+    # the linear flow is b = 0 (test_b_zero_is_exact_per_mode_propagation)
+    with pytest.raises(ConfigError, match="exactly one"):
+        heat_coeffs()
 
 
 def test_b_and_f_coeffs_together_rejected():
-    g = periodic_grid(4.0, 16)
-    coeffs = heat_coeffs(b=np.ones_like, f=(0.5,))
-    with pytest.raises(ConfigError):
-        quotient_solve(gaussian_sheet(g), g, coeffs, 0.1)
+    with pytest.raises(ConfigError, match="exactly one"):
+        heat_coeffs(b=np.ones_like, f=(0.5,))
+    # nor can the second be set after construction
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        heat_coeffs(b=np.ones_like).f_coeffs = (0.5,)
 
 
 def test_odd_degree_diagonal_matches_full_inverse_per_time():

@@ -1,5 +1,5 @@
 """Every script under scripts/ imports against the current library, and
-the coagulation moment study runs on a small grid.
+the coagulation moment and spde panel studies run on small grids.
 
 Importing runs each script's top level (its `from grassflow... import`
 lines) but not its entry point, which sits under the `__main__` guard.
@@ -8,6 +8,7 @@ lines) but not its entry point, which sits under the `__main__` guard.
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
 SCRIPTS = sorted((pathlib.Path(__file__).resolve().parent.parent
@@ -43,6 +44,17 @@ def test_coagulation_moments_study_runs(capsys):
     assert errors["max relative m0 error vs closed form"] < 2e-3
     assert errors["max relative m1 drift"] < 1e-10
     assert len(lines) == 9
+
+
+def test_spde_panel_study_runs(capsys):
+    # the study builds its parameters and runs both schemes on one path
+    script = next(p for p in SCRIPTS if p.stem == "spde_panel_study")
+    load(script).study(0, 8, 16, 0.007, (8, 16))
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["panels=8", "panels=16"]
+    for line in lines:
+        gap, det = (float(part.split()[0]) for part in line.split("= ")[1:])
+        assert np.isfinite(gap) and det > 0
 
 
 def test_reference_panels_run(tmp_path, capsys):

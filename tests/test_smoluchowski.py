@@ -237,16 +237,16 @@ def test_general_solver_reduces_to_constant_kernel():
 
 
 def test_m0_riccati_matches_closed_form():
-    # lin != 0, and b0, the delta gain and b all enter the rates; the RK4
+    # lin != 0, and b0 and the delta gain both enter the rates; the RK4
     # loop converges to the closed form at fourth order
     g = mass_grid(20.0, 201)
     x = g.nodes
     b0 = -0.1 * np.exp(-0.5 * x)
-    coeffs = SmolCoefficients(d=0.3, b=0.1, b0=b0, b0_delta=-0.4,
+    coeffs = SmolCoefficients(d=0.3, b0=b0, b0_delta=-0.5,
                               include_loss=True)
     lin, quad = m0_rates(coeffs, g)
     assert lin == 0.3
-    assert quad == pytest.approx(0.1 + 0.4 - np.trapezoid(b0, x) - 1.0,
+    assert quad == pytest.approx(0.5 - np.trapezoid(b0, x) - 1.0,
                                  abs=1e-15)
     exact = m0_closed_form(lin, quad, 1.5, 2.0)
     errs = [abs(_m0_riccati_loop(lin, quad, 1.5, 2.0, steps) - exact)
@@ -271,9 +271,9 @@ def test_m0_riccati_blowup_with_growth_reports_its_pole():
 
 def test_general_residual_shrinks_under_simultaneous_refinement():
     # the residual floor is first order in the spacing, so grid and time
-    # step must refine together; b enters the solve and the residual alike
-    # (measured ratio 1.94)
-    coeffs = SmolCoefficients(d=-0.2, b=0.1, b0_delta=-0.4)
+    # step must refine together; the delta gain enters the solve and the
+    # residual alike (measured ratio 1.94)
+    coeffs = SmolCoefficients(d=-0.2, b0_delta=-0.5)
 
     def residual(n, dt):
         g = mass_grid(30.0, n)
@@ -322,7 +322,7 @@ def _general_smol_loop(coeffs, g0, t, steps):
         p, qhat = state
         m0 = m0_closed_form(lin, quad, m00, s)
         dp = coeffs.d * p - m0 * p
-        dq = coeffs.b0_delta * p - coeffs.b * p
+        dq = coeffs.b0_delta * p
         if coeffs.b0 is not None:
             dq = dq + riemann_conv(coeffs.b0, p, h)
         return np.array([dp, dq])
@@ -362,17 +362,16 @@ B0 = -0.1 * np.exp(-0.5 * mass_grid(40.0, 128).nodes)
 
 
 @pytest.mark.parametrize("rates, coeffs", [
-    ((0.3, -0.3), SmolCoefficients(d=0.3, b=0.2, b0_delta=-0.5,
+    ((0.3, -0.3), SmolCoefficients(d=0.3, b0_delta=-0.7,
                                    include_loss=True)),
     ((-0.2, 0.0), SmolCoefficients(d=-0.2, b0_delta=-1.0,
                                    include_loss=True)),
-    # the gain b0_delta - b = -(1 + quad) vanishes here, so qhat = 0
+    # the gain b0_delta = -(1 + quad) vanishes here, so qhat = 0
     ((-0.2, -1.0), SmolCoefficients(d=-0.2, include_loss=True)),
-    # qhat = (int alpha) ((b0_delta - b) p0 + b0*p0) (measured 2.9e-12,
+    # qhat = (int alpha) (b0_delta p0 + b0*p0) (measured 2.9e-12,
     # 1.8e-13, 1.2e-14)
     ((0.3, -0.3 - np.trapezoid(B0, dx=40.0 / 127)),
-     SmolCoefficients(d=0.3, b=0.2, b0=B0, b0_delta=-0.5,
-                      include_loss=True)),
+     SmolCoefficients(d=0.3, b0=B0, b0_delta=-0.7, include_loss=True)),
 ], ids=["lin", "quad0", "quad-1", "b0"])
 def test_general_solver_loss_term_matches_its_loop(rates, coeffs):
     g = mass_grid(40.0, 128)
@@ -387,7 +386,7 @@ def test_general_solver_sampled_b0_without_loss_matches_its_loop():
     # 6.7e-16)
     g = mass_grid(40.0, 128)
     g0 = MassDensity(grid=g, values=np.exp(-g.nodes))
-    coeffs = SmolCoefficients(d=-0.1, b=0.1, b0=B0)
+    coeffs = SmolCoefficients(d=-0.1, b0=B0, b0_delta=-0.1)
     out = general_smol_solve(coeffs, g0, 0.7).values
     loop = _general_smol_loop(coeffs, g0, 0.7, 96)
     assert np.max(np.abs(out - loop)) <= 1e-14
