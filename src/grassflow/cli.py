@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .core import Grid1D, uniform_steps
 from .errors import Breakdown, ChartBreakdown, GrassflowError, ShockProximity
-from .graphflows import InitialProfile, inviscid_burgers_eval, upwind_oracle
+from .graphflows import InitialProfile, inviscid_burgers_eval, spectral_oracle
 from .integrable import (cubic_kdv_symbol, etdrk4_kdv, kdv_fredholm_solve,
                          nls_fredholm_solve, propagate_dispersive,
                          schrodinger_symbol, split_step_nls)
@@ -245,6 +245,9 @@ BURGERS_PROFILES = {
                                lambda a: -1.0 / np.cosh(a) ** 2),
 }
 
+# the period of each periodic burgers profile, on which its oracle runs
+BURGERS_PERIODS = {"sin": 2 * np.pi}
+
 
 # the profiles each equation accepts, its default first
 PROFILES = {
@@ -390,14 +393,10 @@ def run_burgers(config: RunConfig, write) -> dict:
     fld = inviscid_burgers_eval(x, config.t_final, profile)
     write("field", x=x, **_value(fld.values))
     extra = {"flagged_nodes": len(fld.flagged)}
-    if config.compare_oracle and config.profile in ("sin",):
-        fine = 4 * config.grid_n
-        h = config.domain_l / fine
-        xs = -config.domain_l / 2 + h * np.arange(fine)
-        oracle = upwind_oracle(profile(xs), h, config.t_final)
-        # the oracle is periodic: x = +L/2 reads it at -L/2
-        interp = np.interp(x, xs, oracle, period=config.domain_l)
-        gap = np.abs(fld.values - interp)
+    if config.compare_oracle and config.profile in BURGERS_PERIODS:
+        oracle = spectral_oracle(profile, BURGERS_PERIODS[config.profile],
+                                 config.t_final, x)
+        gap = np.abs(fld.values - oracle)
         write("difference", x=x, difference=gap)
         extra["sup_difference"] = float(np.nanmax(gap))
     if fld.flagged:

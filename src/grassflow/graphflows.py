@@ -5,21 +5,23 @@ characteristic map q(a, t) = a + t * pi0(a) (one Newton over every node
 at once, with a per-node bisection fallback) and reading the momentum off
 the initial profile.  The generalised graph flow reduces its linear base
 pair to its fundamental matrix, a closed-form 2x2 exponential, and shares
-that inversion; a first-order upwind integrator is the direct oracle.
+that inversion.  The direct oracle of periodic data is Fourier collocation
+on one period with the 2/3 rule, stepped by RK4.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import expm_2x2
+from .core import expm_2x2, march, rk4_step
 from .errors import NewtonDivergence
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 JACOBIAN_FLOOR = 1e-8
 FD_STEP = 1e-6
-CFL = 0.4  # Courant number of upwind_oracle's adaptive step
+SPECTRAL_NODES = 512  # spectral_oracle's collocation nodes on one period
+COURANT = 0.25  # dt max|pi0| k_max of spectral_oracle's fixed RK4 step
 
 
 @dataclass
@@ -170,31 +172,46 @@ def generalized_flow_eval(x_nodes, t: float, profile: InitialProfile,
 # direct oracle
 
 
-def upwind_oracle(pi0_samples: np.ndarray, h: float, t: float) -> np.ndarray:
-    """First-order upwind integration of pi_t + pi pi_x = 0, periodic.
+def spectral_steps(t: float, speed: float, period: float,
+                   nodes: int = SPECTRAL_NODES) -> int:
+    """spectral_oracle's RK4 step count, ceil(t speed k_max / COURANT) and
+    at least 1, for the top kept wavenumber k_max = 2 pi K / period,
+    K = (nodes - 1) // 3, and the profile's largest |pi0| as ``speed``."""
+    k_max = 2 * np.pi * ((nodes - 1) // 3) / period
+    return max(1, int(np.ceil(t * speed * k_max / COURANT)))
 
-    Each step fills one periodic difference array, diff[i] = u_i - u_{i-1}
-    with diff[0] = diff[n] = u_0 - u_{n-1}, so the backward difference at
-    node i is diff[i] and the forward one diff[i + 1]; every step works in
-    buffers allocated once.
+
+def spectral_oracle(profile, period: float, t: float, x_nodes,
+                    nodes: int = SPECTRAL_NODES, steps: int = None):
+    """pi(x, t) of pi_t + (pi^2/2)_x = 0 for ``period``-periodic data by
+    Fourier collocation, read at ``x_nodes``.
+
+    The profile's samples on ``nodes`` points of [-period/2, period/2) are
+    evolved on the rfft half-spectrum, the modes above K = (nodes - 1) // 3
+    zeroed (the 2/3 rule), by ``steps`` RK4 steps (default
+    :func:`spectral_steps`).  Since max|pi| does not grow before the shock,
+    that fixed step stays stable.  The final trigonometric interpolant is
+    summed at each of ``x_nodes`` by Horner in
+    z = e^{2 pi i (x + period/2) / period}.
     """
-    u = np.asarray(pi0_samples, dtype=float).copy()
-    n = len(u)
-    diff = np.empty(n + 1)
-    slope, change = np.empty(n), np.empty(n)
-    upwind_back = np.empty(n, dtype=bool)
-    elapsed = 0.0
-    while elapsed < t:
-        speed = np.max(np.abs(u, out=change))
-        dt = min(CFL * h / max(speed, 1e-12), t - elapsed)
-        np.subtract(u[1:], u[:-1], out=diff[1:n])
-        diff[0] = diff[n] = u[0] - u[-1]
-        diff /= h
-        np.greater(u, 0, out=upwind_back)
-        np.copyto(slope, diff[1:])
-        np.copyto(slope, diff[:n], where=upwind_back)
-        np.multiply(u, dt, out=change)
-        change *= slope
-        u -= change
-        elapsed += dt
-    return u
+    u0 = profile(period * (np.arange(nodes) / nodes - 0.5))
+    top = (nodes - 1) // 3
+    k = np.arange(nodes // 2 + 1)
+    # -(u^2 / 2)_x: mode k of u^2 times -pi i k / period, dealiased
+    flux = np.where(k <= top, -1j * np.pi * k / period, 0)
+    if steps is None:
+        steps = spectral_steps(t, float(np.max(np.abs(u0))), period, nodes)
+    dt = t / steps
+
+    def rhs(s, v):
+        u = np.fft.irfft(v, nodes)
+        return flux * np.fft.rfft(u * u)
+
+    v = march(lambda m, v: rk4_step(rhs, v, m * dt, dt),
+              np.fft.rfft(u0) * (k <= top), steps)
+    c = v[:top + 1] / nodes
+    z = np.exp(2j * np.pi * (np.asarray(x_nodes, dtype=float) / period + 0.5))
+    acc = np.full(z.shape, c[top])
+    for ck in c[top - 1:0:-1]:
+        acc = acc * z + ck
+    return c[0].real + 2 * (acc * z).real

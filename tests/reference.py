@@ -10,7 +10,8 @@ the RK4 march of a linear flow, the graph G = P Q^{-1} of a base pair
 with the Riccati subflow built on it and its RK4 oracle, the
 matrix-exponential base flow,
 the central first difference of the residual checks, the node-by-node
-Volterra loops with their long-double twin, the np.roll upwind loop, and
+Volterra loops with their long-double twin, the first-order upwind
+integrator of inviscid Burgers with its np.roll loop, and
 the spde Poppe accumulation panel by panel; and the reader of the CLI's
 tables by column name.
 """
@@ -23,7 +24,6 @@ import numpy as np
 from grassflow.core import (DenseSystem, Grid1D, march, quadrature_weights,
                             rk4_step, solve_dense)
 from grassflow.errors import BlowupAtTime, ConfigError, SingularSystem
-from grassflow.graphflows import CFL
 from grassflow.integrable import (GAUSS_NODES, half_line_grid,
                                   kdv_fredholm_solve)
 from grassflow.spde import TWO_PI, Field2D, PoppeResult, exact_base_modes
@@ -344,7 +344,8 @@ def ddx(u, h):
 
 
 # ---------------------------------------------------------------------------
-# the per-node loops the Volterra solve and the upwind oracle replaced
+# the per-node loops the Volterra solve replaced; the first-order upwind
+# oracle the spectral oracle replaced, and the np.roll loop before it
 
 
 def volterra_loop(p, qv, h):
@@ -380,8 +381,41 @@ def forward_substitute_longdouble(b, c, s, c0):
     return g
 
 
+CFL = 0.4  # Courant number of upwind_oracle's adaptive step
+
+
+def upwind_oracle(pi0_samples, h, t):
+    """First-order upwind integration of pi_t + pi pi_x = 0, periodic.
+
+    Each step fills one periodic difference array, diff[i] = u_i - u_{i-1}
+    with diff[0] = diff[n] = u_0 - u_{n-1}, so the backward difference at
+    node i is diff[i] and the forward one diff[i + 1]; every step works in
+    buffers allocated once.
+    """
+    u = np.asarray(pi0_samples, dtype=float).copy()
+    n = len(u)
+    diff = np.empty(n + 1)
+    slope, change = np.empty(n), np.empty(n)
+    upwind_back = np.empty(n, dtype=bool)
+    elapsed = 0.0
+    while elapsed < t:
+        speed = np.max(np.abs(u, out=change))
+        dt = min(CFL * h / max(speed, 1e-12), t - elapsed)
+        np.subtract(u[1:], u[:-1], out=diff[1:n])
+        diff[0] = diff[n] = u[0] - u[-1]
+        diff /= h
+        np.greater(u, 0, out=upwind_back)
+        np.copyto(slope, diff[1:])
+        np.copyto(slope, diff[:n], where=upwind_back)
+        np.multiply(u, dt, out=change)
+        change *= slope
+        u -= change
+        elapsed += dt
+    return u
+
+
 def upwind_roll(pi0_samples, h, t):
-    """upwind_oracle's former step, its differences taken by np.roll."""
+    """upwind_oracle's step with its differences taken by np.roll."""
     u = np.asarray(pi0_samples, dtype=float).copy()
     elapsed = 0.0
     while elapsed < t:

@@ -17,7 +17,7 @@ from grassflow.cli import main
 from grassflow.core import Grid1D
 from grassflow.errors import ChartBreakdown
 from grassflow.graphflows import (InitialProfile, inviscid_burgers_eval,
-                                  upwind_oracle)
+                                  spectral_oracle)
 from grassflow.integrable import (GAUSS_NODES, cubic_kdv_symbol, etdrk4_kdv,
                                   kdv_fredholm_solve, nls_fredholm_solve,
                                   propagate_dispersive, schrodinger_symbol,
@@ -252,12 +252,10 @@ def test_criterion_5_inviscid_burgers():
     x = np.linspace(-2.0, 2.0, 41)
     err_linear = float(np.max(np.abs(
         inviscid_burgers_eval(x, 1.0, lin).values - x / 2.0)))
-    # sine data against a fine upwind oracle, pre-shock
+    # sine data against the spectral oracle, pre-shock
     sin_prof = InitialProfile(lambda a: np.sin(np.atleast_1d(a)), np.cos)
-    n = 2048
-    xs = np.linspace(-np.pi, np.pi, n, endpoint=False)
-    h = xs[1] - xs[0]
-    oracle = upwind_oracle(np.sin(xs), h, 0.5)
+    xs = np.linspace(-np.pi, np.pi, 2048, endpoint=False)
+    oracle = spectral_oracle(sin_prof, 2 * np.pi, 0.5, xs)
     exact = inviscid_burgers_eval(xs, 0.5, sin_prof).values
     err_sin = float(np.max(np.abs(oracle - exact)))
     # shock flag appears strictly after t = 0.9 and by t = 1.0
@@ -266,10 +264,10 @@ def test_criterion_5_inviscid_burgers():
     probe = np.linspace(-0.5, 0.5, 21)
     flagged_before = inviscid_burgers_eval(probe, 0.9, tanh_prof).flagged
     flagged_at = inviscid_burgers_eval(probe, 1.0, tanh_prof).flagged
-    ok = err_linear <= 1e-10 and err_sin <= 1e-2 \
+    ok = err_linear <= 1e-10 and err_sin <= 1e-10 \
         and not flagged_before and len(flagged_at) > 0
     report(5, "inviscid burgers", ok,
-           f"linear {err_linear:.2e}, upwind gap {err_sin:.2e}, "
+           f"linear {err_linear:.2e}, spectral gap {err_sin:.2e}, "
            f"shock window ok {not flagged_before and bool(flagged_at)}")
 
 

@@ -544,13 +544,51 @@ def test_nonlinear_effect_is_the_oracle_gap_to_the_linear_flow(
 
 
 def test_burgers_difference_wraps_the_periodic_oracle(tmp_path):
-    # x = +L/2 is the periodic oracle's first node, -L/2, not its last
+    # x = +L/2 reads the periodic oracle where x = -L/2 does
     rc = main(["burgers", "--profile", "sin", "--grid-n", "256",
                "--t-final", "0.5", "--domain-l", str(2 * np.pi),
                "--out", str(tmp_path)])
     assert rc == 0
     gap = read_columns(tmp_path / "burgers_difference.csv")["difference"]
     assert abs(gap[0] - gap[-1]) <= 1e-12
+    # the spectral oracle resolves pre-shock sine data to rounding
+    meta = read_metadata(tmp_path / "burgers_metadata.txt")
+    assert float(meta["sup_difference"]) <= 1e-10
+
+
+def test_burgers_oracle_runs_on_the_profile_period(tmp_path):
+    # on the default L = 10 the oracle still solves sin's 2 pi-periodic
+    # problem: an oracle periodic on L read a gap of 0.788 here
+    rc = main(["burgers", "--profile", "sin", "--t-final", "0.5",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    meta = read_metadata(tmp_path / "burgers_metadata.txt")
+    assert meta["domain_l"] == "10"
+    assert float(meta["sup_difference"]) <= 1e-10
+
+
+def test_burgers_near_the_shock_keeps_a_finite_difference(tmp_path):
+    # at t = 0.99 no node is flagged yet; the gap (0.0137) grows as the
+    # slope steepens, but every row is finite
+    rc = main(["burgers", "--profile", "sin", "--t-final", "0.99",
+               "--domain-l", str(2 * np.pi), "--out", str(tmp_path)])
+    assert rc == 0
+    gap = read_columns(tmp_path / "burgers_difference.csv")["difference"]
+    assert np.all(np.isfinite(gap))
+    meta = read_metadata(tmp_path / "burgers_metadata.txt")
+    assert float(meta["sup_difference"]) == np.max(gap)
+
+
+def test_burgers_past_the_shock_reports_the_shock(tmp_path, capsys):
+    # past the shock the run stops on the flagged nodes, not on the oracle
+    rc = main(["burgers", "--profile", "sin", "--t-final", "1.2",
+               "--domain-l", str(2 * np.pi), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "flagged near a shock" in err
+    assert "IntegrationBlowup" not in err
+    assert (tmp_path / "burgers_field.csv").exists()
+    assert not (tmp_path / "burgers_metadata.txt").exists()
 
 
 def test_kdv_paper_preset_closes_on_its_oracle(tmp_path):

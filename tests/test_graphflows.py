@@ -12,8 +12,10 @@ from grassflow.graphflows import (FD_STEP, JACOBIAN_FLOOR, NEWTON_MAX_ITER,
                                   _bisect_scalar,
                                   _modified_profile, _solve_characteristic,
                                   fundamental_matrix, generalized_flow_eval,
-                                  inviscid_burgers_eval, upwind_oracle)
-from reference import ddx, riccati_rk4, riccati_subflow, upwind_roll
+                                  inviscid_burgers_eval, spectral_oracle,
+                                  spectral_steps)
+from reference import (ddx, riccati_rk4, riccati_subflow, upwind_oracle,
+                       upwind_roll)
 
 
 # ---------------------------------------------------------------------------
@@ -102,24 +104,83 @@ def test_linear_profile_field_closed_form():
     assert field.flagged == []
 
 
-def test_upwind_oracle_matches_characteristics():
-    n = 512
-    x = np.linspace(-np.pi, np.pi, n, endpoint=False)
-    h = x[1] - x[0]
-    prof = InitialProfile(evaluator=lambda a: 0.5 * np.sin(np.atleast_1d(a)))
-    t = 0.8
-    direct = upwind_oracle(0.5 * np.sin(x), h, t)
-    exact = inviscid_burgers_eval(x, t, prof).values
-    assert np.max(np.abs(direct - exact)) < 1e-2
+SIN = InitialProfile(np.sin, np.cos)
+HALF_SIN = InitialProfile(lambda a: 0.5 * np.sin(a), lambda a: 0.5 * np.cos(a))
+# the burgers benchmark job's nodes: 4096 points of [-pi, pi]
+JOB_NODES = np.linspace(-np.pi, np.pi, 4096)
+
+
+def test_spectral_oracle_matches_characteristics():
+    # pre-shock sine data are analytic in a strip: the oracle reaches the
+    # characteristic solve's own Newton tolerance (measured 8.4e-13)
+    x = np.linspace(-np.pi, np.pi, 512, endpoint=False)
+    for prof, t in ((SIN, 0.5), (HALF_SIN, 0.8)):
+        direct = spectral_oracle(prof, 2 * np.pi, t, x)
+        exact = inviscid_burgers_eval(x, t, prof).values
+        assert np.max(np.abs(direct - exact)) <= 1e-10
+
+
+def test_spectral_oracle_steps_follow_the_data():
+    # ceil(t max|pi0| k_max / C): 170 kept modes of sin on 2 pi, C = 0.25
+    assert spectral_steps(0.5, 1.0, 2 * np.pi) == 340
+    assert spectral_steps(0.8, 0.5, 2 * np.pi) == 272
+    assert spectral_steps(0.0, 1.0, 2 * np.pi) == 1
+    # a period twice as long halves k_max
+    assert spectral_steps(0.5, 1.0, 4 * np.pi) == 170
+
+
+def test_spectral_oracle_is_fourth_order_in_dt():
+    # against a run at 1280 steps; each halving of dt from 40 steps gives
+    # 15.96, 15.98, 15.98 (errors 4.65e-9 down to 1.14e-12)
+    fine = spectral_oracle(SIN, 2 * np.pi, 0.5, JOB_NODES, steps=1280)
+    errors = [np.max(np.abs(spectral_oracle(SIN, 2 * np.pi, 0.5, JOB_NODES,
+                                            steps=steps) - fine))
+              for steps in (40, 80, 160, 320)]
+    floor = 1e-13  # the rounding of a few hundred steps
+    for coarse, finer in zip(errors, errors[1:]):
+        assert finer <= floor or coarse / finer >= 12
+
+
+def test_spectral_oracle_is_resolved_in_nodes():
+    # doubling the collocation nodes (and with them the step count) moves
+    # the benchmark job's oracle by 8.4e-13, its time error at 340 steps
+    base = spectral_oracle(SIN, 2 * np.pi, 0.5, JOB_NODES)
+    doubled = spectral_oracle(SIN, 2 * np.pi, 0.5, JOB_NODES,
+                              nodes=2 * graphflows.SPECTRAL_NODES)
+    assert np.max(np.abs(doubled - base)) <= 1e-12
+
+
+def test_spectral_oracle_reads_its_interpolant_off_the_grid():
+    # the interpolant is read at any x: nodes off the collocation grid read
+    # the exact solution, and points a period apart read the same value
+    x = np.linspace(-np.pi, np.pi, 300, endpoint=False) + 0.3
+    values = spectral_oracle(HALF_SIN, 2 * np.pi, 0.8, x)
+    shifted = spectral_oracle(HALF_SIN, 2 * np.pi, 0.8, x + 2 * np.pi)
+    assert np.max(np.abs(values - shifted)) <= 1e-13
+    exact = inviscid_burgers_eval(x, 0.8, HALF_SIN).values
+    assert np.max(np.abs(values - exact)) <= 1e-10
+
+
+def test_upwind_reference_converges_to_the_spectral_oracle():
+    # an independent method: the first-order upwind loop's gap to the
+    # spectral oracle halves with h (4.29e-3, 2.16e-3, 1.09e-3)
+    gaps = []
+    for n in (512, 1024, 2048):
+        x = np.linspace(-np.pi, np.pi, n, endpoint=False)
+        upwind = upwind_oracle(np.sin(x), x[1] - x[0], 0.5)
+        gaps.append(np.max(np.abs(upwind - spectral_oracle(SIN, 2 * np.pi,
+                                                           0.5, x))))
+    for coarse, finer in zip(gaps, gaps[1:]):
+        assert 1.8 <= coarse / finer <= 2.2
 
 
 def test_upwind_oracle_equals_its_roll_loop_bitwise():
-    # the burgers benchmark job's oracle input: sine on 16384 nodes of
-    # [-pi, pi), to t = 0.5
+    # the burgers CLI's former oracle input on the benchmark job: sine on
+    # 16384 nodes of [-pi, pi), to t = 0.5
     h = 2 * np.pi / 16384
     xs = -np.pi + h * np.arange(16384)
     cases = [(np.sin(xs), h, 0.5)]
-    # test_upwind_oracle_matches_characteristics's data
+    # half-amplitude sine to t = 0.8
     x = np.linspace(-np.pi, np.pi, 512, endpoint=False)
     cases.append((0.5 * np.sin(x), x[1] - x[0], 0.8))
     for pi0, h, t in cases:

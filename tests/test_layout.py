@@ -1,7 +1,7 @@
 """The package keeps only what its pipelines run, imports scipy in one
 place, steps no linear base flow by RK4 (only the constant-kernel
-coagulation oracle takes RK4 steps), and the benchmark's tracer still
-finds what it times.
+coagulation oracle and the spectral Burgers oracle take RK4 steps), and
+the benchmark's tracer still finds what it times.
 
 Every public top-level function and class of ``src/grassflow`` and
 ``scripts`` must be named somewhere in those two trees outside its own
@@ -91,8 +91,9 @@ def test_only_the_dense_fallback_imports_scipy():
 
 def test_linear_base_flows_are_not_stepped():
     # each pipeline evolves its linear base flow exactly: the RK4 march of
-    # a linear flow is test reference code, and rk4_step serves only the
-    # constant-kernel coagulation oracle
+    # a linear flow is test reference code, and rk4_step serves only two
+    # direct oracles of nonlinear equations, the spectral Burgers oracle
+    # and the constant-kernel coagulation oracle
     def refers_to(name, *kinds):
         return lambda node: isinstance(node, kinds) \
             and name in set(_names(node))
@@ -101,7 +102,7 @@ def test_linear_base_flows_are_not_stepped():
                                      ast.alias)) == []
     # the import of rk4_step aside
     assert _package_scopes(refers_to("rk4_step", ast.Name, ast.Attribute)) \
-        == ["smoluchowski.direct_smol_oracle"]
+        == ["graphflows.spectral_oracle", "smoluchowski.direct_smol_oracle"]
 
 
 # tracer targets already gone from the package; the tracer skips them and
@@ -112,6 +113,7 @@ STALE_TARGETS = {
     "integrable.nls_assemble_qhat", "graphflows.invert_characteristic",
     "quotient.EllipticCoefficients.at", "spde.BrownianSheetModes.at_time",
     "integrable.split_step_kdv", "core.dft_forward", "core.dft_inverse",
+    "graphflows.upwind_oracle",
 }
 
 

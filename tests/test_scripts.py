@@ -1,5 +1,6 @@
 """Every script under scripts/ imports against the current library, and
-the coagulation moment and spde panel studies run on small grids.
+the coagulation moment, spde panel and Burgers oracle studies run on small
+grids.
 
 Importing runs each script's top level (its `from grassflow... import`
 lines) but not its entry point, which sits under the `__main__` guard.
@@ -55,6 +56,20 @@ def test_spde_panel_study_runs(capsys):
     for line in lines:
         gap, det = (float(part.split()[0]) for part in line.split("= ")[1:])
         assert np.isfinite(gap) and det > 0
+
+
+def test_burgers_oracle_study_runs(capsys):
+    # one line per (t, node count); before the shock the gap falls with the
+    # node count
+    script = next(p for p in SCRIPTS if p.stem == "burgers_oracle_study")
+    load(script).study((0.5, 0.99), (64, 128), 64)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["t=0.5", "nodes=64"], ["t=0.5", "nodes=128"],
+        ["t=0.99", "nodes=64"], ["t=0.99", "nodes=128"]]
+    gaps = [float(line.split("gap = ")[1].split()[0]) for line in lines]
+    assert gaps[1] < gaps[0] / 10
+    assert all(np.isfinite(gaps))
 
 
 def test_reference_panels_run(tmp_path, capsys):
