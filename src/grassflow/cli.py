@@ -125,13 +125,17 @@ def validate(config: RunConfig) -> list:
     }
     problems += [message for name, (ok, message) in checks.items()
                  if name in READS[config.equation] and not ok]
-    # at most one checkpoint per step and one at t = 0 keeps them distinct
-    if "checkpoints" in READS[config.equation] and config.t_final > 0 \
+    # one checkpoint at t = 0 and at most one per step, or for spde per
+    # panel, keeps them distinct
+    bound = None
+    if config.equation == "spde":
+        bound = config.panels + 1, "panels + 1"
+    elif "checkpoints" in READS[config.equation] and config.t_final > 0 \
             and config.dt > 0:
-        most = uniform_steps(config.t_final, config.dt)[0] + 1
-        if config.checkpoints > most:
-            problems.append(f"checkpoints must be at most {most}, the step "
-                            "count round(t-final / dt) plus one")
+        bound = (uniform_steps(config.t_final, config.dt)[0] + 1,
+                 "the step count round(t-final / dt) plus one")
+    if bound and config.checkpoints > bound[0]:
+        problems.append(f"checkpoints must be at most {bound[0]}, {bound[1]}")
     return problems
 
 
@@ -272,13 +276,17 @@ PROFILES = {
 # time; a one-time table's time is the sidecar's t_final.
 
 
+def _evenly_spread(total: int, count: int) -> list:
+    """``count`` evenly spread indices from 0 to ``total``, distinct under
+    validate's bound count <= total + 1."""
+    return [round(j * total / (count - 1)) for j in range(count)]
+
+
 def _checkpoint_steps(config: RunConfig):
     """The step count, the step t_final / total, which ends the last step at
-    t_final, and the checkpoint steps, distinct under validate's bound."""
+    t_final, and the checkpoint steps."""
     total, dt = uniform_steps(config.t_final, config.dt)
-    idx = [round(j * total / (config.checkpoints - 1))
-           for j in range(config.checkpoints)]
-    return total, dt, idx
+    return total, dt, _evenly_spread(total, config.checkpoints)
 
 
 def _run_fredholm(config: RunConfig, write, solve, stepper, readout,
@@ -392,18 +400,20 @@ def run_burgers(config: RunConfig, write) -> dict:
     x = np.linspace(-config.domain_l / 2, config.domain_l / 2, config.grid_n)
     fld = inviscid_burgers_eval(x, config.t_final, profile)
     write("field", x=x, **_value(fld.values))
-    extra = {"flagged_nodes": len(fld.flagged)}
+    # past a shock the truncated spectral oracle is not the entropy
+    # solution, so a flagged run writes no difference table
+    if fld.flagged:
+        raise ShockProximity(
+            f"{len(fld.flagged)} nodes flagged near a shock at "
+            f"t = {config.t_final}; first at x = {fld.flagged[0][1]}",
+            det_value=fld.flagged[0][2], location=fld.flagged[0][1])
+    extra = {"flagged_nodes": 0}
     if config.compare_oracle and config.profile in BURGERS_PERIODS:
         oracle = spectral_oracle(profile, BURGERS_PERIODS[config.profile],
                                  config.t_final, x)
         gap = np.abs(fld.values - oracle)
         write("difference", x=x, difference=gap)
         extra["sup_difference"] = float(np.nanmax(gap))
-    if fld.flagged:
-        raise ShockProximity(
-            f"{len(fld.flagged)} nodes flagged near a shock at "
-            f"t = {config.t_final}; first at x = {fld.flagged[0][1]}",
-            det_value=fld.flagged[0][2], location=fld.flagged[0][1])
     return extra
 
 
@@ -418,11 +428,14 @@ def run_spde(config: RunConfig, write) -> dict:
     sheet = BrownianSheetModes.generate(config.seed, config.grid_n, t,
                                         resolution)
     g0 = sech_ridge_initial(config.grid_n, 0.001, config.seed)
-    poppe = spde_poppe_run(g0, params, sheet, panels=config.panels)
+    # the determinant is a diagnostic, taken at evenly spread panels
+    idx = _evenly_spread(config.panels, config.checkpoints)
+    poppe = spde_poppe_run(g0, params, sheet, panels=config.panels,
+                           det_panels=idx)
     nodes = 2.0 * np.pi * np.arange(config.grid_n) / config.grid_n
     xy = {"x": nodes[:, None], "y": nodes}
     write("poppe", **xy, **_value(poppe.g.samples))
-    write("det", t=np.linspace(0, t, config.panels + 1),
+    write("det", t=np.linspace(0, t, config.panels + 1)[idx],
           det_abs=poppe.det_track)
     extra = {"sup_difference": np.nan,
              "min_abs_det": float(np.min(poppe.det_track)),
@@ -483,7 +496,8 @@ READS = {
     "smol-general": PROFILE_RUN + ("preset", "dt"),
     "prelaplace": PROFILE_RUN + ("nu", "dt"),
     "burgers": PROFILE_RUN + ("compare_oracle",),
-    "spde": ("grid_n", "seed", "t_final", "dt", "panels", "compare_oracle"),
+    "spde": ("grid_n", "seed", "t_final", "dt", "panels", "checkpoints",
+             "compare_oracle"),
     "quotient": ("grid_n", "domain_l", "t_final", "dt"),
     "elliptic": ("grid_n", "domain_l", "profile"),
 }

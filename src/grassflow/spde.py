@@ -206,12 +206,14 @@ class PoppeResult:
 
 
 def spde_poppe_run(g0: Field2D, params: SpdeParams,
-                   sheet: BrownianSheetModes, panels: int = 256) -> PoppeResult:
+                   sheet: BrownianSheetModes, panels: int = 256,
+                   det_panels=None) -> PoppeResult:
     """Exact propagation of p, trapezoid accumulation of qhat, dense solve.
 
     qhat(T) = eps int_0^T p(s) ds over ``panels`` trapezoid panels, then g
-    solves p = g o (delta + qhat); the absolute determinant of the system
-    matrix is tracked panel by panel.
+    solves p = g o (delta + qhat); det_track[i] is the absolute determinant
+    of the system matrix at panel det_panels[i] (default (panels,), the
+    solve's own).
 
     p(s) = diag(e^{expo(s)}) G0, so the running sum is
     qhat_j = diag(c_j) G0 with c = cumsum(w eps e^{expo}) over the panels,
@@ -232,19 +234,24 @@ def spde_poppe_run(g0: Field2D, params: SpdeParams,
     # p = g o (delta + qhat)  =>  P = G (I + 2 pi J Qhat) in mode matrices
     a = TWO_PI * g0.modes[neg, :]
     diagonal = np.diag_indices(n)
-    dets = np.empty(panels + 1)
+    track = (panels,) if det_panels is None else det_panels
+
+    def system_at(j):
+        system = c[j, neg, None] * a
+        system[diagonal] += 1.0
+        return system
+
     with one_blas_thread():
-        for j in range(panels + 1):
-            system = c[j, neg, None] * a
-            system[diagonal] += 1.0
-            if j < panels:
-                dets[j] = abs(np.linalg.det(system))
         # at T, the last panel, solve_dense's LU gives g and the determinant
         # under the Fredholm layer's pivot floor
+        system = system_at(panels)
         p_t = exact_base_modes(g0, params, w[-1], tf)
         gt, det = solve_dense(DenseSystem(system.T, p_t.T))
-        g, dets[-1] = gt.T, abs(det)
+        g = gt.T
         residual = float(np.max(np.abs(g @ system - p_t)))
+        dets = np.array([abs(det) if j == panels
+                         else abs(np.linalg.det(system_at(j)))
+                         for j in track])
     if residual > 1e-10 * max(1.0, float(np.max(np.abs(p_t)))):
         raise SingularSystem(f"I + qhat solve residual {residual:.3e}")
     return PoppeResult(g=Field2D(g), det_track=dets,

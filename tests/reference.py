@@ -280,17 +280,32 @@ def linear_flow(generator, y0, s0: float, ds: float, steps: int) -> np.ndarray:
     return np.stack(list(ys.values()))
 
 
+def expm_taylor(a):
+    """e^a of a square matrix, in numpy alone: an 18-term Taylor series of
+    a / 2^s, s the least that brings its 1-norm to 1/2 or below, then s
+    squarings.  scipy's expm runs on scipy's own OpenBLAS, whose idle
+    threads spin against numpy's on a small machine."""
+    norm = np.linalg.norm(a, 1)
+    s = max(0, int(np.ceil(np.log2(2.0 * norm)))) if norm > 0 else 0
+    a = a / 2.0 ** s
+    term = out = np.eye(len(a))
+    for k in range(1, 19):
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def integrate_base_exact(coeffs, q, p, t: float):
     """(Q, P) at t from (q, p) at 0: the matrix exponential of the constant
     block [[A, B], [C, D]]."""
-    from scipy.linalg import expm
-
     A, B = np.asarray(coeffs.A), np.asarray(coeffs.B)
     C, D = np.asarray(coeffs.C), np.asarray(coeffs.D)
     block = np.block([[A, B], [C, D]])
     n = A.shape[0]
     y0 = np.concatenate([np.atleast_2d(q), np.atleast_2d(p)], axis=0)
-    y = expm(t * block) @ y0
+    y = expm_taylor(t * block) @ y0
     return y[:n], y[n:]
 
 

@@ -497,7 +497,7 @@ def read_metadata(path):
     (("nls", "--grid-n", "32", "--t-final", "1", "--dt", "0.3",
       "--checkpoints", "2"), "0.33333333333333331"),
     (("spde", "--grid-n", "8", "--t-final", "0.007", "--dt", "0.003",
-      "--panels", "4"), "0.0035000000000000001"),
+      "--panels", "4", "--checkpoints", "5"), "0.0035000000000000001"),
     (("smol-const", "--grid-n", "64", "--t-final", "1", "--dt", "0.3"),
      "0.33333333333333331"),
 ], ids=["kdv", "nls", "spde", "smol-const"])
@@ -588,6 +588,9 @@ def test_burgers_past_the_shock_reports_the_shock(tmp_path, capsys):
     assert "flagged near a shock" in err
     assert "IntegrationBlowup" not in err
     assert (tmp_path / "burgers_field.csv").exists()
+    # past the shock the spectral oracle is not the entropy solution, so
+    # no difference table is written
+    assert not (tmp_path / "burgers_difference.csv").exists()
     assert not (tmp_path / "burgers_metadata.txt").exists()
 
 
@@ -800,8 +803,10 @@ def tables_across_blas_thread_counts(tmp_path, argv):
 
 def test_spde_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
     # at 128 modes OpenBLAS threads each LU when it may, and a threaded
-    # zgetrf rounds otherwise than a one-thread one
-    argv = ["spde", "--preset", "paper", "--grid-n", "128", "--panels", "64"]
+    # zgetrf rounds otherwise than a one-thread one; a checkpoint at every
+    # panel compares each panel's LU
+    argv = ["spde", "--preset", "paper", "--grid-n", "128", "--panels", "64",
+            "--checkpoints", "65"]
     assert tables_across_blas_thread_counts(
         tmp_path, argv) == ["spde_det.csv", "spde_difference.csv",
                             "spde_direct.csv", "spde_poppe.csv"]
@@ -845,6 +850,38 @@ def test_spde_sidecar_records_the_least_determinant(tmp_path):
     # the determinant is per panel, so the field tables carry none
     for name in ("direct", "poppe"):
         assert "det_track" not in read_columns(tmp_path / f"spde_{name}.csv")
+
+
+def test_spde_samples_its_determinant_track(tmp_path):
+    # --checkpoints picks the panels round(j 16 / 3); their rows are those
+    # of a run with a checkpoint at every panel, string for string
+    argv = ["spde", "--grid-n", "8", "--t-final", "0.004", "--dt", "2e-4",
+            "--panels", "16"]
+    rows = {}
+    for count in ("4", "17"):
+        assert main(argv + ["--checkpoints", count,
+                            "--out", str(tmp_path / count)]) == 0
+        rows[count] = (tmp_path / count / "spde_det.csv").read_text() \
+            .splitlines()[2:]
+    assert len(rows["17"]) == 17
+    assert rows["4"] == [rows["17"][j] for j in (0, 5, 11, 16)]
+    assert float(rows["4"][1].split(",")[0]) == 0.004 * 5 / 16
+    for name in ("poppe", "direct", "difference"):
+        tables = [(tmp_path / d / f"spde_{name}.csv").read_text()
+                  .split("\n", 1)[1] for d in ("4", "17")]
+        assert tables[0] == tables[1], name
+
+
+def test_spde_more_checkpoints_than_panels_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["spde", "--grid-n", "8", "--t-final", "0.004", "--dt",
+                 "2e-4", "--panels", "16", "--checkpoints", "18",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "precondition violated: checkpoints must be at most 17, "
+        "panels + 1\n")
+    assert not out.exists()
+    assert validate(RunConfig("spde", panels=16, checkpoints=17)) == []
 
 
 def test_spde_compare_oracle_off_skips_the_direct_scheme(tmp_path):
@@ -897,7 +934,8 @@ SMALL_RUNS = {
 }
 
 # the tables whose rows hold more than one time: the checkpoints of kdv and
-# nls, prelaplace's t_final and t = 0, and spde's determinant per panel
+# nls, prelaplace's t_final and t = 0, and spde's determinant at its
+# checkpoint panels
 MULTI_TIME = {f"{eq}_{name}" for eq in ("kdv", "nls")
               for name in ("poppe", "det", "direct", "difference")} \
     | {"prelaplace_poppe", "spde_det"}

@@ -148,11 +148,11 @@ def test_poppe_scheme_heat_limit_is_exact():
     params = zero_noise_params(epsilon=0.0)
     fld = sech_ridge_initial(n, 0.0, 0)
     sheet = BrownianSheetModes.generate(0, n, 0.5, 8)
-    res = spde_poppe_run(fld, params, sheet, panels=8)
+    res = spde_poppe_run(fld, params, sheet, panels=8, det_panels=range(9))
     k = mode_numbers(n)
     expected = np.exp(-0.5 * params.alpha * k[:, None] ** 2) * fld.modes
     assert np.max(np.abs(res.g.modes - expected)) < 1e-12
-    assert np.allclose(res.det_track, 1.0)
+    assert len(res.det_track) == 9 and np.allclose(res.det_track, 1.0)
 
 
 def test_exact_base_modes_martingale_exponent():
@@ -177,7 +177,8 @@ def test_poppe_run_matches_its_panel_loop(n, panels):
     params = SpdeParams(gamma=10.0, epsilon=1000.0)
     fld = sech_ridge_initial(n, 0.001, 1)
     sheet = BrownianSheetModes.generate(1, n, 0.007, panels)
-    res = spde_poppe_run(fld, params, sheet, panels=panels)
+    res = spde_poppe_run(fld, params, sheet, panels=panels,
+                         det_panels=range(panels + 1))
     ref = spde_poppe_loop(fld, params, sheet, panels)
     g, g_ref = res.g.samples, ref.g.samples
     assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
@@ -192,11 +193,31 @@ def test_poppe_run_without_numpys_openblas(monkeypatch):
     params = SpdeParams(gamma=10.0, epsilon=1000.0)
     fld = sech_ridge_initial(n, 0.001, 1)
     sheet = BrownianSheetModes.generate(1, n, 0.007, panels)
-    res = spde_poppe_run(fld, params, sheet, panels=panels)
+    res = spde_poppe_run(fld, params, sheet, panels=panels,
+                         det_panels=range(panels + 1))
     ref = spde_poppe_loop(fld, params, sheet, panels)
     assert np.max(np.abs(res.det_track / ref.det_track - 1.0)) <= 1e-13
     direct = spde_direct_run(fld, params, sheet, 16)
     assert np.all(np.isfinite(direct.modes))
+
+
+def test_poppe_run_samples_its_determinant_track():
+    # the track is a diagnostic: where it is taken moves neither the field
+    # nor a determinant, and by default it is the final solve's alone
+    n, panels = 32, 64
+    params = SpdeParams(gamma=10.0, epsilon=1000.0)
+    fld = sech_ridge_initial(n, 0.001, 1)
+    sheet = BrownianSheetModes.generate(1, n, 0.007, panels)
+    full = spde_poppe_run(fld, params, sheet, panels=panels,
+                          det_panels=range(panels + 1))
+    default = spde_poppe_run(fld, params, sheet, panels=panels)
+    assert np.array_equal(default.g.modes, full.g.modes)
+    assert default.solve_residual == full.solve_residual
+    assert np.array_equal(default.det_track, full.det_track[-1:])
+    sampled = (0, 7, 32, 64)
+    assert np.array_equal(spde_poppe_run(fld, params, sheet, panels=panels,
+                                         det_panels=sampled).det_track,
+                          full.det_track[list(sampled)])
 
 
 def test_poppe_run_memory_stays_small():
