@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, floattext
 from .core import Grid1D, uniform_steps
 from .errors import Breakdown, ChartBreakdown, GrassflowError, ShockProximity
 from .graphflows import InitialProfile, inviscid_burgers_eval, spectral_oracle
@@ -160,52 +160,42 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# rows formatted by one % each: np.savetxt's text, without its per-row
-# Python loop, and a block's text stays under a few MB
-CSV_BLOCK = 4096
-
-
-def _shared_texts(bits):
-    """The sorted distinct values of a column of float64 bit patterns and
-    their texts, if the column has at most one distinct value in eight rows;
-    None otherwise.  Bit patterns keep -0.0 apart from 0.0, which float
-    equality merges and %.17g writes apart."""
-    ordered = np.sort(bits)
-    first = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    if 8 * len(distinct) > len(bits):
-        return None
-    return distinct, np.array(["%.17g" % v for v in
-                               distinct.view(float).tolist()], dtype=object)
-
-
 def write_table(path: str, header, rows, chash: str):
     """One CSV: the hash line, the header, then ``rows``, a 2-D float array
-    with one row per line, each value at 17 significant digits.  A column
-    that repeats its values is formatted once per distinct value."""
+    with one row per line, each value as ``"%.17g" % value``.
+
+    No Python float is made per value: floattext.g17_slots spells the text
+    with exact digits, or leaves a value to ``%`` where its arithmetic could
+    round either way, so the bytes are those of ``%``.  A column broadcast
+    over the table's grid, such as a plane's x and y, a series' t or an
+    all-zero value_imag, has its pattern formatted once."""
     rows = np.ascontiguousarray(rows, dtype=float)
-    bits = rows.view(np.int64)
-    shared = [_shared_texts(column) for column in bits.T]
-    line = ",".join("%.17g" if s is None else "%s" for s in shared) + "\n"
-    cells = np.empty((min(CSV_BLOCK, len(rows)), rows.shape[1]),
-                     dtype=object)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), CSV_BLOCK):
-            block = slice(start, start + CSV_BLOCK)
-            size = len(rows[block])
-            for j, column in enumerate(shared):
-                if column is None:
-                    cells[:size, j] = rows[block, j]
-                else:
-                    # the cells of a shared column are its texts, so no
-                    # Python float is made for them
-                    distinct, texts = column
-                    cells[:size, j] = texts[np.searchsorted(distinct,
-                                                            bits[block, j])]
-            fh.write((line * size) % tuple(cells[:size].ravel().tolist()))
+    n_rows, n_cols = rows.shape
+    patterns = {}
+    for j, column in enumerate(rows.view(np.int64).T):
+        found = floattext.grid_pattern(column)
+        if found:
+            patterns[j] = found[0], floattext.g17_slots(found[1].view(float))
+    own = [j for j in range(n_cols) if j not in patterns]
+    per = max(1, floattext.BLOCK // n_cols)
+    # the separator sits in byte 31 of each value's words: deleting the NUL
+    # bytes closes the text up to it
+    seps = np.array([ord(",")] * (n_cols - 1) + [ord("\n")],
+                    dtype=np.uint64) << np.uint64(56)
+    slots = np.empty((per, n_cols, 4), dtype="<u8")
+    with open(path, "wb") as fh:
+        fh.write(f"# config_hash={chash}\n{','.join(header)}\n".encode())
+        for start in range(0, n_rows, per):
+            block = slots[:min(per, n_rows - start)]
+            if own:
+                block[:, own] = floattext.g17_slots(
+                    rows[start:start + len(block), own].ravel()).reshape(
+                    len(block), len(own), 4)
+            index = np.arange(start, start + len(block))
+            for j, (run, texts) in patterns.items():
+                block[:, j] = texts.take(index // run % len(texts), axis=0)
+            block[..., 3] |= seps
+            fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def write_metadata(config: RunConfig, chash: str, extra=None):
@@ -407,7 +397,7 @@ def run_burgers(config: RunConfig, write) -> dict:
             f"{len(fld.flagged)} nodes flagged near a shock at "
             f"t = {config.t_final}; first at x = {fld.flagged[0][1]}",
             det_value=fld.flagged[0][2], location=fld.flagged[0][1])
-    extra = {"flagged_nodes": 0}
+    extra = {}
     if config.compare_oracle and config.profile in BURGERS_PERIODS:
         oracle = spectral_oracle(profile, BURGERS_PERIODS[config.profile],
                                  config.t_final, x)

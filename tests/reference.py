@@ -12,10 +12,12 @@ matrix-exponential base flow,
 the central first difference of the residual checks, the node-by-node
 Volterra loops with their long-double twin, the first-order upwind
 integrator of inviscid Burgers with its np.roll loop, and
-the spde Poppe accumulation panel by panel; and the reader of the CLI's
-tables by column name.
+the spde Poppe accumulation panel by panel; and the CLI's tables: the
+row-wise writer whose bytes cli.write_table keeps, and their reader by
+column name.
 """
 
+import csv
 import functools
 from dataclasses import dataclass
 
@@ -473,6 +475,17 @@ def spde_poppe_loop(g0, params, sheet, panels):
 
 # ---------------------------------------------------------------------------
 # the CLI's tables
+
+
+def write_table_row_wise(path, header, rows, chash):
+    """The row-wise writer that cli.write_table replaced: Python's own
+    ``%.17g`` of each value, one csv row per table row."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# config_hash={chash}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(float(v), ".17g") for v in row])
 
 
 def read_columns(path):

@@ -1,27 +1,32 @@
 """Command-line front end: validation, presets, outputs, reproducibility."""
 
-import csv
 import dataclasses
 import filecmp
+import math
 import os
 import re
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import grassflow.cli as cli
-from grassflow import quotient, smoluchowski
+from grassflow import floattext, quotient, smoluchowski
 from grassflow.cli import (RunConfig, apply_preset, config_hash, main,
                            profile_samples, validate, write_table)
 from grassflow.core import Grid1D
 from grassflow.errors import ChartBreakdown
+from grassflow.graphflows import inviscid_burgers_eval
 from grassflow.integrable import (cubic_kdv_symbol, propagate_dispersive,
                                   schrodinger_symbol)
 from grassflow.smoluchowski import MassDensity, constant_kernel_solve
-from reference import read_columns
+from reference import read_columns, write_table_row_wise
 
 
 def base_config(**kw):
@@ -283,48 +288,134 @@ def read_table(path):
     return first.strip(), header, rows
 
 
-def write_table_row_wise(path, header, rows, chash):
-    """The row-wise writer that write_table replaced, kept as reference."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(float(v), ".17g") for v in row])
+def exact_ties():
+    """x = M / 2**(17 - d), M odd, in decade d: its decimal expansion has
+    17 - d places after the point, so 18 significant digits ending in 5, a
+    tie of rounding to 17.  Three per decade that holds such x."""
+    ties = []
+    for d in range(-7, 16):
+        scale = 2.0 ** (17 - d)
+        low = math.ceil(10.0 ** d * scale)
+        high = min(math.floor(10.0 ** (d + 1) * scale), 2 ** 53)
+        ties += [(m | 1) / scale for m in (low, (low + high) // 2, high - 2)]
+    return np.array(ties)
+
+
+def near_ties():
+    """x, not a tie, whose 17-digit rounding lies within 1e-14 of one: for
+    10**k = 5**k 2**k, x = m / 2**(53 + k) with m 5**k a few off 2**52
+    modulo 2**53; for 10**-j, x = m 2**(e + j) with m 2**e a few off
+    5**j / 2 modulo 5**j."""
+    ties = []
+    for delta in range(-7, 8, 2):
+        for k in range(21, 40):
+            m = (2 ** 52 + delta) * pow(5 ** k, -1, 2 ** 53) % 2 ** 53
+            if 10 ** 16 * 2 ** 53 <= m * 5 ** k < 10 ** 17 * 2 ** 53:
+                ties.append(m / 2.0 ** (53 + k))
+        for j in (21, 22):
+            for e in range(20, 80):
+                r = (5 ** j + delta) // 2 * pow(2 ** e, -1, 5 ** j) % 5 ** j
+                ties += [float(m * 2 ** (e + j))
+                         for m in range(r, 2 ** 53, 5 ** j)
+                         if 10 ** 16 * 5 ** j <= m * 2 ** e
+                         < 10 ** 17 * 5 ** j]
+    return np.array(ties)
+
+
+def hard_values():
+    """The values whose text %.17g gets least from plain rounding: powers of
+    ten and both their neighbours, from the subnormals to 1e308 and so past
+    both edges of floattext.DECADES; exact and near ties; the switch between
+    fixed and scientific notation and the decade that rounding crosses;
+    powers of two, subnormals, signed zeros, nan and infinities."""
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    rng = np.random.default_rng(1)
+    return np.concatenate([
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+        exact_ties(), near_ties(),
+        [9.9999999999999995e-05, 1e-4, 1e16, 1e17, 99999999999999999.0,
+         9.9999999999999991e-05, 9.9999999999999989e-191],
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        rng.integers(1, 2 ** 52, 30).view(float),
+        [5e-324, 2.2250738585072009e-308, 0.0, -0.0, np.nan, np.inf,
+         -np.inf, 1.0 / 3.0, -2.5, 123456789.123456789, -1e-300]])
+
+
+def test_tie_values_are_what_they_claim():
+    for x in exact_ties():
+        digits = format(Decimal(x), "f").replace(".", "").lstrip("0")
+        assert len(digits) == 18 and digits.endswith("5"), x
+    with localcontext() as exact:
+        exact.prec = 1000
+        for x in near_ties():
+            # x * 10**(16 - d), d the decade of x
+            scaled = Decimal(x).scaleb(16 - Decimal(x).adjusted())
+            assert 0 < abs(scaled % 1 - Decimal("0.5")) < Decimal("1e-14"), x
 
 
 def test_write_table_matches_row_wise_writer(tmp_path):
-    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300,
-                1.0 / 3.0, -2.5, 1e16, 123456789.123456789]
     rng = np.random.default_rng(0)
-    distinct = np.vstack([np.reshape(specials, (-1, 3)),
-                          rng.standard_normal((50, 3)) * 10.0 ** rng.integers(
-                              -300, 300, (50, 3))])
-    # columns that repeat their values, over more than one CSV_BLOCK: a
-    # plane's x-outer and y-inner nodes, then zeros of both signs beside
-    # repeated NaN and +-inf, next to a constant and a column of values
+    hard = hard_values()
+    bits = rng.integers(-2 ** 63, 2 ** 63, (2000, 3), dtype=np.int64,
+                        endpoint=False)
+    scaled = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(
+        -300, 300, (50, 3))
+    # a grid's columns over more than one block: signed zeros, nan and
+    # infinities outer, then x, then y inner, beside a constant and a
+    # column of values
+    grid = np.stack(np.broadcast_arrays(
+        np.array([0.0, -0.0, np.nan, np.inf, -np.inf])[:, None, None],
+        (2.0 * np.pi * np.arange(32) / 32)[:, None],
+        rng.standard_normal(64) * 10.0 ** rng.integers(-30, 30, 64),
+        0.75, rng.standard_normal((5, 32, 64))), axis=-1).reshape(-1, 5)
+    # a plane's x-outer and y-inner nodes over zeros of both signs beside
+    # nan and +-inf: each column starts as a grid's and then breaks it
     nodes = 2.0 * np.pi * np.arange(64) / 64
-    plane = np.stack(np.broadcast_arrays(nodes[:, None], nodes),
-                     axis=-1).reshape(-1, 2)
-    zeros_nonfinite = np.column_stack([
-        np.resize([0.0, -0.0], 4096),
-        np.resize([np.nan, np.inf, -np.inf], 4096)])
-    values = rng.standard_normal(8192) * 10.0 ** rng.integers(-300, 300, 8192)
-    shared = np.column_stack([np.vstack([plane, zeros_nonfinite]),
-                              np.full(8192, 0.75), values])
-    for name, rows, per_cell in (("distinct", distinct, [0, 1, 2]),
-                                 ("shared", shared, [3])):
-        # the columns written cell by cell; the others are formatted once
-        # per distinct value
-        bits = rows.view(np.int64).T
-        assert [j for j, column in enumerate(bits)
-                if cli._shared_texts(column) is None] == per_cell, name
+    stacked = np.vstack([
+        np.stack(np.broadcast_arrays(nodes[:, None], nodes),
+                 axis=-1).reshape(-1, 2),
+        np.column_stack([np.resize([0.0, -0.0], 4096),
+                         np.resize([np.nan, np.inf, -np.inf], 4096)])])
+    for name, rows, per_cell in (
+            ("hard", np.resize(hard, (len(hard) + 2) // 3 * 3).reshape(-1, 3),
+             [0, 1, 2]),
+            ("bits", bits.view(float), [0, 1, 2]),
+            ("scaled", scaled, [0, 1, 2]),
+            ("grid", grid, [4]),
+            ("stacked", stacked, [0, 1])):
+        # the columns written cell by cell; the others' patterns are
+        # formatted once
+        assert [j for j, column in enumerate(rows.view(np.int64).T)
+                if floattext.grid_pattern(column) is None] == per_cell, name
         header = tuple(f"c{j}" for j in range(rows.shape[1]))
         write_table(tmp_path / f"{name}.csv", header, rows, "abc")
         write_table_row_wise(tmp_path / f"{name}_rows.csv", header, rows,
                              "abc")
         assert (tmp_path / f"{name}.csv").read_bytes() == \
             (tmp_path / f"{name}_rows.csv").read_bytes(), name
+
+
+@st.composite
+def bit_tables(draw):
+    """Float64 tables of any bit patterns, 1 to 3 columns and up to 3000
+    rows: drawn value by value, mostly one repeated pattern, or from a
+    seeded generator, every value its own."""
+    shape = (draw(st.integers(1, 3000)), draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        return draw(hnp.arrays(np.int64, shape)).view(float)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).integers(
+        -2 ** 63, 2 ** 63, shape, dtype=np.int64).view(float)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(rows=bit_tables())
+def test_write_table_bytes_are_those_of_percent_g(tmp_path_factory, rows):
+    out = tmp_path_factory.mktemp("tables")
+    header = tuple(f"c{j}" for j in range(rows.shape[1]))
+    write_table(out / "table.csv", header, rows, "abc")
+    write_table_row_wise(out / "rows.csv", header, rows, "abc")
+    assert (out / "table.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
 
 def test_plane_tables_are_x_outer_y_inner(tmp_path):
@@ -577,6 +668,11 @@ def test_burgers_near_the_shock_keeps_a_finite_difference(tmp_path):
     assert np.all(np.isfinite(gap))
     meta = read_metadata(tmp_path / "burgers_metadata.txt")
     assert float(meta["sup_difference"]) == np.max(gap)
+    # a run with a flagged node raises and writes no sidecar, so a sidecar
+    # has no flagged count to report
+    assert list(meta) == ["config_hash", "version", "equation",
+                          "compare_oracle", "domain_l", "grid_n", "profile",
+                          "t_final", "sup_difference"]
 
 
 def test_burgers_past_the_shock_reports_the_shock(tmp_path, capsys):
@@ -585,7 +681,12 @@ def test_burgers_past_the_shock_reports_the_shock(tmp_path, capsys):
                "--domain-l", str(2 * np.pi), "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "flagged near a shock" in err
+    # the breakdown line is where the flagged count is reported
+    x = np.linspace(-np.pi, np.pi, 256)
+    flagged = inviscid_burgers_eval(x, 1.2,
+                                    cli.BURGERS_PROFILES["sin"]).flagged
+    assert len(flagged) > 0
+    assert f"breakdown: {len(flagged)} nodes flagged near a shock" in err
     assert "IntegrationBlowup" not in err
     assert (tmp_path / "burgers_field.csv").exists()
     # past the shock the spectral oracle is not the entropy solution, so
@@ -650,13 +751,14 @@ def test_failed_oracle_leaves_no_tables(tmp_path, capsys):
                    for name in os.listdir(tmp_path))
 
 
-def loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh interpreter has ``module`` loaded after
+def loaded_by_cli_import(*modules: str) -> bool:
+    """Whether a fresh interpreter has any of ``modules`` loaded after
     ``import grassflow.cli``."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = f"import sys, grassflow.cli; print({module!r} in sys.modules)"
+    code = ("import sys, grassflow.cli; "
+            f"print(any(m in sys.modules for m in {modules!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return out.strip() == "True"
@@ -671,6 +773,12 @@ def test_cli_import_does_not_load_numpy_polynomial():
     # the Gauss-Legendre nodes load numpy.polynomial only when a run asks
     # for them, so the import every CLI call pays stays as it is
     assert not loaded_by_cli_import("numpy.polynomial")
+
+
+def test_cli_import_does_not_load_fractions_or_decimal():
+    # write_table's powers of ten come from Python integers on the first
+    # table written, not from either module at import
+    assert not loaded_by_cli_import("fractions", "decimal")
 
 
 # one small job of each equation, and the kdv and nls paper presets
