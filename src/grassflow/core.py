@@ -1,5 +1,6 @@
 """Grids, quadrature, dense solves, the BLAS thread policy, FFT
-frequencies, time stepping, closed-form 2x2 exponentials and RNG streams.
+frequencies and kernels, time stepping, closed-form 2x2 exponentials and
+RNG streams.
 
 Everything here is deterministic and pure given its inputs; a random stream
 is the one stateful object and is reproducible from (seed, stream_id) alone.
@@ -242,6 +243,28 @@ def require_power_of_two(n: int):
 def dft_frequencies(grid: Grid1D) -> np.ndarray:
     """Frequencies k (cycles per unit length) in FFT ordering."""
     return np.fft.fftfreq(grid.n, d=grid.spacing)
+
+
+@functools.cache
+def fft_kernels(n: int, real: bool):
+    """(forward, inverse) length-``n`` transforms of 1-D arrays by the
+    pocketfft kernels np.fft calls, with the scales it passes (1 forward,
+    1/n inverse) bound once: the bytes of ``np.fft.rfft(a, n)`` and
+    ``np.fft.irfft(a, n)`` when ``real``, else of ``np.fft.fft`` and
+    ``np.fft.ifft``.  A shorter input is zero-padded as np.fft pads it;
+    each call returns a fresh array.  np.fft's per-call argument handling
+    is about half of a call at n = 256, which a stepper pays every step.
+    numpy.fft is imported here, on the first call, not with the package."""
+    from numpy.fft import _pocketfft_umath as pocketfft
+
+    scale = 1 / n
+    if real:
+        rfft = pocketfft.rfft_n_even if n % 2 == 0 else pocketfft.rfft_n_odd
+        half = n // 2 + 1
+        return (lambda a: rfft(a, 1, out=np.empty(half, complex)),
+                lambda a: pocketfft.irfft(a, scale, out=np.empty(n)))
+    return (lambda a: pocketfft.fft(a, 1, out=np.empty(n, complex)),
+            lambda a: pocketfft.ifft(a, scale, out=np.empty(n, complex)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import expm_2x2, march, rk4_step
+from .core import expm_2x2, fft_kernels, march, rk4_step
 from .errors import NewtonDivergence
 
 NEWTON_TOL = 1e-12
@@ -202,13 +202,14 @@ def spectral_oracle(profile, period: float, t: float, x_nodes,
     if steps is None:
         steps = spectral_steps(t, float(np.max(np.abs(u0))), period, nodes)
     dt = t / steps
+    rfft, irfft = fft_kernels(nodes, real=True)
 
     def rhs(s, v):
-        u = np.fft.irfft(v, nodes)
-        return flux * np.fft.rfft(u * u)
+        u = irfft(v)
+        return flux * rfft(u * u)
 
     v = march(lambda m, v: rk4_step(rhs, v, m * dt, dt),
-              np.fft.rfft(u0) * (k <= top), steps)
+              rfft(u0) * (k <= top), steps)
     c = v[:top + 1] / nodes
     z = np.exp(2j * np.pi * (np.asarray(x_nodes, dtype=float) / period + 0.5))
     acc = np.full(z.shape, c[top])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DenseSystem, Grid1D, dft_frequencies, march,
+from .core import (DenseSystem, Grid1D, dft_frequencies, fft_kernels, march,
                    one_blas_thread, quadrature_weights, require_power_of_two,
                    solve_dense)
 from .errors import ConfigError, SymbolError
@@ -244,9 +244,11 @@ def etdrk4_kdv(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
     if n % 2 == 0:
         kmat[-1] = 0.0
 
+    rfft, irfft = fft_kernels(n, real=True)
+
     def nonlinear(v):
-        ux = np.fft.irfft(kmat * v, n)
-        return 3.0 * np.fft.rfft(ux * ux)
+        ux = irfft(kmat * v)
+        return 3.0 * rfft(ux * ux)
 
     lin = dt * kmat ** 3
     e, e2 = np.exp(lin), np.exp(lin / 2)
@@ -266,8 +268,8 @@ def etdrk4_kdv(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
         nc = nonlinear(e2 * a + q * (2 * nb - nv))
         return e * v + f1 * nv + 2 * f2 * (na + nb) + f3 * nc
 
-    return march(advance, np.fft.rfft(np.asarray(u0, dtype=float)), steps,
-                 checkpoints, lambda v: np.fft.irfft(v, n))
+    return march(advance, rfft(np.asarray(u0, dtype=float)), steps,
+                 checkpoints, irfft)
 
 
 def split_step_nls(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
@@ -277,11 +279,12 @@ def split_step_nls(u0: np.ndarray, grid: Grid1D, dt: float, steps: int,
         raise ConfigError("dt must be positive")
     kmat = 2j * np.pi * dft_frequencies(grid)
     lin = np.exp(-1j * dt * kmat ** 2)
+    fft, ifft = fft_kernels(grid.n, real=False)
 
     def advance(m, uhat):
         v = lin * uhat
-        vphys = np.fft.ifft(v)
-        return v - 2j * dt * np.fft.fft(vphys * vphys * np.conj(vphys))
+        vphys = ifft(v)
+        return v - 2j * dt * fft(vphys * vphys * np.conj(vphys))
 
-    return march(advance, np.fft.fft(np.asarray(u0, dtype=complex)), steps,
-                 checkpoints, np.fft.ifft)
+    return march(advance, fft(np.asarray(u0, dtype=complex)), steps,
+                 checkpoints, ifft)

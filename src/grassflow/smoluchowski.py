@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Grid1D, central_in_t, march, phi1, quadrature_weights,
-                   rk4_step, uniform_steps)
+from .core import (Grid1D, central_in_t, fft_kernels, march, phi1,
+                   quadrature_weights, rk4_step, uniform_steps)
 from .errors import BlowupAtTime, ConfigError
 
 
@@ -86,10 +86,10 @@ def _series_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The first len(u) coefficients of the product of two real power
     series, by real FFTs padded to len(u) + len(v) (one transform when
     ``v is u``)."""
-    m = len(u) + len(v)
-    fu = np.fft.rfft(u, m)
-    fv = fu if v is u else np.fft.rfft(v, m)
-    return np.fft.irfft(fu * fv, m)[:len(u)]
+    rfft, irfft = fft_kernels(len(u) + len(v), real=True)
+    fu = rfft(u)
+    fv = fu if v is u else rfft(v)
+    return irfft(fu * fv)[:len(u)]
 
 
 def riemann_conv(u: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from grassflow.core import (DenseSystem, Grid1D, march, quadrature_weights,
-                            rk4_step, solve_dense)
+from grassflow.core import (DenseSystem, Grid1D, fft_kernels, march,
+                            quadrature_weights, rk4_step, solve_dense)
 from grassflow.errors import BlowupAtTime, ConfigError, SingularSystem
 from grassflow.integrable import (GAUSS_NODES, half_line_grid,
                                   kdv_fredholm_solve)
@@ -241,14 +241,15 @@ def split_step_kdv(u0, grid: Grid1D, dt: float, steps: int, checkpoints=None):
     if n % 2 == 0:
         kmat[-1] = 0.0
     e = np.exp(dt * kmat ** 3)
+    rfft, irfft = fft_kernels(n, real=True)
 
     def advance(m, uhat):
         v = e * uhat
-        ux = np.fft.irfft(kmat * v, n)
-        return v + dt * (3.0 * np.fft.rfft(ux * ux))
+        ux = irfft(kmat * v)
+        return v + dt * (3.0 * rfft(ux * ux))
 
-    return march(advance, np.fft.rfft(np.asarray(u0, dtype=float)), steps,
-                 checkpoints, lambda v: np.fft.irfft(v, n))
+    return march(advance, rfft(np.asarray(u0, dtype=float)), steps,
+                 checkpoints, irfft)
 
 
 @functools.cache

@@ -775,6 +775,12 @@ def test_cli_import_does_not_load_numpy_polynomial():
     assert not loaded_by_cli_import("numpy.polynomial")
 
 
+def test_cli_import_does_not_load_numpy_fft():
+    # core.fft_kernels imports numpy.fft on its first call, not with the
+    # package, so the import every CLI call pays stays as it is
+    assert not loaded_by_cli_import("numpy.fft")
+
+
 def test_cli_import_does_not_load_fractions_or_decimal():
     # write_table's powers of ten come from Python integers on the first
     # table written, not from either module at import

@@ -1,5 +1,5 @@
-"""Grids, quadrature, dense solves, the FFT's restriction, RK4 stepping,
-the fixed-step march, RNG."""
+"""Grids, quadrature, dense solves, the FFT's restriction and kernels, RK4
+stepping, the fixed-step march, RNG."""
 
 import warnings
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassflow import core
+from grassflow import core, graphflows, integrable, smoluchowski
 from grassflow.core import (Grid1D, DenseSystem, central_in_t, expm_2x2,
                             gaussian_increments, march, one_blas_thread,
                             phi1, quadrature_weights, random_stream,
@@ -184,7 +184,7 @@ def test_one_blas_thread_restores_the_count_after_an_error(setter):
 
 
 # ---------------------------------------------------------------------------
-# the FFT's restriction
+# the FFT's restriction and kernels
 
 
 def test_dft_requires_periodic_power_of_two():
@@ -196,6 +196,87 @@ def test_dft_requires_periodic_power_of_two():
         propagate_dispersive(np.zeros(12),
                              Grid1D(0.0, 1.0, 12, kind="periodic"),
                              cubic_kdv_symbol, 0.1)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [256, 255])
+def test_fft_kernels_give_the_bytes_of_np_fft(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    z = x + 1j * rng.standard_normal(n)
+    rfft, irfft = core.fft_kernels(n, real=True)
+    spectrum = np.fft.rfft(x)
+    assert same_bytes(rfft(x), spectrum)
+    assert same_bytes(irfft(spectrum), np.fft.irfft(spectrum, n))
+    # a series shorter than n, zero-padded as _series_product pads it
+    short = x[:n // 2]
+    assert same_bytes(rfft(short), np.fft.rfft(short, n))
+    fft, ifft = core.fft_kernels(n, real=False)
+    assert same_bytes(fft(z), np.fft.fft(z))
+    assert same_bytes(ifft(z), np.fft.ifft(z))
+    # each call writes a fresh array
+    assert not np.shares_memory(rfft(x), rfft(x))
+    assert not np.shares_memory(ifft(z), ifft(z))
+
+
+def np_fft_kernels(n, real):
+    """fft_kernels spelled by np.fft's own functions."""
+    if real:
+        return (lambda a: np.fft.rfft(a, n), lambda a: np.fft.irfft(a, n))
+    return (lambda a: np.fft.fft(a, n), lambda a: np.fft.ifft(a, n))
+
+
+def oracle_runs(steps):
+    """Each stepper that transforms through fft_kernels, run for ``steps``
+    steps on small smooth data, and the Riemann convolution of one series
+    with another and with itself."""
+    kdv_grid = Grid1D(-10.0, 10.0, 64, kind="periodic")
+    nls_grid = Grid1D(-8.0, 8.0, 64, kind="periodic")
+    mass_grid = Grid1D(0.0, 10.0, 65)
+    u, v = np.exp(-mass_grid.nodes), 1 / (1 + mass_grid.nodes)
+    return {
+        "etdrk4_kdv": integrable.etdrk4_kdv(
+            0.5 / np.cosh(kdv_grid.nodes) ** 2, kdv_grid, 1e-3, steps),
+        "split_step_nls": integrable.split_step_nls(
+            1 / np.cosh(nls_grid.nodes), nls_grid, 1e-3, steps),
+        "spectral_oracle": graphflows.spectral_oracle(
+            np.sin, 2 * np.pi, 0.2, np.linspace(-3, 3, 7), nodes=64,
+            steps=steps),
+        "riemann_conv": smoluchowski.riemann_conv(u, v, mass_grid.spacing),
+        "riemann_conv_square": smoluchowski.riemann_conv(
+            u, u, mass_grid.spacing),
+        "direct_smol_oracle": smoluchowski.direct_smol_oracle(
+            smoluchowski.MassDensity(mass_grid, u), steps * 1e-3,
+            1e-3).values,
+    }
+
+
+def test_steppers_give_the_same_bytes_through_np_fft(monkeypatch):
+    kept = oracle_runs(20)
+    for module in (integrable, graphflows, smoluchowski):
+        monkeypatch.setattr(module, "fft_kernels", np_fft_kernels)
+    for name, values in oracle_runs(20).items():
+        assert same_bytes(kept[name], values), name
+
+
+def test_oracle_steps_make_no_np_fft_call(monkeypatch):
+    # np.fft's per-call set-up is about half of a length-256 transform;
+    # the steppers bind their kernels once, so no step pays it
+    calls = []
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, transform=transform,
+                            **k: calls.append(1) or transform(*a, **k))
+    counts = []
+    for steps in (100, 200):
+        calls.clear()
+        oracle_runs(steps)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 10
 
 
 # ---------------------------------------------------------------------------
