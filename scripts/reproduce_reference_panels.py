@@ -2,18 +2,20 @@
 """Run every reference preset through the CLI into out/<equation>/.
 
 Produces the projected field, the direct-integrator field, their absolute
-difference, and the determinant track for each equation that has a preset,
-plus a metadata sidecar per run.  The seed reaches spde, the one preset
-that reads one.
+difference, and the determinant track for each equation that has a paper
+preset, plus a metadata sidecar per run.  The seed reaches each equation
+that reads one (spde).
 """
 
 import argparse
 import pathlib
 import sys
 
+from grassflow.cli import EQUATIONS
 from grassflow.cli import main as cli_main
 
-PRESET_EQUATIONS = ("kdv", "nls", "spde", "smol-const")
+PRESET_EQUATIONS = tuple(name for name, equation in EQUATIONS.items()
+                         if "paper" in equation.presets)
 
 
 def run(out_root: pathlib.Path, seed: int) -> int:
@@ -22,7 +24,8 @@ def run(out_root: pathlib.Path, seed: int) -> int:
         out = out_root / eq
         out.mkdir(parents=True, exist_ok=True)
         print(f"== {eq} (preset paper) -> {out}")
-        seed_flag = ["--seed", str(seed)] if eq == "spde" else []
+        reads_seed = "seed" in EQUATIONS[eq].reads
+        seed_flag = ["--seed", str(seed)] if reads_seed else []
         rc = cli_main([eq, "--preset", "paper", *seed_flag,
                        "--out", str(out)])
         print(f"   exit status {rc}")

@@ -1,15 +1,15 @@
 """Command-line front end.
 
 One subcommand per equation, reproducible runs: every output CSV embeds a
-hash of the equation and the settings its run reads (READS), and a metadata
-sidecar echoes them so a run can be reconstructed from its outputs alone.
+hash of the equation and the settings its run reads (Equation.reads), and a
+metadata sidecar echoes them, so a run can be rebuilt from its outputs alone.
 """
 
 import argparse
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,11 +31,6 @@ from .smoluchowski import (CONSTANT_KERNEL, MassDensity, SmolCoefficients,
                            pre_laplace_burgers_solve)
 from .spde import (BrownianSheetModes, SpdeParams, sech_ridge_initial,
                    spde_direct_run, spde_poppe_run)
-
-EQUATIONS = ("kdv", "nls", "smol-const", "smol-general", "prelaplace",
-             "burgers", "spde", "quotient", "elliptic")
-
-SPECTRAL_EQUATIONS = ("kdv", "nls", "spde", "quotient")
 
 QUADRATURES = ("trapezoid", "gauss-legendre")
 
@@ -60,27 +55,29 @@ class RunConfig:
     panels: int = 256
 
     def __post_init__(self):
-        if not self.profile and self.equation in PROFILES:
-            self.profile = PROFILES[self.equation][0]
+        equation = EQUATIONS.get(self.equation)
+        if not self.profile and equation and equation.profiles:
+            self.profile = equation.profiles[0]
 
 
-PRESETS = {
-    ("kdv", "paper"): dict(grid_n=256, domain_l=10.0, dt=1e-2, t_final=15.0,
-                           profile="kdv-paper", quadrature="gauss-legendre"),
-    ("nls", "paper"): dict(grid_n=256, domain_l=40.0, dt=5e-2, t_final=100.0,
-                           profile="nls-paper", quadrature="gauss-legendre"),
-    ("spde", "paper"): dict(grid_n=32, t_final=0.007, dt=0.007 / 256),
-    ("smol-const", "paper"): dict(grid_n=1024, domain_l=40.0, t_final=2.0,
-                                  dt=1e-2, profile="exp"),
-    ("smol-general", "constant-kernel"): dict(grid_n=512, domain_l=40.0,
-                                              t_final=1.0, profile="exp"),
-}
+@dataclass(frozen=True)
+class Equation:
+    """An equation's runner, the settings it reads (all that run hands the
+    runner), the profiles it accepts (its default first), its presets, and
+    its least node count, a power of two where its grid is a DFT's."""
+
+    runner: callable
+    reads: tuple
+    profiles: tuple = ()
+    presets: dict = field(default_factory=dict)
+    least_n: int = 2
+    power_of_two: bool = False
 
 
 def apply_preset(config: RunConfig, overridden=()) -> RunConfig:
     # no preset, or an unknown one, sets nothing; validate reports the latter
-    for name, value in PRESETS.get((config.equation, config.preset),
-                                   {}).items():
+    presets = EQUATIONS[config.equation].presets
+    for name, value in presets.get(config.preset, {}).items():
         if name not in overridden:
             setattr(config, name, value)
     return config
@@ -90,48 +87,47 @@ def validate(config: RunConfig) -> list:
     """Every violated precondition, one human-readable line each."""
     if config.equation not in EQUATIONS:
         return [f"unknown equation {config.equation!r}"]
+    equation = EQUATIONS[config.equation]
+    reads = equation.reads
     # a setting the run does not read would change nothing but the hash
     problems = [f"{config.equation} does not read --{f.name.replace('_', '-')}"
                 for f in fields(RunConfig)[1:]
-                if f.name not in (*READS[config.equation], "preset", "out")
+                if f.name not in (*reads, "preset", "out")
                 and getattr(config, f.name) != f.default]
-    # the prelaplace residual skips 3 boundary nodes
-    least = 4 if config.equation == "prelaplace" else 2
-    if config.grid_n < least:
-        problems.append(f"grid-n must be at least {least}")
-    if config.preset and (config.equation, config.preset) not in PRESETS:
+    if config.grid_n < equation.least_n:
+        problems.append(f"grid-n must be at least {equation.least_n}")
+    if config.preset and config.preset not in equation.presets:
         problems.append(f"unknown preset {config.preset!r} for "
                         f"{config.equation}")
-    accepted = PROFILES.get(config.equation)
+    accepted = equation.profiles
     if accepted and config.profile not in accepted:
         problems.append(f"unknown profile {config.profile!r} for "
                         f"{config.equation}; one of {', '.join(accepted)}")
-    if config.equation in SPECTRAL_EQUATIONS and \
-            (config.grid_n & (config.grid_n - 1)) != 0:
+    if equation.power_of_two and (config.grid_n & (config.grid_n - 1)) != 0:
         problems.append("grid-n must be a power of two (DFT restriction)")
     # a setting's value is checked only where it is read: an unread one has
-    # its line above
+    # its line above.  0 < value < inf refuses NaN too.
+    positive = "must be positive and finite"
     checks = {
-        "domain_l": (config.domain_l > 0, "domain-l must be positive"),
-        "t_final": (config.t_final > 0, "t-final must be positive"),
-        "dt": (config.dt > 0, "dt must be positive"),
+        "domain_l": (0 < config.domain_l < np.inf, f"domain-l {positive}"),
+        "t_final": (0 < config.t_final < np.inf, f"t-final {positive}"),
+        "dt": (0 < config.dt < np.inf, f"dt {positive}"),
         "quadrature": (config.quadrature in QUADRATURES,
                        f"unknown quadrature {config.quadrature!r}"),
         "seed": (config.seed >= 0, "seed must be non-negative"),
         "checkpoints": (config.checkpoints >= 2,
                         "checkpoints must be at least 2"),
         "panels": (config.panels >= 2, "panels must be at least 2"),
-        "nu": (config.nu > 0, "nu must be positive"),
+        "nu": (0 < config.nu < np.inf, f"nu {positive}"),
     }
     problems += [message for name, (ok, message) in checks.items()
-                 if name in READS[config.equation] and not ok]
-    # one checkpoint at t = 0 and at most one per step, or for spde per
-    # panel, keeps them distinct
+                 if name in reads and not ok]
+    # one checkpoint at t = 0 and at most one per step, or where the run
+    # reads panels, per panel, keeps them distinct
     bound = None
-    if config.equation == "spde":
+    if "panels" in reads:
         bound = config.panels + 1, "panels + 1"
-    elif "checkpoints" in READS[config.equation] and config.t_final > 0 \
-            and config.dt > 0:
+    elif "checkpoints" in reads and checks["t_final"][0] and checks["dt"][0]:
         bound = (uniform_steps(config.t_final, config.dt)[0] + 1,
                  "the step count round(t-final / dt) plus one")
     if bound and config.checkpoints > bound[0]:
@@ -151,7 +147,7 @@ def _fmt(value) -> str:
 
 def read_settings(config: RunConfig) -> dict:
     """The run's identity: its equation, then the settings it reads."""
-    names = ("equation", *sorted(READS[config.equation]))
+    names = ("equation", *sorted(EQUATIONS[config.equation].reads))
     return {name: getattr(config, name) for name in names}
 
 
@@ -231,27 +227,23 @@ def profile_samples(name: str, x: np.ndarray) -> np.ndarray:
     return SAMPLED_PROFILES[name](x)
 
 
+def _sampled(default: str) -> tuple:
+    """The sampled profiles, ``default`` first."""
+    return default, *(name for name in SAMPLED_PROFILES if name != default)
+
+
 BURGERS_PROFILES = {
     "linear": InitialProfile(lambda a: a, np.ones_like),
     "const": InitialProfile(np.ones_like, np.zeros_like),
-    "sin": InitialProfile(np.sin, np.cos),
+    "sin": InitialProfile(np.sin, np.cos, period=2 * np.pi),
     "neg-tanh": InitialProfile(lambda a: -np.tanh(a),
                                lambda a: -1.0 / np.cosh(a) ** 2),
 }
 
-# the period of each periodic burgers profile, on which its oracle runs
-BURGERS_PERIODS = {"sin": 2 * np.pi}
-
-
-# the profiles each equation accepts, its default first
-PROFILES = {
-    "kdv": ("kdv-paper", "nls-paper", "gaussian", "exp"),
-    "nls": ("nls-paper", "kdv-paper", "gaussian", "exp"),
-    "smol-const": ("exp", "kdv-paper", "nls-paper", "gaussian"),
-    "smol-general": ("exp", "kdv-paper", "nls-paper", "gaussian"),
-    "prelaplace": ("exp", "kdv-paper", "nls-paper", "gaussian"),
-    "burgers": tuple(BURGERS_PROFILES), "elliptic": ("reciprocal", "tanh"),
-}
+# each elliptic profile's coefficients (a, b, c, d), constant on the grid,
+# and its initial values (q0, p0)
+ELLIPTIC_PROFILES = {"reciprocal": ((0.0, 1.0, 0.0, 0.0), (1.0, 1.0)),
+                     "tanh": ((0.0, 1.0, 1.0, 0.0), (1.0, 0.0))}
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +264,6 @@ def _evenly_spread(total: int, count: int) -> list:
     return [round(j * total / (count - 1)) for j in range(count)]
 
 
-def _checkpoint_steps(config: RunConfig):
-    """The step count, the step t_final / total, which ends the last step at
-    t_final, and the checkpoint steps."""
-    total, dt = uniform_steps(config.t_final, config.dt)
-    return total, dt, _evenly_spread(total, config.checkpoints)
-
-
 def _run_fredholm(config: RunConfig, write, solve, stepper, readout,
                   symbol) -> dict:
     """KdV and NLS: project at every checkpoint, then cross-validate the
@@ -290,7 +275,9 @@ def _run_fredholm(config: RunConfig, write, solve, stepper, readout,
                   kind="periodic")
     nodes = grid.nodes
     p0 = profile_samples(config.profile, nodes)
-    total, dt, idx = _checkpoint_steps(config)
+    # the step t_final / total ends the last step at t_final
+    total, dt = uniform_steps(config.t_final, config.dt)
+    idx = _evenly_spread(total, config.checkpoints)
     times = [m * dt for m in idx]
     solved = []
     for t in times:
@@ -362,10 +349,8 @@ def run_smol_general(config: RunConfig, write) -> dict:
     grid = Grid1D(0.0, config.domain_l, config.grid_n, kind="closed")
     nodes = grid.nodes
     g0 = MassDensity(grid=grid, values=profile_samples(config.profile, nodes))
-    if config.preset == "constant-kernel":
-        coeffs = CONSTANT_KERNEL
-    else:
-        coeffs = SmolCoefficients(d=-1.0)
+    coeffs = (CONSTANT_KERNEL if config.preset == "constant-kernel"
+              else SmolCoefficients(d=-1.0))
     g, residual = general_smol_residual(coeffs, g0, config.t_final,
                                         dt=config.dt)
     gt = MassDensity(grid=grid, values=g)
@@ -398,9 +383,9 @@ def run_burgers(config: RunConfig, write) -> dict:
             f"t = {config.t_final}; first at x = {fld.flagged[0][1]}",
             det_value=fld.flagged[0][2], location=fld.flagged[0][1])
     extra = {}
-    if config.compare_oracle and config.profile in BURGERS_PERIODS:
-        oracle = spectral_oracle(profile, BURGERS_PERIODS[config.profile],
-                                 config.t_final, x)
+    # a periodic profile's oracle runs on its own period, not on domain_l
+    if config.compare_oracle and profile.period:
+        oracle = spectral_oracle(profile, profile.period, config.t_final, x)
         gap = np.abs(fld.values - oracle)
         write("difference", x=x, difference=gap)
         extra["sup_difference"] = float(np.nanmax(gap))
@@ -459,38 +444,51 @@ def run_quotient(config: RunConfig, write) -> dict:
 
 def run_elliptic(config: RunConfig, write) -> dict:
     grid = Grid1D(0.0, config.domain_l, config.grid_n, kind="closed")
-    zeros, ones = np.zeros(grid.n), np.ones(grid.n)
-    if config.profile == "tanh":
-        coeffs = EllipticCoefficients(grid, zeros, ones, ones, zeros)
-    else:
-        coeffs = EllipticCoefficients(grid, zeros, ones, zeros, zeros)
-    q0, p0 = (1.0, 0.0) if config.profile == "tanh" else (1.0, 1.0)
-    sol = elliptic_quotient_solve(coeffs, q0, p0)
+    constants, initial = ELLIPTIC_PROFILES[config.profile]
+    coeffs = EllipticCoefficients(grid, *(np.full(grid.n, c)
+                                          for c in constants))
+    sol = elliptic_quotient_solve(coeffs, *initial)
     write("field", x=grid.nodes, **_value(sol.g))
     return {"ode_residual": sol.residual}
 
 
-RUNNERS = {
-    "kdv": run_kdv, "nls": run_nls, "smol-const": run_smol_const,
-    "smol-general": run_smol_general, "prelaplace": run_prelaplace,
-    "burgers": run_burgers, "spde": run_spde, "quotient": run_quotient,
-    "elliptic": run_elliptic,
-}
-
-# the settings each runner reads, all that run hands it besides the equation
 PROFILE_RUN = ("grid_n", "domain_l", "profile", "t_final")
-READS = {
-    "kdv": PROFILE_RUN + ("dt", "checkpoints", "quadrature", "compare_oracle"),
-    "nls": PROFILE_RUN + ("dt", "checkpoints", "quadrature", "compare_oracle"),
-    "smol-const": PROFILE_RUN + ("dt", "compare_oracle"),
-    "smol-general": PROFILE_RUN + ("preset", "dt"),
-    "prelaplace": PROFILE_RUN + ("nu", "dt"),
-    "burgers": PROFILE_RUN + ("compare_oracle",),
-    "spde": ("grid_n", "seed", "t_final", "dt", "panels", "checkpoints",
-             "compare_oracle"),
-    "quotient": ("grid_n", "domain_l", "t_final", "dt"),
-    "elliptic": ("grid_n", "domain_l", "profile"),
+FREDHOLM_RUN = PROFILE_RUN + ("dt", "checkpoints", "quadrature",
+                              "compare_oracle")
+EQUATIONS = {
+    "kdv": Equation(run_kdv, FREDHOLM_RUN, _sampled("kdv-paper"), {
+        "paper": dict(grid_n=256, domain_l=10.0, dt=1e-2, t_final=15.0,
+                      profile="kdv-paper", quadrature="gauss-legendre")},
+        power_of_two=True),
+    "nls": Equation(run_nls, FREDHOLM_RUN, _sampled("nls-paper"), {
+        "paper": dict(grid_n=256, domain_l=40.0, dt=5e-2, t_final=100.0,
+                      profile="nls-paper", quadrature="gauss-legendre")},
+        power_of_two=True),
+    "smol-const": Equation(
+        run_smol_const, PROFILE_RUN + ("dt", "compare_oracle"),
+        _sampled("exp"), {"paper": dict(grid_n=1024, domain_l=40.0,
+                                        t_final=2.0, dt=1e-2, profile="exp")}),
+    "smol-general": Equation(
+        run_smol_general, PROFILE_RUN + ("preset", "dt"), _sampled("exp"),
+        {"constant-kernel": dict(grid_n=512, domain_l=40.0, t_final=1.0,
+                                 profile="exp")}),
+    # the residual skips 3 boundary nodes
+    "prelaplace": Equation(run_prelaplace, PROFILE_RUN + ("nu", "dt"),
+                           _sampled("exp"), least_n=4),
+    "burgers": Equation(run_burgers, PROFILE_RUN + ("compare_oracle",),
+                        tuple(BURGERS_PROFILES)),
+    "spde": Equation(run_spde, ("grid_n", "seed", "t_final", "dt", "panels",
+                                "checkpoints", "compare_oracle"), (), {
+        "paper": dict(grid_n=32, t_final=0.007, dt=0.007 / 256)},
+        power_of_two=True),
+    "quotient": Equation(run_quotient, ("grid_n", "domain_l", "t_final", "dt"),
+                         power_of_two=True),
+    "elliptic": Equation(run_elliptic, ("grid_n", "domain_l", "profile"),
+                         tuple(ELLIPTIC_PROFILES)),
 }
+# run dispatches through this view: the benchmark's tracer finds a runner in
+# a module-level dict, not inside a record
+RUNNERS = {name: equation.runner for name, equation in EQUATIONS.items()}
 
 
 def run(config: RunConfig) -> int:

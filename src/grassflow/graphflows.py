@@ -30,11 +30,13 @@ class InitialProfile:
 
     ``jacobian`` is the elementwise derivative pi0'(a), of the shape of a.
     Without one, the derivative falls back to central finite differences
-    with step 1e-6 scaled by the argument magnitude.
+    with step 1e-6 scaled by the argument magnitude.  ``period`` is set for
+    periodic data, the period on which its spectral oracle runs.
     """
 
     evaluator: callable
     jacobian: callable = None
+    period: float = None
 
     def __call__(self, a):
         return np.asarray(self.evaluator(a), dtype=float)

@@ -156,15 +156,16 @@ class SmolCoefficients:
 
         dg/dt = d g - g*b0*g [- g m0(t)]
 
-    ``d`` is a constant; ``b0`` is a sampled function on the mass grid, and
-    ``b0_delta`` adds a Dirac component to it (the constant kernel's gain
-    term is b0 = -1/2 delta, and a gain b g*g is b0_delta = -b).
+    ``d`` is a constant; ``b0`` is a sampled function on the mass grid, or
+    a constant broadcast over it (0 by default), and ``b0_delta`` adds a
+    Dirac component to it (the constant kernel's gain term is
+    b0 = -1/2 delta, and a gain b g*g is b0_delta = -b).
     ``include_loss`` switches on the loss term -g m0(t), absorbed into d
     via the preprocessing Riccati for m0.
     """
 
     d: float = 0.0
-    b0: np.ndarray | None = None
+    b0: np.ndarray | float = 0.0
     b0_delta: float = 0.0
     include_loss: bool = False
 
@@ -177,9 +178,8 @@ def m0_rates(coeffs: SmolCoefficients, grid: Grid1D):
     """(lin, quad) of the preprocessing Riccati m0' = lin m0 + quad m0^2:
     lin = d and quad = -b0bar - 1, where b0bar is the [0, X] integral of b0
     (plus the delta coefficient)."""
-    b0bar = coeffs.b0_delta
-    if coeffs.b0 is not None:
-        b0bar += float(np.sum(quadrature_weights(grid) * coeffs.b0))
+    b0bar = coeffs.b0_delta + float(np.sum(quadrature_weights(grid)
+                                           * coeffs.b0))
     return coeffs.d, -b0bar - 1.0
 
 
@@ -230,11 +230,9 @@ def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity,
     m00 = g0.m0 if coeffs.include_loss else 0.0
     p0 = g0.values.astype(float)
     alpha, integral = _base_pair_scalars(lin, quad, m00, t)
-    if coeffs.b0 is None:
-        qhat = coeffs.b0_delta * integral * p0
-    else:
-        qhat = integral * (coeffs.b0_delta * p0
-                           + riemann_conv(coeffs.b0, p0, grid.spacing))
+    b0 = np.broadcast_to(coeffs.b0, p0.shape)
+    qhat = integral * (coeffs.b0_delta * p0
+                       + riemann_conv(b0, p0, grid.spacing))
     return MassDensity(grid=grid,
                        values=volterra_project(alpha * p0, qhat, grid))
 
@@ -250,10 +248,9 @@ def general_smol_residual(coeffs: SmolCoefficients, g0: MassDensity, t: float,
     h = g0.grid.spacing
     g, gt = central_in_t(
         lambda s: general_smol_solve(coeffs, g0, s).values, t, dt)
-    res = gt - coeffs.d * g
-    if coeffs.b0 is not None:
-        res = res + riemann_conv(g, riemann_conv(coeffs.b0, g, h), h)
-    res = res + coeffs.b0_delta * riemann_conv(g, g, h)
+    b0 = np.broadcast_to(coeffs.b0, g.shape)
+    res = gt - coeffs.d * g + riemann_conv(g, riemann_conv(b0, g, h), h) \
+        + coeffs.b0_delta * riemann_conv(g, g, h)
     if coeffs.include_loss:
         res = res + g * MassDensity(g0.grid, g).m0
     return g, float(np.max(np.abs(res)))

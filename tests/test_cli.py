@@ -40,11 +40,12 @@ def base_config(**kw):
 def test_paper_presets_validate_clean():
     # every preset, so one that sets a setting its equation does not read
     # is refused here
-    for eq, preset in cli.PRESETS:
-        config = apply_preset(RunConfig(equation=eq, preset=preset))
-        assert validate(config) == [], (eq, preset)
-        if eq in ("kdv", "nls"):
-            assert config.quadrature == "gauss-legendre"
+    for eq, record in cli.EQUATIONS.items():
+        for preset in record.presets:
+            config = apply_preset(RunConfig(equation=eq, preset=preset))
+            assert validate(config) == [], (eq, preset)
+            if eq in ("kdv", "nls"):
+                assert config.quadrature == "gauss-legendre"
 
 
 def test_kdv_and_nls_default_to_the_trapezoid_rule(tmp_path):
@@ -111,8 +112,8 @@ OTHER_VALUES = {"grid_n": "64", "domain_l": "3", "t_final": "7", "dt": "0.3",
 def test_every_setting_is_read_by_some_equation():
     # preset and out steer every run; a setting no runner reads is deleted
     # rather than carried along
-    read = {name for names in cli.READS.values() for name in names}
-    assert set(cli.READS) == set(cli.EQUATIONS)
+    read = {name for record in cli.EQUATIONS.values()
+            for name in record.reads}
     assert read | {"equation", "preset", "out"} == \
         {f.name for f in dataclasses.fields(RunConfig)}
     assert set(OTHER_VALUES) == read - {"preset"}
@@ -127,7 +128,7 @@ def test_an_equation_takes_only_the_settings_it_reads(tmp_path, capsys,
     flag = "--" + name.replace("_", "-")
     argv = [equation, flag, OTHER_VALUES[name]]
     config = cli.config_from_args(cli.build_parser().parse_args(argv))
-    if name in cli.READS[equation]:
+    if name in cli.EQUATIONS[equation].reads:
         assert config_hash(config) != config_hash(RunConfig(equation))
         return
     assert validate(config) == [f"{equation} does not read {flag}"]
@@ -180,9 +181,9 @@ def test_readme_lists_the_flags_each_equation_takes():
         for equation in re.findall(r"`([a-z-]+)`", names):
             listed[equation] = re.findall(r"`(--[a-z-]+)`", flags)
     assert listed == {
-        equation: ["--" + name.replace("_", "-") for name in names
+        equation: ["--" + name.replace("_", "-") for name in record.reads
                    if name != "preset"]
-        for equation, names in cli.READS.items()}
+        for equation, record in cli.EQUATIONS.items()}
 
 
 def test_validate_only_flag(capsys):
@@ -269,9 +270,10 @@ def test_unknown_preset_exits_2(tmp_path, capsys):
 
 
 def test_every_equation_defaults_to_an_accepted_profile():
-    for equation, accepted in cli.PROFILES.items():
+    for equation, record in cli.EQUATIONS.items():
         config = RunConfig(equation=equation)
-        assert config.profile == accepted[0]
+        assert config.profile == (record.profiles[0] if record.profiles
+                                  else "")
         assert validate(config) == []
 
 
@@ -510,6 +512,25 @@ def test_validation_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("kdv", "--t-final", "inf"), ("spde", "--t-final", "inf"),
+    ("quotient", "--domain-l", "inf"), ("smol-general", "--domain-l", "inf"),
+    ("prelaplace", "--nu", "inf"), ("smol-const", "--dt", "inf"),
+    ("burgers", "--t-final", "nan"),
+], ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_a_non_finite_setting_exits_2_without_output(tmp_path, capsys,
+                                                     argv):
+    # kdv and spde died counting their steps, and the others wrote all-NaN
+    # tables under exit 0
+    line = f"precondition violated: {argv[1][2:]} must be positive and finite"
+    assert main([*argv, "--validate-only"]) == 2
+    assert capsys.readouterr().out.splitlines() == [line, "1 violation(s)"]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("equation, grid_n", [("prelaplace", 3)])
 def test_grid_too_small_for_residual_exits_2(tmp_path, capsys, equation,
                                              grid_n):
@@ -572,9 +593,11 @@ def test_more_checkpoints_than_steps_exit_2(tmp_path, capsys, equation):
     assert not out.exists()
     # a checkpoint at every step, the tightest of the presets' and
     # benchmark's runs
-    config = RunConfig(equation, t_final=0.1, dt=0.01, checkpoints=11)
-    assert validate(config) == []
-    assert cli._checkpoint_steps(config)[2] == list(range(11))
+    every = ["--t-final", "0.1", "--dt", "0.01", "--checkpoints", "11"]
+    assert main([equation, "--grid-n", "32", *every, "--compare-oracle",
+                 "off", "--out", str(out)]) == 0
+    times = np.unique(read_columns(out / f"{equation}_det.csv")["t"])
+    assert times.tolist() == [m * (0.1 / 10) for m in range(11)]
 
 
 def read_metadata(path):

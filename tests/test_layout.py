@@ -1,7 +1,7 @@
 """The package keeps only what its pipelines run, imports scipy in one
 place, steps no linear base flow by RK4 (only the constant-kernel
 coagulation oracle and the spectral Burgers oracle take RK4 steps), and
-the benchmark's tracer still finds what it times.
+the benchmark's tracer still finds and times what it times.
 
 Every public top-level function and class of ``src/grassflow`` and
 ``scripts`` must be named somewhere in those two trees outside its own
@@ -156,3 +156,21 @@ def test_tracer_counters_read_parameters_of_their_targets():
         missing += [f"{modname}.{attr}: {key}" for key in keys
                     if key not in params]
     assert missing == []
+
+
+def test_the_tracer_times_every_runner(tmp_path):
+    # the tracer finds the runners in module-level dicts: one that run
+    # reached only through its Equation record would read 0 in
+    # cli.runner.self_s
+    import grassflow.cli as cli
+    from test_cli import SMALL_RUNS
+
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        for equation, argv in SMALL_RUNS.items():
+            assert cli.main([equation, *argv,
+                             "--out", str(tmp_path / equation)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["cli.runner"] == len(cli.EQUATIONS)

@@ -1,6 +1,6 @@
-"""Every script under scripts/ imports against the current library, and
-the coagulation moment, spde panel and Burgers oracle studies run on small
-grids.
+"""Every script under scripts/ imports against the current library, the
+coagulation moment, spde panel and Burgers oracle studies run on small
+grids, and the output digest of a run is its own on a second run.
 
 Importing runs each script's top level (its `from grassflow... import`
 lines) but not its entry point, which sits under the `__main__` guard.
@@ -77,3 +77,32 @@ def test_reference_panels_run(tmp_path, capsys):
     script = next(p for p in SCRIPTS if p.stem == "reproduce_reference_panels")
     assert load(script).run(tmp_path, seed=7) == 0
     assert "seed = 7" in (tmp_path / "spde" / "spde_metadata.txt").read_text()
+
+
+def test_output_digest_repeats(tmp_path):
+    # a run that writes tables, one that breaks down and one refused before
+    # any output: each leaves its console file, and both passes digest alike
+    script = load(next(p for p in SCRIPTS if p.stem == "output_digest"))
+    runs = [("ok/elliptic", ("elliptic", "--grid-n", "64")),
+            ("ok/burgers", ("burgers", "--profile", "sin", "--grid-n", "64",
+                            "--t-final", "1.5")),
+            ("refused/kdv", ("kdv", "--grid-n", "100"))]
+    lines = []
+    for name in ("a", "b"):
+        script.run_all(tmp_path / name, runs)
+        lines.append(script.digests(tmp_path / name))
+    assert lines[0] == lines[1]
+    assert [line.split("  ")[1] for line in lines[0]] == [
+        "ok/burgers/burgers_field.csv", "ok/burgers.console",
+        "ok/elliptic/elliptic_field.csv", "ok/elliptic/elliptic_metadata.txt",
+        "ok/elliptic.console", "refused/kdv.console"]
+    assert (tmp_path / "a" / "refused" / "kdv.console").read_text() == (
+        "exit 2\n--- stdout\n--- stderr\nprecondition violated: grid-n "
+        "must be a power of two (DFT restriction)\n")
+    # the full list: every job of both workloads and each equation's default
+    directories = [directory for directory, _ in script.all_runs(seed=1)]
+    assert len(set(directories)) == len(directories)
+    assert {d.partition("/")[0] for d in directories} == {
+        "paper-presets", "per-node-families", "default", "extra"}
+    assert [d for d in directories if d.startswith("default/")] == [
+        f"default/{equation}" for equation in script.cli.EQUATIONS]

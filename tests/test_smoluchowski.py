@@ -322,9 +322,8 @@ def _general_smol_loop(coeffs, g0, t, steps):
         p, qhat = state
         m0 = m0_closed_form(lin, quad, m00, s)
         dp = coeffs.d * p - m0 * p
-        dq = coeffs.b0_delta * p
-        if coeffs.b0 is not None:
-            dq = dq + riemann_conv(coeffs.b0, p, h)
+        dq = coeffs.b0_delta * p \
+            + riemann_conv(np.broadcast_to(coeffs.b0, p.shape), p, h)
         return np.array([dp, dq])
 
     state = np.array([g0.values.astype(float), np.zeros(grid.n)])
