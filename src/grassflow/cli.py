@@ -6,13 +6,22 @@ metadata sidecar echoes them, so a run can be rebuilt from its outputs alone.
 """
 
 import argparse
-import hashlib
 import os
 import sys
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
+
+# CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before): the digest
+# hashlib gives, without the OpenSSL library hashlib loads on import
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__, floattext
 from .core import Grid1D, uniform_steps
@@ -122,14 +131,21 @@ def validate(config: RunConfig) -> list:
     }
     problems += [message for name, (ok, message) in checks.items()
                  if name in reads and not ok]
+    # a run that reads both steps t-final / dt times, or solves at t +- dt
+    steps = None
+    if {"t_final", "dt"} <= set(reads) and checks["t_final"][0] \
+            and checks["dt"][0]:
+        if config.t_final / config.dt < np.inf:
+            steps = uniform_steps(config.t_final, config.dt)[0]
+        else:
+            problems.append("t-final / dt must be finite")
     # one checkpoint at t = 0 and at most one per step, or where the run
     # reads panels, per panel, keeps them distinct
     bound = None
     if "panels" in reads:
         bound = config.panels + 1, "panels + 1"
-    elif "checkpoints" in reads and checks["t_final"][0] and checks["dt"][0]:
-        bound = (uniform_steps(config.t_final, config.dt)[0] + 1,
-                 "the step count round(t-final / dt) plus one")
+    elif "checkpoints" in reads and steps is not None:
+        bound = steps + 1, "the step count round(t-final / dt) plus one"
     if bound and config.checkpoints > bound[0]:
         problems.append(f"checkpoints must be at most {bound[0]}, {bound[1]}")
     return problems
@@ -153,7 +169,7 @@ def read_settings(config: RunConfig) -> dict:
 
 def config_hash(config: RunConfig) -> str:
     blob = ";".join(f"{k}={_fmt(v)}" for k, v in read_settings(config).items())
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return sha256(blob.encode()).hexdigest()[:16]
 
 
 def write_table(path: str, header, rows, chash: str):

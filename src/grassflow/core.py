@@ -254,17 +254,25 @@ def fft_kernels(n: int, real: bool):
     ``np.fft.ifft``.  A shorter input is zero-padded as np.fft pads it;
     each call returns a fresh array.  np.fft's per-call argument handling
     is about half of a call at n = 256, which a stepper pays every step.
-    numpy.fft is imported here, on the first call, not with the package."""
-    from numpy.fft import _pocketfft_umath as pocketfft
-
+    numpy.fft is imported here, on the first call, not with the package.
+    Where numpy has no such module or kernel, np.fft's own functions with
+    ``n`` bound give the same bytes."""
+    try:
+        import numpy.fft._pocketfft_umath as pocketfft
+        forward, inverse = ((pocketfft.rfft_n_even if n % 2 == 0
+                             else pocketfft.rfft_n_odd, pocketfft.irfft)
+                            if real else (pocketfft.fft, pocketfft.ifft))
+    except (ImportError, AttributeError):
+        pair = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft,
+                                                         np.fft.ifft)
+        return tuple(functools.partial(f, n=n) for f in pair)
     scale = 1 / n
     if real:
-        rfft = pocketfft.rfft_n_even if n % 2 == 0 else pocketfft.rfft_n_odd
         half = n // 2 + 1
-        return (lambda a: rfft(a, 1, out=np.empty(half, complex)),
-                lambda a: pocketfft.irfft(a, scale, out=np.empty(n)))
-    return (lambda a: pocketfft.fft(a, 1, out=np.empty(n, complex)),
-            lambda a: pocketfft.ifft(a, scale, out=np.empty(n, complex)))
+        return (lambda a: forward(a, 1, out=np.empty(half, complex)),
+                lambda a: inverse(a, scale, out=np.empty(n)))
+    return (lambda a: forward(a, 1, out=np.empty(n, complex)),
+            lambda a: inverse(a, scale, out=np.empty(n, complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +378,12 @@ def central_in_t(solve, t: float, dt: float):
 
 
 # ---------------------------------------------------------------------------
-# random streams
+# random streams: the Generator annotations are quoted, since evaluated they
+# would import numpy.random (and through its secrets, OpenSSL) with the
+# package, where only spde draws
 
 
-def random_stream(seed: int, stream_id: int) -> np.random.Generator:
+def random_stream(seed: int, stream_id: int) -> "np.random.Generator":
     """Deterministic generator keyed by (seed, stream_id).
 
     Identical keys give identical sequences regardless of thread schedule;
@@ -383,7 +393,8 @@ def random_stream(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def gaussian_increments(stream: np.random.Generator, count: int, variance: float,
+def gaussian_increments(stream: "np.random.Generator", count: int,
+                        variance: float,
                         complex_valued: bool = True) -> np.ndarray:
     """i.i.d. Gaussians with the stated per-component variance."""
     if variance < 0:

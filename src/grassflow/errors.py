@@ -34,6 +34,16 @@ class BlowupAtTime(Breakdown):
     """Finite-time breakdown: q (or I + t*pi) lost invertibility."""
 
 
+class VolterraBreakdown(Breakdown):
+    """A triangular Volterra solve lost its system: ``backward_error``,
+    max|residual| / max|p| of the solution put back into p's equation,
+    passed the bound."""
+
+    def __init__(self, message, backward_error):
+        super().__init__(message)
+        self.backward_error = backward_error
+
+
 class IntegrationBlowup(GrassflowError):
     """A time-stepped field became non-finite; ``step`` is the first step
     known to be non-finite."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (Grid1D, central_in_t, fft_kernels, march, phi1,
                    quadrature_weights, rk4_step, uniform_steps)
-from .errors import BlowupAtTime, ConfigError
+from .errors import BlowupAtTime, ConfigError, VolterraBreakdown
 
 
 @dataclass
@@ -126,10 +126,30 @@ def _series_quotient(b, c, s, c0):
     return _series_product(b, r)[:n]
 
 
+# a solve whose backward error passes this has lost its system: solvable
+# cases read 1e-10 or below, broken ones 1 or above
+BACKWARD_ERROR_BOUND = 1e-8
+
+
+def _check_backward_error(residual, p, solve: str):
+    """Raise VolterraBreakdown where max|residual| / max|p| (a NaN among
+    them included) passes BACKWARD_ERROR_BOUND."""
+    error = float(np.max(np.abs(residual)) / (np.max(np.abs(p)) or 1.0))
+    if not error <= BACKWARD_ERROR_BOUND:
+        raise VolterraBreakdown(f"{solve} backward error {error:.3e} past "
+                                f"{BACKWARD_ERROR_BOUND:g}", error)
+
+
 def volterra_project(p: np.ndarray, qhat: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Invert p = g + g * qhat (a unit lower-triangular Toeplitz system)."""
+    """Invert p = g + g * qhat (a unit lower-triangular Toeplitz system).
+    A solution whose backward error passes BACKWARD_ERROR_BOUND raises
+    VolterraBreakdown."""
     _check_uniform(grid)
-    return _series_quotient(p, qhat, grid.spacing, 1.0)
+    h = grid.spacing
+    g = _series_quotient(p, qhat, h, 1.0)
+    _check_backward_error(g + riemann_conv(g, qhat, h) - p, p,
+                          "volterra_project")
+    return g
 
 
 def deconvolve(p: np.ndarray, q: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -137,13 +157,19 @@ def deconvolve(p: np.ndarray, q: np.ndarray, grid: Grid1D) -> np.ndarray:
 
     With the left-Riemann sum p_i = h sum_{j<i} g_j q_{i-j}, the unknown
     g_{i-1} sits against q_1, so q(h) must be nonzero.  Only n-1 components
-    of g are determined; the last node is linearly extrapolated.
+    of g are determined; the last node is linearly extrapolated.  A
+    solution whose backward error on p_1, ..., p_{n-1} (which the
+    extrapolated node takes no part in) passes BACKWARD_ERROR_BOUND raises
+    VolterraBreakdown.
     """
     _check_uniform(grid)
     if q[1] == 0:
         raise ConfigError("deconvolution needs q nonzero at the first node")
-    g = _series_quotient(p[1:] / grid.spacing, q[1:], 1, q[1])
-    return np.append(g, 2 * g[-1] - g[-2])
+    h = grid.spacing
+    g = _series_quotient(p[1:] / h, q[1:], 1, q[1])
+    g = np.append(g, 2 * g[-1] - g[-2])
+    _check_backward_error((riemann_conv(g, q, h) - p)[1:], p, "deconvolve")
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import hashlib
 import math
 import os
 import re
@@ -475,7 +476,9 @@ def count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("argv, module, name, expected", [
-    (["prelaplace", "--grid-n", "32"], smoluchowski, "deconvolve", 4),
+    # at the default domain-l 10 the Volterra solve breaks down
+    (["prelaplace", "--grid-n", "32", "--domain-l", "1"], smoluchowski,
+     "deconvolve", 4),
     (["smol-general", "--grid-n", "32"], smoluchowski, "general_smol_solve",
      3),
     (["quotient", "--grid-n", "16"], quotient, "quotient_solve", 3),
@@ -531,6 +534,32 @@ def test_a_non_finite_setting_exits_2_without_output(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("equation", ["kdv", "nls", "smol-const", "spde"])
+def test_a_step_count_past_the_float_range_exits_2_without_output(
+        tmp_path, capsys, equation):
+    # each setting is finite, but round(t-final / dt) overflowed in
+    # uniform_steps with a traceback
+    argv = [equation, "--t-final", "1e300", "--dt", "1e-10"]
+    line = "precondition violated: t-final / dt must be finite"
+    assert main([*argv, "--validate-only"]) == 2
+    assert capsys.readouterr().out.splitlines() == [line, "1 violation(s)"]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+def test_default_prelaplace_run_reports_its_breakdown(tmp_path, capsys):
+    # at domain-l 10 the base flow spans e^{100}: the deconvolution's
+    # backward error reads about 1e61, where it wrote |g| near 1e65 under
+    # exit 0
+    assert main(["prelaplace", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("breakdown: deconvolve backward error")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("equation, grid_n", [("prelaplace", 3)])
 def test_grid_too_small_for_residual_exits_2(tmp_path, capsys, equation,
                                              grid_n):
@@ -545,7 +574,9 @@ def test_grid_too_small_for_residual_exits_2(tmp_path, capsys, equation,
 @pytest.mark.parametrize("equation, grid_n", [("smol-general", 2),
                                               ("prelaplace", 4)])
 def test_smallest_accepted_grid_runs(tmp_path, equation, grid_n):
-    assert main([equation, "--grid-n", str(grid_n),
+    # on [0, 1]: at the default domain-l 10 prelaplace's Volterra solve
+    # breaks down
+    assert main([equation, "--grid-n", str(grid_n), "--domain-l", "1",
                  "--out", str(tmp_path)]) == 0
 
 
@@ -774,17 +805,73 @@ def test_failed_oracle_leaves_no_tables(tmp_path, capsys):
                    for name in os.listdir(tmp_path))
 
 
-def loaded_by_cli_import(*modules: str) -> bool:
-    """Whether a fresh interpreter has any of ``modules`` loaded after
-    ``import grassflow.cli``."""
+def fresh_python(code: str) -> str:
+    """The standard output of ``code`` run by a fresh interpreter that
+    imports grassflow from this checkout."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, grassflow.cli; "
-            f"print(any(m in sys.modules for m in {modules!r}))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return out.strip() == "True"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def loaded_by_cli_import(*modules: str) -> bool:
+    """Whether a fresh interpreter has any of ``modules`` loaded after
+    ``import grassflow.cli``."""
+    return fresh_python("import sys, grassflow.cli; "
+                        f"print(any(m in sys.modules for m in {modules!r}))"
+                        ) == "True"
+
+
+def test_cli_import_does_not_load_numpy_random():
+    # core's Generator annotations are quoted, so numpy.random (6 MB) loads
+    # at spde's first draw, not with every CLI call
+    assert not loaded_by_cli_import("numpy.random")
+
+
+def test_cli_import_does_not_load_openssl():
+    # config_hash takes CPython's built-in SHA-256, so hashlib's OpenSSL
+    # binding, _hashlib, is not loaded
+    assert not loaded_by_cli_import("_hashlib")
+
+
+def test_spde_run_loads_numpy_random(tmp_path):
+    # the deferral moves the import to the draw; it does not skip it
+    argv = ["spde", "--grid-n", "8", "--t-final", "0.004", "--dt", "2e-4",
+            "--panels", "16", "--out", str(tmp_path)]
+    assert fresh_python(
+        "import sys, grassflow.cli as cli; "
+        "before = 'numpy.random' in sys.modules; "
+        f"code = cli.main({argv!r}); "
+        "print(before, code, 'numpy.random' in sys.modules)") \
+        == "False 0 True"
+
+
+def expected_hashes() -> dict:
+    """hashlib's SHA-256 of each equation's default settings, cut to 16
+    hex digits."""
+    blobs = {equation: ";".join(
+        f"{k}={cli._fmt(v)}"
+        for k, v in cli.read_settings(RunConfig(equation)).items())
+        for equation in cli.EQUATIONS}
+    return {equation: hashlib.sha256(blob.encode()).hexdigest()[:16]
+            for equation, blob in blobs.items()}
+
+
+def test_config_hash_is_hashlibs_sha256():
+    assert cli.sha256.__module__ in ("_sha2", "_sha256")
+    assert {equation: config_hash(RunConfig(equation))
+            for equation in cli.EQUATIONS} == expected_hashes()
+
+
+def test_config_hash_falls_back_to_hashlib():
+    # an interpreter without the built-in modules hashes through hashlib
+    out = fresh_python(
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+        "import hashlib, grassflow.cli as cli; "
+        "print(cli.sha256 is hashlib.sha256, {e: cli.config_hash("
+        "cli.RunConfig(e)) for e in cli.EQUATIONS})")
+    assert out == f"True {expected_hashes()!r}"
 
 
 def test_cli_import_does_not_load_scipy_signal():

@@ -1,6 +1,9 @@
 """Grids, quadrature, dense solves, the FFT's restriction and kernels, RK4
 stepping, the fixed-step march, RNG."""
 
+import functools
+import sys
+import types
 import warnings
 
 import numpy as np
@@ -221,6 +224,25 @@ def test_fft_kernels_give_the_bytes_of_np_fft(n):
     # each call writes a fresh array
     assert not np.shares_memory(rfft(x), rfft(x))
     assert not np.shares_memory(ifft(z), ifft(z))
+
+
+@pytest.mark.parametrize("n", [256, 255])
+@pytest.mark.parametrize("missing", ["module", "kernel"])
+def test_fft_kernels_fall_back_to_np_fft(monkeypatch, n, missing):
+    # without numpy's pocketfft ufunc module, or one of its kernels, the
+    # pair is np.fft's own functions with n bound: the same bytes
+    # (np.fft itself keeps the module it bound on import)
+    stub = None if missing == "module" else types.ModuleType("stub")
+    monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", stub)
+    monkeypatch.setattr(np.fft, "_pocketfft_umath", stub)
+    core.fft_kernels.cache_clear()
+    try:
+        test_fft_kernels_give_the_bytes_of_np_fft(n)
+        assert all(isinstance(kernel, functools.partial)
+                   for real in (True, False)
+                   for kernel in core.fft_kernels(n, real))
+    finally:
+        core.fft_kernels.cache_clear()
 
 
 def np_fft_kernels(n, real):

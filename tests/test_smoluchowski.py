@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from grassflow.cli import profile_samples
 from grassflow.core import Grid1D, march, rk4_step
-from grassflow.errors import BlowupAtTime, ConfigError
-from grassflow.smoluchowski import (MassDensity, SmolCoefficients,
-                                    _base_pair_scalars, _check_uniform,
+from grassflow.errors import BlowupAtTime, ConfigError, VolterraBreakdown
+from grassflow.smoluchowski import (BACKWARD_ERROR_BOUND, MassDensity,
+                                    SmolCoefficients, _base_pair_scalars,
+                                    _check_uniform,
                                     constant_kernel_solve, deconvolve,
                                     direct_smol_oracle, exponential_density,
                                     general_smol_residual, general_smol_solve,
@@ -211,6 +212,47 @@ def test_prelaplace_deconvolution_is_no_less_accurate_than_the_loop():
     exact = forward_substitute_longdouble(p[1:] / h, q[1:], 1, q[1])
     err = lambda out: float(np.max(np.abs(out[:-1] - exact)))
     assert err(deconvolve(p, q, g)) <= err(deconvolve_loop(p, q, h))
+
+
+def prelaplace_pair(domain_l):
+    """prelaplace's default data at t = 1 (exp profile, nu = 1, 256 nodes)
+    on [0, domain_l]: the grid, p and q."""
+    g = mass_grid(domain_l, 256)
+    x = g.nodes
+    q = profile_samples("exp", x) * np.exp(x ** 2)
+    return g, 2.0 * x * q, q
+
+
+@pytest.mark.parametrize("domain_l, solvable", [(1.0, True), (3.0, True),
+                                                (4.0, False), (10.0, False)])
+def test_deconvolve_refuses_a_solution_with_a_large_backward_error(
+        domain_l, solvable):
+    # q = e^{-x + x^2} spans e^{L^2 - L}: at L = 4 the FFT quotient's g(0)
+    # reads 1.99988 for 2, at L = 10 about 1e63
+    g, p, q = prelaplace_pair(domain_l)
+    if solvable:
+        out = deconvolve(p, q, g)
+        error = np.max(np.abs((riemann_conv(out, q, g.spacing) - p)[1:]))
+        assert error <= BACKWARD_ERROR_BOUND * np.max(np.abs(p))
+        return
+    with pytest.raises(VolterraBreakdown, match="deconvolve backward error") \
+            as caught:
+        deconvolve(p, q, g)
+    assert caught.value.backward_error > BACKWARD_ERROR_BOUND
+
+
+def test_volterra_project_refuses_a_solution_with_a_large_backward_error():
+    # g + g * (-10) = 1 has g = (1 + 10 h)^i, about e^{100} at x = 10,
+    # which the FFT quotient cannot hold to the bound
+    g = mass_grid(10.0, 256)
+    with pytest.raises(VolterraBreakdown, match="volterra_project") as caught:
+        volterra_project(np.ones(256), np.full(256, -10.0), g)
+    assert caught.value.backward_error > 1.0
+    # a NaN in the data is past every bound
+    p = np.ones(256)
+    p[3] = np.nan
+    with pytest.raises(VolterraBreakdown):
+        volterra_project(p, np.ones(256), g)
 
 
 @pytest.mark.parametrize("complex_arg", [0, 1])
