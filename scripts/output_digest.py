@@ -10,7 +10,7 @@ script, and the jobs are read from that checkout's
 `perfbench/workloads.py`, so two checkouts run the same list and their
 digests diff line for line.  Every run is one in-process CLI call: a job
 of workload W writes into `<out-root>/W/<job>`, a default run of an
-equation into `<out-root>/default/<equation>`, and two more runs into
+equation into `<out-root>/default/<equation>`, and the EXTRA_RUNS into
 `<out-root>/extra/`.  Each run's exit status, standard output and
 standard error go to `<run directory>.console`, which is digested too.
 Output lines are `sha256  relative-path`, sorted by path.
@@ -29,10 +29,14 @@ sys.path.insert(0, str(ROOT / "src"))
 import grassflow.cli as cli  # noqa: E402
 
 # runs beside the defaults whose tables come from a profile's or a preset's
-# own branch of a runner
+# own branch of a runner, or from a grid that no default or job uses: less
+# than one column block of the quotient solve, and an odd length that the
+# series products pad
 EXTRA_RUNS = [("extra/elliptic-tanh", ("elliptic", "--profile", "tanh")),
               ("extra/smol-general-constant-kernel",
-               ("smol-general", "--preset", "constant-kernel"))]
+               ("smol-general", "--preset", "constant-kernel")),
+              ("extra/quotient-16", ("quotient", "--grid-n", "16")),
+              ("extra/smol-const-257", ("smol-const", "--grid-n", "257"))]
 
 
 def all_runs(seed: int) -> list:

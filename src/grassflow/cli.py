@@ -534,9 +534,11 @@ def run(config: RunConfig) -> int:
         # whole but for its flagged NaN nodes
         if isinstance(exc, ShockProximity):
             write_tables()
-        t = config.t_final if exc.t is None else exc.t
-        print(f"breakdown: {exc} (t = {t}, location = {exc.location}, "
-              f"determinant = {exc.det_value})", file=sys.stderr)
+        fields = {"t": config.t_final if exc.t is None else exc.t,
+                  "location": exc.location, "determinant": exc.det_value}
+        shown = ", ".join(f"{k} = {v}" for k, v in fields.items()
+                          if v is not None)
+        print(f"breakdown: {exc} ({shown})", file=sys.stderr)
         return 1
     except GrassflowError as exc:
         print(f"breakdown: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -372,9 +372,12 @@ def march(advance, y, steps: int, checkpoints=None, readout=None):
 
 def central_in_t(solve, t: float, dt: float):
     """(solve(t), (solve(t + dt) - solve(t - dt)) / (2 dt)); the three
-    solves run in time order t - dt, t, t + dt."""
+    solves run in time order t - dt, t, t + dt, and each must return a
+    fresh array, since the difference is taken in the last one's place."""
     lo, mid, hi = (solve(s) for s in (t - dt, t, t + dt))
-    return mid, (hi - lo) / (2 * dt)
+    hi -= lo
+    hi /= 2 * dt
+    return mid, hi
 
 
 # ---------------------------------------------------------------------------
@@ -402,5 +405,9 @@ def gaussian_increments(stream: "np.random.Generator", count: int,
     sd = np.sqrt(variance)
     if complex_valued:
         z = stream.standard_normal((2, count))
-        return sd * (z[0] + 1j * z[1])
-    return sd * stream.standard_normal(count)
+        z = z[0] + 1j * z[1]
+    else:
+        z = stream.standard_normal(count)
+    # scaled in place: one draw-sized array, not two
+    z *= sd
+    return z

@@ -21,6 +21,9 @@ from .errors import (BlowupAtTime, ChartBreakdown, ConfigError,
 
 # trapezoid panels of the odd-degree phase integral over [0, t]
 PHASE_STEPS = 256
+# y columns transformed at a time: a block's temporaries stay a small part
+# of the n x n planes the solve and its residual hold
+COLUMN_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -75,54 +78,76 @@ def quotient_solve(g0: np.ndarray, grid: Grid1D,
       q(y; t) = exp(int_0^t F(|p(y, y; s)|^2) ds), an exact unit-modulus
       phase since F is purely imaginary; the time integral is a trapezoid
       over PHASE_STEPS panels of the exact diagonal path.
+
+    Every y column is its own flow, so p and q are built COLUMN_BLOCK
+    columns at a time from one transform of the block.
     """
     if grid.kind != "periodic":
         raise ConfigError("quotient solver works on a periodic grid")
-    g0 = np.asarray(g0, dtype=complex)
+    g0 = np.asarray(g0)
     if g0.shape != (grid.n, grid.n):
         raise ConfigError("initial data must be square on the grid")
     d = coeffs.symbol(dft_frequencies(grid))
-    # per-column transforms in x; d is even in k, so either sign convention
-    # of the transform pairs each mode with the same d
-    p0_hat = np.fft.fft(g0, axis=0)
-    p = np.fft.ifft(np.exp(d * t)[:, None] * p0_hat, axis=0)
+    decay = np.exp(d * t)[:, None]
     if coeffs.f_coeffs:
         # pbar(s)_j = sum_k B[j, k] e^{d_k s} p0_hat[k, j] with B the
         # inverse-DFT matrix: one product gives every quadrature time
-        weights = np.fft.ifft(np.eye(grid.n), axis=0) * p0_hat.T
+        inverse = np.fft.ifft(np.eye(grid.n), axis=0)
         ds = t / PHASE_STEPS
-        pbar = weights @ np.exp(np.outer(d, ds * np.arange(PHASE_STEPS + 1)))
-        exponent = np.trapezoid(coeffs.f_value(np.abs(pbar) ** 2), dx=ds,
-                                axis=1)
-        if np.max(np.abs(exponent.real)) > 1e-6:
+        path = np.exp(np.outer(d, ds * np.arange(PHASE_STEPS + 1)))
+    else:
+        integrated = phi1(d, t)[:, None]
+    p = np.empty((grid.n, grid.n), dtype=complex)
+    q = np.empty(grid.n, dtype=complex)
+    for start in range(0, grid.n, COLUMN_BLOCK):
+        cols = slice(start, start + COLUMN_BLOCK)
+        # per-column transforms in x; d is even in k, so either sign
+        # convention of the transform pairs each mode with the same d
+        p0_hat = np.fft.fft(g0[:, cols], axis=0)
+        np.fft.ifft(decay * p0_hat, axis=0, out=p[:, cols])
+        if coeffs.f_coeffs:
+            pbar = (inverse[cols] * p0_hat.T) @ path
+            q[cols] = np.trapezoid(coeffs.f_value(np.abs(pbar) ** 2), dx=ds,
+                                   axis=1)
+        else:
+            # time-integrated p, inverse-transformed and read on the diagonal
+            q[cols] = np.fft.ifft(integrated * p0_hat, axis=0).diagonal(-start)
+    if coeffs.f_coeffs:
+        if np.max(np.abs(q.real)) > 1e-6:
             raise IntegrationBlowup("unit-modulus weight drifted off the "
                                     "circle")
-        q = np.exp(exponent)
+        q = np.exp(q)
     else:
-        # time-integrated p, inverse-transformed and read on the diagonal
-        integral = np.diag(np.fft.ifft(phi1(d, t)[:, None] * p0_hat, axis=0))
-        q = 1.0 + np.asarray(coeffs.b(grid.nodes), dtype=complex) * integral
+        q = 1.0 + np.asarray(coeffs.b(grid.nodes), dtype=complex) * q
     j = int(np.argmin(np.abs(q)))
     if abs(q[j]) < 1e-10:
         raise BlowupAtTime(f"quotient weight q vanished at t = {t}",
                            det_value=abs(q[j]), location=grid.nodes[j], t=t)
-    return QuotientField(values=p / q[None, :], q=q)
+    p /= q
+    return QuotientField(values=p, q=q)
 
 
 def quotient_residual(g0, grid: Grid1D, coeffs: QuotientCoefficients,
                       t: float, dt: float):
     """(g at t, central-difference defect of dg/dt = D_x g - g b(y) gbar),
-    or, when ``f_coeffs`` is set, of dg/dt = D_x g - g F(|gbar|^2)."""
+    or, when ``f_coeffs`` is set, of dg/dt = D_x g - g F(|gbar|^2).  The
+    defect is formed COLUMN_BLOCK columns at a time."""
     g, gt = central_in_t(lambda s: quotient_solve(g0, grid, coeffs, s).values,
                          t, dt)
-    d = coeffs.symbol(dft_frequencies(grid))
-    dxg = np.fft.ifft(d[:, None] * np.fft.fft(g, axis=0), axis=0)
+    d = coeffs.symbol(dft_frequencies(grid))[:, None]
     gbar = np.diag(g)
     if coeffs.f_coeffs:
-        nonlin = g * coeffs.f_value(np.abs(gbar) ** 2)[None, :]
+        weight = coeffs.f_value(np.abs(gbar) ** 2)
     else:
-        nonlin = g * (np.asarray(coeffs.b(grid.nodes)) * gbar)[None, :]
-    return g, float(np.max(np.abs(gt - dxg + nonlin)))
+        weight = np.asarray(coeffs.b(grid.nodes)) * gbar
+    maxima = []
+    for start in range(0, grid.n, COLUMN_BLOCK):
+        cols = slice(start, start + COLUMN_BLOCK)
+        dxg = np.fft.ifft(d * np.fft.fft(g[:, cols], axis=0), axis=0)
+        maxima.append(np.max(np.abs(gt[:, cols] - dxg
+                                    + g[:, cols] * weight[cols])))
+    # np.max, not max(): a NaN block maximum is kept
+    return g, float(np.max(maxima))
 
 
 # ---------------------------------------------------------------------------

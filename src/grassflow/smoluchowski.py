@@ -10,6 +10,7 @@ integrator of the constant-kernel equation provides the cross-validation
 oracle.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,11 +83,27 @@ def _check_uniform(grid: Grid1D):
         raise ConfigError("mass grids are closed and start at 0")
 
 
+@functools.cache
+def _fft_length(m: int) -> int:
+    """The least 2^a 3^b 5^c >= m: a length pocketfft splits into small
+    radices, where a large prime factor sends it down its slower Bluestein
+    path."""
+    best = 1 << (m - 1).bit_length()
+    threes = 1
+    while threes < best:
+        odd = threes
+        while odd < best:
+            best = min(best, odd << ((m - 1) // odd).bit_length())
+            odd *= 5
+        threes *= 3
+    return best
+
+
 def _series_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The first len(u) coefficients of the product of two real power
-    series, by real FFTs padded to len(u) + len(v) (one transform when
-    ``v is u``)."""
-    rfft, irfft = fft_kernels(len(u) + len(v), real=True)
+    series, by real FFTs zero-padded to the least 5-smooth length
+    >= len(u) + len(v) (one transform when ``v is u``)."""
+    rfft, irfft = fft_kernels(_fft_length(len(u) + len(v)), real=True)
     fu = rfft(u)
     fv = fu if v is u else rfft(v)
     return irfft(fu * fv)[:len(u)]
@@ -259,8 +276,12 @@ def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity,
     b0 = np.broadcast_to(coeffs.b0, p0.shape)
     qhat = integral * (coeffs.b0_delta * p0
                        + riemann_conv(b0, p0, grid.spacing))
-    return MassDensity(grid=grid,
-                       values=volterra_project(alpha * p0, qhat, grid))
+    try:
+        g = volterra_project(alpha * p0, qhat, grid)
+    except VolterraBreakdown as exc:
+        exc.t = t
+        raise
+    return MassDensity(grid=grid, values=g)
 
 
 def general_smol_residual(coeffs: SmolCoefficients, g0: MassDensity, t: float,
@@ -329,7 +350,11 @@ def pre_laplace_burgers_solve(q0: np.ndarray, grid: Grid1D, nu: float,
     x = grid.nodes
     qt = q0 * np.exp(nu * x ** 2 * t)
     pt = 2.0 * nu * x * qt
-    return deconvolve(pt, qt, grid)
+    try:
+        return deconvolve(pt, qt, grid)
+    except VolterraBreakdown as exc:
+        exc.t = t
+        raise
 
 
 def pre_laplace_burgers_residual(q0, grid: Grid1D, nu: float, t: float,

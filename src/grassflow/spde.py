@@ -18,6 +18,8 @@ from .core import (DenseSystem, Grid1D, gaussian_increments, march,
 from .errors import ConfigError, SingularSystem
 
 TWO_PI = 2.0 * np.pi
+# slices of the sheet summed at a time by BrownianSheetModes.cumulative
+CUMULATIVE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -122,10 +124,18 @@ class BrownianSheetModes:
 
     def cumulative(self, steps: int) -> np.ndarray:
         """W at the steps + 1 boundaries of ``steps`` equal intervals (row 0
-        is zero), read from the running sum of the slices."""
+        is zero), read from the running sum of the slices.  The sum runs a
+        block of whole intervals at a time, each block's first row carrying
+        the last row of the one before, so no sheet-sized sum is held."""
         g = self._slices(steps)
         out = np.zeros((steps + 1, self.increments.shape[1]))
-        out[1:] = np.cumsum(self.increments, axis=0)[g - 1::g]
+        rows = g * max(1, CUMULATIVE_ROWS // g)
+        for start in range(0, len(self.increments), rows):
+            block = self.increments[start:start + rows].copy()
+            block[0] += out[start // g]
+            np.cumsum(block, axis=0, out=block)
+            out[start // g + 1:(start + len(block)) // g + 1] = \
+                block[g - 1::g]
         return out
 
 

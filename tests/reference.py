@@ -9,7 +9,8 @@ point by point, the first-order KdV split step that ETDRK4 is held to
 the RK4 march of a linear flow, the graph G = P Q^{-1} of a base pair
 with the Riccati subflow built on it and its RK4 oracle, the
 matrix-exponential base flow,
-the central first difference of the residual checks, the node-by-node
+the central first difference of the residual checks, the whole-plane
+quotient solve and residual, the node-by-node
 Volterra loops with their long-double twin, the first-order upwind
 integrator of inviscid Burgers with its np.roll loop, and
 the spde Poppe accumulation panel by panel; and the CLI's tables: the
@@ -23,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from grassflow.core import (DenseSystem, Grid1D, fft_kernels, march,
+from grassflow.core import (DenseSystem, Grid1D, fft_kernels, march, phi1,
                             quadrature_weights, rk4_step, solve_dense)
 from grassflow.errors import BlowupAtTime, ConfigError, SingularSystem
 from grassflow.integrable import (GAUSS_NODES, half_line_grid,
                                   kdv_fredholm_solve)
+from grassflow.quotient import PHASE_STEPS
 from grassflow.spde import TWO_PI, Field2D, PoppeResult, exact_base_modes
 
 
@@ -359,6 +361,45 @@ def riccati_rk4(pi0: np.ndarray, t: float, steps: int) -> np.ndarray:
 def ddx(u, h):
     """Periodic second-order central first difference."""
     return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# the quotient solve and its residual on whole planes, whose bytes the
+# column-blocked ones keep
+
+
+def quotient_solve_whole(g0, grid: Grid1D, coeffs, t: float):
+    """(g, q) of quotient.quotient_solve, every column transformed at once."""
+    g0 = np.asarray(g0, dtype=complex)
+    d = coeffs.symbol(np.fft.fftfreq(grid.n, d=grid.spacing))
+    p0_hat = np.fft.fft(g0, axis=0)
+    p = np.fft.ifft(np.exp(d * t)[:, None] * p0_hat, axis=0)
+    if coeffs.f_coeffs:
+        weights = np.fft.ifft(np.eye(grid.n), axis=0) * p0_hat.T
+        ds = t / PHASE_STEPS
+        pbar = weights @ np.exp(np.outer(d, ds * np.arange(PHASE_STEPS + 1)))
+        q = np.exp(np.trapezoid(coeffs.f_value(np.abs(pbar) ** 2), dx=ds,
+                                axis=1))
+    else:
+        integral = np.diag(np.fft.ifft(phi1(d, t)[:, None] * p0_hat, axis=0))
+        q = 1.0 + np.asarray(coeffs.b(grid.nodes), dtype=complex) * integral
+    return p / q[None, :], q
+
+
+def quotient_residual_whole(g0, grid: Grid1D, coeffs, t: float, dt: float):
+    """(g at t, sup of the central-difference defect) of
+    quotient.quotient_residual, on whole planes."""
+    lo, g, hi = (quotient_solve_whole(g0, grid, coeffs, s)[0]
+                 for s in (t - dt, t, t + dt))
+    gt = (hi - lo) / (2 * dt)
+    d = coeffs.symbol(np.fft.fftfreq(grid.n, d=grid.spacing))
+    dxg = np.fft.ifft(d[:, None] * np.fft.fft(g, axis=0), axis=0)
+    gbar = np.diag(g)
+    if coeffs.f_coeffs:
+        nonlin = g * coeffs.f_value(np.abs(gbar) ** 2)[None, :]
+    else:
+        nonlin = g * (np.asarray(coeffs.b(grid.nodes)) * gbar)[None, :]
+    return g, float(np.max(np.abs(gt - dxg + nonlin)))
 
 
 # ---------------------------------------------------------------------------

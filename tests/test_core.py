@@ -427,6 +427,16 @@ def test_gaussian_increments_variance():
     assert np.var(z.imag) == pytest.approx(0.25, rel=0.05)
 
 
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_gaussian_increments_are_the_scaled_draw(complex_valued):
+    z = random_stream(5, 0).standard_normal((2, 64) if complex_valued else 64)
+    if complex_valued:
+        z = z[0] + 1j * z[1]
+    assert np.array_equal(gaussian_increments(random_stream(5, 0), 64, 0.3,
+                                              complex_valued),
+                          np.sqrt(0.3) * z)
+
+
 def test_gaussian_increments_rejects_negative_variance():
     with pytest.raises(ConfigError):
         gaussian_increments(random_stream(0, 0), 4, -1.0)

@@ -1,6 +1,7 @@
 """Quotient-solution family and the elliptic first-order construction."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from grassflow.core import Grid1D, dft_frequencies
 from grassflow.errors import (BlowupAtTime, ChartBreakdown, ConfigError,
                               IntegrationBlowup, SymbolError)
-from grassflow.quotient import (PHASE_STEPS, EllipticCoefficients,
-                                QuotientCoefficients, elliptic_quotient_solve,
-                                quotient_residual, quotient_solve)
-from reference import linear_flow
+from grassflow.quotient import (COLUMN_BLOCK, PHASE_STEPS,
+                                EllipticCoefficients, QuotientCoefficients,
+                                elliptic_quotient_solve, quotient_residual,
+                                quotient_solve)
+from reference import (linear_flow, quotient_residual_whole,
+                       quotient_solve_whole)
 
 
 def periodic_grid(l, n):
@@ -170,6 +173,53 @@ def test_odd_degree_residual_decreases():
     _, coarse = quotient_residual(g0, g, coeffs, 0.4, 4e-2)
     _, fine = quotient_residual(g0, g, coeffs, 0.4, 2e-2)
     assert fine < coarse
+
+
+# ---------------------------------------------------------------------------
+# column blocks
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("coeffs", [heat_coeffs(b=np.ones_like),
+                                    heat_coeffs(f=(0.5, -0.3, 0.1))],
+                         ids=["b", "odd-degree"])
+def test_column_blocks_keep_the_whole_plane_bytes(n, coeffs):
+    # 16 columns are less than one block; complex data for the odd degree
+    g = periodic_grid(4.0, n)
+    g0 = gaussian_sheet(g)
+    if coeffs.f_coeffs:
+        g0 = g0 * np.exp(1j * np.add.outer(g.nodes, 0.5 * g.nodes))
+    values, q = quotient_solve_whole(g0, g, coeffs, 0.6)
+    out = quotient_solve(g0, g, coeffs, 0.6)
+    assert np.array_equal(out.values, values) and np.array_equal(out.q, q)
+    ref_g, ref_residual = quotient_residual_whole(g0, g, coeffs, 0.6, 1e-3)
+    field, residual = quotient_residual(g0, g, coeffs, 0.6, 1e-3)
+    assert np.array_equal(field, ref_g) and residual == ref_residual
+
+
+def test_nan_in_the_last_block_reaches_the_residual():
+    # a reduction by Python's max() would drop the last block's NaN
+    g = periodic_grid(4.0, 3 * COLUMN_BLOCK)
+    g0 = gaussian_sheet(g)
+    g0[5, -3] = np.nan
+    coeffs = heat_coeffs(b=np.zeros_like)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(quotient_residual(g0, g, coeffs, 0.5, 1e-3)[1])
+
+
+def test_residual_holds_few_planes():
+    # the solve's output and central_in_t's three planes, 1 MiB each at
+    # n = 256, and one block's temporaries; whole planes peaked at 7.1 MiB
+    g = periodic_grid(4.0, 256)
+    g0 = gaussian_sheet(g)
+    coeffs = heat_coeffs(b=np.ones_like)
+    tracemalloc.start()
+    try:
+        quotient_residual(g0, g, coeffs, 1.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grassflow import smoluchowski
 from grassflow.cli import profile_samples
 from grassflow.core import Grid1D, march, rk4_step
 from grassflow.errors import BlowupAtTime, ConfigError, VolterraBreakdown
@@ -163,6 +164,20 @@ def test_riemann_conv_matches_direct_left_sum(n, same):
     assert np.max(np.abs(out - direct)) < 1e-13 * np.max(np.abs(direct))
 
 
+def test_riemann_conv_pads_to_a_5_smooth_length(monkeypatch):
+    # 2 * 257 samples would take pocketfft's Bluestein path for the prime
+    # 257; 540 = 2^2 3^3 5 is the least 5-smooth length above 514
+    lengths = []
+    kernels = smoluchowski.fft_kernels
+    monkeypatch.setattr(smoluchowski, "fft_kernels",
+                        lambda n, real: lengths.append(n) or kernels(n, real))
+    u, v = np.random.default_rng(257).standard_normal((2, 257))
+    out = riemann_conv(u, v, 0.37)
+    assert lengths == [540]
+    direct = 0.37 * (np.convolve(u, v)[:257] - u * v[0])
+    assert np.max(np.abs(out - direct)) < 1e-13 * np.max(np.abs(direct))
+
+
 def test_volterra_requires_mass_grid():
     with pytest.raises(ConfigError):
         volterra_project(np.ones(4), np.ones(4),
@@ -253,6 +268,19 @@ def test_volterra_project_refuses_a_solution_with_a_large_backward_error():
     p[3] = np.nan
     with pytest.raises(VolterraBreakdown):
         volterra_project(p, np.ones(256), g)
+
+
+def test_volterra_breakdown_names_the_solve_time():
+    # on [0, 10], qhat = -10 t and q = e^{x^2 t} take each Volterra solve
+    # past the backward-error bound
+    g = mass_grid(10.0, 256)
+    solves = [lambda t: general_smol_solve(SmolCoefficients(b0_delta=-10.0),
+                                           MassDensity(g, np.ones(256)), t),
+              lambda t: pre_laplace_burgers_solve(np.ones(256), g, 1.0, t)]
+    for solve in solves:
+        with pytest.raises(VolterraBreakdown) as caught:
+            solve(0.75)
+        assert caught.value.t == 0.75
 
 
 @pytest.mark.parametrize("complex_arg", [0, 1])

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from grassflow import core
 from grassflow.core import phi1
 from grassflow.errors import ConfigError
-from grassflow.spde import (BrownianSheetModes, Field2D, SpdeParams,
-                            composition_product, exact_base_modes,
+from grassflow.spde import (CUMULATIVE_ROWS, BrownianSheetModes, Field2D,
+                            SpdeParams, composition_product, exact_base_modes,
                             k0_mode_policy, mode_numbers, sech_ridge_initial,
                             spde_direct_run, spde_poppe_run)
 from reference import spde_poppe_loop
@@ -92,6 +92,18 @@ def test_sheet_time_lookup():
     # 3 equal intervals do not end on slice boundaries
     with pytest.raises(ConfigError):
         sheet.cumulative(3)
+
+
+@pytest.mark.parametrize("g", [1, 3, 7])
+def test_blocked_cumulative_is_the_whole_running_sum(g):
+    # 1500 intervals of g slices: several blocks, the last a partial one
+    steps = 1500
+    sheet = BrownianSheetModes.generate(5, 6, 1.0, g * steps)
+    assert len(sheet.increments) % (g * (CUMULATIVE_ROWS // g)) != 0
+    w = sheet.cumulative(steps)
+    assert not w[0].any()
+    assert np.array_equal(w[1:],
+                          np.cumsum(sheet.increments, axis=0)[g - 1::g])
 
 
 def test_sheet_builds_its_cumulative_once(monkeypatch):
