@@ -123,7 +123,10 @@ def validate(config: RunConfig) -> list:
         "dt": (0 < config.dt < np.inf, f"dt {positive}"),
         "quadrature": (config.quadrature in QUADRATURES,
                        f"unknown quadrature {config.quadrature!r}"),
-        "seed": (config.seed >= 0, "seed must be non-negative"),
+        # the seed is a 64-bit word of the noise stream's key
+        "seed": (0 <= config.seed < 2 ** 64,
+                 "seed must be non-negative" if config.seed < 0
+                 else "seed must be below 2**64"),
         "checkpoints": (config.checkpoints >= 2,
                         "checkpoints must be at least 2"),
         "panels": (config.panels >= 2, "panels must be at least 2"),

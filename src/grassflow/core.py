@@ -381,23 +381,110 @@ def central_in_t(solve, t: float, dt: float):
 
 
 # ---------------------------------------------------------------------------
-# random streams: the Generator annotations are quoted, since evaluated they
-# would import numpy.random (and through its secrets, OpenSSL) with the
-# package, where only spde draws
+# random streams: Philox4x64-10 (Salmon et al., SC'11) in numpy's uint64
+# arithmetic, so no draw loads numpy.random or, through its secrets,
+# OpenSSL
+
+# counters generated at a time, so that the rounds' temporaries stay under
+# 1 MB however large the draw
+RANDOM_BLOCK = 4096
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = 0xFFFFFFFF
 
 
-def random_stream(seed: int, stream_id: int) -> "np.random.Generator":
-    """Deterministic generator keyed by (seed, stream_id).
+def _mulhilo(a: int, b: np.ndarray):
+    """High and low words of the 128-bit products a * b, from 32-bit
+    halves, whose partial products fit in 64 bits."""
+    a_hi, a_lo = np.uint64(a >> 32), np.uint64(a & _LOW32)
+    b_hi, b_lo = b >> 32, b & _LOW32
+    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
+    carry = (lo_lo >> 32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
+    hi = a_hi * b_hi + (hi_lo >> 32) + (lo_hi >> 32) + (carry >> 32)
+    return hi, np.uint64(a) * b
+
+
+def philox4x64(first: int, count: int, key) -> np.ndarray:
+    """Philox4x64-10 of the counters first, ..., first + count - 1 (their
+    high three words zero) under the two-word key: a (count, 4) array whose
+    rows are the counters' four output words in order."""
+    c0 = np.arange(first, first + count, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(count, dtype=np.uint64)
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) % 2 ** 64
+            k1 = (k1 + _PHILOX_W[1]) % 2 ** 64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        hi1 ^= c1
+        hi1 ^= k0
+        hi0 ^= c3
+        hi0 ^= k1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    return np.stack((c0, c1, c2, c3), axis=-1)
+
+
+def _box_muller(out: np.ndarray, words: np.ndarray):
+    """Standard normals into ``out`` from a (count, 4) block of words: each
+    pair (w1, w2) gives u = (w >> 11) 2^-53, then r cos(2 pi u2) and
+    r sin(2 pi u2) with r = sqrt(-2 log1p(-u1)), finite since u1 < 1."""
+    u = (words >> 11).astype(float)
+    u *= 2.0 ** -53
+    r = u[:, 0::2]
+    np.log1p(-r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = u[:, 1::2]
+    theta *= 2.0 * np.pi
+    np.multiply(r, np.cos(theta), out=out[:, 0::2])
+    np.multiply(r, np.sin(theta), out=out[:, 1::2])
+
+
+class PhiloxStream:
+    """Philox4x64-10 under the key (seed, stream_id), with counters 1, 2,
+    ...: its words are those of numpy's ``Philox(key=[seed, stream_id])``.
+    Word i is the i-th raw word or the i-th normal, so the draw at any
+    position is read from its counter, i // 4 + 1."""
+
+    def __init__(self, seed: int, stream_id: int):
+        if not (0 <= seed < 2 ** 64 and 0 <= stream_id < 2 ** 64):
+            raise ConfigError("seed and stream_id must lie in [0, 2**64)")
+        self.key = (seed, stream_id)
+        self.position = 0
+
+    def _draw(self, count: int, dtype, fill) -> np.ndarray:
+        """The next ``count`` words, each block of counters written into
+        its rows of the output by ``fill(rows, words)``."""
+        first, skip = divmod(self.position, 4)
+        out = np.empty((-(-(skip + count) // 4), 4), dtype=dtype)
+        for b in range(0, len(out), RANDOM_BLOCK):
+            block = out[b:b + RANDOM_BLOCK]
+            fill(block, philox4x64(first + 1 + b, len(block), self.key))
+        self.position += count
+        return out.reshape(-1)[skip:skip + count]
+
+    def random_raw(self, count: int) -> np.ndarray:
+        """The next ``count`` 64-bit words."""
+        return self._draw(count, np.uint64, np.copyto)
+
+    def standard_normal(self, shape) -> np.ndarray:
+        """The next prod(shape) standard normals, by Box-Muller on word
+        pairs."""
+        return self._draw(int(np.prod(shape)), float,
+                          _box_muller).reshape(shape)
+
+
+def random_stream(seed: int, stream_id: int) -> PhiloxStream:
+    """Deterministic stream keyed by (seed, stream_id).
 
     Identical keys give identical sequences regardless of thread schedule;
     each logical stream must be owned by a single consumer.
     """
-    ss = np.random.SeedSequence(seed, spawn_key=(stream_id,))
-    return np.random.Generator(np.random.Philox(ss))
+    return PhiloxStream(seed, stream_id)
 
 
-def gaussian_increments(stream: "np.random.Generator", count: int,
-                        variance: float,
+def gaussian_increments(stream: PhiloxStream, count: int, variance: float,
                         complex_valued: bool = True) -> np.ndarray:
     """i.i.d. Gaussians with the stated per-component variance."""
     if variance < 0:

@@ -180,8 +180,14 @@ def spde_direct_run(g0: Field2D, params: SpdeParams,
     factors = np.exp(noise_coef * sheet.aggregated(steps) - ito_coef * dt)
 
     def advance(m, u):
-        return lin * (factors[m][:, None] * u) \
-            - eps_phi * composition_product(u, u)
+        # lin * (E u) - eps_phi * (u o u), each of its two temporaries
+        # scaled in place
+        prod = composition_product(u, u)
+        prod *= eps_phi
+        out = factors[m][:, None] * u
+        out *= lin
+        out -= prod
+        return out
 
     with one_blas_thread():
         return Field2D(march(advance, g0.modes.copy(), steps))

@@ -826,8 +826,8 @@ def loaded_by_cli_import(*modules: str) -> bool:
 
 
 def test_cli_import_does_not_load_numpy_random():
-    # core's Generator annotations are quoted, so numpy.random (6 MB) loads
-    # at spde's first draw, not with every CLI call
+    # the package draws its noise from core's own Philox stream, so
+    # numpy.random (6 MB) never loads
     assert not loaded_by_cli_import("numpy.random")
 
 
@@ -837,16 +837,37 @@ def test_cli_import_does_not_load_openssl():
     assert not loaded_by_cli_import("_hashlib")
 
 
-def test_spde_run_loads_numpy_random(tmp_path):
-    # the deferral moves the import to the draw; it does not skip it
+def test_spde_run_loads_neither_numpy_random_nor_openssl(tmp_path):
+    # spde draws from core's Philox stream, not numpy.random, whose
+    # bit_generator imports secrets and with it OpenSSL's _hashlib
     argv = ["spde", "--grid-n", "8", "--t-final", "0.004", "--dt", "2e-4",
             "--panels", "16", "--out", str(tmp_path)]
     assert fresh_python(
         "import sys, grassflow.cli as cli; "
-        "before = 'numpy.random' in sys.modules; "
         f"code = cli.main({argv!r}); "
-        "print(before, code, 'numpy.random' in sys.modules)") \
-        == "False 0 True"
+        "print(code, [m for m in ('numpy.random', '_hashlib') "
+        "if m in sys.modules])") == "0 []"
+
+
+@pytest.mark.parametrize("seed, line", [
+    (-1, "seed must be non-negative"), (2 ** 64, "seed must be below 2**64"),
+])
+def test_a_seed_that_is_no_key_word_exits_2_without_output(tmp_path, capsys,
+                                                           seed, line):
+    # the seed is one 64-bit word of the noise stream's key
+    argv = ["spde", "--seed", str(seed)]
+    line = f"precondition violated: {line}"
+    assert main([*argv, "--validate-only"]) == 2
+    assert capsys.readouterr().out.splitlines() == [line, "1 violation(s)"]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+def test_the_largest_key_word_is_a_valid_seed(capsys):
+    assert main(["spde", "--seed", str(2 ** 64 - 1), "--validate-only"]) == 0
+    assert capsys.readouterr().out == "0 violation(s)\n"
 
 
 def expected_hashes() -> dict:

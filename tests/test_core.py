@@ -415,9 +415,66 @@ def test_expm_2x2_takes_each_branch_in_closed_form():
 def test_random_stream_reproducible_and_stream_separated():
     a = random_stream(123, 0).standard_normal(10)
     b = random_stream(123, 0).standard_normal(10)
-    c = random_stream(123, 1).standard_normal(10)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    # different stream ids or seeds share not even one value
+    draws = [random_stream(seed, stream_id).standard_normal(1000)
+             for seed in (0, 123) for stream_id in (0, 1, 2)]
+    assert len(np.unique(np.concatenate(draws))) == 1000 * len(draws)
+
+
+@pytest.mark.parametrize("key", [(123, 7), (0, 0), (1, 2),
+                                 (2 ** 64 - 1, 1), (5, 2 ** 64 - 1)])
+def test_philox_words_are_numpys(key):
+    # the key's words are (seed, stream_id) and the counters run 1, 2, ...,
+    # as in numpy's Philox; the draw is split across calls at positions
+    # inside a counter, and spans more than one block of counters
+    stream = random_stream(*key)
+    words = np.concatenate([stream.random_raw(n) for n in
+                            (3, 4 * core.RANDOM_BLOCK + 6, 1, 10)])
+    expected = np.random.Philox(key=np.array(key, dtype=np.uint64)) \
+        .random_raw(len(words))
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, expected)
+
+
+def test_normals_are_box_muller_on_word_pairs():
+    words = random_stream(9, 4).random_raw(6).reshape(3, 2)
+    u = (words >> 11).astype(float) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+    expected = np.stack((r * np.cos(2.0 * np.pi * u[:, 1]),
+                         r * np.sin(2.0 * np.pi * u[:, 1])), axis=-1)
+    assert np.array_equal(random_stream(9, 4).standard_normal(6),
+                          expected.reshape(-1))
+
+
+def test_a_split_draw_is_the_whole_draw():
+    stream = random_stream(3, 1)
+    parts = [stream.standard_normal(n)
+             for n in (1, 2, 5, 2 * core.RANDOM_BLOCK)]
+    whole = random_stream(3, 1).standard_normal((1, 8 + 2 * core.RANDOM_BLOCK))
+    assert whole.shape == (1, 8 + 2 * core.RANDOM_BLOCK)
+    assert np.array_equal(np.concatenate(parts), whole[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_normal_moments_within_five_standard_errors(seed):
+    # 2 M draws; each statistic's standard error is that of a mean of
+    # i.i.d. terms: Var z = 2, Var z^2 = 2, Var z^4 = 105 - 9 = 96
+    n = 2_000_000
+    z = random_stream(seed, 1).standard_normal(n)
+    tail = 0.0026997960632601866  # P(|z| > 3) = erfc(3 / sqrt 2)
+    stats = [(np.mean(z), 0.0, 1.0),
+             (np.mean(z * z), 1.0, 2.0),
+             (np.mean(z ** 4), 3.0, 96.0),
+             (np.mean(np.abs(z) > 3.0), tail, tail * (1.0 - tail))]
+    for value, expected, variance in stats:
+        assert abs(value - expected) <= 5.0 * np.sqrt(variance / n)
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (2 ** 64, 0), (0, 2 ** 64)])
+def test_random_stream_refuses_a_key_word_out_of_range(key):
+    with pytest.raises(ConfigError):
+        random_stream(*key)
 
 
 def test_gaussian_increments_variance():

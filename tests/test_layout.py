@@ -89,6 +89,27 @@ def test_only_the_dense_fallback_imports_scipy():
     assert _package_scopes(_imports_scipy) == ["core._scipy_lu_solve"]
 
 
+def _refers_to_numpy_random(node):
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    elif isinstance(node, ast.Attribute):
+        names = [ast.unparse(node)]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names = [node.value]  # a quoted annotation
+    else:
+        return False
+    return any(re.fullmatch(r"(np|numpy)\.random(\..*)?", name, re.DOTALL)
+               for name in names)
+
+
+def test_no_scope_refers_to_numpy_random():
+    # core's Philox stream draws the noise; numpy.random's bit_generator
+    # imports secrets and with it OpenSSL, about 6 MB of a run's memory
+    assert _package_scopes(_refers_to_numpy_random) == []
+
+
 def test_linear_base_flows_are_not_stepped():
     # each pipeline evolves its linear base flow exactly: the RK4 march of
     # a linear flow is test reference code, and rk4_step serves only two

@@ -335,9 +335,10 @@ def test_direct_run_equals_its_loop_bitwise():
 def test_direct_run_converges_at_first_order(seed):
     # the exact per-step noise factor exp(noise_coef dW - ito_coef dt) makes
     # the direct scheme first order against a fine Poppe field: its gap
-    # shrinks at least 3x per 4x steps (measured 1.6e-3, 3.9e-4, 1.0e-4 on
-    # seed 0 and 1.5e-3, 3.8e-4, 9.1e-5 on seed 1; the Euler-Maruyama
-    # factor 1 + noise_coef dW reached 1.1x from 512 to 2048 steps on seed 1)
+    # shrinks at least 3x per 4x steps (measured 1.5e-3, 3.6e-4, 9.5e-5 on
+    # seed 0 and 1.4e-3, 3.3e-4, 8.1e-5 on seed 1; the Euler-Maruyama
+    # factor 1 + noise_coef dW reached 2.2x from 512 to 2048 steps on seed 1
+    # and 1.3x on seed 0)
     n = 32
     params = SpdeParams(gamma=10.0, epsilon=1000.0)
     fld = sech_ridge_initial(n, 0.001, seed)
