@@ -30,13 +30,15 @@ import grassflow.cli as cli  # noqa: E402
 
 # runs beside the defaults whose tables come from a profile's or a preset's
 # own branch of a runner, or from a grid that no default or job uses: less
-# than one column block of the quotient solve, and an odd length that the
-# series products pad
+# than one column block of the quotient solve, an odd length that the
+# series products pad, and spde's default sheet and modes, whose default run
+# breaks down in its oracle before it writes a table
 EXTRA_RUNS = [("extra/elliptic-tanh", ("elliptic", "--profile", "tanh")),
               ("extra/smol-general-constant-kernel",
                ("smol-general", "--preset", "constant-kernel")),
               ("extra/quotient-16", ("quotient", "--grid-n", "16")),
-              ("extra/smol-const-257", ("smol-const", "--grid-n", "257"))]
+              ("extra/smol-const-257", ("smol-const", "--grid-n", "257")),
+              ("extra/spde-no-oracle", ("spde", "--compare-oracle", "off"))]
 
 
 def all_runs(seed: int) -> list:

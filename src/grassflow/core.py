@@ -1,9 +1,9 @@
 """Grids, quadrature, dense solves, the BLAS thread policy, FFT
 frequencies and kernels, time stepping, closed-form 2x2 exponentials and
-RNG streams.
+random draws.
 
-Everything here is deterministic and pure given its inputs; a random stream
-is the one stateful object and is reproducible from (seed, stream_id) alone.
+Everything here is deterministic and pure given its inputs; a random draw
+is a function of its key (seed, stream_id) and its shape alone.
 """
 
 import ctypes
@@ -381,7 +381,7 @@ def central_in_t(solve, t: float, dt: float):
 
 
 # ---------------------------------------------------------------------------
-# random streams: Philox4x64-10 (Salmon et al., SC'11) in numpy's uint64
+# random draws: Philox4x64-10 (Salmon et al., SC'11) in numpy's uint64
 # arithmetic, so no draw loads numpy.random or, through its secrets,
 # OpenSSL
 
@@ -441,60 +441,16 @@ def _box_muller(out: np.ndarray, words: np.ndarray):
     np.multiply(r, np.sin(theta), out=out[:, 1::2])
 
 
-class PhiloxStream:
-    """Philox4x64-10 under the key (seed, stream_id), with counters 1, 2,
-    ...: its words are those of numpy's ``Philox(key=[seed, stream_id])``.
-    Word i is the i-th raw word or the i-th normal, so the draw at any
-    position is read from its counter, i // 4 + 1."""
-
-    def __init__(self, seed: int, stream_id: int):
-        if not (0 <= seed < 2 ** 64 and 0 <= stream_id < 2 ** 64):
-            raise ConfigError("seed and stream_id must lie in [0, 2**64)")
-        self.key = (seed, stream_id)
-        self.position = 0
-
-    def _draw(self, count: int, dtype, fill) -> np.ndarray:
-        """The next ``count`` words, each block of counters written into
-        its rows of the output by ``fill(rows, words)``."""
-        first, skip = divmod(self.position, 4)
-        out = np.empty((-(-(skip + count) // 4), 4), dtype=dtype)
-        for b in range(0, len(out), RANDOM_BLOCK):
-            block = out[b:b + RANDOM_BLOCK]
-            fill(block, philox4x64(first + 1 + b, len(block), self.key))
-        self.position += count
-        return out.reshape(-1)[skip:skip + count]
-
-    def random_raw(self, count: int) -> np.ndarray:
-        """The next ``count`` 64-bit words."""
-        return self._draw(count, np.uint64, np.copyto)
-
-    def standard_normal(self, shape) -> np.ndarray:
-        """The next prod(shape) standard normals, by Box-Muller on word
-        pairs."""
-        return self._draw(int(np.prod(shape)), float,
-                          _box_muller).reshape(shape)
-
-
-def random_stream(seed: int, stream_id: int) -> PhiloxStream:
-    """Deterministic stream keyed by (seed, stream_id).
-
-    Identical keys give identical sequences regardless of thread schedule;
-    each logical stream must be owned by a single consumer.
-    """
-    return PhiloxStream(seed, stream_id)
-
-
-def gaussian_increments(stream: PhiloxStream, count: int, variance: float,
-                        complex_valued: bool = True) -> np.ndarray:
-    """i.i.d. Gaussians with the stated per-component variance."""
-    if variance < 0:
-        raise ConfigError("variance must be non-negative")
-    sd = np.sqrt(variance)
-    if complex_valued:
-        z = stream.standard_normal((2, count))
-        z = z[0] + 1j * z[1]
-    else:
-        z = stream.standard_normal(count)
-    # scaled in place: one draw-sized array, not two
-    z *= sd
-    return z
+def standard_normals(seed: int, stream_id: int, shape) -> np.ndarray:
+    """prod(shape) standard normals under the key (seed, stream_id), by
+    Box-Muller on the word pairs of counters 1, 2, ...: the words are
+    those of numpy's ``Philox(key=[seed, stream_id])``, so identical keys
+    give identical draws and a shorter draw is a prefix of a longer one."""
+    if not (0 <= seed < 2 ** 64 and 0 <= stream_id < 2 ** 64):
+        raise ConfigError("seed and stream_id must lie in [0, 2**64)")
+    count = int(np.prod(shape))
+    out = np.empty((-(-count // 4), 4))
+    for b in range(0, len(out), RANDOM_BLOCK):
+        block = out[b:b + RANDOM_BLOCK]
+        _box_muller(block, philox4x64(1 + b, len(block), (seed, stream_id)))
+    return out.reshape(-1)[:count].reshape(shape)

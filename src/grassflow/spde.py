@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DenseSystem, Grid1D, gaussian_increments, march,
-                   one_blas_thread, phi1, quadrature_weights, random_stream,
-                   require_power_of_two, solve_dense)
+from .core import (DenseSystem, Grid1D, march, one_blas_thread, phi1,
+                   quadrature_weights, require_power_of_two, solve_dense,
+                   standard_normals)
 from .errors import ConfigError, SingularSystem
 
 TWO_PI = 2.0 * np.pi
@@ -104,12 +104,12 @@ class BrownianSheetModes:
                  resolution: int) -> "BrownianSheetModes":
         if resolution < 1:
             raise ConfigError("resolution must be >= 1")
-        dt = t_final / resolution
-        stream = random_stream(seed, stream_id=1)
-        flat = gaussian_increments(stream, resolution * n_modes, dt,
-                                   complex_valued=False)
-        return BrownianSheetModes(t_final=t_final,
-                                  increments=flat.reshape(resolution, n_modes))
+        if not t_final > 0:
+            raise ConfigError("t_final must be positive")
+        w = standard_normals(seed, 1, (resolution, n_modes))
+        # scaled in place: one draw-sized array, not two
+        w *= np.sqrt(t_final / resolution)
+        return BrownianSheetModes(t_final=t_final, increments=w)
 
     def _slices(self, steps: int) -> int:
         """Slices per interval of ``steps`` equal intervals."""
@@ -286,7 +286,6 @@ def sech_ridge_initial(n: int, noise_factor: float, seed: int) -> Field2D:
         / np.cosh(10.0 * (yy - np.pi))
     fld = Field2D.from_samples(samples)
     if noise_factor:
-        stream = random_stream(seed, stream_id=2)
-        noise = gaussian_increments(stream, n * n, 1.0, complex_valued=True)
-        fld.modes = fld.modes + noise_factor * noise.reshape(n, n)
+        z = standard_normals(seed, 2, (2, n, n))
+        fld.modes = fld.modes + noise_factor * (z[0] + 1j * z[1])
     return fld

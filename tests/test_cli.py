@@ -19,8 +19,8 @@ from hypothesis.extra import numpy as hnp
 
 import grassflow.cli as cli
 from grassflow import floattext, quotient, smoluchowski
-from grassflow.cli import (RunConfig, apply_preset, config_hash, main,
-                           profile_samples, validate, write_table)
+from grassflow.cli import (SAMPLED_PROFILES, RunConfig, apply_preset,
+                           config_hash, main, validate, write_table)
 from grassflow.core import Grid1D
 from grassflow.errors import ChartBreakdown
 from grassflow.graphflows import inviscid_burgers_eval
@@ -562,19 +562,23 @@ def test_default_prelaplace_run_reports_its_breakdown(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("equation, grid_n", [("prelaplace", 3)])
+@pytest.mark.parametrize("equation, grid_n", [("prelaplace", 3),
+                                              ("elliptic", 2)])
 def test_grid_too_small_for_residual_exits_2(tmp_path, capsys, equation,
                                              grid_n):
-    args = [equation, "--grid-n", str(grid_n)]
+    # elliptic's Riccati residual needs three G samples
+    args, out = [equation, "--grid-n", str(grid_n)], tmp_path / "out"
     assert main(args + ["--validate-only"]) == 2
     assert "grid-n must be at least" in capsys.readouterr().out
-    assert main(args + ["--out", str(tmp_path)]) == 2
-    assert "grid-n must be at least" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    assert main(args + ["--out", str(out)]) == 2
+    assert "precondition violated: grid-n must be at least" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("equation, grid_n", [("smol-general", 2),
-                                              ("prelaplace", 4)])
+                                              ("prelaplace", 4),
+                                              ("elliptic", 3)])
 def test_smallest_accepted_grid_runs(tmp_path, equation, grid_n):
     # on [0, 1]: at the default domain-l 10 prelaplace's Volterra solve
     # breaks down
@@ -768,8 +772,8 @@ def test_constant_data_make_every_x_system_singular(tmp_path, monkeypatch,
     # the constant kernel c = -2 / L gives det(I + K^T W) = 1 + c L / 2 = 0
     # at every x, on every rule: the weights sum to L / 2, so the det is
     # the rounding left of cancelling 1, at most one machine epsilon
-    monkeypatch.setattr(cli, "profile_samples",
-                        lambda name, x: np.full(len(x), -2.0 / 8.0))
+    monkeypatch.setitem(cli.SAMPLED_PROFILES, "kdv-paper",
+                        lambda x: np.full(len(x), -2.0 / 8.0))
     rc = main(["kdv", "--grid-n", "16", "--domain-l", "8", "--quadrature",
                quadrature, "--out", str(tmp_path)])
     assert rc == 1
@@ -784,8 +788,8 @@ def test_constant_data_make_every_x_system_singular(tmp_path, monkeypatch,
 def test_kdv_singular_system_exits_1_without_tables(tmp_path, monkeypatch,
                                                    capsys):
     # with h = 1 this profile makes the x = -2 system singular at t = 0
-    monkeypatch.setattr(cli, "profile_samples",
-                        lambda name, x: np.array([-2.0, 0.0, 0.0, 1.0]))
+    monkeypatch.setitem(cli.SAMPLED_PROFILES, "kdv-paper",
+                        lambda x: np.array([-2.0, 0.0, 0.0, 1.0]))
     rc = main(["kdv", "--grid-n", "4", "--domain-l", "4.0", "--t-final",
                "0.01", "--dt", "1e-3", "--out", str(tmp_path)])
     assert rc == 1
@@ -981,7 +985,7 @@ def test_blowup_report_carries_time_and_determinant(tmp_path, capsys):
     # no location is set, so none is printed
     assert "location" not in err and ", determinant = " in err
     grid = Grid1D(0.0, 10.0, 64, kind="closed")
-    m0 = MassDensity(grid, profile_samples("kdv-paper", grid.nodes)).m0
+    m0 = MassDensity(grid, SAMPLED_PROFILES["kdv-paper"](grid.nodes)).m0
     t = float(err.split("(t = ")[1].split(",")[0])
     assert t == pytest.approx(-2.0 / m0, rel=1e-14) and t < 0.5
     det = float(err.split("determinant = ")[1].strip().rstrip(")"))

@@ -1,5 +1,5 @@
 """Grids, quadrature, dense solves, the FFT's restriction and kernels, RK4
-stepping, the fixed-step march, RNG."""
+stepping, the fixed-step march, random draws."""
 
 import functools
 import sys
@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from grassflow import core, graphflows, integrable, smoluchowski
 from grassflow.core import (Grid1D, DenseSystem, central_in_t, expm_2x2,
-                            gaussian_increments, march, one_blas_thread,
-                            phi1, quadrature_weights, random_stream,
-                            rk4_step, solve_dense)
+                            march, one_blas_thread, phi1, quadrature_weights,
+                            rk4_step, solve_dense, standard_normals)
 from grassflow.errors import ConfigError, IntegrationBlowup, SingularSystem
 from grassflow.integrable import cubic_kdv_symbol, propagate_dispersive
 
@@ -409,15 +408,15 @@ def test_expm_2x2_takes_each_branch_in_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# random streams
+# random draws
 
 
 def test_random_stream_reproducible_and_stream_separated():
-    a = random_stream(123, 0).standard_normal(10)
-    b = random_stream(123, 0).standard_normal(10)
+    a = standard_normals(123, 0, 10)
+    b = standard_normals(123, 0, 10)
     assert np.array_equal(a, b)
     # different stream ids or seeds share not even one value
-    draws = [random_stream(seed, stream_id).standard_normal(1000)
+    draws = [standard_normals(seed, stream_id, 1000)
              for seed in (0, 123) for stream_id in (0, 1, 2)]
     assert len(np.unique(np.concatenate(draws))) == 1000 * len(draws)
 
@@ -426,11 +425,8 @@ def test_random_stream_reproducible_and_stream_separated():
                                  (2 ** 64 - 1, 1), (5, 2 ** 64 - 1)])
 def test_philox_words_are_numpys(key):
     # the key's words are (seed, stream_id) and the counters run 1, 2, ...,
-    # as in numpy's Philox; the draw is split across calls at positions
-    # inside a counter, and spans more than one block of counters
-    stream = random_stream(*key)
-    words = np.concatenate([stream.random_raw(n) for n in
-                            (3, 4 * core.RANDOM_BLOCK + 6, 1, 10)])
+    # as in numpy's Philox; the counters span more than one block
+    words = core.philox4x64(1, core.RANDOM_BLOCK + 3, key).reshape(-1)
     expected = np.random.Philox(key=np.array(key, dtype=np.uint64)) \
         .random_raw(len(words))
     assert words.dtype == np.uint64
@@ -438,22 +434,22 @@ def test_philox_words_are_numpys(key):
 
 
 def test_normals_are_box_muller_on_word_pairs():
-    words = random_stream(9, 4).random_raw(6).reshape(3, 2)
+    words = core.philox4x64(1, 2, (9, 4)).reshape(-1)[:6].reshape(3, 2)
     u = (words >> 11).astype(float) * 2.0 ** -53
     r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
     expected = np.stack((r * np.cos(2.0 * np.pi * u[:, 1]),
                          r * np.sin(2.0 * np.pi * u[:, 1])), axis=-1)
-    assert np.array_equal(random_stream(9, 4).standard_normal(6),
-                          expected.reshape(-1))
+    assert np.array_equal(standard_normals(9, 4, 6), expected.reshape(-1))
 
 
-def test_a_split_draw_is_the_whole_draw():
-    stream = random_stream(3, 1)
-    parts = [stream.standard_normal(n)
-             for n in (1, 2, 5, 2 * core.RANDOM_BLOCK)]
-    whole = random_stream(3, 1).standard_normal((1, 8 + 2 * core.RANDOM_BLOCK))
-    assert whole.shape == (1, 8 + 2 * core.RANDOM_BLOCK)
-    assert np.array_equal(np.concatenate(parts), whole[0])
+def test_a_shorter_draw_is_a_prefix_of_a_longer_one():
+    # 4 * RANDOM_BLOCK + 6 normals take counters from a second block, and
+    # neither count is a multiple of the 4 words of a counter
+    whole = standard_normals(3, 1, (1, 4 * core.RANDOM_BLOCK + 6))
+    assert whole.shape == (1, 4 * core.RANDOM_BLOCK + 6)
+    assert np.array_equal(standard_normals(3, 1, 7), whole[0, :7])
+    assert np.array_equal(standard_normals(3, 1, (2, 2 * core.RANDOM_BLOCK)),
+                          whole[0, :4 * core.RANDOM_BLOCK].reshape(2, -1))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -461,7 +457,7 @@ def test_normal_moments_within_five_standard_errors(seed):
     # 2 M draws; each statistic's standard error is that of a mean of
     # i.i.d. terms: Var z = 2, Var z^2 = 2, Var z^4 = 105 - 9 = 96
     n = 2_000_000
-    z = random_stream(seed, 1).standard_normal(n)
+    z = standard_normals(seed, 1, n)
     tail = 0.0026997960632601866  # P(|z| > 3) = erfc(3 / sqrt 2)
     stats = [(np.mean(z), 0.0, 1.0),
              (np.mean(z * z), 1.0, 2.0),
@@ -474,26 +470,4 @@ def test_normal_moments_within_five_standard_errors(seed):
 @pytest.mark.parametrize("key", [(-1, 0), (2 ** 64, 0), (0, 2 ** 64)])
 def test_random_stream_refuses_a_key_word_out_of_range(key):
     with pytest.raises(ConfigError):
-        random_stream(*key)
-
-
-def test_gaussian_increments_variance():
-    stream = random_stream(5, 0)
-    z = gaussian_increments(stream, 200000, 0.25, complex_valued=True)
-    assert np.var(z.real) == pytest.approx(0.25, rel=0.05)
-    assert np.var(z.imag) == pytest.approx(0.25, rel=0.05)
-
-
-@pytest.mark.parametrize("complex_valued", [False, True])
-def test_gaussian_increments_are_the_scaled_draw(complex_valued):
-    z = random_stream(5, 0).standard_normal((2, 64) if complex_valued else 64)
-    if complex_valued:
-        z = z[0] + 1j * z[1]
-    assert np.array_equal(gaussian_increments(random_stream(5, 0), 64, 0.3,
-                                              complex_valued),
-                          np.sqrt(0.3) * z)
-
-
-def test_gaussian_increments_rejects_negative_variance():
-    with pytest.raises(ConfigError):
-        gaussian_increments(random_stream(0, 0), 4, -1.0)
+        standard_normals(*key, 4)

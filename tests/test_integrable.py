@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from grassflow.core import Grid1D, central_in_t, quadrature_weights
 from grassflow.errors import ConfigError, SymbolError
-from grassflow.cli import RunConfig, apply_preset, profile_samples
+from grassflow.cli import SAMPLED_PROFILES, RunConfig, apply_preset
 from grassflow.integrable import (CHUNK_BYTES, GAUSS_NODES, _project_over_x,
                                   cubic_kdv_symbol, etdrk4_kdv,
                                   half_line_grid, kdv_fredholm_solve,
@@ -318,7 +318,7 @@ def test_paper_preset_solve_working_set_is_bounded(equation, solve):
     config = apply_preset(RunConfig(equation, preset="paper"))
     g = periodic_grid(-config.domain_l / 2, config.domain_l / 2,
                       config.grid_n)
-    p0 = profile_samples(config.profile, g.nodes)
+    p0 = SAMPLED_PROFILES[config.profile](g.nodes)
     solve(p0, g, config.t_final, config.quadrature)  # the lazy imports
     tracemalloc.start()
     try:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassflow import smoluchowski
-from grassflow.cli import profile_samples
+from grassflow.cli import SAMPLED_PROFILES
 from grassflow.core import Grid1D, march, rk4_step
 from grassflow.errors import BlowupAtTime, ConfigError, VolterraBreakdown
 from grassflow.smoluchowski import (BACKWARD_ERROR_BOUND, MassDensity,
@@ -222,7 +222,7 @@ def test_prelaplace_deconvolution_is_no_less_accurate_than_the_loop():
     # profile, nu = 1, t = 0.5; the system amplifies rounding by about 1e4
     g = mass_grid(1.0, 8192)
     x, h = g.nodes, g.spacing
-    q = profile_samples("exp", x) * np.exp(x ** 2 * 0.5)
+    q = SAMPLED_PROFILES["exp"](x) * np.exp(x ** 2 * 0.5)
     p = 2.0 * x * q
     exact = forward_substitute_longdouble(p[1:] / h, q[1:], 1, q[1])
     err = lambda out: float(np.max(np.abs(out[:-1] - exact)))
@@ -234,7 +234,7 @@ def prelaplace_pair(domain_l):
     on [0, domain_l]: the grid, p and q."""
     g = mass_grid(domain_l, 256)
     x = g.nodes
-    q = profile_samples("exp", x) * np.exp(x ** 2)
+    q = SAMPLED_PROFILES["exp"](x) * np.exp(x ** 2)
     return g, 2.0 * x * q, q
 
 
@@ -421,7 +421,7 @@ def test_general_solver_closed_form_matches_its_loop_and_constant_kernel():
     # and it is constant_kernel_solve's projection on sampled data, from
     # the same scalars
     g = mass_grid(40.0, 512)
-    g0 = MassDensity(grid=g, values=profile_samples("gaussian", g.nodes))
+    g0 = MassDensity(grid=g, values=SAMPLED_PROFILES["gaussian"](g.nodes))
     out = general_smol_solve(coeffs, g0, 1.0).values
     assert np.array_equal(out, constant_kernel_solve(g0, 1.0).values)
 
