@@ -16,6 +16,7 @@ from grassflow.core import (Grid1D, DenseSystem, central_in_t, expm_2x2,
                             rk4_step, solve_dense, standard_normals)
 from grassflow.errors import ConfigError, IntegrationBlowup, SingularSystem
 from grassflow.integrable import cubic_kdv_symbol, propagate_dispersive
+from grassflow.spde import BrownianSheetModes, sech_ridge_initial
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +466,22 @@ def test_normal_moments_within_five_standard_errors(seed):
              (np.mean(np.abs(z) > 3.0), tail, tail * (1.0 - tail))]
     for value, expected, variance in stats:
         assert abs(value - expected) <= 5.0 * np.sqrt(variance / n)
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_gaussian_increments_are_the_scaled_draw(complex_valued):
+    # the model's Gaussian increments are standard_normals scaled by their
+    # standard deviation: the sheet's real ones on stream 1, the initial
+    # data's complex ones on the two halves of stream 2
+    if complex_valued:
+        z = standard_normals(5, 2, (2, 8, 8))
+        got = sech_ridge_initial(8, 0.3, 5).modes
+        expected = sech_ridge_initial(8, 0.0, 5).modes \
+            + 0.3 * (z[0] + 1j * z[1])
+    else:
+        got = BrownianSheetModes.generate(5, 6, 0.3, 64).increments
+        expected = standard_normals(5, 1, (64, 6)) * np.sqrt(0.3 / 64)
+    assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("key", [(-1, 0), (2 ** 64, 0), (0, 2 ** 64)])
