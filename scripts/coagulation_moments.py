@@ -11,25 +11,27 @@ import argparse
 
 import numpy as np
 
-from grassflow.core import Grid1D
+from grassflow.core import Grid1D, uniform_steps
 from grassflow.smoluchowski import (CONSTANT_KERNEL, constant_kernel_solve,
-                                    direct_smol_oracle, exponential_density,
-                                    m0_closed_form, m0_rates)
+                                    direct_smol_oracle, m0_closed_form,
+                                    m0_rates, moments)
 
 
 def study(upper: float, n: int, t: float, dt: float):
     grid = Grid1D(0.0, upper, n, kind="closed")
-    g0 = exponential_density(grid, 1.0, 1.0)
-    proj = constant_kernel_solve(g0, t)
+    proj = constant_kernel_solve(grid, 1.0, 1.0, t)
     # g = e^{-x / s} / s^2 with s = 1 + t/2 solves the equation from e^{-x}
     s = 1.0 + 0.5 * t
     closed = np.exp(-grid.nodes / s) / s ** 2
     print(f"sup|projected - closed form| = "
-          f"{np.max(np.abs(proj.values - closed)):.3e}")
-    direct, times, m0s, m1s = direct_smol_oracle(g0, t, dt,
-                                                 track_moments=True)
+          f"{np.max(np.abs(proj - closed)):.3e}")
+    steps, step = uniform_steps(t, dt)
+    kept = direct_smol_oracle(np.exp(-grid.nodes), grid, t, dt,
+                              checkpoints=range(steps + 1))
+    times = step * np.arange(steps + 1)
+    m0s, m1s = np.array([moments(g, grid) for g in kept.values()]).T
     print(f"sup|projected - direct oracle| = "
-          f"{np.max(np.abs(proj.values - direct.values)):.3e}")
+          f"{np.max(np.abs(proj - kept[steps])):.3e}")
     # m0' = -m0^2 / 2 for the constant kernel
     rates = m0_rates(CONSTANT_KERNEL, grid)
     expected = np.array([m0_closed_form(*rates, m0s[0], s) for s in times])

@@ -32,13 +32,19 @@ import grassflow.cli as cli  # noqa: E402
 # own branch of a runner, or from a grid that no default or job uses: less
 # than one column block of the quotient solve, an odd length that the
 # series products pad, and spde's default sheet and modes, whose default run
-# breaks down in its oracle before it writes a table
+# breaks down in its oracle before it writes a table.  smol-const's sampled
+# profiles take the general solve, and a burgers shock writes its field
+# under exit 1
 EXTRA_RUNS = [("extra/elliptic-tanh", ("elliptic", "--profile", "tanh")),
               ("extra/smol-general-constant-kernel",
                ("smol-general", "--preset", "constant-kernel")),
               ("extra/quotient-16", ("quotient", "--grid-n", "16")),
               ("extra/smol-const-257", ("smol-const", "--grid-n", "257")),
-              ("extra/spde-no-oracle", ("spde", "--compare-oracle", "off"))]
+              ("extra/spde-no-oracle", ("spde", "--compare-oracle", "off")),
+              ("extra/smol-const-gaussian",
+               ("smol-const", "--profile", "gaussian")),
+              ("extra/burgers-shock",
+               ("burgers", "--profile", "sin", "--t-final", "1.5"))]
 
 
 def all_runs(seed: int) -> list:

@@ -32,10 +32,10 @@ from .integrable import (cubic_kdv_symbol, etdrk4_kdv, kdv_fredholm_solve,
                          schrodinger_symbol, split_step_nls)
 from .quotient import (EllipticCoefficients, QuotientCoefficients,
                        elliptic_quotient_solve, quotient_residual)
-from .smoluchowski import (CONSTANT_KERNEL, MassDensity, SmolCoefficients,
-                           direct_smol_oracle, constant_kernel_solve,
-                           exponential_density, general_smol_residual,
-                           m0_closed_form, m0_rates,
+from .smoluchowski import (CONSTANT_KERNEL, SmolCoefficients,
+                           constant_kernel_solve, direct_smol_oracle,
+                           general_smol_residual, general_smol_solve,
+                           m0_closed_form, m0_rates, moments,
                            pre_laplace_burgers_residual,
                            pre_laplace_burgers_solve)
 from .spde import (BrownianSheetModes, SpdeParams, sech_ridge_initial,
@@ -72,8 +72,10 @@ class RunConfig:
 @dataclass(frozen=True)
 class Equation:
     """An equation's runner, the settings it reads (all that run hands the
-    runner), the profiles it accepts (its default first), its presets, and
-    its least node count, a power of two where its grid is a DFT's."""
+    runner), the profiles it accepts (its default first), its presets, its
+    least node count, a power of two where its grid is a DFT's, and whether
+    its residual is a central difference in t, which solves at
+    t-final - dt."""
 
     runner: callable
     reads: tuple
@@ -81,6 +83,7 @@ class Equation:
     presets: dict = field(default_factory=dict)
     least_n: int = 2
     power_of_two: bool = False
+    central_in_t: bool = False
 
 
 def apply_preset(config: RunConfig, overridden=()) -> RunConfig:
@@ -138,7 +141,10 @@ def validate(config: RunConfig) -> list:
     steps = None
     if {"t_final", "dt"} <= set(reads) and checks["t_final"][0] \
             and checks["dt"][0]:
-        if config.t_final / config.dt < np.inf:
+        if equation.central_in_t and config.dt > config.t_final:
+            problems.append("dt must be at most t-final: the residual "
+                            "solves at t-final - dt")
+        elif config.t_final / config.dt < np.inf:
             steps = uniform_steps(config.t_final, config.dt)[0]
         else:
             problems.append("t-final / dt must be finite")
@@ -279,6 +285,15 @@ def _evenly_spread(total: int, count: int) -> list:
     return [round(j * total / (count - 1)) for j in range(count)]
 
 
+def _cross_validate(write, coords, projected, direct) -> float:
+    """Write the ``direct`` oracle's field and its gap to the ``projected``
+    one, both over the columns ``coords``, and return the largest gap."""
+    gap = np.abs(projected - direct)
+    write("direct", **coords, **_value(direct))
+    write("difference", **coords, difference=gap)
+    return float(np.max(gap))
+
+
 def _run_fredholm(config: RunConfig, write, solve, stepper, readout,
                   symbol) -> dict:
     """KdV and NLS: project at every checkpoint, then cross-validate the
@@ -319,10 +334,8 @@ def _run_fredholm(config: RunConfig, write, solve, stepper, readout,
         direct = np.array([direct[m] for m in idx])
         linear = np.array([readout(propagate_dispersive(u0, grid, symbol, tm))
                            for tm in times])
-        gap = np.abs(readout(values) - direct)
-        write("direct", x=nodes, t=t, **_value(direct))
-        write("difference", x=nodes, t=t, difference=gap)
-        extra["sup_difference"] = float(np.max(gap))
+        extra["sup_difference"] = _cross_validate(
+            write, {"x": nodes, "t": t}, readout(values), direct)
         extra["nonlinear_effect"] = float(np.max(np.abs(direct - linear)))
     return extra
 
@@ -340,22 +353,19 @@ def run_nls(config: RunConfig, write) -> dict:
 def run_smol_const(config: RunConfig, write) -> dict:
     grid = Grid1D(0.0, config.domain_l, config.grid_n, kind="closed")
     nodes, t = grid.nodes, config.t_final
-    if config.profile == "exp":
-        g0 = exponential_density(grid, 1.0, 1.0)
-    else:
-        g0 = MassDensity(grid=grid,
-                         values=SAMPLED_PROFILES[config.profile](nodes))
-    gt = constant_kernel_solve(g0, t)
-    write("poppe", x=nodes, **_value(gt.values))
-    extra = {"m0": gt.m0, "m1": gt.m1,
+    g0 = SAMPLED_PROFILES[config.profile](nodes)
+    # the exp profile, 1 e^{-1 x}, inverts in closed form
+    gt = (constant_kernel_solve(grid, 1.0, 1.0, t) if config.profile == "exp"
+          else general_smol_solve(CONSTANT_KERNEL, g0, grid, t))
+    write("poppe", x=nodes, **_value(gt))
+    m0, m1 = moments(gt, grid)
+    extra = {"m0": m0, "m1": m1,
              "m0_closed_form": m0_closed_form(*m0_rates(CONSTANT_KERNEL, grid),
-                                              g0.m0, t)}
+                                              moments(g0, grid)[0], t)}
     if config.compare_oracle:
-        direct = direct_smol_oracle(g0, t, config.dt)
-        gap = np.abs(gt.values - direct.values)
-        write("direct", x=nodes, **_value(direct.values))
-        write("difference", x=nodes, difference=gap)
-        extra["sup_difference"] = float(np.max(gap))
+        direct = direct_smol_oracle(g0, grid, t, config.dt)
+        extra["sup_difference"] = _cross_validate(write, {"x": nodes}, gt,
+                                                  direct)
         extra["step"] = uniform_steps(t, config.dt)[1]
     return extra
 
@@ -363,14 +373,14 @@ def run_smol_const(config: RunConfig, write) -> dict:
 def run_smol_general(config: RunConfig, write) -> dict:
     grid = Grid1D(0.0, config.domain_l, config.grid_n, kind="closed")
     nodes = grid.nodes
-    g0 = MassDensity(grid=grid, values=SAMPLED_PROFILES[config.profile](nodes))
+    g0 = SAMPLED_PROFILES[config.profile](nodes)
     coeffs = (CONSTANT_KERNEL if config.preset == "constant-kernel"
               else SmolCoefficients(d=-1.0))
-    g, residual = general_smol_residual(coeffs, g0, config.t_final,
+    g, residual = general_smol_residual(coeffs, g0, grid, config.t_final,
                                         dt=config.dt)
-    gt = MassDensity(grid=grid, values=g)
     write("poppe", x=nodes, **_value(g))
-    return {"pde_residual": residual, "m0": gt.m0, "m1": gt.m1}
+    m0, m1 = moments(g, grid)
+    return {"pde_residual": residual, "m0": m0, "m1": m1}
 
 
 def run_prelaplace(config: RunConfig, write) -> dict:
@@ -432,10 +442,8 @@ def run_spde(config: RunConfig, write) -> dict:
              "solve_residual": poppe.solve_residual}
     if config.compare_oracle:
         direct = spde_direct_run(g0, params, sheet, steps)
-        gap = np.abs(direct.samples - poppe.g.samples)
-        write("direct", **xy, **_value(direct.samples))
-        write("difference", **xy, difference=gap)
-        extra["sup_difference"] = float(np.max(gap))
+        extra["sup_difference"] = _cross_validate(write, xy, poppe.g.samples,
+                                                  direct.samples)
         extra["step"] = step
     return extra
 
@@ -486,10 +494,10 @@ EQUATIONS = {
     "smol-general": Equation(
         run_smol_general, PROFILE_RUN + ("preset", "dt"), _sampled("exp"),
         {"constant-kernel": dict(grid_n=512, domain_l=40.0, t_final=1.0,
-                                 profile="exp")}),
+                                 profile="exp")}, central_in_t=True),
     # the residual skips 3 boundary nodes
     "prelaplace": Equation(run_prelaplace, PROFILE_RUN + ("nu", "dt"),
-                           _sampled("exp"), least_n=4),
+                           _sampled("exp"), least_n=4, central_in_t=True),
     "burgers": Equation(run_burgers, PROFILE_RUN + ("compare_oracle",),
                         tuple(BURGERS_PROFILES)),
     "spde": Equation(run_spde, ("grid_n", "seed", "t_final", "dt", "panels",
@@ -497,7 +505,7 @@ EQUATIONS = {
         "paper": dict(grid_n=32, t_final=0.007, dt=0.007 / 256)},
         power_of_two=True),
     "quotient": Equation(run_quotient, ("grid_n", "domain_l", "t_final", "dt"),
-                         power_of_two=True),
+                         power_of_two=True, central_in_t=True),
     "elliptic": Equation(run_elliptic, ("grid_n", "domain_l", "profile"),
                          tuple(ELLIPTIC_PROFILES), least_n=3),
 }

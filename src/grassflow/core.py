@@ -336,12 +336,6 @@ def expm_2x2(omega):
 CHECK_EVERY = 1024
 
 
-def _finite(value) -> bool:
-    """Every entry of an array or scalar, or of a tuple of them, is finite."""
-    parts = value if isinstance(value, tuple) else (value,)
-    return all(np.isfinite(part).all() for part in parts)
-
-
 def march(advance, y, steps: int, checkpoints=None, readout=None):
     """``steps`` fixed steps from the state ``y``: ``advance(m, y)`` returns
     the state after step m + 1.
@@ -361,8 +355,10 @@ def march(advance, y, steps: int, checkpoints=None, readout=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, steps + 1):
             y = advance(m - 1, y)
-            if (m % CHECK_EVERY == 0 or m == steps) and not _finite(y):
-                step = next((s for s, v in kept.items() if not _finite(v)), m)
+            if (m % CHECK_EVERY == 0 or m == steps) \
+                    and not np.isfinite(y).all():
+                step = next((s for s, v in kept.items()
+                             if not np.isfinite(v).all()), m)
                 raise IntegrationBlowup(f"state non-finite at step {step}",
                                         step=step)
             if m in wanted:
@@ -373,7 +369,11 @@ def march(advance, y, steps: int, checkpoints=None, readout=None):
 def central_in_t(solve, t: float, dt: float):
     """(solve(t), (solve(t + dt) - solve(t - dt)) / (2 dt)); the three
     solves run in time order t - dt, t, t + dt, and each must return a
-    fresh array, since the difference is taken in the last one's place."""
+    fresh array, since the difference is taken in the last one's place.
+    A ``dt`` past ``t`` raises ConfigError."""
+    if dt > t:
+        raise ConfigError(f"dt = {dt} past t = {t}: the residual would "
+                          f"solve at negative time")
     lo, mid, hi = (solve(s) for s in (t - dt, t, t + dt))
     hi -= lo
     hi /= 2 * dt

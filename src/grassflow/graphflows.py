@@ -146,25 +146,21 @@ def inviscid_burgers_eval(x_nodes, t: float, profile: InitialProfile,
 # generalised first-order models
 
 
-def fundamental_matrix(coeffs, t: float) -> np.ndarray:
-    """Phi(t) = e^{tG} of d/ds [q; p] = G [q; p], G = [[A, B], [C, D]] for
-    ``coeffs`` = (A, B, C, D), four floats, in closed form."""
-    return expm_2x2(t * np.reshape([float(c) for c in coeffs], (2, 2)))
-
-
 def generalized_flow_eval(x_nodes, t: float, profile: InitialProfile,
                           coeffs) -> GraphField:
     """Graph flow under q' = Aq + Bp, p' = Cq + Dp, ``coeffs`` = (A, B, C, D),
     four floats.  The f(|p|^2) model is
     :func:`inviscid_burgers_eval` with a modifier.
 
-    The linear base pair is reduced to its scalar fundamental matrix, so
+    The linear base pair is reduced to its scalar fundamental matrix
+    Phi = e^{tG}, G = [[A, B], [C, D]], in closed form, so
     q(a, t) = Phi_qq a + Phi_qp pi0(a) and p(a, t) = Phi_pq a + Phi_pp pi0(a),
     and the inversion is the inviscid one with Jacobian
     Phi_qq + Phi_qp pi0'(a), under the same shock rule.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
-    (qq, qp), (pq, pp) = fundamental_matrix(coeffs, t)
+    (qq, qp), (pq, pp) = expm_2x2(
+        t * np.reshape([float(c) for c in coeffs], (2, 2)))
     a, shock, flagged = _solve_characteristic(x_nodes, qq, qp, profile)
     values = np.where(shock, np.nan, pq * a + pp * profile(a))
     return GraphField(values=values, flagged=flagged)

@@ -21,57 +21,35 @@ from .core import (Grid1D, central_in_t, fft_kernels, march, phi1,
 from .errors import BlowupAtTime, ConfigError, VolterraBreakdown
 
 
-@dataclass
-class MassDensity:
-    """Cluster-density samples on a truncated uniform mass grid [0, X]."""
-
-    grid: Grid1D
-    values: np.ndarray
-    # set when the data is an exponential profile A exp(-beta x); enables the
-    # analytic Laplace inversion in constant_kernel_solve
-    exponential: tuple | None = None
-
-    @property
-    def m0(self) -> float:
-        return float(np.trapezoid(self.values, dx=self.grid.spacing))
-
-    @property
-    def m1(self) -> float:
-        return float(np.trapezoid(self.grid.nodes * self.values,
-                              dx=self.grid.spacing))
-
-
-def exponential_density(grid: Grid1D, amplitude: float, rate: float) -> MassDensity:
-    vals = amplitude * np.exp(-rate * grid.nodes)
-    return MassDensity(grid=grid, values=vals, exponential=(amplitude, rate))
+def moments(g: np.ndarray, grid: Grid1D):
+    """(m0, m1): the trapezoid integrals of g and of x g over the grid."""
+    h = grid.spacing
+    return (float(np.trapezoid(g, dx=h)),
+            float(np.trapezoid(grid.nodes * g, dx=h)))
 
 
 # ---------------------------------------------------------------------------
 # constant kernel K = 1
 
 
-def constant_kernel_solve(g0: MassDensity, t: float) -> MassDensity:
+def constant_kernel_solve(grid: Grid1D, amplitude: float, rate: float,
+                          t: float) -> np.ndarray:
     """The general equation at :data:`CONSTANT_KERNEL`,
-    dg/dt = (1/2) g*g - g m0(t).
+    dg/dt = (1/2) g*g - g m0(t), from exponential data A exp(-beta x)
+    (``amplitude`` A, ``rate`` beta), in closed form.
 
-    Exponential data A exp(-beta x) inverts analytically: the base pair is
-    p(t) = c g0 and qhat(t) = lam g0 with (c, lam) = (alpha, -int alpha / 2)
-    from :func:`_base_pair_scalars` at m0(0) = A / beta, so
-    g(x, t) = c A exp(-(beta + lam A) x).  General sampled data goes
-    through :func:`general_smol_solve`'s discrete Volterra projection
-    (first-order in the grid spacing).
+    The base pair is p(t) = c g0 and qhat(t) = lam g0 with
+    (c, lam) = (alpha, -int alpha / 2) from :func:`_base_pair_scalars` at
+    m0(0) = A / beta, so the Laplace inversion gives
+    g(x, t) = c A exp(-(beta + lam A) x).  Sampled data go through
+    :func:`general_smol_solve` at :data:`CONSTANT_KERNEL`.
     """
-    if g0.exponential is None:
-        return general_smol_solve(CONSTANT_KERNEL, g0, t)
-    amp, rate = g0.exponential
-    c, integral = _base_pair_scalars(*m0_rates(CONSTANT_KERNEL, g0.grid),
-                                     amp / rate, t)
-    new_rate = rate + CONSTANT_KERNEL.b0_delta * integral * amp
+    c, integral = _base_pair_scalars(*m0_rates(CONSTANT_KERNEL, grid),
+                                     amplitude / rate, t)
+    new_rate = rate + CONSTANT_KERNEL.b0_delta * integral * amplitude
     if new_rate <= 0:
         raise BlowupAtTime("inverted exponential no longer decays")
-    return MassDensity(grid=g0.grid,
-                       values=c * amp * np.exp(-new_rate * g0.grid.nodes),
-                       exponential=(c * amp, new_rate))
+    return c * amplitude * np.exp(-new_rate * grid.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +234,8 @@ def _base_pair_scalars(lin: float, quad: float, m00: float, t: float):
             -float(phi1(1.0 + 1.0 / quad, log_den)) / (quad * m00))
 
 
-def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity,
-                       t: float) -> MassDensity:
+def general_smol_solve(coeffs: SmolCoefficients, g0: np.ndarray,
+                       grid: Grid1D, t: float) -> np.ndarray:
     """Solve the linear base pair in mass space, then Volterra-project.
 
         dp/dt = d p [- m0(t) p],    dqhat/dt = b0*p + b0_delta p,
@@ -267,39 +245,37 @@ def general_smol_solve(coeffs: SmolCoefficients, g0: MassDensity,
     p = alpha p0 for the scalar alpha of :func:`_base_pair_scalars`, and
     qhat, linear in p, is (int alpha) (b0_delta p0 + b0*p0).
     """
-    grid = g0.grid
     _check_uniform(grid)
     lin, quad = m0_rates(coeffs, grid)
-    m00 = g0.m0 if coeffs.include_loss else 0.0
-    p0 = g0.values.astype(float)
+    m00 = moments(g0, grid)[0] if coeffs.include_loss else 0.0
+    p0 = np.asarray(g0, dtype=float)
     alpha, integral = _base_pair_scalars(lin, quad, m00, t)
     b0 = np.broadcast_to(coeffs.b0, p0.shape)
     qhat = integral * (coeffs.b0_delta * p0
                        + riemann_conv(b0, p0, grid.spacing))
     try:
-        g = volterra_project(alpha * p0, qhat, grid)
+        return volterra_project(alpha * p0, qhat, grid)
     except VolterraBreakdown as exc:
         exc.t = t
         raise
-    return MassDensity(grid=grid, values=g)
 
 
-def general_smol_residual(coeffs: SmolCoefficients, g0: MassDensity, t: float,
-                          dt: float):
+def general_smol_residual(coeffs: SmolCoefficients, g0: np.ndarray,
+                          grid: Grid1D, t: float, dt: float):
     """(g at t, finite-difference defect of the target equation at t, over
     every node).
 
     The loss term uses the solved density's own m0 so the residual is of the
     full equation including -g m0 when include_loss is set.
     """
-    h = g0.grid.spacing
+    h = grid.spacing
     g, gt = central_in_t(
-        lambda s: general_smol_solve(coeffs, g0, s).values, t, dt)
+        lambda s: general_smol_solve(coeffs, g0, grid, s), t, dt)
     b0 = np.broadcast_to(coeffs.b0, g.shape)
     res = gt - coeffs.d * g + riemann_conv(g, riemann_conv(b0, g, h), h) \
         + coeffs.b0_delta * riemann_conv(g, g, h)
     if coeffs.include_loss:
-        res = res + g * MassDensity(g0.grid, g).m0
+        res = res + g * moments(g, grid)[0]
     return g, float(np.max(np.abs(res)))
 
 
@@ -307,14 +283,13 @@ def general_smol_residual(coeffs: SmolCoefficients, g0: MassDensity, t: float,
 # direct integro-differential oracle
 
 
-def direct_smol_oracle(g0: MassDensity, t: float, dt: float,
-                       track_moments: bool = False):
+def direct_smol_oracle(g0: np.ndarray, grid: Grid1D, t: float, dt: float,
+                       checkpoints=None):
     """RK4 integration of the constant-kernel (K = 1) coagulation equation
-    on the truncated grid."""
-    grid = g0.grid
+    on the truncated grid, in round(t / dt) equal steps: the field at t, or
+    :func:`core.march`'s dict of the fields at ``checkpoints``."""
     _check_uniform(grid)
     h = grid.spacing
-    x = grid.nodes
 
     def rhs(s, g):
         gain = 0.5 * riemann_conv(g, g, h)
@@ -322,15 +297,8 @@ def direct_smol_oracle(g0: MassDensity, t: float, dt: float,
         return gain - g * m0
 
     steps, dt = uniform_steps(t, dt)
-    advance = lambda m, g: rk4_step(rhs, g, m * dt, dt)
-    g = g0.values.astype(float)
-    if not track_moments:
-        return MassDensity(grid=grid, values=march(advance, g, steps))
-    kept = march(advance, g, steps, range(steps + 1), lambda g: (
-        g, np.trapezoid(g, dx=h), np.trapezoid(x * g, dx=h)))
-    gs, m0s, m1s = zip(*kept.values())
-    return (MassDensity(grid=grid, values=gs[-1]),
-            dt * np.arange(steps + 1), np.array(m0s), np.array(m1s))
+    return march(lambda m, g: rk4_step(rhs, g, m * dt, dt),
+                 np.asarray(g0, dtype=float), steps, checkpoints)
 
 
 # ---------------------------------------------------------------------------

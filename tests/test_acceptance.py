@@ -26,7 +26,7 @@ from grassflow.quotient import (EllipticCoefficients, QuotientCoefficients,
                                 elliptic_quotient_solve, quotient_residual,
                                 quotient_solve)
 from grassflow.smoluchowski import (constant_kernel_solve, direct_smol_oracle,
-                                    exponential_density, m0_closed_form)
+                                    m0_closed_form, moments)
 from grassflow.spde import (BrownianSheetModes, SpdeParams,
                             sech_ridge_initial, spde_direct_run,
                             spde_poppe_run)
@@ -223,14 +223,15 @@ def test_criterion_3_canonical_riccati():
 
 def test_criterion_4_smoluchowski_constant_kernel():
     grid = Grid1D(0.0, 40.0, 2 ** 10, kind="closed")
-    g0 = exponential_density(grid, 1.0, 1.0)
-    t = 2.0
-    proj = constant_kernel_solve(g0, t)
+    t, dt, steps = 2.0, 1e-3, 2000
+    proj = constant_kernel_solve(grid, 1.0, 1.0, t)
     closed = 0.25 * np.exp(-0.5 * grid.nodes)
-    err_closed = float(np.max(np.abs(proj.values - closed)))
-    direct, times, m0s, m1s = direct_smol_oracle(g0, t, 1e-3,
-                                                 track_moments=True)
-    err_direct = float(np.max(np.abs(proj.values - direct.values)))
+    err_closed = float(np.max(np.abs(proj - closed)))
+    kept = direct_smol_oracle(np.exp(-grid.nodes), grid, t, dt,
+                              checkpoints=range(steps + 1))
+    times = dt * np.arange(steps + 1)
+    m0s, m1s = np.array([moments(g, grid) for g in kept.values()]).T
+    err_direct = float(np.max(np.abs(proj - kept[steps])))
     m0_expected = np.array([m0_closed_form(0.0, -0.5, m0s[0], s)
                             for s in times])
     err_m0 = float(np.max(np.abs(m0s - m0_expected) / m0_expected))
@@ -419,8 +420,8 @@ def test_paper_preset_oracle_steps_are_resolved(equation, tmp_path,
     assert float(meta["sup_difference"]) <= gap_bound
     args, direct = runs[0]
     if equation == "smol-const":
-        g0, t, dt = args
-        coarse, fine = direct.values, oracle(g0, t, dt / 4).values
+        g0, grid, t, dt = args
+        coarse, fine = direct, oracle(g0, grid, t, dt / 4)
     else:
         u0, grid, dt, steps = args
         coarse, fine = direct[steps], oracle(u0, grid, dt / 4, 4 * steps)

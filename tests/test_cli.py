@@ -26,7 +26,8 @@ from grassflow.errors import ChartBreakdown
 from grassflow.graphflows import inviscid_burgers_eval
 from grassflow.integrable import (cubic_kdv_symbol, propagate_dispersive,
                                   schrodinger_symbol)
-from grassflow.smoluchowski import MassDensity, constant_kernel_solve
+from grassflow.smoluchowski import (CONSTANT_KERNEL, general_smol_solve,
+                                    moments)
 from reference import read_columns, write_table_row_wise
 
 
@@ -534,6 +535,43 @@ def test_a_non_finite_setting_exits_2_without_output(tmp_path, capsys,
     assert not out.exists()
 
 
+# the equations whose residual solves at t-final +- dt, on small grids; at
+# the default domain-l 10 prelaplace's deconvolution breaks down
+RESIDUAL_RUNS = {"quotient": ("--grid-n", "16"),
+                 "smol-general": ("--grid-n", "32"),
+                 "prelaplace": ("--grid-n", "32", "--domain-l", "1")}
+
+
+@pytest.mark.parametrize("equation, dt", [("quotient", "1.2"),
+                                          ("smol-general", "2"),
+                                          ("prelaplace", "2")])
+def test_a_residual_step_past_t_final_exits_2_without_output(
+        tmp_path, capsys, equation, dt):
+    # the residual solved at t-final - dt < 0: quotient wrote a NaN
+    # residual with overflow warnings, the others a residual that measured
+    # nothing, each under exit 0
+    argv = [equation, *RESIDUAL_RUNS[equation], "--dt", dt]
+    line = ("precondition violated: dt must be at most t-final: the "
+            "residual solves at t-final - dt")
+    assert main([*argv, "--validate-only"]) == 2
+    assert capsys.readouterr().out.splitlines() == [line, "1 violation(s)"]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("equation", RESIDUAL_RUNS)
+def test_a_residual_step_of_t_final_runs(tmp_path, equation):
+    # the first solve is at t = 0
+    assert main([equation, *RESIDUAL_RUNS[equation], "--dt", "1",
+                 "--out", str(tmp_path)]) == 0
+    meta = dict(line.split(" = ", 1) for line in
+                (tmp_path / f"{equation}_metadata.txt").read_text()
+                .splitlines())
+    assert np.isfinite(float(meta["pde_residual"]))
+
+
 @pytest.mark.parametrize("equation", ["kdv", "nls", "smol-const", "spde"])
 def test_a_step_count_past_the_float_range_exits_2_without_output(
         tmp_path, capsys, equation):
@@ -985,7 +1023,7 @@ def test_blowup_report_carries_time_and_determinant(tmp_path, capsys):
     # no location is set, so none is printed
     assert "location" not in err and ", determinant = " in err
     grid = Grid1D(0.0, 10.0, 64, kind="closed")
-    m0 = MassDensity(grid, SAMPLED_PROFILES["kdv-paper"](grid.nodes)).m0
+    m0 = moments(SAMPLED_PROFILES["kdv-paper"](grid.nodes), grid)[0]
     t = float(err.split("(t = ")[1].split(",")[0])
     assert t == pytest.approx(-2.0 / m0, rel=1e-14) and t < 0.5
     det = float(err.split("determinant = ")[1].strip().rstrip(")"))
@@ -1012,8 +1050,20 @@ def test_smol_general_constant_kernel_preset(tmp_path):
     assert rc == 0
     values = read_columns(tmp_path / "smol-general_poppe.csv")["value_real"]
     grid = Grid1D(0.0, 40.0, 512, kind="closed")
-    expected = constant_kernel_solve(
-        MassDensity(grid=grid, values=np.exp(-grid.nodes)), 1.0).values
+    expected = general_smol_solve(CONSTANT_KERNEL, np.exp(-grid.nodes), grid,
+                                  1.0)
+    assert np.array_equal(values, expected)
+
+
+def test_smol_const_sampled_data_take_the_general_solve(tmp_path):
+    # only the exp profile has the closed form; the others are the general
+    # solve at the constant kernel
+    assert main(["smol-const", "--profile", "gaussian",
+                 "--out", str(tmp_path)]) == 0
+    values = read_columns(tmp_path / "smol-const_poppe.csv")["value_real"]
+    grid = Grid1D(0.0, 10.0, 256, kind="closed")
+    expected = general_smol_solve(
+        CONSTANT_KERNEL, SAMPLED_PROFILES["gaussian"](grid.nodes), grid, 1.0)
     assert np.array_equal(values, expected)
 
 

@@ -272,8 +272,7 @@ def oracle_runs(steps):
         "riemann_conv_square": smoluchowski.riemann_conv(
             u, u, mass_grid.spacing),
         "direct_smol_oracle": smoluchowski.direct_smol_oracle(
-            smoluchowski.MassDensity(mass_grid, u), steps * 1e-3,
-            1e-3).values,
+            u, mass_grid, steps * 1e-3, 1e-3),
     }
 
 
@@ -334,6 +333,17 @@ def test_central_in_t_solves_in_time_order():
     assert np.allclose(rate, [1.0, 3.0])
 
 
+def test_central_in_t_refuses_a_step_past_t():
+    # a step past t would solve at negative time; a step of t solves at 0
+    seen = []
+    solve = lambda s: seen.append(s) or np.array([s])
+    with pytest.raises(ConfigError, match="negative time"):
+        central_in_t(solve, 0.5, 0.75)
+    assert seen == []
+    central_in_t(solve, 0.5, 0.5)
+    assert seen == [0.0, 0.5, 1.0]
+
+
 def test_march_keeps_the_asked_steps():
     # the state after step m is 1 + 2 + ... + m, so each kept value also
     # shows that advance saw the step index
@@ -356,8 +366,6 @@ def test_march_names_the_first_step_known_non_finite():
         (dict(checkpoints=range(2001)), 3),   # step 3 is kept
         (dict(), 1024),                       # the first check fires
         (dict(checkpoints=[0, 2, 1000]), 1000),
-        (dict(checkpoints=[500, 2000],        # tuple readouts are scanned
-              readout=lambda y: (y, y.sum())), 500),
     ]
     for kwargs, step in cases:
         with pytest.raises(IntegrationBlowup) as exc:

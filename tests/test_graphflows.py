@@ -11,7 +11,7 @@ from grassflow.graphflows import (FD_STEP, JACOBIAN_FLOOR, NEWTON_MAX_ITER,
                                   NEWTON_TOL, GraphField, InitialProfile,
                                   _bisect_scalar,
                                   _modified_profile, _solve_characteristic,
-                                  fundamental_matrix, generalized_flow_eval,
+                                  generalized_flow_eval,
                                   inviscid_burgers_eval, spectral_oracle,
                                   spectral_steps)
 from reference import (ddx, riccati_rk4, riccati_subflow, upwind_oracle,
@@ -344,12 +344,19 @@ def test_evaluator_calls_do_not_grow_with_nodes():
 
 
 def test_fundamental_matrix_of_constant_system():
-    # A=0, B=1, C=0, D=0: Phi = [[1, t], [0, 1]]
-    phi = fundamental_matrix((0.0, 1.0, 0.0, 0.0), 2.0)
-    assert np.allclose(phi, [[1.0, 2.0], [0.0, 1.0]], atol=1e-12)
+    # A=0, B=1, C=0, D=0: Phi = [[1, t], [0, 1]], so on affine data
+    # pi0(a) = c0 + c1 a the field is c0 + c1 (x - t c0) / (1 + t c1); the
+    # four (c0, c1) below pin Phi_pq = 0, Phi_pp = 1, Phi_qp = t, Phi_qq = 1
+    x, t = np.linspace(-1.0, 1.0, 9), 2.0
+    for c0, c1 in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, -0.25)):
+        prof = InitialProfile(lambda a, c0=c0, c1=c1: c0 + c1 * a,
+                              lambda a, c1=c1: np.full_like(a, c1))
+        field = generalized_flow_eval(x, t, prof, (0.0, 1.0, 0.0, 0.0))
+        expected = c0 + c1 * (x - t * c0) / (1.0 + t * c1)
+        assert np.allclose(field.values, expected, rtol=0, atol=1e-12)
     # zero is spelt 0.0, not None
     with pytest.raises(TypeError):
-        fundamental_matrix((None, 1.0, None, None), 2.0)
+        generalized_flow_eval(x, t, prof, (None, 1.0, None, None))
 
 
 def test_generalized_flow_reduces_to_inviscid_burgers():

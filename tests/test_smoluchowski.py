@@ -7,15 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from grassflow import smoluchowski
 from grassflow.cli import SAMPLED_PROFILES
-from grassflow.core import Grid1D, march, rk4_step
+from grassflow.core import Grid1D, march, rk4_step, uniform_steps
 from grassflow.errors import BlowupAtTime, ConfigError, VolterraBreakdown
-from grassflow.smoluchowski import (BACKWARD_ERROR_BOUND, MassDensity,
+from grassflow.smoluchowski import (BACKWARD_ERROR_BOUND, CONSTANT_KERNEL,
                                     SmolCoefficients, _base_pair_scalars,
-                                    _check_uniform,
-                                    constant_kernel_solve, deconvolve,
-                                    direct_smol_oracle, exponential_density,
+                                    _check_uniform, constant_kernel_solve,
+                                    deconvolve, direct_smol_oracle,
                                     general_smol_residual, general_smol_solve,
-                                    m0_closed_form, m0_rates,
+                                    m0_closed_form, m0_rates, moments,
                                     pre_laplace_burgers_residual,
                                     pre_laplace_burgers_solve, riemann_conv,
                                     volterra_project)
@@ -63,65 +62,64 @@ def test_scalar_base_flow_values():
 def test_exponential_data_inverts_exactly():
     # g0 = e^{-x}, t = 2  ->  g = (1/4) e^{-x/2} pointwise
     g = mass_grid(60.0, 512)
-    g0 = exponential_density(g, 1.0, 1.0)
-    out = constant_kernel_solve(g0, 2.0)
+    out = constant_kernel_solve(g, 1.0, 1.0, 2.0)
     expected = 0.25 * np.exp(-0.5 * g.nodes)
-    assert np.max(np.abs(out.values - expected)) == 0.0
-    assert out.exponential == pytest.approx((0.25, 0.5))
+    assert np.max(np.abs(out - expected)) == 0.0
 
 
 def test_exponential_blowup_when_base_denominator_crosses_zero():
     # negative-mass data drives 1 + t m0/2 through zero in finite time
     g = mass_grid(10.0, 64)
-    g0 = exponential_density(g, -1.0, 1.0)
     with pytest.raises(BlowupAtTime):
-        constant_kernel_solve(g0, 3.0)
+        constant_kernel_solve(g, -1.0, 1.0, 3.0)
 
 
-def negative_exponential():
-    # the sampled mass of -e^{-x} on [0, 40] is -1.000127, whose base
-    # denominator 1 + t m0/2 crosses zero before t = 2; the exact mass -1
-    # puts the blow-up at t = 2, and only the exact mass may decide it
-    return exponential_density(mass_grid(40.0, 1024), -1.0, 1.0)
+# the sampled mass of -e^{-x} on [0, 40] is -1.000127, whose base
+# denominator 1 + t m0/2 crosses zero before t = 2; the exact mass -1 puts
+# the blow-up at t = 2, and only the exact mass may decide it
+NEGATIVE_EXPONENTIAL_GRID = mass_grid(40.0, 1024)
 
 
 def test_exponential_just_before_blowup_is_the_closed_form():
-    g0, t = negative_exponential(), 1.9999
+    g, t = NEGATIVE_EXPONENTIAL_GRID, 1.9999
     c, lam = constant_kernel_pair(-1.0, t)
-    out = constant_kernel_solve(g0, t)
-    expected = c * -1.0 * np.exp(-(1.0 + lam * -1.0) * g0.grid.nodes)
-    assert np.array_equal(out.values, expected)
+    out = constant_kernel_solve(g, -1.0, 1.0, t)
+    expected = c * -1.0 * np.exp(-(1.0 + lam * -1.0) * g.nodes)
+    assert np.array_equal(out, expected)
 
 
 def test_exponential_blowup_reports_the_exact_denominator():
     with pytest.raises(BlowupAtTime) as exc:
-        constant_kernel_solve(negative_exponential(), 2.0001)
+        constant_kernel_solve(NEGATIVE_EXPONENTIAL_GRID, -1.0, 1.0, 2.0001)
     assert exc.value.det_value == 1 - 0.5 * 2.0001
 
 
 def test_sampled_data_agrees_with_analytic_path():
     g = mass_grid(60.0, 2048)
-    g0_exp = exponential_density(g, 1.0, 1.0)
-    g0_samp = MassDensity(grid=g, values=np.exp(-g.nodes))
-    analytic = constant_kernel_solve(g0_exp, 2.0)
-    sampled = constant_kernel_solve(g0_samp, 2.0)
+    analytic = constant_kernel_solve(g, 1.0, 1.0, 2.0)
+    sampled = general_smol_solve(CONSTANT_KERNEL, np.exp(-g.nodes), g, 2.0)
     # the sampled path is first order in the spacing
-    assert np.max(np.abs(sampled.values - analytic.values)) < 5 * g.spacing
+    assert np.max(np.abs(sampled - analytic)) < 5 * g.spacing
 
 
 def test_constant_kernel_matches_direct_oracle():
     g = mass_grid(60.0, 512)
-    g0 = exponential_density(g, 1.0, 1.0)
-    proj = constant_kernel_solve(g0, 2.0)
-    direct = direct_smol_oracle(g0, 2.0, 1e-3)
-    assert np.max(np.abs(proj.values - direct.values)) < 1e-4
+    proj = constant_kernel_solve(g, 1.0, 1.0, 2.0)
+    direct = direct_smol_oracle(np.exp(-g.nodes), g, 2.0, 1e-3)
+    assert np.max(np.abs(proj - direct)) < 1e-4
+
+
+def oracle_moments(g0, grid, t, dt):
+    """The oracle's times, m0 and m1 at every step."""
+    steps, dt = uniform_steps(t, dt)
+    kept = direct_smol_oracle(g0, grid, t, dt, checkpoints=range(steps + 1))
+    m0s, m1s = np.array([moments(g, grid) for g in kept.values()]).T
+    return dt * np.array(list(kept)), m0s, m1s
 
 
 def test_moments_track_conservation_laws():
     g = mass_grid(80.0, 1024)
-    g0 = exponential_density(g, 1.0, 1.0)
-    _, times, m0s, m1s = direct_smol_oracle(g0, 2.0, 1e-3,
-                                            track_moments=True)
+    times, m0s, m1s = oracle_moments(np.exp(-g.nodes), g, 2.0, 1e-3)
     # m0 follows the closed form; m1 (total mass) is conserved
     expected = np.array([m0_closed_form(0.0, -0.5, m0s[0], s) for s in times])
     assert np.max(np.abs(m0s - expected)) < 1e-3
@@ -275,7 +273,7 @@ def test_volterra_breakdown_names_the_solve_time():
     # past the backward-error bound
     g = mass_grid(10.0, 256)
     solves = [lambda t: general_smol_solve(SmolCoefficients(b0_delta=-10.0),
-                                           MassDensity(g, np.ones(256)), t),
+                                           np.ones(256), g, t),
               lambda t: pre_laplace_burgers_solve(np.ones(256), g, 1.0, t)]
     for solve in solves:
         with pytest.raises(VolterraBreakdown) as caught:
@@ -299,11 +297,10 @@ def test_volterra_solves_refuse_complex_data(complex_arg):
 
 def test_general_solver_reduces_to_constant_kernel():
     g = mass_grid(60.0, 256)
-    g0 = exponential_density(g, 1.0, 1.0)
     coeffs = SmolCoefficients(b0_delta=-0.5, include_loss=True)
-    out = general_smol_solve(coeffs, g0, 1.0)
-    closed = constant_kernel_solve(g0, 1.0)
-    assert np.max(np.abs(out.values - closed.values)) < 5e-3
+    out = general_smol_solve(coeffs, np.exp(-g.nodes), g, 1.0)
+    closed = constant_kernel_solve(g, 1.0, 1.0, 1.0)
+    assert np.max(np.abs(out - closed)) < 5e-3
 
 
 def test_m0_riccati_matches_closed_form():
@@ -328,15 +325,16 @@ def test_m0_riccati_matches_closed_form():
 def test_m0_riccati_blowup_with_growth_reports_its_pole():
     # lin = -0.2, quad = 1: 1/m0 reaches 0 at e^{-t/5} = 1 - 1/(5 m0(0))
     g = mass_grid(10.0, 64)
-    g0 = exponential_density(g, 2.0, 1.0)
+    g0 = 2.0 * np.exp(-g.nodes)
+    m00 = moments(g0, g)[0]
     coeffs = SmolCoefficients(d=-0.2, b0_delta=-2.0, include_loss=True)
     lin, quad = m0_rates(coeffs, g)
     assert (lin, quad) == (-0.2, 1.0)
-    pole = -5.0 * np.log(1.0 - 1.0 / (5.0 * g0.m0))
+    pole = -5.0 * np.log(1.0 - 1.0 / (5.0 * m00))
     with pytest.raises(BlowupAtTime, match="m0 preprocessing Riccati") as exc:
-        general_smol_solve(coeffs, g0, 1.0)
+        general_smol_solve(coeffs, g0, g, 1.0)
     assert abs(exc.value.t - pole) <= 1e-12
-    assert np.isfinite(m0_closed_form(lin, quad, g0.m0, pole * (1 - 1e-9)))
+    assert np.isfinite(m0_closed_form(lin, quad, m00, pole * (1 - 1e-9)))
 
 
 def test_general_residual_shrinks_under_simultaneous_refinement():
@@ -347,8 +345,8 @@ def test_general_residual_shrinks_under_simultaneous_refinement():
 
     def residual(n, dt):
         g = mass_grid(30.0, n)
-        g0 = exponential_density(g, 0.8, 1.0)
-        return general_smol_residual(coeffs, g0, 0.5, dt)[1]
+        return general_smol_residual(coeffs, 0.8 * np.exp(-g.nodes), g, 0.5,
+                                     dt)[1]
 
     coarse = residual(97, 2e-2)
     fine = residual(193, 1e-2)
@@ -358,16 +356,16 @@ def test_general_residual_shrinks_under_simultaneous_refinement():
 
 def test_general_solver_with_sampled_interaction_terms():
     g = mass_grid(20.0, 128)
-    g0 = exponential_density(g, 0.5, 1.0)
+    g0 = 0.5 * np.exp(-g.nodes)
     b0 = -0.05 * np.exp(-g.nodes)
     coeffs = SmolCoefficients(d=-0.1, b0=b0)
-    out = general_smol_solve(coeffs, g0, 0.5)
-    assert np.all(np.isfinite(out.values))
+    out = general_smol_solve(coeffs, g0, g, 0.5)
+    assert np.all(np.isfinite(out))
     # over every node (measured 5.7e-6)
-    mid, res = general_smol_residual(coeffs, g0, 0.5, 1e-2)
+    mid, res = general_smol_residual(coeffs, g0, g, 0.5, 1e-2)
     assert res < 1e-5
     # the residual's middle solve is the solve at t itself
-    assert np.array_equal(mid, out.values)
+    assert np.array_equal(mid, out)
 
 
 def _m0_riccati_loop(lin, quad, m00, t, steps):
@@ -381,12 +379,12 @@ def _m0_riccati_loop(lin, quad, m00, t, steps):
     return m0
 
 
-def _general_smol_loop(coeffs, g0, t, steps):
+def _general_smol_loop(coeffs, g0, grid, t, steps):
     """The reference: the RK4 loop that stepped general_smol_solve's linear
     base pair before its closed form, with m0 from its closed form."""
-    grid, h, dt = g0.grid, g0.grid.spacing, t / steps
+    h, dt = grid.spacing, t / steps
     lin, quad = m0_rates(coeffs, grid)
-    m00 = g0.m0 if coeffs.include_loss else 0.0
+    m00 = moments(g0, grid)[0] if coeffs.include_loss else 0.0
 
     def rhs(s, state):
         p, qhat = state
@@ -396,16 +394,16 @@ def _general_smol_loop(coeffs, g0, t, steps):
             + riemann_conv(np.broadcast_to(coeffs.b0, p.shape), p, h)
         return np.array([dp, dq])
 
-    state = np.array([g0.values.astype(float), np.zeros(grid.n)])
+    state = np.array([g0.astype(float), np.zeros(grid.n)])
     for m in range(steps):
         state = rk4_step(rhs, state, m * dt, dt)
     return volterra_project(state[0], state[1], grid)
 
 
-def _loop_gaps(coeffs, g0, t):
+def _loop_gaps(coeffs, g0, grid, t):
     """The closed-form solve's gaps to its RK4 loop at 96, 192, 384 steps."""
-    out = general_smol_solve(coeffs, g0, t).values
-    return [float(np.max(np.abs(out - _general_smol_loop(coeffs, g0, t,
+    out = general_smol_solve(coeffs, g0, grid, t)
+    return [float(np.max(np.abs(out - _general_smol_loop(coeffs, g0, grid, t,
                                                           steps))))
             for steps in (96, 192, 384)]
 
@@ -414,16 +412,9 @@ def test_general_solver_closed_form_matches_its_loop_and_constant_kernel():
     # the constant-kernel preset's coefficients; the loop converges to the
     # closed form at fourth order (measured 4.4e-12, 2.7e-13, 1.7e-14)
     g = mass_grid(40.0, 128)
-    g0 = MassDensity(grid=g, values=np.exp(-g.nodes))
     coeffs = SmolCoefficients(b0_delta=-0.5, include_loss=True)
-    gaps = _loop_gaps(coeffs, g0, 0.7)
+    gaps = _loop_gaps(coeffs, np.exp(-g.nodes), g, 0.7)
     assert gaps[0] / gaps[1] >= 14 and gaps[2] <= 1e-13
-    # and it is constant_kernel_solve's projection on sampled data, from
-    # the same scalars
-    g = mass_grid(40.0, 512)
-    g0 = MassDensity(grid=g, values=SAMPLED_PROFILES["gaussian"](g.nodes))
-    out = general_smol_solve(coeffs, g0, 1.0).values
-    assert np.array_equal(out, constant_kernel_solve(g0, 1.0).values)
 
 
 # a sampled b0 on the loss-term tests' grid
@@ -444,9 +435,8 @@ B0 = -0.1 * np.exp(-0.5 * mass_grid(40.0, 128).nodes)
 ], ids=["lin", "quad0", "quad-1", "b0"])
 def test_general_solver_loss_term_matches_its_loop(rates, coeffs):
     g = mass_grid(40.0, 128)
-    g0 = MassDensity(grid=g, values=np.exp(-g.nodes))
     assert m0_rates(coeffs, g) == pytest.approx(rates, abs=1e-15)
-    gaps = _loop_gaps(coeffs, g0, 0.7)
+    gaps = _loop_gaps(coeffs, np.exp(-g.nodes), g, 0.7)
     assert gaps[0] / gaps[1] >= 14 and gaps[2] <= 1e-13
 
 
@@ -454,10 +444,10 @@ def test_general_solver_sampled_b0_without_loss_matches_its_loop():
     # alpha = e^{d t}: 96 steps of the loop reach round-off (measured
     # 6.7e-16)
     g = mass_grid(40.0, 128)
-    g0 = MassDensity(grid=g, values=np.exp(-g.nodes))
+    g0 = np.exp(-g.nodes)
     coeffs = SmolCoefficients(d=-0.1, b0=B0, b0_delta=-0.1)
-    out = general_smol_solve(coeffs, g0, 0.7).values
-    loop = _general_smol_loop(coeffs, g0, 0.7, 96)
+    out = general_smol_solve(coeffs, g0, g, 0.7)
+    loop = _general_smol_loop(coeffs, g0, g, 0.7, 96)
     assert np.max(np.abs(out - loop)) <= 1e-14
 
 
@@ -465,10 +455,10 @@ def test_general_solver_decay_is_exact():
     # the CLI's default coefficients, d = -1: g = e^{-t} g0 (measured 9.8e-17
     # relative)
     g = mass_grid(40.0, 512)
-    g0 = exponential_density(g, 1.0, 1.0)
-    out = general_smol_solve(SmolCoefficients(d=-1.0), g0, 1.0)
-    exact = np.exp(-1.0) * g0.values
-    assert np.max(np.abs(out.values - exact)) <= 1e-14 * np.max(exact)
+    g0 = np.exp(-g.nodes)
+    out = general_smol_solve(SmolCoefficients(d=-1.0), g0, g, 1.0)
+    exact = np.exp(-1.0) * g0
+    assert np.max(np.abs(out - exact)) <= 1e-14 * np.max(exact)
 
 
 def test_m0_riccati_blowup_reports_its_time():
@@ -484,11 +474,10 @@ def test_m0_riccati_blowup_reports_its_time():
 # exponential-kernel bridge
 
 
-def gain_only_oracle(g0, t, dt, alpha=None):
+def gain_only_oracle(g0, grid, t, dt, alpha=None):
     """RK4 of the gain-only equation dg/dt = (1/2) int_0^x K(y, x - y)
     g(y) g(x - y) dy on the truncated grid: the constant kernel K = 1, or
     with ``alpha`` the kernel K(y, x - y) = exp(-2 alpha y (x - y))."""
-    grid = g0.grid
     h, x, n = grid.spacing, grid.nodes, grid.n
     if alpha is None:
         gain = lambda s, g: 0.5 * riemann_conv(g, g, h)
@@ -500,12 +489,11 @@ def gain_only_oracle(g0, t, dt, alpha=None):
         gain = lambda s, g: 0.5 * h * ((kmat * g[lag]) @ g)
     steps = max(1, int(round(t / dt)))
     dt = t / steps
-    g = march(lambda m, g: rk4_step(gain, g, m * dt, dt),
-              g0.values.astype(float), steps)
-    return MassDensity(grid=grid, values=g)
+    return march(lambda m, g: rk4_step(gain, g, m * dt, dt),
+                 g0.astype(float), steps)
 
 
-def exp_kernel_rescale(g, alpha, inverse=False):
+def exp_kernel_rescale(g, grid, alpha, inverse=False):
     """Map between the exp-kernel and constant-kernel gain-only flows.
 
     If g solves the gain-only equation with K(y, x-y) = exp(-2 alpha y(x-y)),
@@ -513,20 +501,20 @@ def exp_kernel_rescale(g, alpha, inverse=False):
     the kernel exactly absorbs the cross term of (y + (x-y))^2.  ``inverse``
     maps a constant-kernel solution back.
     """
-    expo = alpha * g.grid.nodes ** 2
+    expo = alpha * grid.nodes ** 2
     if inverse:
         expo = -expo
     if np.max(expo) > 700:
         raise ConfigError("rescaling factor overflows")
-    return MassDensity(grid=g.grid, values=g.values * np.exp(expo))
+    return g * np.exp(expo)
 
 
 def test_exp_kernel_at_zero_alpha_is_the_constant_gain_only_oracle():
     g = mass_grid(6.0, 256)
-    g0 = MassDensity(grid=g, values=np.exp(-2.0 * g.nodes))
-    exp_out = gain_only_oracle(g0, 0.4, 1e-3, alpha=0.0)
-    const_out = gain_only_oracle(g0, 0.4, 1e-3)
-    assert np.max(np.abs(exp_out.values - const_out.values)) < 1e-13
+    g0 = np.exp(-2.0 * g.nodes)
+    exp_out = gain_only_oracle(g0, g, 0.4, 1e-3, alpha=0.0)
+    const_out = gain_only_oracle(g0, g, 0.4, 1e-3)
+    assert np.max(np.abs(exp_out - const_out)) < 1e-13
 
 
 def test_exp_kernel_bridge_holds_to_round_off():
@@ -534,34 +522,35 @@ def test_exp_kernel_bridge_holds_to_round_off():
     # to round-off once the exp-kernel gain pairs g_j with g_{i-j}
     alpha = 0.05
     g = mass_grid(6.0, 256)
-    g0 = MassDensity(grid=g, values=np.exp(-2.0 * g.nodes))
-    exp_out = gain_only_oracle(g0, 0.4, 1e-3, alpha=alpha)
-    const_out = gain_only_oracle(exp_kernel_rescale(g0, alpha), 0.4, 1e-3)
-    bridged = exp_kernel_rescale(exp_out, alpha)
-    assert np.max(np.abs(bridged.values - const_out.values)) < 1e-12
+    g0 = np.exp(-2.0 * g.nodes)
+    exp_out = gain_only_oracle(g0, g, 0.4, 1e-3, alpha=alpha)
+    const_out = gain_only_oracle(exp_kernel_rescale(g0, g, alpha), g, 0.4,
+                                 1e-3)
+    bridged = exp_kernel_rescale(exp_out, g, alpha)
+    assert np.max(np.abs(bridged - const_out)) < 1e-12
 
 
 def test_rescale_round_trip_and_overflow_guard():
     g = mass_grid(10.0, 64)
-    g0 = MassDensity(grid=g, values=np.exp(-g.nodes))
-    back = exp_kernel_rescale(exp_kernel_rescale(g0, 0.3), 0.3, inverse=True)
-    assert np.allclose(back.values, g0.values)
+    g0 = np.exp(-g.nodes)
+    back = exp_kernel_rescale(exp_kernel_rescale(g0, g, 0.3), g, 0.3,
+                              inverse=True)
+    assert np.allclose(back, g0)
     with pytest.raises(ConfigError):
-        exp_kernel_rescale(g0, 100.0)
+        exp_kernel_rescale(g0, g, 100.0)
 
 
-def _oracle_loop(g0, t, dt):
+def _oracle_loop(g0, grid, t, dt):
     """The reference: direct_smol_oracle's own RK4 loop and moment lists
-    (constant kernel, with track_moments) before it went through
-    core.march."""
-    h, x = g0.grid.spacing, g0.grid.nodes
+    (constant kernel) before it went through core.march."""
+    h, x = grid.spacing, grid.nodes
 
     def rhs(s, g):
         return 0.5 * riemann_conv(g, g, h) - g * np.trapezoid(g, dx=h)
 
     steps = max(1, int(round(t / dt)))
     dt = t / steps
-    g = g0.values.astype(float).copy()
+    g = g0.astype(float).copy()
     times, m0s, m1s = [0.0], [np.trapezoid(g, dx=h)], [np.trapezoid(x * g, dx=h)]
     for m in range(steps):
         g = rk4_step(rhs, g, m * dt, dt)
@@ -573,13 +562,13 @@ def _oracle_loop(g0, t, dt):
 
 def test_oracle_equals_its_loop_bitwise():
     g = mass_grid(40.0, 128)
-    g0 = exponential_density(g, 1.0, 1.0)
-    out, times, m0s, m1s = direct_smol_oracle(g0, 0.5, 1e-2,
-                                              track_moments=True)
-    ref = _oracle_loop(g0, 0.5, 1e-2)
-    for a, b in zip((out.values, times, m0s, m1s), ref):
+    g0 = np.exp(-g.nodes)
+    kept = direct_smol_oracle(g0, g, 0.5, 1e-2, checkpoints=range(51))
+    ref = _oracle_loop(g0, g, 0.5, 1e-2)
+    out = (kept[50], *oracle_moments(g0, g, 0.5, 1e-2))
+    for a, b in zip(out, ref):
         assert np.array_equal(a, b)
-    assert np.array_equal(direct_smol_oracle(g0, 0.5, 1e-2).values, ref[0])
+    assert np.array_equal(direct_smol_oracle(g0, g, 0.5, 1e-2), ref[0])
 
 
 # ---------------------------------------------------------------------------
